@@ -28,12 +28,10 @@ WORK = VAR / "work"
 CACHE = VAR / "cache"
 RESULTS = VAR / "results"
 
-WORKLOADS = {"census_n8": ("census", 8), "ingest_n8": ("ingest", 8), "merge_n8": ("merge", 8)}
-# Passes per run at least. The faster of two ingest passes drifts less between
-# runs than one pass; two census passes would not fit the benchmark's time budget.
-MIN_PASSES = {"census": 1, "ingest": 2, "merge": 1}
+WORKLOADS = {"census_n7": ("census", 7), "ingest_n7": ("ingest", 7), "merge_n8": ("merge", 8)}
+MIN_PASSES = 3  # passes per run at least; a run reports its fastest
 WORKERS = 2
-COLD_STARTS = 7  # cold `coperm poly` processes per run; setup_s is their median
+COLD_STARTS = 9  # cold `coperm poly` processes per run at least; setup_s is their median
 REPEAT_SHARE = 0.25  # ingest: share of classes repeated under a relabeling
 RUNS_PER_SHARD = (2, 6)  # merge: inclusive range of run files per shard
 
@@ -135,14 +133,15 @@ def provenance(seed: int) -> dict:
 @dataclass
 class ChildRun:
     wall_s: float
+    cpu_s: float  # user + system time of the child and every process it reaped
     peak_rss_mb: float
     exit_code: int
     stderr: str
 
 
 def run_child(argv: list[str], stdout_path: Path | None = None) -> ChildRun:
-    """Run one child to completion; its peak RSS covers the child and every
-    process it reaped (wait4 reports the RUSAGE_CHILDREN maximum of that tree)."""
+    """Run one child to completion; its CPU time and peak RSS cover the child
+    and every process it reaped (wait4 reports RUSAGE_CHILDREN of that tree)."""
     err_path = WORK / "stderr.txt"
     out = open(stdout_path, "wb") if stdout_path else subprocess.DEVNULL
     try:
@@ -162,7 +161,8 @@ def run_child(argv: list[str], stdout_path: Path | None = None) -> ChildRun:
         if stdout_path:
             out.close()
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return ChildRun(wall, usage.ru_maxrss / 1024, proc.returncode,
+    return ChildRun(wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+                    proc.returncode,
                     err_path.read_text(errors="replace"))
 
 
@@ -371,26 +371,29 @@ def random_graph_word(n: int, rng: random.Random) -> str:
     return g6_encode(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
 
 
-def cold_starts(n: int, rng: random.Random, count: int) -> tuple[list[float], list[str]]:
-    """Wall times of fresh `coperm poly` processes (import, backend selection,
-    first kernel calls) on a seeded graph, each output checked."""
-    word = random_graph_word(n, rng)
-    want = reference_polys(*g6_decode(word))
-    out_path = WORK / "poly.txt"
-    times, problems = [], []
-    for _ in range(count):
+class ColdStart:
+    """Fresh `coperm poly` processes (import, backend selection, first kernel
+    calls) on one seeded graph, each output checked against reference_polys."""
+
+    def __init__(self, n: int, rng: random.Random):
+        self.word = random_graph_word(n, rng)
+        self.want = reference_polys(*g6_decode(self.word))
+        self.times: list[float] = []
+        self.problems: list[str] = []
+
+    def __call__(self) -> None:
+        out_path = WORK / "poly.txt"
         out_path.unlink(missing_ok=True)
-        run = run_child([sys.executable, "-m", "coperm.cli", "poly", word,
+        run = run_child([sys.executable, "-m", "coperm.cli", "poly", self.word,
                          "--out", str(out_path)])
-        times.append(run.wall_s)
+        self.times.append(run.wall_s)
         if run.exit_code:
-            problems.append(f"poly exit {run.exit_code}: {run.stderr.strip()[-300:]}")
-            continue
+            self.problems.append(f"poly exit {run.exit_code}: {run.stderr.strip()[-300:]}")
+            return
         got = {line.split("\t")[0]: json.loads(line.split("\t")[1])
                for line in out_path.read_text().splitlines()[1:]}
-        if got != want:
-            problems.append(f"poly {word}: {got} != {want}")
-    return times, problems
+        if got != self.want:
+            self.problems.append(f"poly {self.word}: {got} != {self.want}")
 
 
 def cold_imports(count: int) -> list[float]:

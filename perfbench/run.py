@@ -3,20 +3,21 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload census_n8 --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload census_n7 --seed 1 --seconds 30 --trace 0
 
 Workloads; every pass is a fresh child process that calls coperm.cli.main:
 
-- census_n8: ``compare --n 8 --workers 2``, the builtin census of both
-  polynomial kinds (12,346 graphs, 29 (n, m) shards).
-- ingest_n8: ``table --in FILE --dedup --kind char`` over a seeded graph6
-  file holding every n=8 class once plus a quarter of them again under
+- census_n7: ``compare --n 7 --workers 2``, the builtin census of both
+  polynomial kinds (1,044 graphs, 22 (n, m) shards).
+- ingest_n7: ``table --in FILE --dedup --kind char`` over a seeded graph6
+  file holding every n=7 class once plus a quarter of them again under
   random relabelings, shuffled.
 - merge_n8: ``merge`` for each n=8 shard, over that shard's char
   fingerprints split across a seeded number of sorted run files.
 
-With ``--trace 0`` it times cold ``coperm poly`` starts, then runs gated
-passes until ``--seconds`` have elapsed (at least one, two for ingest), and reports the
+With ``--trace 0`` it runs gated passes, each followed by a cold
+``coperm poly`` start, until ``--seconds`` have elapsed (at least three
+passes and nine cold starts), and reports the
 end-to-end metrics: the fastest pass's time and rate, and medians of
 peak RSS and of the cold-start times. With ``--trace 1`` it runs the
 traced serial pass of tracing.py and reports per-layer metrics. Every pass
@@ -43,19 +44,27 @@ from common import COLD_STARTS, MIN_PASSES, RESULTS, WORK, WORKLOADS, BenchError
 
 
 def measure(kind: str, n: int, seed: int, seconds: float) -> Outcome:
-    """Untraced run: cold starts, then gated passes for `seconds`, at least
-    MIN_PASSES[kind] of them."""
+    """Untraced run: gated passes for `seconds`, at least MIN_PASSES of them,
+    each followed by a cold start, and at least COLD_STARTS cold starts.
+    Spreading the cold starts over the run lets their median see the same
+    machine as the passes."""
     tables, digests = common.load_tables(), common.load_digests()
     setup_rng, input_rng = common.input_rngs(seed)
-    setup, problems = common.cold_starts(n, setup_rng, COLD_STARTS)
+    cold_start = common.ColdStart(n, setup_rng)
     plan = common.plan_pass(kind, n, input_rng)
-    passes, failed = [], len(problems)
+    passes, failed, problems = [], 0, []
     t0 = time.perf_counter()
-    while len(passes) < MIN_PASSES[kind] or time.perf_counter() - t0 < seconds:
+    while len(passes) < MIN_PASSES or time.perf_counter() - t0 < seconds:
         run, pass_problems = common.gated_pass(kind, n, plan, tables, digests)
         passes.append(run)
         failed += bool(pass_problems)
         problems += pass_problems
+        cold_start()
+    while len(cold_start.times) < COLD_STARTS:
+        cold_start()
+    setup = cold_start.times
+    failed += len(cold_start.problems)
+    problems += cold_start.problems
     walls = [p.wall_s for p in passes]
     # The fastest pass, not the median: on a shared machine, contention only
     # slows passes, and the median of a run's passes drifts with it by more

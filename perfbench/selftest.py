@@ -4,7 +4,8 @@
 Runs every workload at n=6, untraced and traced, and checks that each run
 passes its gate and reports every metric BENCHMARK.json declares. Then
 runs the traced run's backend-agreement check against a matching and a
-disagreeing fake second backend, and shows that the correctness gate trips
+disagreeing fake second backend, shows that the span nesting check trips on
+a child span busier than its parent, and that the correctness gate trips
 on a tampered report and on a wrong recorded digest.
 
 Usage, from the repository root:
@@ -54,6 +55,16 @@ def main() -> int:
             expect(out.correct and out.failed == 0 and out.attempted >= 1,
                    f"{name} at n={N}, trace {trace}: {out.attempted} attempts correct"
                    + "".join(f"\n    {p}" for p in out.problems))
+
+    tracer = tracing.Tracer()
+    with tracer.span("cli"):
+        with tracer.stage("permanent"):
+            sum(range(1000))
+    root, child = tracer.spans
+    expect(not tracer.nesting_problems(root), "span nesting check passes a sound trace")
+    child.busy = root.busy + 1e-3
+    expect(len(tracer.nesting_problems(root)) == 1,
+           "span nesting check trips on a child busier than its parent")
 
     from coperm import _purepy
     kernels = ("permanent", "determinant", "graph_poly", "canonical_form", "canonical_children")

@@ -1,24 +1,27 @@
 """Traced run of the census benchmark: per-layer spans and counts.
 
 One serial pass of a workload runs in this process through the real
-``coperm.cli.main``, with spans recorded around the calls into each layer
-and work counted at the same boundaries. The traced code makes the same
-public calls, in the same order, as the untraced path. These functions are
-swapped for traced equivalents while the pass runs:
+``coperm.cli.main`` and the program's own loops (``pipeline.compute_shard``,
+``pipeline.run_ingest_census``, ``cli.cmd_merge``). While it runs, the
+layer functions those loops call are replaced by wrappers that time and
+count each call and then call the original (see ``patch_layers``):
 
-- ``pipeline._shard_worker`` (census): ``compute_shard`` with each call timed;
-- ``cli.run_ingest_census`` (ingest): ``run_ingest_census`` with each call timed;
-- ``collide.merge_sorted_runs`` and ``collide.group_sorted`` (merge): their
-  streams, with each step timed.
+- in ``pipeline``: ``enumerate_by_edges`` and ``ingest_graph6`` (each step
+  of their iterators), ``canonical_form``, ``to_graph6``, ``perm_poly``,
+  ``char_poly``, ``fingerprint``, ``group_families``, ``shard_stats``, and
+  ``_shard_worker`` (one span per shard);
+- in ``collide``: ``merge_sorted_runs`` and ``group_sorted`` (each step);
+- ``backend.canonical_children``, to count calls and candidate subsets.
 
-``backend.canonical_children`` is wrapped to count calls and candidate
-subsets. A span is either one interval (a pass, a shard, a CLI call) or a
-stage: every call of one stage under one parent, with the start of the
-first call, the end of the last and the summed busy time. Spans of one
-shard share its id. A span's self time is its busy time minus its
-children's; the self times of a pass sum to its wall time, which is
-checked, as is the traced report against the same gate as untraced ones.
-Spans stay in memory and go to var/results/spans-*.jsonl at the end.
+A span is either one interval (a pass, a shard, a CLI call) or a stage:
+every call of one stage under one parent, with the start of the first
+call, the end of the last and the summed busy time. Spans of one shard
+share its id. A span's self time is its busy time minus its children's,
+so the self times of a pass sum to its traced wall time by construction.
+What is checked is the nesting: every span lies within its parent and is
+no busier than it. The traced report goes through the same gate as
+untraced ones. Spans stay in memory and go to var/results/spans-*.jsonl
+at the end.
 """
 
 from __future__ import annotations
@@ -109,25 +112,34 @@ class Tracer:
                 out.append(s)
         return out
 
+    @staticmethod
+    def children_busy(spans: list[Span]) -> Counter:
+        """Span id -> summed busy time of its children."""
+        covered: Counter = Counter()
+        for s in spans:
+            covered[s.parent] += s.busy
+        return covered
+
     def self_times(self, root: Span) -> Counter:
         """Self seconds per span name over root's subtree."""
         spans = self.subtree(root)
-        covered: Counter = Counter()
-        for s in spans[1:]:
-            covered[s.parent] += s.busy
+        covered = self.children_busy(spans[1:])
         out: Counter = Counter()
         for s in spans:
             out[s.name] += s.busy - covered[s.id]
         return out
 
     def nesting_problems(self, root: Span) -> list[str]:
+        """Spans outside their parent's interval, or busier than it: either
+        would mean a call was timed under the wrong parent or twice."""
         by_id = {s.id: s for s in self.spans}
+        spans = self.subtree(root)
         problems = [f"span {s.name}#{s.id} lies outside its parent"
-                    for s in self.subtree(root)[1:]
+                    for s in spans[1:]
                     if not by_id[s.parent].start <= s.start <= s.end <= by_id[s.parent].end]
-        total = sum(self.self_times(root).values())
-        if not math.isclose(total, root.busy, rel_tol=1e-9, abs_tol=1e-9):
-            problems.append(f"self times sum to {total} s, traced wall is {root.busy} s")
+        covered = self.children_busy(spans[1:])
+        problems += [f"children of span {s.name}#{s.id} are busy {covered[s.id]} s, "
+                     f"longer than its {s.busy} s" for s in spans if covered[s.id] > s.busy + 1e-9]
         return problems
 
     def write(self, path) -> None:
@@ -166,134 +178,93 @@ def counting_children(tracer: Tracer, real):
     return canonical_children
 
 
-def traced_steps(tracer: Tracer, stage: str, iterator):
-    """Yield from iterator, timing each step as one call of stage."""
+def traced_steps(tracer: Tracer, stage: str, iterator, counter: str):
+    """Yield from iterator, timing each step as one call of stage and
+    counting the items under counter."""
     it = iter(iterator)
+    done = object()
     while True:
         with tracer.stage(stage):
-            item = next(it, None)
-        if item is None:
+            item = next(it, done)
+        if item is done:
             return
+        tracer.count(counter)
         yield item
 
 
-def traced_polys(tracer: Tracer, g, n: int, m: int, g6: str, kinds, widened: bool, recs):
-    """The per-graph kernel and fingerprint calls of shard_records."""
-    from coperm.charpoly import char_poly
-    from coperm.collide import fingerprint
-    from coperm.permanent import perm_poly
+def timed(tracer: Tracer, stage: str, fn, counter: str | None = None):
+    """fn with each call timed as one call of stage (and counted under counter)."""
 
-    for k in kinds:
-        if k == "perm":
-            with tracer.stage("permanent"):
-                p = perm_poly(g, widened)
-            tracer.count("permanent.calls")
-        else:
-            with tracer.stage("charpoly"):
-                p = char_poly(g, widened)
-            tracer.count("charpoly.calls")
-        with tracer.stage("collide.fingerprint"):
-            recs[k].append((fingerprint(p, n, m, k), g6))
+    def call(*args, **kwargs):
+        with tracer.stage(stage):
+            out = fn(*args, **kwargs)
+        if counter:
+            tracer.count(counter)
+        return out
+
+    return call
 
 
-def traced_group(tracer: Tracer, n: int, m: int, recs, kinds):
-    """compute_shard's grouping step."""
-    from coperm.collide import group_families, shard_stats
-    from coperm.pipeline import ShardResult
-
-    by_kind = {}
-    with tracer.stage("collide.group"):
-        for k in kinds:
-            fams = group_families(recs[k])
-            by_kind[k] = (shard_stats(fams, n, m), fams)
-    tracer.count("collide.families_held", sum(len(fams) for _, fams in by_kind.values()))
-    return ShardResult(n, m, by_kind)
+def stepped(tracer: Tracer, stage: str, gen_fn, counter: str):
+    """gen_fn with every step of the iterators it returns timed."""
+    return lambda *args, **kwargs: traced_steps(tracer, stage, gen_fn(*args, **kwargs), counter)
 
 
-def census_pass(tracer: Tracer, stack: ExitStack, n: int, out) -> list[list[str]]:
-    from coperm import cli, pipeline
-    from coperm.enumerate import enumerate_by_edges
-    from coperm.graphs import to_graph6
+def spanned(tracer: Tracer, name: str, fn):
+    """fn with each call recorded as one interval span."""
 
-    def shard_worker(job):  # pipeline.compute_shard, each call timed
-        n, m, kinds, widened = job
-        with tracer.span("pipeline.shard", shard=f"{n}:{m}"):
-            recs = {k: [] for k in kinds}
-            for g in traced_steps(tracer, "enumerate", enumerate_by_edges(n, m)):
-                with tracer.stage("graphs.encode"):
-                    g6 = to_graph6(g)
-                traced_polys(tracer, g, n, m, g6, kinds, widened, recs)
-            return traced_group(tracer, n, m, recs, kinds)
+    def call(*args, **kwargs):
+        with tracer.span(name):
+            return fn(*args, **kwargs)
 
-    real_census = cli.run_census
+    return call
 
-    def run_census(*args, **kwargs):
-        with tracer.span("pipeline"):
-            return real_census(*args, **kwargs)
+
+def patch_layers(tracer: Tracer, stack: ExitStack) -> None:
+    """Time the layer calls that the program's own compute_shard,
+    run_ingest_census and cmd_merge make. pipeline, cli and enumerate look
+    these names up at call time, so patching them reaches the real loops."""
+    from coperm import backend, cli, collide, pipeline
+
+    def held(fams):
+        tracer.count("collide.families_held", len(fams))
+        return fams
+
+    group_families = pipeline.group_families
+    patches = {
+        "enumerate_by_edges": stepped(tracer, "enumerate", pipeline.enumerate_by_edges,
+                                      "enumerate.graphs"),
+        "ingest_graph6": stepped(tracer, "graphs.decode", pipeline.ingest_graph6,
+                                 "graphs.lines"),
+        "canonical_form": timed(tracer, "graphs.canonical", pipeline.canonical_form),
+        # one encode per graph kept: after dedup on ingest, every graph on census
+        "to_graph6": timed(tracer, "graphs.encode", pipeline.to_graph6, "graphs.kept"),
+        "perm_poly": timed(tracer, "permanent", pipeline.perm_poly, "permanent.calls"),
+        "char_poly": timed(tracer, "charpoly", pipeline.char_poly, "charpoly.calls"),
+        "fingerprint": timed(tracer, "collide.fingerprint", pipeline.fingerprint),
+        "group_families": timed(tracer, "collide.group",
+                                lambda recs: held(group_families(recs))),
+        "shard_stats": timed(tracer, "collide.group", pipeline.shard_stats),
+    }
+    for name, fn in patches.items():
+        stack.enter_context(mock.patch.object(pipeline, name, fn))
+
+    real_worker = pipeline._shard_worker
+
+    def shard_worker(job):
+        with tracer.span("pipeline.shard", shard=f"{job[0]}:{job[1]}"):
+            return real_worker(job)
 
     stack.enter_context(mock.patch.object(pipeline, "_shard_worker", shard_worker))
-    stack.enter_context(mock.patch.object(cli, "run_census", run_census))
-    # serial: the pool would bypass the traced shard worker
-    return [["compare", "--n", str(n), "--workers", "1", "--out", str(out)]]
-
-
-def ingest_pass(tracer: Tracer, stack: ExitStack, argv: list[str]) -> list[list[str]]:
-    from coperm import cli, pipeline
-    from coperm.enumerate import ingest_graph6
-    from coperm.graphs import canonical_form, edge_count, to_graph6
-
-    def run_ingest_census(path, kinds=("perm",), dedup=False, widened=False,
-                          count_hint=None):  # pipeline.run_ingest_census, each call timed
-        kinds = tuple(kinds)
-        with tracer.span("pipeline"):
-            records: dict = {}
-            seen: set = set()
-            for g in traced_steps(tracer, "graphs.decode", ingest_graph6(path, count_hint)):
-                tracer.count("graphs.lines")
-                if dedup:
-                    with tracer.stage("graphs.canonical"):
-                        g = canonical_form(g)
-                    key = (g.n, g.rows)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                tracer.count("graphs.kept")
-                n, m = g.n, edge_count(g)
-                shard = records.setdefault((n, m), {k: [] for k in kinds})
-                with tracer.stage("graphs.encode"):
-                    g6 = to_graph6(g)
-                traced_polys(tracer, g, n, m, g6, kinds, widened, shard)
-            out = {}
-            for n in sorted({key[0] for key in records}):
-                shards = [traced_group(tracer, n, m, records[(n, m)], kinds)
-                          for m in sorted(m_ for n_, m_ in records if n_ == n)]
-                for k in kinds:
-                    pipeline._check_shards_disjoint(n, shards, k)
-                out[n] = pipeline.CensusResult(n, shards, kinds)
-            return out
-
-    stack.enter_context(mock.patch.object(cli, "run_ingest_census", run_ingest_census))
-    return [argv]
-
-
-def merge_pass(tracer: Tracer, stack: ExitStack, argvs) -> list[list[str]]:
-    from coperm import collide
-
-    real_merge, real_group = collide.merge_sorted_runs, collide.group_sorted
-
-    def merge_sorted_runs(paths):
-        for rec in traced_steps(tracer, "collide.merge", real_merge(paths)):
-            tracer.count("collide.records_read")
-            yield rec
-
-    def group_sorted(records):
-        for fam in traced_steps(tracer, "collide.group", real_group(records)):
-            tracer.count("collide.families_read")
-            yield fam
-
-    stack.enter_context(mock.patch.object(collide, "merge_sorted_runs", merge_sorted_runs))
-    stack.enter_context(mock.patch.object(collide, "group_sorted", group_sorted))
-    return argvs
+    for name in ("run_census", "run_ingest_census"):
+        stack.enter_context(mock.patch.object(cli, name, spanned(tracer, "pipeline",
+                                                                 getattr(cli, name))))
+    stack.enter_context(mock.patch.object(collide, "merge_sorted_runs", stepped(
+        tracer, "collide.merge", collide.merge_sorted_runs, "collide.records_read")))
+    stack.enter_context(mock.patch.object(collide, "group_sorted", stepped(
+        tracer, "collide.group", collide.group_sorted, "collide.families_read")))
+    stack.enter_context(mock.patch.object(
+        backend, "canonical_children", counting_children(tracer, backend.canonical_children)))
 
 
 def unrestricted_children_calls(n: int) -> int:
@@ -359,12 +330,23 @@ def backend_agreement(n: int, rng: random.Random) -> tuple[str, list[str]]:
 
 # ------------------------------------------------------------------ the run
 
+def expected_counts(kind: str, n: int, plan) -> dict[str, int]:
+    """Calls a pass must make through the patched names; a shortfall means
+    the program no longer calls them and the layer timings miss work."""
+    graphs = common.load_tables().GRAPH_COUNTS[n]
+    if kind == "census":
+        return {"enumerate.graphs": graphs, "permanent.calls": graphs, "charpoly.calls": graphs}
+    if kind == "ingest":
+        return {"graphs.lines": plan.items, "graphs.kept": graphs, "charpoly.calls": graphs}
+    return {"collide.records_read": plan.items}
+
+
 def _ratio(num, den) -> float:
     return num / den if den else 0.0
 
 
 def traced_run(kind: str, n: int, seed: int) -> Outcome:
-    from coperm import backend, cli
+    from coperm import cli
 
     tables, digests = common.load_tables(), common.load_digests()
     _, input_rng = common.input_rngs(seed)
@@ -387,25 +369,22 @@ def traced_run(kind: str, n: int, seed: int) -> Outcome:
         plan = common.plan_pass(kind, n, input_rng, persist)
     setup_root = tracer.spans[0]  # spans made while writing merge's run files
 
-    untraced_wall = None
-    if kind == "census":  # the 2-worker wall that parallel_efficiency divides by
-        run, pass_problems = common.gated_pass(kind, n, plan, tables, digests)
+    pooled = None
+    argvs = plan.argvs
+    if kind == "census":
+        # one untraced, gated pass with the pool: parallel_efficiency is its
+        # CPU time over (workers x wall)
+        pooled, pass_problems = common.gated_pass(kind, n, plan, tables, digests)
         attempted += 1
         failed += bool(pass_problems)
         problems += pass_problems
-        untraced_wall = run.wall_s
+        # the traced pass is serial: pool workers would run untraced copies
+        argvs = [argv[:] for argv in plan.argvs]
+        argvs[0][argvs[0].index("--workers") + 1] = "1"
 
     plan.clear()
     with ExitStack() as stack:
-        if kind == "census":
-            argvs = census_pass(tracer, stack, n, plan.reports[0])
-        elif kind == "ingest":
-            argvs = ingest_pass(tracer, stack, plan.argvs[0])
-        else:
-            argvs = merge_pass(tracer, stack, plan.argvs)
-        stack.enter_context(mock.patch.object(
-            backend, "canonical_children",
-            counting_children(tracer, backend.canonical_children)))
+        patch_layers(tracer, stack)
         codes = []
         with tracer.span("cli"):
             for argv, shard in zip(argvs, plan.shards or [None] * len(argvs)):
@@ -416,6 +395,9 @@ def traced_run(kind: str, n: int, seed: int) -> Outcome:
     pass_problems = [f"traced pass exit codes {codes}"] if any(codes) else (
         common.report_problems(kind, n, plan.report_text(), tables, digests))
     pass_problems += tracer.nesting_problems(root)
+    pass_problems += [f"instrumentation counted {tracer.counts[name]} {name}, the pass made {want}"
+                      for name, want in expected_counts(kind, n, plan).items()
+                      if tracer.counts[name] != want]
     failed += bool(pass_problems)
     problems += pass_problems
 
@@ -457,7 +439,8 @@ def traced_run(kind: str, n: int, seed: int) -> Outcome:
         "collide.distinct_ratio": _ratio(c["collide.families_read"], c["collide.records_read"]),
         "pipeline.shard_s_sum": shard_sum,
         "pipeline.shard_s_max": max(shard_spans, default=0.0),
-        "pipeline.parallel_efficiency": _ratio(shard_sum, WORKERS * (untraced_wall or 0)),
+        "pipeline.parallel_efficiency": _ratio(pooled.cpu_s, WORKERS * pooled.wall_s)
+        if pooled else 0.0,
         "pipeline.self_s": self_s["pipeline"] + self_s["pipeline.shard"],
         "cli.self_s": self_s["cli"] + self_s["cli.call"],
         "backend.import_s": import_s,
@@ -469,6 +452,7 @@ def traced_run(kind: str, n: int, seed: int) -> Outcome:
     # every declared metric; layers this workload leaves idle read 0
     metrics = {name: (values[name], unit) for name, unit in common.metric_units("per_layer").items()}
     detail = {"spans_file": str(spans_path.relative_to(common.ROOT)), "spans": len(tracer.spans),
-              "backend_agreement": agreement, "untraced_wall_s": untraced_wall,
+              "backend_agreement": agreement,
+              "pooled_wall_s": pooled and pooled.wall_s, "pooled_cpu_s": pooled and pooled.cpu_s,
               "self_s_by_span": dict(self_s), "counts": dict(c), **plan.setup}
     return Outcome(metrics, attempted, failed, problems, detail)
