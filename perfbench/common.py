@@ -3,11 +3,11 @@ reference checks and provenance."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib
 import importlib.util
 import json
-import multiprocessing
 import os
 import platform
 import random
@@ -29,7 +29,7 @@ CACHE = VAR / "cache"
 RESULTS = VAR / "results"
 
 WORKLOADS = {"census_n7": ("census", 7), "ingest_n7": ("ingest", 7), "merge_n8": ("merge", 8)}
-MIN_PASSES = 3  # passes per run at least; a run reports its fastest
+MIN_PASSES = 3  # passes per run at least
 WORKERS = 2
 COLD_STARTS = 9  # cold `coperm poly` processes per run at least; setup_s is their median
 REPEAT_SHARE = 0.25  # ingest: share of classes repeated under a relabeling
@@ -43,6 +43,21 @@ for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
         sys.exit(code)
+"""
+
+
+# every class on n vertices with its char fingerprint, one shard per pool task;
+# a fork pool starts no resource-tracker process that could outlive the child
+_RECORDS_CHILD = """\
+import multiprocessing, sys
+from coperm.pipeline import shard_records
+n, workers, path = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+ms = range(n * (n - 1) // 2 + 1)
+with multiprocessing.get_context("fork").Pool(workers) as pool:
+    shards = pool.starmap(shard_records, [(n, m, ("char",)) for m in ms])
+with open(path, "w") as f:
+    f.writelines(f"{m}\\t{g6}\\t{fp.hex()}\\n"
+                 for m, shard in zip(ms, shards) for fp, g6 in shard["char"])
 """
 
 
@@ -139,9 +154,36 @@ class ChildRun:
     stderr: str
 
 
+def become_subreaper() -> None:
+    """Adopt orphaned descendants (Linux PR_SET_CHILD_SUBREAPER), so that
+    reap_orphans can wait for whatever a child leaves behind."""
+    try:
+        ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+
+
+def stop_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def reap_orphans() -> None:
+    """Wait for every adopted descendant; runs only between children, when
+    the benchmark has no child of its own left."""
+    while True:
+        try:
+            os.waitpid(-1, 0)
+        except ChildProcessError:
+            return
+
+
 def run_child(argv: list[str], stdout_path: Path | None = None) -> ChildRun:
-    """Run one child to completion; its CPU time and peak RSS cover the child
-    and every process it reaped (wait4 reports RUSAGE_CHILDREN of that tree)."""
+    """Run one child to completion, then stop and reap every process left in
+    its process group. Its CPU time and peak RSS cover the child and every
+    process it reaped (wait4 reports RUSAGE_CHILDREN of that tree)."""
     err_path = WORK / "stderr.txt"
     out = open(stdout_path, "wb") if stdout_path else subprocess.DEVNULL
     try:
@@ -151,12 +193,14 @@ def run_child(argv: list[str], stdout_path: Path | None = None) -> ChildRun:
             proc = subprocess.Popen(argv, cwd=ROOT, env=child_env(), stdout=out, stderr=err,
                                     start_new_session=True)
             try:
+                # wait for the exit but leave the child unreaped, so its process
+                # group cannot be reused before anything left in it is stopped
+                os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+                wall = time.perf_counter() - t0
+            finally:
+                stop_group(proc.pid)
                 _, status, usage = os.wait4(proc.pid, 0)
-            except BaseException:
-                os.killpg(proc.pid, signal.SIGKILL)
-                os.wait4(proc.pid, 0)
-                raise
-            wall = time.perf_counter() - t0
+                reap_orphans()
     finally:
         if stdout_path:
             out.close()
@@ -268,27 +312,19 @@ def report_problems(kind: str, n: int, text: str, tables, digests) -> list[str]:
 
 # ------------------------------------------------------------------- inputs
 
-def _records_worker(n: int, m: int):
-    from coperm.pipeline import shard_records
-    return m, shard_records(n, m, ("char",))["char"]
-
-
 def class_records(n: int) -> dict[int, list[tuple[bytes, str]]]:
     """m -> (char fingerprint, graph6) of every class on n vertices.
 
-    Computed once per checkout and source version with the program itself
-    (a pool of WORKERS processes), then cached under var/cache.
+    Computed once per checkout and source version with the program itself,
+    in a child process with a pool of WORKERS, then cached under var/cache.
     """
     path = CACHE / f"char-n{n}-{src_digest()[:16]}.tsv"
     if not path.exists():
-        ms = range(n * (n - 1) // 2 + 1)
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(WORKERS) as pool:
-            shards = pool.starmap(_records_worker, [(n, m) for m in ms])
         CACHE.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text("".join(f"{m}\t{g6}\t{fp.hex()}\n"
-                               for m, recs in shards for fp, g6 in recs))
+        run = run_child([sys.executable, "-c", _RECORDS_CHILD, str(n), str(WORKERS), str(tmp)])
+        if run.exit_code:
+            raise BenchError(f"class list for n={n} failed: {run.stderr.strip()[-300:]}")
         tmp.replace(path)
     out: dict[int, list] = {}
     for line in path.read_text().splitlines():
@@ -438,7 +474,8 @@ def prepare_dirs() -> None:
 
 
 def preflight() -> None:
-    """Fail fast outside a coperm checkout; make coperm importable."""
+    """Fail fast outside a coperm checkout; make coperm importable; adopt
+    orphaned descendants."""
     missing = [str(p.relative_to(ROOT)) for p in (SRC / "coperm" / "cli.py", TABLES)
                if not p.is_file()]
     if missing:
@@ -446,6 +483,7 @@ def preflight() -> None:
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     os.environ["TMPDIR"] = str(VAR / "tmp")
+    become_subreaper()
 
 
 def gated_pass(kind: str, n: int, plan: Plan, tables, digests) -> tuple[ChildRun, list[str]]:

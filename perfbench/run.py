@@ -17,9 +17,9 @@ Workloads; every pass is a fresh child process that calls coperm.cli.main:
 
 With ``--trace 0`` it runs gated passes, each followed by a cold
 ``coperm poly`` start, until ``--seconds`` have elapsed (at least three
-passes and nine cold starts), and reports the
-end-to-end metrics: the fastest pass's time and rate, and medians of
-peak RSS and of the cold-start times. With ``--trace 1`` it runs the
+passes and nine cold starts), and reports the end-to-end metrics: the
+upper decile of the pass times and the rate it gives, the median peak RSS
+of the passes, and the median cold start. With ``--trace 1`` it runs the
 traced serial pass of tracing.py and reports per-layer metrics. Every pass
 is checked against tests/tables.py and the report digests in
 expected.json. The last stdout line is the JSON result; the full record,
@@ -66,19 +66,21 @@ def measure(kind: str, n: int, seed: int, seconds: float) -> Outcome:
     failed += len(cold_start.problems)
     problems += cold_start.problems
     walls = [p.wall_s for p in passes]
-    # The fastest pass, not the median: on a shared machine, contention only
-    # slows passes, and the median of a run's passes drifts with it by more
-    # than the bounds allow.
-    fastest = min(walls)
+    # The upper decile of the passes: the shared host switches between a fast
+    # and a slow speed within seconds, in a mix that changes from run to run,
+    # so the fastest pass and the median follow the mix, while the slow
+    # speed, which every run reaches, sets a steady upper decile.
+    wall = statistics.quantiles(walls, n=10, method="inclusive")[8]
     values = {
-        "graphs_per_s": plan.items / fastest,
-        "wall_s": fastest,
+        "graphs_per_s": plan.items / wall,
+        "wall_p90_s": wall,
         "peak_rss_mb": statistics.median(p.peak_rss_mb for p in passes),
         "setup_s": statistics.median(setup),
     }
     metrics = {name: (values[name], unit)
                for name, unit in common.metric_units("end_to_end").items()}
     detail = {"items_per_pass": plan.items, "passes": len(passes), "pass_wall_s": walls,
+              "pass_wall_min_s": min(walls),
               "pass_wall_median_s": statistics.median(walls), "pass_wall_max_s": max(walls),
               "pass_peak_rss_mb": [p.peak_rss_mb for p in passes], "setup_samples_s": setup,
               **plan.setup}
