@@ -1,21 +1,29 @@
 """Kernel backend selection.
 
-The compiled extension implements the hot loops; the pure-Python twin
-with identical semantics is used when the extension is unavailable or
-when COPERM_PURE_PYTHON=1 is set in the environment.
+The compiled kernels (_core, built from _kernels.c on first use) run the
+hot loops; the pure-Python twin with identical semantics is used when
+they cannot be built or loaded, or when COPERM_PURE_PYTHON=1 is set in
+the environment. REASON says why the backend in use was chosen; a
+fallback that was not asked for is also reported on stderr.
 """
 
 import os
+import sys
 
 from . import _purepy
 
 if os.environ.get("COPERM_PURE_PYTHON"):
     _impl = _purepy
+    REASON = "COPERM_PURE_PYTHON set"
 else:
     try:
         from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
+        REASON = _impl.REASON
+    except ImportError as exc:
         _impl = _purepy
+        REASON = str(exc)
+        print(f"coperm: compiled kernels unavailable ({REASON}); "
+              "using the pure-Python kernels", file=sys.stderr)
 
 BACKEND = _impl.BACKEND_NAME
 

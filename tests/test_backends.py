@@ -1,14 +1,26 @@
-"""The compiled extension and the pure-Python twin must be interchangeable."""
+"""The compiled kernels and the pure-Python twin must be interchangeable,
+the compiled ones must guard their fixed-size arrays, and backend
+selection must say why it chose what it did."""
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coperm
+from coperm import backend, charpoly, permanent
 from coperm.backend import available_backends
+from coperm.errors import TooLarge
+from coperm.graphs import Graph
 
 BACKENDS = available_backends()
 needs_both = pytest.mark.skipif(
-    "compiled" not in BACKENDS, reason="compiled extension not built")
+    "compiled" not in BACKENDS, reason=f"compiled kernels unavailable: {backend.REASON}")
 
 
 @needs_both
@@ -96,3 +108,148 @@ def test_enumeration_identical_across_backends():
 
     for n in range(6):
         assert sorted(levels(a, n)) == sorted(levels(b, n))
+
+
+@needs_both
+@pytest.mark.parametrize("name, args", [
+    ("permanent", ([0] * 17 * 17, 17)),
+    ("determinant", ([0] * 17 * 17, 17)),
+    ("graph_poly", ([0] * 17, 17, "perm")),
+    ("is_canonical", ([0] * 17, 17)),
+    ("canonical_form", ([0] * 17, 17)),
+    ("canonical_children", ([0] * 16, 16, 0, 16)),  # children have 17 vertices
+])
+def test_compiled_entry_points_reject_size_17(name, args):
+    with pytest.raises(TooLarge):
+        getattr(BACKENDS["compiled"], name)(*args)
+
+
+@needs_both
+def test_compiled_entry_points_reject_short_and_out_of_range_input():
+    core = BACKENDS["compiled"]
+    with pytest.raises(ValueError):
+        core.permanent([1, 2, 3], 2)  # the kernel would read a fourth entry
+    with pytest.raises(ValueError):
+        core.canonical_form([0, 0], 3)
+    with pytest.raises(OverflowError):
+        core.determinant([1 << 64], 1)
+    with pytest.raises(OverflowError):
+        core.is_canonical([-1], 1)
+
+
+def complete(n):
+    return Graph(n, tuple(((1 << n) - 1) ^ (1 << i) for i in range(n)))
+
+
+@needs_both
+def test_complete_graphs_fit_and_agree_up_to_12():
+    # both _poly_fits bounds are products that grow with every degree, so
+    # K_n bounds every graph on n vertices
+    a = BACKENDS["compiled"]
+    b = BACKENDS["pure-python"]
+    for n in range(13):
+        g = complete(n)
+        assert permanent._poly_fits(g)
+        assert charpoly._poly_fits(g)
+        for kind in ("perm", "char"):
+            assert a.graph_poly(list(g.rows), n, kind) == b.graph_poly(list(g.rows), n, kind)
+
+
+@needs_both
+def test_128_bit_results_cross_exactly():
+    big = [[120] * 12 for _ in range(12)]
+    assert permanent._ryser_fits(big)
+    want = math.factorial(12) * 120 ** 12  # about 2**111
+    assert want > 1 << 110
+    neg = [[-120] * 11 for _ in range(11)]
+    assert permanent._ryser_fits(neg)
+    neg_want = -math.factorial(11) * 120 ** 11  # about -2**101
+    for impl in BACKENDS.values():
+        assert impl.permanent([e for row in big for e in row], 12) == want
+        assert impl.permanent([e for row in neg for e in row], 11) == neg_want
+    assert permanent.permanent_ryser(big) == want
+
+
+def paley_hadamard_12():
+    """Order-12 Hadamard matrix I + S from the quadratic residues mod 11."""
+    squares = {x * x % 11 for x in range(1, 11)}
+
+    def chi(a):
+        return 0 if a % 11 == 0 else (1 if a % 11 in squares else -1)
+
+    s = [[0] + [1] * 11] + [[-1] + [chi(j - i) for j in range(11)] for i in range(11)]
+    return [[s[i][j] + (i == j) for j in range(12)] for i in range(12)]
+
+
+@needs_both
+def test_negative_determinant_at_the_hadamard_bound():
+    h = paley_hadamard_12()
+    assert all(sum(x * y for x, y in zip(h[i], h[j])) == 12 * (i == j)
+               for i in range(12) for j in range(12))
+    m = [[9 * e for e in row] for row in h]
+    m[0], m[1] = m[1], m[0]
+    # Hadamard's inequality caps |det| at the square root of the bound
+    # _bareiss_fits checks; 9H attains it
+    assert charpoly._bareiss_fits(m)
+    want = -(9 ** 12 * 12 ** 6)
+    for impl in BACKENDS.values():
+        assert impl.determinant([e for row in m for e in row], 12) == want
+    assert charpoly.determinant_exact(m) == want
+
+
+# ------------------------------------------------------- backend selection
+
+def select_backend(env_changes, pythonpath=None):
+    """BACKEND and REASON of a fresh import, and its stderr lines."""
+    env = dict(os.environ)
+    env.pop("COPERM_PURE_PYTHON", None)
+    env.update(env_changes)
+    env["PYTHONPATH"] = str(pythonpath or Path(coperm.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from coperm import backend; "
+         "print(json.dumps([backend.BACKEND, backend.REASON]))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    name, reason = json.loads(proc.stdout)
+    return name, reason, proc.stderr.splitlines()
+
+
+def test_pure_python_switch_is_quiet():
+    name, reason, err = select_backend({"COPERM_PURE_PYTHON": "1"})
+    assert (name, reason, err) == ("pure-python", "COPERM_PURE_PYTHON set", [])
+
+
+@needs_both
+def test_compiles_once_then_loads_quietly(tmp_path):
+    first = select_backend({"XDG_CACHE_HOME": str(tmp_path)})
+    libs = list((tmp_path / "coperm").iterdir())
+    assert len(libs) == 1  # the library, and no temporary file left
+    assert first == ("compiled", f"compiled {libs[0]}", [])
+    assert select_backend({"XDG_CACHE_HOME": str(tmp_path)}) == \
+        ("compiled", f"loaded {libs[0]}", [])
+
+
+@pytest.mark.parametrize("setup, reason_start", [
+    pytest.param("cache-is-file", "cache directory unusable: ", marks=needs_both),
+    ("no-cc", "cc not found"),
+    pytest.param("bad-source", "build failed: ", marks=needs_both),
+])
+def test_unwanted_fallback_says_why_on_stderr(tmp_path, setup, reason_start):
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    pythonpath = None
+    if setup == "cache-is-file":
+        (tmp_path / "cache").write_text("not a directory\n")
+    elif setup == "no-cc":
+        env["PATH"] = str(tmp_path)
+    else:
+        package = Path(coperm.__file__).parent
+        copy = tmp_path / "src" / "coperm"
+        copy.mkdir(parents=True)
+        for f in package.glob("*.py"):
+            (copy / f.name).write_bytes(f.read_bytes())
+        (copy / "_kernels.c").write_text("this is not C\n")
+        pythonpath = copy.parent
+    name, reason, err = select_backend(env, pythonpath)
+    assert name == "pure-python"
+    assert reason.startswith(reason_start)
+    assert len(err) == 1 and reason in err[0]
