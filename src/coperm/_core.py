@@ -2,22 +2,23 @@
 use and loaded with ctypes.
 
 Twin of _purepy with identical signatures. The shared library is cached
-as <cache>/coperm/<hash>.so, where <cache> is $XDG_CACHE_HOME or
-~/.cache and the hash covers the C source and the compile command, so an
-edited source builds afresh and an unchanged one loads at once. Import
-raises ImportError, with the reason as its message, when the library can
-be neither loaded nor built; backend.py then falls back to _purepy.
+as <cache>/coperm/<key>.so, where <cache> is $XDG_CACHE_HOME or
+~/.cache and the key is the CRC-32, Adler-32 and length of the compile
+command plus the C source, so an edited source builds afresh and an
+unchanged one loads at once. Import raises ImportError, with the reason
+as its message, when the library can be neither loaded nor built;
+backend.py then falls back to _purepy.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
+import zlib
 from array import array
 from pathlib import Path
 
-from .errors import ArithmeticOverflow, TooLarge
+from .errors import TooLarge
 
 BACKEND_NAME = "compiled"
 
@@ -61,9 +62,12 @@ def _load() -> tuple[ctypes.CDLL, str]:
         source = _SOURCE.read_bytes()
     except OSError as exc:
         raise ImportError(f"kernel source unreadable: {exc}") from None
-    digest = hashlib.sha256(" ".join(_COMPILE).encode() + b"\0" + source).hexdigest()
+    # a cache key, not a security check: zlib is loaded at interpreter start,
+    # where hashlib would load OpenSSL on every run
+    key = " ".join(_COMPILE).encode() + b"\0" + source
+    digest = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}{len(key):x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    path = cache / "coperm" / f"{digest[:32]}.so"
+    path = cache / "coperm" / f"{digest}.so"
     how = "loaded"
     if not path.is_file():
         _build(path)
@@ -82,7 +86,7 @@ _PTR, _INT = ctypes.c_void_p, ctypes.c_int
 for _name, _args, _res in (
         ("coperm_permanent", (_PTR, _INT, _PTR), None),
         ("coperm_determinant", (_PTR, _INT, _PTR), None),
-        ("coperm_graph_poly", (_PTR, _INT, _INT, _PTR), _INT),
+        ("coperm_graph_poly", (_PTR, _INT, _INT, _PTR), None),
         ("coperm_is_canonical", (_PTR, _INT), _INT),
         ("coperm_canonical_form", (_PTR, _INT, _PTR), None),
         ("coperm_canonical_children", (_PTR, _INT, _INT, _INT, _PTR), _INT)):
@@ -109,20 +113,12 @@ def _addr(buf: array) -> int:
     return buf.buffer_info()[0]
 
 
-def _int128s(out: array, count: int) -> list[int]:
-    """The count 128-bit values a kernel stored as low words, then high words."""
-    words = out.tolist()
-    lo, hi = words[:count], words[count:]
-    if not any(hi):
-        return lo
-    return [low + (high << 64) for low, high in zip(lo, hi)]
-
-
 def _matrix_kernel(fn, entries, k: int) -> int:
     a = _checked("q", entries, k, k * k)
     out = array("q", [0, 0])  # low word, high word
     fn(_addr(a), k, _addr(out))
-    return _int128s(out, 1)[0]
+    lo, hi = out
+    return lo + (hi << 64)
 
 
 def permanent(entries, k: int) -> int:
@@ -138,10 +134,9 @@ def determinant(entries, k: int) -> int:
 def graph_poly(rows, n: int, kind: str) -> list[int]:
     """Coefficients (constant first) of per/det(xI - A) for adjacency rows."""
     r = _checked("I", rows, n, n)
-    out = array("q", [0]) * (2 * (n + 1))
-    if _lib.coperm_graph_poly(_addr(r), n, kind == "perm", _addr(out)):
-        raise ArithmeticOverflow("interpolation values are not from an integer polynomial")
-    return _int128s(out, n + 1)
+    out = array("q", bytes(8 * (n + 1)))
+    _lib.coperm_graph_poly(_addr(r), n, kind == "perm", _addr(out))
+    return out.tolist()
 
 
 def is_canonical(rows, n: int) -> bool:

@@ -1,17 +1,21 @@
 /* Compiled kernels of coperm: Gray-code Ryser permanents, Bareiss
- * determinants, exact graph-polynomial coefficients, and the minimum-lex
+ * determinants, graph-polynomial coefficients computed directly (Ryser
+ * for per(xI - A), Berkowitz for det(xI - A)), and the minimum-lex
  * canonical-order search. Plain C entry points over arrays of long long
- * (matrix entries) and unsigned int (adjacency bitmask rows), the item
- * types of Python's array typecodes "q" and "I". Built on first use and
- * called through ctypes by _core.py, which checks every size against
- * MAXK first. A 128-bit result v is stored as two long longs, its int64
- * residue lo and hi = (v - lo) / 2**64, so hi is 0 whenever v fits in 64
- * bits.
+ * (matrix entries, coefficients) and unsigned int (adjacency bitmask
+ * rows), the item types of Python's array typecodes "q" and "I". Built on
+ * first use and called through ctypes by _core.py, which checks every
+ * size against MAXK first.
  *
- * Accumulators are 128-bit; the bounds in permanent.py and charpoly.py
- * keep every product and quotient below 2**126. The Ryser sum alone may
- * pass 2**127 between terms, so it accumulates modulo 2**128, which is
- * exact whenever the final permanent fits. */
+ * The scalar kernels take arbitrary matrices and accumulate in 128 bits;
+ * the bounds in permanent.py and charpoly.py keep every product and
+ * quotient below 2**126. The Ryser sum alone may pass 2**127 between
+ * terms, so it accumulates modulo 2**128, which is exact whenever the
+ * final permanent fits. A 128-bit result v is stored as two long longs,
+ * its int64 residue lo and hi = (v - lo) / 2**64, so hi is 0 whenever v
+ * fits in 64 bits. The polynomial kernels need no bound check: they work
+ * modulo 2**64, and every coefficient they return fits (see
+ * coperm_graph_poly). */
 
 #include <string.h>
 
@@ -19,6 +23,7 @@
 
 typedef __int128 i128;
 typedef unsigned __int128 u128;
+typedef unsigned long long u64;
 
 static void store(long long *lo, long long *hi, i128 v)
 {
@@ -122,54 +127,111 @@ void coperm_determinant(const long long *entries, int k, long long *out)
     store(out, out + 1, bareiss(a, k));
 }
 
-/* Coefficients, constant first, of per(xI - A) (perm != 0) or det(xI - A),
- * from the values at t = 0..n: low words into out[0..n], high words into
- * out[n+1..2n+1]. Returns -1 when the values are not those of an integer
- * polynomial, which the bounds rule out. */
-int coperm_graph_poly(const unsigned int *rows, int n, int perm, long long *out)
+/* per(xI - A) by one Gray-code Ryser sweep over the column sets S:
+ * per(M) = sum_S (-1)^(n-|S|) prod_i sum_(j in S) M_ij, and row i's sum is
+ * x - r_i when i is in S and -r_i otherwise, r_i = |N(i) & S|. The signs
+ * of the -r_i cancel the sweep's sign, so every S adds
+ * prod_(i not in S) r_i * prod_(i in S) (x - r_i), which vanishes when a
+ * row outside S has r_i = 0. */
+static void perm_poly(const unsigned int *rows, int n, u64 *acc)
 {
-    i128 mat[MAXK * MAXK], vals[MAXK + 1], e[MAXK + 1], ff[MAXK + 2];
-    i128 res[MAXK + 1], fact = 1, s;
-    int flen = 1;
+    u64 p[MAXK + 1], c;
+    unsigned int r[MAXK] = {0}, s = 0, all = (1u << n) - 1, m;
+    int deg;
 
-    for (int t = 0; t <= n; t++) {
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < n; j++)
-                mat[i * n + j] = i == j ? t : -(i128)((rows[i] >> j) & 1);
-        vals[t] = perm ? ryser(mat, n) : bareiss(mat, n);
-    }
-
-    /* forward differences -> falling-factorial coefficients Delta^k v0 / k! */
-    for (int kk = 0; kk <= n; kk++) {
-        if (kk) {
-            fact *= kk;
-            for (int i = 0; i <= n - kk; i++)
-                vals[i] = vals[i + 1] - vals[i];
+    for (int d = 0; d <= n; d++)
+        acc[d] = 0;
+    acc[0] = n == 0; /* S empty: the empty product when n = 0, else 0 */
+    for (unsigned int t = 1; t <= all; t++) {
+        int j = __builtin_ctz(t);
+        s ^= 1u << j;
+        if (s >> j & 1)
+            for (m = rows[j]; m; m &= m - 1)
+                r[__builtin_ctz(m)]++;
+        else
+            for (m = rows[j]; m; m &= m - 1)
+                r[__builtin_ctz(m)]--;
+        /* at most 15 factors below 16 each, so c never wraps to 0 */
+        c = 1;
+        for (m = all & ~s; m; m &= m - 1)
+            c *= r[__builtin_ctz(m)];
+        if (c == 0)
+            continue;
+        p[0] = c;
+        deg = 0;
+        for (m = s; m; m &= m - 1) {
+            u64 ri = r[__builtin_ctz(m)];
+            deg++;
+            p[deg] = p[deg - 1];
+            for (int d = deg - 1; d > 0; d--)
+                p[d] = p[d - 1] - ri * p[d];
+            p[0] *= -ri;
         }
-        if (vals[0] % fact != 0)
-            return -1;
-        e[kk] = vals[0] / fact;
+        for (int d = 0; d <= deg; d++)
+            acc[d] += p[d];
     }
+}
 
-    /* expand sum_k e[k] x(x-1)...(x-k+1) in the monomial basis */
-    for (int j = 0; j <= n; j++)
-        res[j] = 0;
-    ff[0] = 1;
-    for (int kk = 0; kk <= n; kk++) {
-        if (kk) {
-            s = kk - 1;
-            ff[flen] = 0;
-            for (int j = flen; j > 0; j--)
-                ff[j] = ff[j - 1] - s * ff[j];
-            ff[0] = -s * ff[0];
-            flen++;
+/* det(xI - A) by Berkowitz's division-free recurrence over the leading
+ * principal submatrices: adding vertex k multiplies the coefficients
+ * (highest first) of A_k's polynomial by the lower-triangular Toeplitz
+ * matrix with first column 1, -a_kk, -R C, -R A_k C, ..., -R A_k^(k-1) C,
+ * where A_k is the graph on vertices 0..k-1 and R, C are vertex k's row
+ * and column into it. Here a_kk = 0 and R = C^T. */
+static void char_poly(const unsigned int *rows, int n, u64 *acc)
+{
+    u64 p[MAXK + 1], t[MAXK + 1], v[MAXK], w[MAXK], sum;
+    unsigned int m;
+
+    p[0] = 1;
+    for (int k = 0; k < n; k++) {
+        unsigned int mask = (1u << k) - 1, col = rows[k] & mask;
+        for (int i = 0; i < k; i++)
+            v[i] = col >> i & 1;
+        t[0] = 1;
+        t[1] = 0;
+        for (int e = 2; e <= k + 1; e++) {
+            if (e > 2) { /* v = A_k v */
+                for (int i = 0; i < k; i++) {
+                    sum = 0;
+                    for (m = rows[i] & mask; m; m &= m - 1)
+                        sum += v[__builtin_ctz(m)];
+                    w[i] = sum;
+                }
+                memcpy(v, w, k * sizeof *v);
+            }
+            sum = 0;
+            for (m = col; m; m &= m - 1)
+                sum += v[__builtin_ctz(m)];
+            t[e] = -sum;
         }
-        for (int j = 0; j < flen; j++)
-            res[j] += e[kk] * ff[j];
+        /* in place from the top: entry i reads p[0..i] only */
+        for (int i = k + 1; i >= 0; i--) {
+            sum = 0;
+            for (int j = 0; j <= i && j <= k; j++)
+                sum += t[i - j] * p[j];
+            p[i] = sum;
+        }
     }
-    for (int j = 0; j <= n; j++)
-        store(out + j, out + n + 1 + j, res[j]);
-    return 0;
+    for (int d = 0; d <= n; d++)
+        acc[d] = p[n - d];
+}
+
+/* Coefficients, constant first, of per(xI - A) (perm != 0) or det(xI - A)
+ * into out[0..n]. Both methods use ring operations only, so computing
+ * modulo 2**64 gives every coefficient's residue; each coefficient is at
+ * most n! <= 16! < 2**45 in magnitude, so the signed residue is its
+ * value. */
+void coperm_graph_poly(const unsigned int *rows, int n, int perm, long long *out)
+{
+    u64 acc[MAXK + 1];
+
+    if (perm)
+        perm_poly(rows, n, acc);
+    else
+        char_poly(rows, n, acc);
+    for (int d = 0; d <= n; d++)
+        out[d] = (long long)acc[d];
 }
 
 /* column of vertex `row` under the partial relabeling perm[0..depth) */

@@ -1,15 +1,16 @@
 """Pure-Python kernel implementations.
 
-Twin of the compiled extension with identical signatures and semantics:
-Gray-code Ryser permanents, fraction-free Bareiss determinants, exact
-graph-polynomial coefficients, and the minimum-lex canonical-order
-search used for isomorph rejection. Python integers never wrap, so this
-module doubles as the widened-arithmetic path.
+Twin of the compiled kernels (_kernels.c) with identical signatures and
+semantics: Gray-code Ryser permanents, fraction-free Bareiss
+determinants, graph-polynomial coefficients computed directly (Ryser's
+sum with polynomial row sums for per(xI - A), Berkowitz's
+division-free recurrence for det(xI - A)), and the minimum-lex
+canonical-order search used for isomorph rejection. Python integers
+never wrap, so this module doubles as the widened-arithmetic path of
+permanent_ryser and determinant_exact.
 """
 
 from __future__ import annotations
-
-from . import poly
 
 BACKEND_NAME = "pure-python"
 
@@ -75,22 +76,47 @@ def determinant(entries, k: int) -> int:
     return sign * a[k - 1][k - 1]
 
 
+def _perm_poly(rows, n: int) -> list[int]:
+    # Ryser's sum over column sets S; see _kernels.c perm_poly for the
+    # derivation (the compiled kernel visits S in Gray-code order)
+    acc = [0] * (n + 1)
+    for s in range(1 << n):
+        c = 1
+        roots = []
+        for i in range(n):
+            r = (rows[i] & s).bit_count()
+            if (s >> i) & 1:
+                roots.append(r)
+            else:
+                c *= r
+        if c:
+            p = [c]
+            for r in roots:  # p *= (x - r)
+                p = [a - r * b for a, b in zip([0] + p, p + [0])]
+            for d, v in enumerate(p):
+                acc[d] += v
+    return acc
+
+
+def _char_poly(rows, n: int) -> list[int]:
+    # Berkowitz's recurrence; see _kernels.c char_poly for the derivation
+    p = [1]  # highest power first
+    for k in range(n):
+        col = [i for i in range(k) if (rows[k] >> i) & 1]
+        adj = [[j for j in range(k) if (rows[i] >> j) & 1] for i in range(k)]
+        v = [(rows[k] >> i) & 1 for i in range(k)]
+        t = [1, 0]
+        for e in range(2, k + 2):
+            if e > 2:
+                v = [sum(v[j] for j in adj[i]) for i in range(k)]
+            t.append(-sum(v[i] for i in col))
+        p = [sum(t[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return p[::-1]
+
+
 def graph_poly(rows, n: int, kind: str) -> list[int]:
     """Coefficients (constant first) of per/det(xI - A) for adjacency rows."""
-    if n == 0:
-        return [1]
-    fn = permanent if kind == "perm" else determinant
-    values = []
-    for t in range(n + 1):
-        flat = []
-        for i in range(n):
-            r = rows[i]
-            flat.extend(
-                t if i == j else (-1 if (r >> j) & 1 else 0)
-                for j in range(n)
-            )
-        values.append(fn(flat, n))
-    return list(poly.from_values(values))
+    return _perm_poly(rows, n) if kind == "perm" else _char_poly(rows, n)
 
 
 def _targets(rows, n):

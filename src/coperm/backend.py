@@ -10,17 +10,17 @@ fallback that was not asked for is also reported on stderr.
 import os
 import sys
 
-from . import _purepy
-
+# each module is imported only when selected: with the compiled kernels in
+# use, a run never loads _purepy
 if os.environ.get("COPERM_PURE_PYTHON"):
-    _impl = _purepy
+    from . import _purepy as _impl
     REASON = "COPERM_PURE_PYTHON set"
 else:
     try:
         from . import _core as _impl  # type: ignore[no-redef]
         REASON = _impl.REASON
     except ImportError as exc:
-        _impl = _purepy
+        from . import _purepy as _impl  # type: ignore[no-redef]
         REASON = str(exc)
         print(f"coperm: compiled kernels unavailable ({REASON}); "
               "using the pure-Python kernels", file=sys.stderr)
@@ -37,6 +37,7 @@ canonical_children = _impl.canonical_children
 
 def available_backends():
     """Importable kernel modules keyed by their backend name."""
+    from . import _purepy
     out = {_purepy.BACKEND_NAME: _purepy}
     try:
         from . import _core

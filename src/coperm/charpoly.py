@@ -1,15 +1,18 @@
 """Exact determinants and characteristic polynomials.
 
-Shares the evaluation-interpolation scaffolding with the permanental
-side: det(tI - A) at t = 0..n, then exact integer interpolation. The
-determinant kernel is fraction-free Bareiss elimination.
+The coefficients of det(xI - A) come directly from Berkowitz's
+division-free recurrence over the leading principal submatrices, so the
+compiled kernel can work modulo 2**64 exactly as the permanental one
+does (see permanent.py for the n! bound). Scalar determinants of
+arbitrary matrices use fraction-free Bareiss elimination with 128-bit
+accumulators.
 """
 
 from __future__ import annotations
 
-from . import _purepy, backend
+from . import backend
 from .errors import ArithmeticOverflow, TooLarge
-from .graphs import Graph, degrees
+from .graphs import Graph
 
 DET_MAX = 12
 POLY_MAX = 12
@@ -51,22 +54,12 @@ def determinant_exact(matrix, widened: bool = False) -> int:
     if not widened:
         raise ArithmeticOverflow(
             "intermediate minors exceed the 128-bit accumulator; rerun widened")
+    from . import _purepy  # the arbitrary-precision twin, loaded only when needed
     return _purepy.determinant(flat, k)
 
 
-def _poly_fits(g: Graph) -> bool:
-    bound = 1
-    for d in degrees(g):
-        bound *= g.n * g.n + d
-    return bound << (2 * g.n) < _ACC_BOUND
-
-
-def char_poly(g: Graph, widened: bool = False) -> tuple[int, ...]:
+def char_poly(g: Graph) -> tuple[int, ...]:
     """Monic characteristic polynomial of g, coefficients constant-term first."""
     if g.n > POLY_MAX:
         raise TooLarge(f"characteristic polynomial supports n <= {POLY_MAX}")
-    if not _poly_fits(g):  # unreachable for n <= 12; guards the fixed path
-        if not widened:
-            raise ArithmeticOverflow("evaluation values exceed the 128-bit accumulator")
-        return tuple(_purepy.graph_poly(list(g.rows), g.n, "char"))
-    return tuple(backend.graph_poly(list(g.rows), g.n, "char"))
+    return tuple(backend.graph_poly(g.rows, g.n, "char"))

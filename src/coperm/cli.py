@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from decimal import ROUND_HALF_UP, Decimal
 
 from . import backend, collide, poly
 from .charpoly import char_poly
@@ -57,9 +56,8 @@ def mate_fraction(with_mate: int, graphs: int) -> str:
     when there are none."""
     if graphs == 0 or with_mate == 0:
         return "0"
-    q = (Decimal(with_mate) / Decimal(graphs)).quantize(
-        Decimal("0.00001"), rounding=ROUND_HALF_UP)
-    return str(q)
+    q = (2 * 10**5 * with_mate + graphs) // (2 * graphs)  # round(10**5 * w / g), ties up
+    return f"{q // 10**5}.{q % 10**5:05d}"
 
 
 def _parse_n_range(text: str) -> range:
@@ -92,12 +90,10 @@ def _emit(lines, out_path) -> None:
 def _census_by_n(args, kinds):
     """n -> CensusResult, from the builtin generator or an ingested file."""
     if args.infile:
-        return run_ingest_census(args.infile, kinds, dedup=args.dedup,
-                                 widened=args.widened)
+        return run_ingest_census(args.infile, kinds, dedup=args.dedup)
     censuses = {}
     for n in args.n:
-        censuses[n] = run_census(n, kinds, workers=_workers(args),
-                                 widened=args.widened)
+        censuses[n] = run_census(n, kinds, workers=_workers(args))
     return censuses
 
 
@@ -115,7 +111,7 @@ def cmd_poly(args) -> int:
     lines = [f"graph\t{to_graph6(g)}\tn={g.n}\tm={edge_count(g)}"]
     kinds = ("perm", "char") if args.kind == "both" else (args.kind,)
     for kind in kinds:
-        p = perm_poly(g, args.widened) if kind == "perm" else char_poly(g, args.widened)
+        p = perm_poly(g) if kind == "perm" else char_poly(g)
         lines.append(f"{kind}\t{list(p)}\t{poly.text(p)}")
     _emit(lines, args.out)
     return EXIT_OK
@@ -187,8 +183,7 @@ def cmd_compare(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     if args.infile:
-        censuses = run_ingest_census(args.infile, (args.kind,), dedup=args.dedup,
-                                     widened=args.widened)
+        censuses = run_ingest_census(args.infile, (args.kind,), dedup=args.dedup)
         records = []
         for census in censuses.values():
             for shard in census.shards:
@@ -196,8 +191,7 @@ def cmd_fingerprint(args) -> int:
                     for fam in shard.families(args.kind):
                         records.extend((fam.fingerprint, g6) for g6 in fam.members)
     else:
-        records = shard_records(args.n_single, args.edges, (args.kind,),
-                                args.widened)[args.kind]
+        records = shard_records(args.n_single, args.edges, (args.kind,))[args.kind]
     count = collide.persist_fingerprints(records, args.out, args.n_single, args.edges)
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -212,6 +206,13 @@ def cmd_merge(args) -> int:
         lines.append(f"{n}\t{m}\t{fam.size}\t{poly.text(p)}\t" + " ".join(fam.members))
     _emit(lines, args.out)
     return EXIT_OK
+
+
+def _add_widened(sub) -> None:
+    # kept so existing command lines still parse
+    sub.add_argument("--widened", action="store_true",
+                     help="accepted and ignored: graph polynomials are exact at every "
+                          "supported size")
 
 
 def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
@@ -235,8 +236,7 @@ def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
     if workers:
         sub.add_argument("--workers", type=int, default=None,
                          help="shard worker processes (default COPERM_WORKERS or 1)")
-    sub.add_argument("--widened", action="store_true",
-                     help="fall back to arbitrary precision instead of raising on overflow")
+    _add_widened(sub)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("poly", help="polynomials of one graph6 word")
     p.add_argument("graph6")
     p.add_argument("--kind", choices=("both", "perm", "char"), default="both")
-    p.add_argument("--widened", action="store_true")
+    _add_widened(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_poly)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import heapq
 import struct
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass
 
 from .errors import (
     DegreeMismatch,
@@ -84,26 +84,19 @@ def poly_from_fingerprint(fp: bytes) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
-    """All graphs sharing one polynomial, graph6 members sorted."""
+class FamilyRecord(namedtuple("FamilyRecord", "fingerprint members")):
+    """All graphs sharing one polynomial: fingerprint bytes, and a tuple of
+    graph6 members, sorted."""
 
-    fingerprint: bytes
-    members: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ShardStats:
-    n: int
-    m: int | None  # None for a per-n aggregate
-    graphs: int
-    distinct_polys: int
-    with_mate: int
-    max_family: int
+# m is None for a per-n aggregate
+ShardStats = namedtuple("ShardStats", "n m graphs distinct_polys with_mate max_family")
 
 
 def _family(fp: bytes, members) -> FamilyRecord:
@@ -210,20 +203,40 @@ def _read_exact(fh, size, path):
     return raw
 
 
+_GRAPH6_BYTES = bytes(range(63, 127))
+
+
 def _iter_run(fh, path):
     magic, version, n, m, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, path))
+    # byte checks of each graph6 member for n vertices, cheaper than a
+    # full decode: its length, first byte, range and zero padding bits
+    nbits = n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    first = n + 63
+    padding = (1 << (-nbits % 6)) - 1
+    # a read comes back short only at the end of the file, so checking the
+    # lengths once per record catches every truncation
+    read = fh.read
     prev = None
     for _ in range(count):
-        head = _read_exact(fh, 3, path)
-        fp = bytearray(head)
-        ncoef = max(head[0] - 1, 0)
-        for _ in range(ncoef):
-            pair = _read_exact(fh, 2, path)
-            fp += pair
-            fp += _read_exact(fh, pair[1], path)
-        g6len = _read_exact(fh, 1, path)[0]
-        g6 = _read_exact(fh, g6len, path).decode("ascii")
-        fp = bytes(fp)
+        fp = read(3)
+        size = 3
+        if len(fp) == size:
+            for _ in range(fp[0] - 1):
+                pair = read(2)
+                if len(pair) != 2:
+                    break
+                fp += pair + read(pair[1])
+                size += 2 + pair[1]
+        # the graph6 length byte, then a member of the one valid length
+        raw = read(1 + width)
+        if len(fp) != size or len(raw) != 1 + width:
+            raise RunFormatError(f"{path}: truncated record")
+        member = raw[1:]
+        if (raw[0] != width or member[0] != first or member.translate(None, _GRAPH6_BYTES)
+                or (member[-1] - 63) & padding):
+            raise RunFormatError(f"{path}: {member!r} is not a graph6 word for n={n}")
+        g6 = member.decode("ascii")
         if prev is not None and fp < prev:
             raise UnsortedRun(f"{path}: records out of order")
         prev = fp

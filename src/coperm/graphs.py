@@ -11,7 +11,7 @@ packed big-endian into 6-bit groups, each group offset by 63.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import backend
 from .errors import (
@@ -26,10 +26,10 @@ MAX_VERTICES = 32
 CANONICAL_MAX = 10  # backtracking canonical search is exponential past this
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    rows: tuple[int, ...]
+class Graph(namedtuple("Graph", "n rows")):
+    """n vertices; rows is a tuple of n adjacency bitmasks."""
+
+    __slots__ = ()
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -55,10 +55,6 @@ def graph_from_edges(n: int, edges) -> Graph:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def degrees(g: Graph) -> list[int]:
-    return [r.bit_count() for r in g.rows]
 
 
 def edge_count(g: Graph) -> int:

@@ -1,26 +1,31 @@
 """Exact permanents and permanental polynomials.
 
-The production path evaluates per(tI - A) at t = 0..n with a Gray-code
-inclusion-exclusion kernel and interpolates the coefficients exactly in
-integer arithmetic. A factorial-time sum over all permutations serves as
-the independent oracle for both the scalar kernel and the polynomial.
+The production path computes the coefficients of per(xI - A) directly,
+in one Gray-code Ryser (inclusion-exclusion) sweep over column sets S:
+row i contributes the factor x - r_i when i is in S and -r_i otherwise,
+where r_i counts i's neighbours in S. The compiled kernel works modulo
+2**64, which is exact because the sweep uses ring operations only and
+every coefficient is at most n! in magnitude (expanded over permutations,
+each permutation adds +-x^k or 0), and 16! < 2**63. Scalar permanents
+of arbitrary matrices use the same sweep with 128-bit accumulators.
+Factorial-time expansions over permutations serve as the independent
+oracles for both.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from . import _purepy, backend, poly
+from . import backend
 from .errors import ArithmeticOverflow, TooLarge
-from .graphs import Graph, degrees
+from .graphs import Graph
 
 NAIVE_MAX = 9
 RYSER_MAX = 12
 POLY_MAX = 12
 SYMBOLIC_MAX = 7
 
-# the compiled kernels accumulate in 128 bits; stay below 2**126 with a
-# margin for the interpolation's forward differences (factor <= 2**n)
+# the compiled scalar kernel accumulates in 128 bits; stay below 2**126
 _ACC_BOUND = 1 << 126
 _ENTRY_BOUND = 1 << 62
 
@@ -77,48 +82,38 @@ def permanent_ryser(matrix, widened: bool = False) -> int:
     if not widened:
         raise ArithmeticOverflow(
             "row-sum product exceeds the 128-bit accumulator; rerun widened")
+    from . import _purepy  # the arbitrary-precision twin, loaded only when needed
     return _purepy.permanent(flat, k)
 
 
-def _poly_fits(g: Graph) -> bool:
-    bound = 1
-    for d in degrees(g):
-        bound *= g.n + d
-    return bound << (2 * g.n) < _ACC_BOUND
-
-
-def perm_poly(g: Graph, widened: bool = False) -> tuple[int, ...]:
+def perm_poly(g: Graph) -> tuple[int, ...]:
     """Monic permanental polynomial of g, coefficients constant-term first."""
     if g.n > POLY_MAX:
         raise TooLarge(f"permanental polynomial supports n <= {POLY_MAX}")
-    if not _poly_fits(g):  # unreachable for n <= 12; guards the fixed path
-        if not widened:
-            raise ArithmeticOverflow("evaluation values exceed the 128-bit accumulator")
-        return tuple(_purepy.graph_poly(list(g.rows), g.n, "perm"))
-    return tuple(backend.graph_poly(list(g.rows), g.n, "perm"))
+    return tuple(backend.graph_poly(g.rows, g.n, "perm"))
 
 
 def perm_poly_symbolic(g: Graph) -> tuple[int, ...]:
-    """Oracle: expand per(xI - A) over all n! permutations with exact
-    polynomial arithmetic. Factorial time, so n is capped low."""
+    """Oracle: expand per(xI - A) permutation by permutation. Row i goes
+    to column i (a factor x) or to an unused neighbour (a factor -1); any
+    other choice contributes 0, so only those permutations are walked.
+    Factorial time in the worst case (K_n), so n is capped low."""
     n = g.n
     if n > SYMBOLIC_MAX:
         raise TooLarge(f"symbolic expansion supports n <= {SYMBOLIC_MAX}")
-    if n == 0:
-        return (1,)
     total = [0] * (n + 1)
-    x_factor = (0, 1)
-    for sigma in permutations(range(n)):
-        term = (1,)
-        for i, j in enumerate(sigma):
-            if i == j:
-                term = poly.mul(term, x_factor)
-            elif (g.rows[i] >> j) & 1:
-                term = poly.mul(term, (-1,))
-            else:
-                term = None
-                break
-        if term is not None:
-            for d, c in enumerate(term):
-                total[d] += c
+
+    def expand(i: int, used: int, fixed: int) -> None:
+        if i == n:
+            total[fixed] += -1 if (n - fixed) & 1 else 1
+            return
+        if not (used >> i) & 1:
+            expand(i + 1, used | (1 << i), fixed + 1)
+        free = g.rows[i] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            expand(i + 1, used | low, fixed)
+
+    expand(0, 0, 0)
     return tuple(total)

@@ -9,8 +9,7 @@ byte-identical across worker counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .charpoly import char_poly
 from .collide import (
@@ -29,11 +28,10 @@ from .permanent import perm_poly
 KINDS = ("perm", "char")
 
 
-@dataclass(frozen=True)
-class ShardResult:
-    n: int
-    m: int
-    by_kind: dict  # kind -> (ShardStats, list[FamilyRecord])
+class ShardResult(namedtuple("ShardResult", "n m by_kind")):
+    """One shard's outcome; by_kind maps kind -> (ShardStats, list[FamilyRecord])."""
+
+    __slots__ = ()
 
     def stats(self, kind: str) -> ShardStats:
         return self.by_kind[kind][0]
@@ -42,19 +40,19 @@ class ShardResult:
         return self.by_kind[kind][1]
 
 
-def shard_records(n: int, m: int, kinds, widened: bool = False):
+def shard_records(n: int, m: int, kinds):
     """(fingerprint, graph6) records per kind for one builtin shard."""
     recs = {k: [] for k in kinds}
     for g in enumerate_by_edges(n, m):
         g6 = to_graph6(g)
         for k in kinds:
-            p = perm_poly(g, widened) if k == "perm" else char_poly(g, widened)
+            p = perm_poly(g) if k == "perm" else char_poly(g)
             recs[k].append((fingerprint(p, n, m, k), g6))
     return recs
 
 
-def compute_shard(n: int, m: int, kinds, widened: bool = False) -> ShardResult:
-    recs = shard_records(n, m, kinds, widened)
+def compute_shard(n: int, m: int, kinds) -> ShardResult:
+    recs = shard_records(n, m, kinds)
     by_kind = {}
     for k in kinds:
         fams = group_families(recs[k])
@@ -100,15 +98,16 @@ def _check_shards_disjoint(n: int, shards, kind: str) -> None:
             seen[body] = s.m
 
 
-def run_census(n: int, kinds=("perm",), workers: int = 1,
-               widened: bool = False) -> CensusResult:
+def run_census(n: int, kinds=("perm",), workers: int = 1) -> CensusResult:
     """Builtin census of every (n, m) shard."""
     kinds = tuple(kinds)
     ms = list(range(n * (n - 1) // 2 + 1))
-    jobs = [(n, m, kinds, widened) for m in ms]
+    jobs = [(n, m, kinds) for m in ms]
     if workers <= 1 or len(jobs) <= 1:
         shards = [_shard_worker(j) for j in jobs]
     else:
+        # imported here: a serial run should not pay for the pool's imports
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_shard_worker, jobs))
     result = CensusResult(n, shards, kinds)
@@ -118,7 +117,6 @@ def run_census(n: int, kinds=("perm",), workers: int = 1,
 
 
 def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
-                      widened: bool = False,
                       count_hint: int | None = None) -> dict[int, CensusResult]:
     """Census over an external graph6 file, sharded by (n, m) after decode.
 
@@ -140,7 +138,7 @@ def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
         shard = records.setdefault((n, m), {k: [] for k in kinds})
         g6 = to_graph6(g)
         for k in kinds:
-            p = perm_poly(g, widened) if k == "perm" else char_poly(g, widened)
+            p = perm_poly(g) if k == "perm" else char_poly(g)
             shard[k].append((fingerprint(p, n, m, k), g6))
 
     out: dict[int, CensusResult] = {}

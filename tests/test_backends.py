@@ -13,10 +13,13 @@ from pathlib import Path
 import pytest
 
 import coperm
-from coperm import backend, charpoly, permanent
+from coperm import backend, charpoly, permanent, poly
 from coperm.backend import available_backends
+from coperm.enumerate import enumerate_graphs
 from coperm.errors import TooLarge
-from coperm.graphs import Graph
+from coperm.graphs import Graph, adjacency_char_matrix
+
+from oracles import random_graph
 
 BACKENDS = available_backends()
 needs_both = pytest.mark.skipif(
@@ -137,22 +140,74 @@ def test_compiled_entry_points_reject_short_and_out_of_range_input():
         core.is_canonical([-1], 1)
 
 
+# ------------------------------------- exactness of the polynomial kernels
+
 def complete(n):
     return Graph(n, tuple(((1 << n) - 1) ^ (1 << i) for i in range(n)))
 
 
+def interpolated(g, kind):
+    """Oracle: per/det(tI - A) at t = 0..n with the scalar kernels, then
+    exact interpolation."""
+    fn = permanent.permanent_ryser if kind == "perm" else charpoly.determinant_exact
+    return list(poly.from_values([fn(adjacency_char_matrix(g, t)) for t in range(g.n + 1)]))
+
+
+def assert_exact(g, kind, want):
+    for impl in BACKENDS.values():
+        assert impl.graph_poly(list(g.rows), g.n, kind) == want, (impl.BACKEND_NAME, g, kind)
+
+
 @needs_both
-def test_complete_graphs_fit_and_agree_up_to_12():
-    # both _poly_fits bounds are products that grow with every degree, so
-    # K_n bounds every graph on n vertices
-    a = BACKENDS["compiled"]
-    b = BACKENDS["pure-python"]
+def test_coefficient_bound_fits_64_bits():
+    # Expanded over permutations, each permutation adds +-x^k or 0 to
+    # per/det(xI - A), so no coefficient exceeds n! in magnitude; the
+    # compiled kernels compute modulo 2**64 and read the residue signed,
+    # which is exact for every size they accept
+    maxk = BACKENDS["compiled"].MAXK
+    for n in range(maxk + 1):
+        assert math.factorial(n) < 2 ** 63
+
+
+def test_graph_polys_exact_on_every_graph_up_to_7(graphs_by_n):
+    graphs = [g for n in range(7) for g in graphs_by_n[n]] + list(enumerate_graphs(7))
+    assert len(graphs) == 1253
+    for g in graphs:
+        assert_exact(g, "perm", list(permanent.perm_poly_symbolic(g)))
+        assert_exact(g, "char", interpolated(g, "char"))
+
+
+def derangements(k):
+    d = [1, 0]
+    for i in range(2, k + 1):
+        d.append((i - 1) * (d[-1] + d[-2]))
+    return d[k]
+
+
+def test_complete_and_empty_graphs_exact_up_to_12():
     for n in range(13):
-        g = complete(n)
-        assert permanent._poly_fits(g)
-        assert charpoly._poly_fits(g)
+        # per(xI - A(K_n)): sum over permutations with k fixed points of
+        # (-1)^(n-k) x^k; det(xI - A(K_n)) = (x - n + 1)(x + 1)^(n - 1)
+        perm = [math.comb(n, k) * derangements(n - k) * (-1) ** (n - k) for k in range(n + 1)]
+        char = [1]
+        for root in [n - 1] + [-1] * (n - 1) if n else []:
+            char = list(poly.mul(char, (-root, 1)))
+        assert max(map(abs, perm + char)) <= math.factorial(n)
+        assert_exact(complete(n), "perm", perm)
+        assert_exact(complete(n), "char", char)
+        x_to_n = [0] * n + [1]
+        assert_exact(Graph(n, (0,) * n), "perm", x_to_n)
+        assert_exact(Graph(n, (0,) * n), "char", x_to_n)
+
+
+def test_random_graphs_exact_8_to_12():
+    rng = random.Random(16)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(8, 12))
         for kind in ("perm", "char"):
-            assert a.graph_poly(list(g.rows), n, kind) == b.graph_poly(list(g.rows), n, kind)
+            want = interpolated(g, kind)
+            assert max(map(abs, want)) <= math.factorial(g.n)
+            assert_exact(g, kind, want)
 
 
 @needs_both

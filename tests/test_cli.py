@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
+
 import pytest
 
+import coperm
 from coperm import cli
+from coperm.backend import available_backends
 from coperm.cli import main, mate_fraction
 
 
@@ -125,6 +133,26 @@ def test_fingerprint_and_merge(tmp_path, capsys):
     assert len(out.splitlines()) == 8  # header + 7 families
 
 
+@pytest.mark.parametrize("old, new", [
+    (b"\x02Bw", b"\x02B\xc3"),     # not ASCII
+    (b"\x02Bw", b"\x02B~"),         # nonzero padding bits
+    (b"\x02Bw", b"\x02Cw"),         # first byte is not n + 63
+    (b"\x02Bw", b"\x02B "),         # byte outside 63..126
+    (b"\x02Bw", b"\x03Bw?"),        # too long for n = 3
+], ids=["non-ascii", "padding", "first-byte", "out-of-range", "length"])
+def test_merge_rejects_invalid_graph6_member_exit_3(tmp_path, capsys, old, new):
+    run_file = tmp_path / "k3.run"
+    code, _, _ = run(capsys, "fingerprint", "--n", "3", "--edges", "3",
+                     "--out", str(run_file))
+    assert code == 0
+    raw = run_file.read_bytes()
+    assert raw.count(old) == 1
+    run_file.write_bytes(raw.replace(old, new))
+    code, out, err = run(capsys, "merge", str(run_file))
+    assert code == 3
+    assert "not a graph6 word for n=3" in err
+
+
 def test_determinism_across_worker_counts(capsys):
     outputs = set()
     for workers in ("1", "2", "4"):
@@ -142,6 +170,28 @@ def test_mate_fraction_rounding():
     assert mate_fraction(11869, 12005168) == "0.00099"
     assert mate_fraction(0, 34) == "0"
     assert mate_fraction(1, 8) == "0.12500"  # half-up, trailing zeros kept
+
+
+def test_mate_fraction_matches_decimal_rounding():
+    for graphs in range(1, 400):
+        for with_mate in range(1, graphs + 1):
+            want = (Decimal(with_mate) / Decimal(graphs)).quantize(
+                Decimal("0.00001"), rounding=ROUND_HALF_UP)
+            assert mate_fraction(with_mate, graphs) == str(want)
+
+
+def test_cold_poly_skips_modules_it_does_not_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    env.pop("COPERM_PURE_PYTHON", None)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "coperm.cli", "poly", "A_"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "coperm.pipeline" in imported
+    unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib"}
+    if "compiled" in available_backends():
+        unused.add("coperm._purepy")  # loaded only as the fallback
+    assert not imported & unused
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -23,6 +23,7 @@ from coperm.errors import (
     ShardViolation,
     UnsortedRun,
 )
+from coperm.graphs import graph_from_edges, to_graph6
 
 
 def test_fingerprint_layout_exact_bytes():
@@ -182,6 +183,28 @@ def test_run_file_round_trip(tmp_path):
     assert read_run_header(path) == (6, 4, 9)
     merged = list(merge_sorted_runs([path]))
     assert merged == sorted(records)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 30])
+def test_run_file_round_trip_at_small_and_wide_n(tmp_path, n):
+    # at n = 30 the graph6 length byte (74) is itself a graph6 character
+    rng = random.Random(n)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    g = graph_from_edges(n, edges)
+    record = (fingerprint((0,) * n + (1,), n, len(edges), kind=None), to_graph6(g))
+    path = tmp_path / "wide.run"
+    persist_fingerprints([record], path, n, len(edges))
+    assert list(merge_sorted_runs([path])) == [record]
+
+
+def test_truncated_run_detected_at_every_cut(tmp_path):
+    path = tmp_path / "n6m4.run"
+    persist_fingerprints(_records_n6_m4(), path, 6, 4)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(RunFormatError):
+            list(merge_sorted_runs([path]))
 
 
 def test_merge_equals_in_memory_grouping(tmp_path):
