@@ -1,8 +1,9 @@
 """Command-line entry point wiring the census pipeline together.
 
 Verbs: enumerate, poly, table, mates, compare, fingerprint, merge.
-Exit codes: 0 success, 2 usage, 3 decode/data error, 4 arithmetic
-overflow, 5 internal invariant violation.
+Exit codes: 0 success, 2 usage, 3 decode/data error, 5 internal
+invariant violation. Code 4 (arithmetic overflow) is unused: the
+polynomial kernels are exact at every size they accept.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from . import backend, collide, poly
 from .charpoly import char_poly
 from .enumerate import enumerate_by_edges, enumerate_graphs
 from .errors import (
-    ArithmeticOverflow,
     CopermError,
     CountMismatch,
     DecodeError,
@@ -36,7 +36,6 @@ from .pipeline import run_census, run_ingest_census, shard_records
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
-EXIT_OVERFLOW = 4
 EXIT_INVARIANT = 5
 
 _DATA_ERRORS = (Graph6Error, DecodeError, CountMismatch, DuplicateMember,
@@ -71,11 +70,14 @@ def _parse_n_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("COPERM_WORKERS")
-    return int(env) if env else 1
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _emit(lines, out_path) -> None:
@@ -93,7 +95,7 @@ def _census_by_n(args, kinds):
         return run_ingest_census(args.infile, kinds, dedup=args.dedup)
     censuses = {}
     for n in args.n:
-        censuses[n] = run_census(n, kinds, workers=_workers(args))
+        censuses[n] = run_census(n, kinds, workers=args.workers)
     return censuses
 
 
@@ -234,7 +236,7 @@ def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
         sub.add_argument("--dedup", action="store_true",
                          help="canonicalize ingested graphs and drop isomorphic repeats")
     if workers:
-        sub.add_argument("--workers", type=int, default=None,
+        sub.add_argument("--workers", type=_positive_int, default=None,
                          help="shard worker processes (default COPERM_WORKERS or 1)")
     _add_widened(sub)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
@@ -293,14 +295,17 @@ def main(argv=None) -> int:
     if getattr(args, "n", None) is None and hasattr(args, "n") \
             and getattr(args, "infile", None) is None:
         parser.error("--n is required without --in")
+    if hasattr(args, "workers") and args.workers is None:
+        env = os.environ.get("COPERM_WORKERS")
+        try:
+            args.workers = _positive_int(env) if env else 1
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"COPERM_WORKERS: {exc}")
     try:
         return args.fn(args)
     except _INVARIANT_ERRORS as exc:
         print(f"coperm: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ArithmeticOverflow as exc:
-        print(f"coperm: overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except _DATA_ERRORS as exc:
         print(f"coperm: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -74,3 +74,7 @@ class DecodeError(CopermError):
         super().__init__(f"line {lineno}: {reason}")
         self.lineno = lineno
         self.reason = reason
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives a pickle from a forked worker
+        return type(self), (self.lineno, self.reason)

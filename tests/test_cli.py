@@ -162,6 +162,45 @@ def test_determinism_across_worker_counts(capsys):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5", ""])
+def test_bad_workers_flag_exit_2(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "4", "--workers", bad])
+    assert exc.value.code == 2
+    assert "--workers: expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5"])
+def test_bad_workers_env_exit_2(monkeypatch, capsys, bad):
+    monkeypatch.setenv("COPERM_WORKERS", bad)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--n", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"COPERM_WORKERS: expected an integer >= 1, got {bad!r}" in err
+
+
+def test_workers_from_flag_and_env(monkeypatch, capsys):
+    seen = []
+    real = cli.run_census
+
+    def spy(n, kinds, workers):
+        seen.append(workers)
+        return real(n, kinds, workers=workers)
+
+    monkeypatch.setattr(cli, "run_census", spy)
+    monkeypatch.delenv("COPERM_WORKERS", raising=False)
+    assert run(capsys, "table", "--n", "4")[0] == 0
+    monkeypatch.setenv("COPERM_WORKERS", "")  # empty means unset
+    assert run(capsys, "table", "--n", "4")[0] == 0
+    monkeypatch.setenv("COPERM_WORKERS", "3")
+    assert run(capsys, "table", "--n", "4")[0] == 0
+    monkeypatch.setenv("COPERM_WORKERS", "abc")  # the flag wins, the variable is not read
+    assert run(capsys, "table", "--n", "4", "--workers", "2")[0] == 0
+    assert seen == [1, 1, 3, 2]
+
+
 def test_mate_fraction_rounding():
     assert mate_fraction(6, 156) == "0.03846"
     assert mate_fraction(17, 1044) == "0.01628"
@@ -188,7 +227,8 @@ def test_cold_poly_skips_modules_it_does_not_use():
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "coperm.pipeline" in imported
-    unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib"}
+    unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib", "multiprocessing",
+              "pickle", "signal"}
     if "compiled" in available_backends():
         unused.add("coperm._purepy")  # loaded only as the fallback
     assert not imported & unused
