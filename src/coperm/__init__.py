@@ -13,7 +13,7 @@ from .collide import (
     persist_fingerprints,
     shard_stats,
 )
-from .enumerate import GraphStream, enumerate_by_edges, enumerate_graphs, ingest_graph6
+from .enumerate import enumerate_by_edges, enumerate_graphs, ingest_graph6
 from .graphs import (
     Graph,
     adjacency_char_matrix,
@@ -34,7 +34,6 @@ __all__ = [
     "CensusResult",
     "FamilyRecord",
     "Graph",
-    "GraphStream",
     "ShardStats",
     "adjacency_char_matrix",
     "aggregate",

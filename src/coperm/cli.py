@@ -17,7 +17,6 @@ from .charpoly import char_poly
 from .enumerate import enumerate_by_edges, enumerate_graphs
 from .errors import (
     CopermError,
-    CountMismatch,
     DecodeError,
     DegreeMismatch,
     DuplicateMember,
@@ -29,16 +28,16 @@ from .errors import (
     TooLarge,
     UnsortedRun,
 )
-from .graphs import edge_count, parse_graph6, to_graph6
+from .graphs import MAX_VERTICES, edge_count, parse_graph6, to_graph6
 from .permanent import perm_poly
-from .pipeline import run_census, run_ingest_census, shard_records
+from .pipeline import compute_shard, ingest_shards, run_census, run_ingest_census
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 5
 
-_DATA_ERRORS = (Graph6Error, DecodeError, CountMismatch, DuplicateMember,
+_DATA_ERRORS = (Graph6Error, DecodeError, DuplicateMember,
                 RunFormatError, UnsortedRun, DegreeMismatch, TooLarge, OSError)
 _INVARIANT_ERRORS = (InvariantViolation, ShardViolation, MixedN)
 
@@ -92,7 +91,7 @@ def _emit(lines, out_path) -> None:
 def _census_by_n(args, kinds):
     """n -> CensusResult, from the builtin generator or an ingested file."""
     if args.infile:
-        return run_ingest_census(args.infile, kinds, dedup=args.dedup)
+        return run_ingest_census(args.infile, kinds, dedup=args.dedup, workers=args.workers)
     censuses = {}
     for n in args.n:
         censuses[n] = run_census(n, kinds, workers=args.workers)
@@ -184,17 +183,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    if args.infile:
-        censuses = run_ingest_census(args.infile, (args.kind,), dedup=args.dedup)
-        records = []
-        for census in censuses.values():
-            for shard in census.shards:
-                if shard.n == args.n_single and shard.m == args.edges:
-                    for fam in shard.families(args.kind):
-                        records.extend((fam.fingerprint, g6) for g6 in fam.members)
-    else:
-        records = shard_records(args.n_single, args.edges, (args.kind,))[args.kind]
-    count = collide.persist_fingerprints(records, args.out, args.n_single, args.edges)
+    n, m = args.n_single, args.edges
+    graphs = ingest_shards(args.infile, args.dedup).get((n, m), []) if args.infile else None
+    shard = compute_shard(n, m, (args.kind,), graphs)
+    records = [(fam.fingerprint, g6) for fam in shard.families(args.kind) for g6 in fam.members]
+    count = collide.persist_fingerprints(records, args.out, n, m)
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -208,13 +201,6 @@ def cmd_merge(args) -> int:
         lines.append(f"{n}\t{m}\t{fam.size}\t{poly.text(p)}\t" + " ".join(fam.members))
     _emit(lines, args.out)
     return EXIT_OK
-
-
-def _add_widened(sub) -> None:
-    # kept so existing command lines still parse
-    sub.add_argument("--widened", action="store_true",
-                     help="accepted and ignored: graph polynomials are exact at every "
-                          "supported size")
 
 
 def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
@@ -238,7 +224,6 @@ def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
     if workers:
         sub.add_argument("--workers", type=_positive_int, default=None,
                          help="shard worker processes (default COPERM_WORKERS or 1)")
-    _add_widened(sub)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -256,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("poly", help="polynomials of one graph6 word")
     p.add_argument("graph6")
     p.add_argument("--kind", choices=("both", "perm", "char"), default="both")
-    _add_widened(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_poly)
 
@@ -290,8 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fn", None) is cmd_fingerprint and not args.out:
-        parser.error("fingerprint requires --out")
+    if getattr(args, "fn", None) is cmd_fingerprint:
+        if not args.out:
+            parser.error("fingerprint requires --out")
+        if not 0 <= args.n_single <= MAX_VERTICES:
+            parser.error(f"--n must lie in 0..{MAX_VERTICES} for fingerprint")
+    if getattr(args, "edges", None) is not None:
+        pairs = args.n_single * (args.n_single - 1) // 2
+        if not 0 <= args.edges <= pairs:
+            parser.error(f"--edges must lie in 0..{pairs} for --n {args.n_single}")
     if getattr(args, "n", None) is None and hasattr(args, "n") \
             and getattr(args, "infile", None) is None:
         parser.error("--n is required without --in")

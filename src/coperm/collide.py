@@ -217,17 +217,22 @@ def _iter_run(fh, path):
     # a read comes back short only at the end of the file, so checking the
     # lengths once per record catches every truncation
     read = fh.read
+    prefix = bytes([n]) + m.to_bytes(2, "little")
     prev = None
     for _ in range(count):
         fp = read(3)
+        if fp != prefix:
+            if len(fp) != 3:
+                raise RunFormatError(f"{path}: truncated record")
+            raise RunFormatError(f"{path}: record for shard {fingerprint_parts(fp)[:2]} "
+                                 f"in run (n={n}, m={m})")
         size = 3
-        if len(fp) == size:
-            for _ in range(fp[0] - 1):
-                pair = read(2)
-                if len(pair) != 2:
-                    break
-                fp += pair + read(pair[1])
-                size += 2 + pair[1]
+        for _ in range(n - 1):
+            pair = read(2)
+            if len(pair) != 2:
+                break
+            fp += pair + read(pair[1])
+            size += 2 + pair[1]
         # the graph6 length byte, then a member of the one valid length
         raw = read(1 + width)
         if len(fp) != size or len(raw) != 1 + width:

@@ -11,32 +11,10 @@ for sizes past the builtin bound.
 from __future__ import annotations
 
 from . import backend
-from .errors import CountMismatch, DecodeError, Graph6Error, TooLarge
+from .errors import DecodeError, Graph6Error, TooLarge
 from .graphs import Graph, parse_graph6
 
 BUILTIN_MAX = 9
-
-
-class GraphStream:
-    """Single-consumer stream of graphs with optional count validation.
-
-    When count_hint is set, exhausting the stream with a different total
-    is a hard error; it catches truncated input files.
-    """
-
-    def __init__(self, it, count_hint: int | None = None, label: str = ""):
-        self._it = it
-        self.count_hint = count_hint
-        self.label = label
-
-    def __iter__(self):
-        count = 0
-        for g in self._it:
-            count += 1
-            yield g
-        if self.count_hint is not None and count != self.count_hint:
-            raise CountMismatch(
-                f"{self.label or 'stream'}: expected {self.count_hint} graphs, saw {count}")
 
 
 def _orderly(n: int, m: int | None):
@@ -65,38 +43,34 @@ def _orderly(n: int, m: int | None):
             stack.append((child, e + s.bit_count()))
 
 
-def enumerate_graphs(n: int) -> GraphStream:
+def enumerate_graphs(n: int):
     """One representative per isomorphism class on n vertices."""
     if not 0 <= n <= BUILTIN_MAX:
         raise TooLarge(f"builtin generation supports n <= {BUILTIN_MAX}; ingest instead")
-    return GraphStream(_orderly(n, None), label=f"builtin n={n}")
+    return _orderly(n, None)
 
 
-def enumerate_by_edges(n: int, m: int) -> GraphStream:
+def enumerate_by_edges(n: int, m: int):
     """One representative per isomorphism class with exactly m edges."""
     if not 0 <= n <= BUILTIN_MAX:
         raise TooLarge(f"builtin generation supports n <= {BUILTIN_MAX}; ingest instead")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"m={m} outside 0..{n * (n - 1) // 2} for n={n}")
-    return GraphStream(_orderly(n, m), label=f"builtin n={n} m={m}")
+    return _orderly(n, m)
 
 
-def ingest_graph6(path, count_hint: int | None = None) -> GraphStream:
+def ingest_graph6(path):
     """Decode a graph6 file, one graph per line, in file order.
 
     Blank lines are skipped; no deduplication happens here. Malformed
     lines raise DecodeError carrying the line number.
     """
-
-    def gen():
-        with open(path, encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, 1):
-                word = line.strip()
-                if not word:
-                    continue
-                try:
-                    yield parse_graph6(word)
-                except Graph6Error as exc:
-                    raise DecodeError(lineno, str(exc)) from exc
-
-    return GraphStream(gen(), count_hint, label=str(path))
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            word = line.strip()
+            if not word:
+                continue
+            try:
+                yield parse_graph6(word)
+            except Graph6Error as exc:
+                raise DecodeError(lineno, str(exc)) from exc

@@ -58,10 +58,6 @@ class RunFormatError(CopermError):
     """A fingerprint run file is corrupt (bad magic, version, or length)."""
 
 
-class CountMismatch(CopermError):
-    """A stream produced a different number of graphs than promised."""
-
-
 class InvariantViolation(CopermError):
     """An internal pipeline invariant failed (e.g. a polynomial collided
     across two different edge-count shards)."""

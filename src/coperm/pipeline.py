@@ -1,14 +1,17 @@
 """Shard-parallel census pipeline.
 
-A work unit is one (n, m) shard: enumerate (or ingest) its graphs,
-compute the requested polynomials, fingerprint, group, count. Shards
-are independent. With w > 1 workers the parent forks w - 1 children
+A work unit is one (n, m) shard. Its graphs come from the builtin
+generator or from a graph6 file bucketed by ingest_shards; either way
+they go through the same compute_shard (polynomials, fingerprints,
+families, counts), the same dispatch and the same fold. Shards are
+independent. With w > 1 workers the parent forks w - 1 children
 (POSIX only; the census runs no threads, so forking is safe) and shard
-i runs on worker i % w, the parent being worker 0. Interleaving by m
-balances the work: two workers get 522/522 graphs at n=7, 6,178/6,168
-at n=8 and 137,352/137,316 at n=9. Each child pickles its results, or
-the exception it raised, down its own pipe. Results fold in shard-key
-order, which keeps every report byte-identical across worker counts.
+i runs on worker i % w, the parent being worker 0; one worker forks
+nothing. Interleaving by m balances the work: two workers get 522/522
+graphs at n=7, 6,178/6,168 at n=8 and 137,352/137,316 at n=9. Each
+child pickles its results, or the exception it raised, down its own
+pipe. Results fold in shard-key order, which keeps every report
+byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .collide import (
 )
 from .enumerate import enumerate_by_edges, ingest_graph6
 from .errors import InvariantViolation
-from .graphs import canonical_form, edge_count, to_graph6
+from .graphs import Graph, canonical_form, edge_count, to_graph6
 from .permanent import perm_poly
 
 KINDS = ("perm", "char")
@@ -45,10 +48,13 @@ class ShardResult(namedtuple("ShardResult", "n m by_kind")):
         return self.by_kind[kind][1]
 
 
-def shard_records(n: int, m: int, kinds):
-    """(fingerprint, graph6) records per kind for one builtin shard."""
+def shard_records(n: int, m: int, kinds, graphs=None):
+    """(fingerprint, graph6) records per kind for one (n, m) shard: the
+    given graphs, or every class the builtin generator yields."""
+    if graphs is None:
+        graphs = enumerate_by_edges(n, m)
     recs = {k: [] for k in kinds}
-    for g in enumerate_by_edges(n, m):
+    for g in graphs:
         g6 = to_graph6(g)
         for k in kinds:
             p = perm_poly(g) if k == "perm" else char_poly(g)
@@ -56,8 +62,8 @@ def shard_records(n: int, m: int, kinds):
     return recs
 
 
-def compute_shard(n: int, m: int, kinds) -> ShardResult:
-    recs = shard_records(n, m, kinds)
+def compute_shard(n: int, m: int, kinds, graphs=None) -> ShardResult:
+    recs = shard_records(n, m, kinds, graphs)
     by_kind = {}
     for k in kinds:
         fams = group_families(recs[k])
@@ -65,8 +71,28 @@ def compute_shard(n: int, m: int, kinds) -> ShardResult:
     return ShardResult(n, m, by_kind)
 
 
-def _shard_worker(args) -> ShardResult:
-    return compute_shard(*args)
+def _shard_worker(job) -> ShardResult:
+    """job is (n, m, kinds) or (n, m, kinds, graphs): compute_shard's arguments."""
+    return compute_shard(*job)
+
+
+def ingest_shards(path, dedup: bool = False) -> dict[tuple[int, int], list[Graph]]:
+    """The graphs of a graph6 file bucketed by (n, m), in file order.
+
+    With dedup=True, graphs are canonicalized first and isomorphic
+    repeats are dropped; otherwise exact duplicate lines surface as
+    DuplicateMember when their shard is grouped.
+    """
+    buckets: dict[tuple[int, int], list[Graph]] = {}
+    seen: set[Graph] = set()
+    for g in ingest_graph6(path):
+        if dedup:
+            g = canonical_form(g)
+            if g in seen:
+                continue
+            seen.add(g)
+        buckets.setdefault((g.n, edge_count(g)), []).append(g)
+    return buckets
 
 
 class CensusResult:
@@ -106,25 +132,35 @@ def _check_shards_disjoint(n: int, shards, kind: str) -> None:
 def run_census(n: int, kinds=("perm",), workers: int = 1) -> CensusResult:
     """Builtin census of every (n, m) shard."""
     kinds = tuple(kinds)
-    ms = list(range(n * (n - 1) // 2 + 1))
-    jobs = [(n, m, kinds) for m in ms]
-    w = min(workers, len(jobs))
-    if w <= 1:
-        shards = [_shard_worker(j) for j in jobs]
-    else:
-        shards = _run_forked(jobs, w)
-    result = CensusResult(n, shards, kinds)
-    for k in kinds:
-        _check_shards_disjoint(n, shards, k)
-    return result
+    jobs = [(n, m, kinds) for m in range(n * (n - 1) // 2 + 1)]
+    return _census(jobs, kinds, workers)[n]
 
 
-def _run_forked(jobs, w: int) -> list[ShardResult]:
-    """Run job i on worker i % w: the parent is worker 0 and forks the rest."""
-    # imported here: a serial run, or a verb without a census, should not pay for them
-    import pickle
-    import signal
+def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
+                      workers: int = 1) -> dict[int, CensusResult]:
+    """Census over the graphs of a graph6 file, one CensusResult per n
+    (see ingest_shards for dedup)."""
+    kinds = tuple(kinds)
+    buckets = ingest_shards(path, dedup)
+    jobs = [(n, m, kinds, buckets[n, m]) for n, m in sorted(buckets)]
+    return _census(jobs, kinds, workers)
 
+
+def _census(jobs, kinds, workers: int) -> dict[int, CensusResult]:
+    """Run the shard jobs, sorted by (n, m), and fold them per n."""
+    by_n: dict[int, list[ShardResult]] = {}
+    for shard in _dispatch(jobs, workers):
+        by_n.setdefault(shard.n, []).append(shard)
+    for n, shards in by_n.items():
+        for k in kinds:
+            _check_shards_disjoint(n, shards, k)
+    return {n: CensusResult(n, shards, kinds) for n, shards in by_n.items()}
+
+
+def _dispatch(jobs, workers: int) -> list[ShardResult]:
+    """Run job i on worker i % w, w = min(workers, len(jobs)): the parent
+    is worker 0 and forks the rest, so one worker forks nothing."""
+    w = max(1, min(workers, len(jobs)))
     pipes: dict[int, int] = {}  # pid -> read end, for every child not yet reaped
     try:
         for k in range(1, w):
@@ -147,6 +183,7 @@ def _run_forked(jobs, w: int) -> list[ShardResult]:
         shards[::w] = [_shard_worker(j) for j in jobs[::w]]
         failure = None
         for pid in list(pipes):
+            import pickle  # here, so that one worker never imports it
             data = _read_to_eof(pipes[pid])
             _, status = os.waitpid(pid, 0)
             os.close(pipes.pop(pid))
@@ -169,6 +206,7 @@ def _run_forked(jobs, w: int) -> list[ShardResult]:
     finally:
         # only after a failure or an interruption: stop and reap the rest
         for pid, r in pipes.items():
+            import signal
             os.close(r)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -197,44 +235,3 @@ def _read_to_eof(fd: int) -> bytes:
     while chunk := os.read(fd, 1 << 20):
         chunks.append(chunk)
     return b"".join(chunks)
-
-
-def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
-                      count_hint: int | None = None) -> dict[int, CensusResult]:
-    """Census over an external graph6 file, sharded by (n, m) after decode.
-
-    With dedup=True, graphs are canonicalized first and isomorphic
-    repeats are dropped; otherwise exact duplicate lines surface as
-    DuplicateMember during grouping.
-    """
-    kinds = tuple(kinds)
-    records: dict[tuple[int, int], dict] = {}
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for g in ingest_graph6(path, count_hint):
-        if dedup:
-            g = canonical_form(g)
-            key = (g.n, g.rows)
-            if key in seen:
-                continue
-            seen.add(key)
-        n, m = g.n, edge_count(g)
-        shard = records.setdefault((n, m), {k: [] for k in kinds})
-        g6 = to_graph6(g)
-        for k in kinds:
-            p = perm_poly(g) if k == "perm" else char_poly(g)
-            shard[k].append((fingerprint(p, n, m, k), g6))
-
-    out: dict[int, CensusResult] = {}
-    for n in sorted({key[0] for key in records}):
-        shards = []
-        for m in sorted(m_ for n_, m_ in records if n_ == n):
-            by_kind = {}
-            for k in kinds:
-                fams = group_families(records[(n, m)][k])
-                by_kind[k] = (shard_stats(fams, n, m), fams)
-            shards.append(ShardResult(n, m, by_kind))
-        result = CensusResult(n, shards, kinds)
-        for k in kinds:
-            _check_shards_disjoint(n, shards, k)
-        out[n] = result
-    return out

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import coperm
-from coperm import cli
+from coperm import cli, pipeline
 from coperm.backend import available_backends
 from coperm.cli import main, mate_fraction
+from coperm.collide import _HEADER
+from coperm.graphs import edge_count, parse_graph6, permute, to_graph6
 
 
 def run(capsys, *argv):
@@ -151,6 +154,105 @@ def test_merge_rejects_invalid_graph6_member_exit_3(tmp_path, capsys, old, new):
     code, out, err = run(capsys, "merge", str(run_file))
     assert code == 3
     assert "not a graph6 word for n=3" in err
+
+
+def test_merge_rejects_record_of_another_shard_exit_3(tmp_path, capsys):
+    # the x^(n-2) coefficient of P_3 says m = 2; a record whose m bytes
+    # claim 1 in a run headed (3, 2) is corrupt, not a family of (3, 1)
+    run_file = tmp_path / "p3.run"
+    assert run(capsys, "fingerprint", "--n", "3", "--edges", "2", "--out", str(run_file))[0] == 0
+    raw = bytearray(run_file.read_bytes())
+    assert raw[_HEADER.size:_HEADER.size + 3] == bytes([3, 2, 0])
+    raw[_HEADER.size + 1] = 1
+    run_file.write_bytes(raw)
+    code, out, err = run(capsys, "merge", str(run_file))
+    assert code == 3 and out == ""
+    assert "record for shard (3, 1) in run (n=3, m=2)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--edges", "9"],
+    ["enumerate", "--n", "3", "--edges", "-1"],
+    ["fingerprint", "--n", "3", "--edges", "9"],
+    ["fingerprint", "--in", "IN", "--n", "300", "--edges", "5"],
+    ["fingerprint", "--in", "IN", "--n", "-1", "--edges", "0"],
+    ["fingerprint", "--in", "IN", "--n", "33", "--edges", "5"],
+    ["fingerprint", "--in", "IN", "--n", "8", "--edges", "70000"],
+    ["fingerprint", "--in", "IN", "--n", "8", "--edges", "29"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_n_or_edges_exit_2(tmp_path, capsys, argv):
+    src = tmp_path / "in.g6"
+    src.write_text("A_\n")
+    if argv[0] == "fingerprint":
+        argv = argv + ["--out", str(tmp_path / "x.run")]
+    with pytest.raises(SystemExit) as exc:
+        main([str(src) if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    assert "must lie in 0.." in capsys.readouterr().err
+    assert not (tmp_path / "x.run").exists()
+
+
+def enumerate_file(capsys, path, n):
+    assert run(capsys, "enumerate", "--n", str(n), "--out", str(path))[0] == 0
+    return path.read_text().split()
+
+
+def fingerprint_run(capsys, path, n, m, kind, *extra):
+    code, _, err = run(capsys, "fingerprint", "--n", str(n), "--edges", str(m),
+                       "--kind", kind, "--out", str(path), *extra)
+    assert code == 0, err
+    return path.read_bytes()
+
+
+def test_fingerprint_in_matches_builtin(tmp_path, capsys):
+    src = tmp_path / "n6.g6"
+    enumerate_file(capsys, src, 6)
+    for m in range(16):
+        for kind in ("perm", "char"):
+            builtin = fingerprint_run(capsys, tmp_path / "a.run", 6, m, kind)
+            ingested = fingerprint_run(capsys, tmp_path / "b.run", 6, m, kind, "--in", str(src))
+            assert ingested == builtin, (m, kind)
+
+
+def test_fingerprint_in_dedup_matches_builtin(tmp_path, capsys):
+    words = enumerate_file(capsys, tmp_path / "n6.g6", 6)
+    rng = random.Random(6)
+    lines = []
+    for word in words:  # each class under two random labelings
+        g = parse_graph6(word)
+        for _ in range(2):
+            lines.append(to_graph6(permute(g, rng.sample(range(6), 6))))
+    rng.shuffle(lines)
+    src = tmp_path / "relabeled.g6"
+    src.write_text("\n".join(lines) + "\n")
+    for m in range(16):
+        builtin = fingerprint_run(capsys, tmp_path / "a.run", 6, m, "perm")
+        ingested = fingerprint_run(capsys, tmp_path / "b.run", 6, m, "perm",
+                                   "--in", str(src), "--dedup")
+        assert ingested == builtin, m
+
+
+def test_fingerprint_in_computes_only_the_requested_shard(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "n6.g6"
+    enumerate_file(capsys, src, 6)
+    calls = []
+    real = pipeline.perm_poly
+    monkeypatch.setattr(pipeline, "perm_poly", lambda g: calls.append(g) or real(g))
+    fingerprint_run(capsys, tmp_path / "a.run", 6, 4, "perm", "--in", str(src))
+    assert len(calls) == 9  # the 9 classes with n=6, m=4, of 156 in the file
+    assert {(g.n, edge_count(g)) for g in calls} == {(6, 4)}
+
+
+def test_fingerprint_in_repeat_fails_only_in_its_shard(tmp_path, capsys):
+    src = tmp_path / "dup.g6"
+    src.write_text("A_\nBg\nBg\n")  # P_3 twice: shard (3, 2)
+    out = tmp_path / "x.run"
+    code, _, err = run(capsys, "fingerprint", "--in", str(src), "--n", "3", "--edges", "2",
+                       "--out", str(out))
+    assert code == 3 and "twice" in err
+    code, _, err = run(capsys, "fingerprint", "--in", str(src), "--n", "2", "--edges", "1",
+                       "--out", str(out))
+    assert code == 0 and "wrote 1 records" in err
 
 
 def test_determinism_across_worker_counts(capsys):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from coperm.enumerate import enumerate_by_edges, enumerate_graphs, ingest_graph6
-from coperm.errors import CountMismatch, DecodeError, TooLarge
+from coperm.errors import DecodeError, TooLarge
 from coperm.graphs import canonical_form, edge_count, to_graph6
 from tables import GRAPH_COUNTS, PERM_BY_EDGES
 
@@ -104,10 +104,3 @@ def test_ingest_missing_file(tmp_path):
     with pytest.raises(OSError):
         list(ingest_graph6(tmp_path / "nope.g6"))
 
-
-def test_count_hint_enforced(tmp_path):
-    path = tmp_path / "short.g6"
-    path.write_text("A_\n")
-    with pytest.raises(CountMismatch):
-        list(ingest_graph6(path, count_hint=2))
-    assert len(list(ingest_graph6(path, count_hint=1))) == 1

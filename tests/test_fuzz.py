@@ -1,0 +1,99 @@
+"""Property-based fuzzing of the input boundaries: run files and graph6."""
+
+import tempfile
+from pathlib import Path
+
+import networkx as nx
+import pytest
+
+from coperm.cli import main
+from coperm.collide import fingerprint, persist_fingerprints
+from coperm.enumerate import enumerate_by_edges
+from coperm.errors import Graph6Error, TooLarge
+from coperm.graphs import MAX_VERTICES, graph_from_edges, parse_graph6, to_graph6
+from coperm.permanent import perm_poly
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+def _valid_run() -> bytes:
+    # n=6, m=7: 24 graphs in 23 families, one of size 2
+    records = [(fingerprint(perm_poly(g), 6, 7), to_graph6(g)) for g in enumerate_by_edges(6, 7)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.run"
+        persist_fingerprints(records, path, 6, 7)
+        return path.read_bytes()
+
+
+VALID_RUN = _valid_run()
+
+
+def merge_exit_code(raw: bytes) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.run"
+        path.write_bytes(raw)
+        return main(["merge", str(path), "--out", str(Path(tmp) / "report.tsv")])
+
+
+def test_valid_run_merges():
+    assert merge_exit_code(VALID_RUN) == 0
+
+
+@FUZZ
+@given(pos=st.integers(0, len(VALID_RUN) - 1), byte=st.integers(0, 255))
+def test_merge_of_a_flipped_byte_exits_0_or_3(pos, byte):
+    assume(VALID_RUN[pos] != byte)
+    raw = bytearray(VALID_RUN)
+    raw[pos] = byte
+    assert merge_exit_code(bytes(raw)) in (0, 3)
+
+
+@FUZZ
+@given(size=st.integers(0, len(VALID_RUN) - 1))
+def test_merge_of_a_truncated_run_exits_3(size):
+    assert merge_exit_code(VALID_RUN[:size]) == 3
+
+
+@st.composite
+def graph6_words(draw):
+    """Valid short-form graph6 words: n, then the upper triangle in
+    6-bit characters with zero padding bits."""
+    n = draw(st.integers(0, MAX_VERTICES))
+    nbits = n * (n - 1) // 2
+    chars = (nbits + 5) // 6
+    bits = draw(st.integers(0, (1 << nbits) - 1)) << (6 * chars - nbits)
+    return chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 63)) for k in reversed(range(chars)))
+
+
+@FUZZ
+@given(graph6_words())
+def test_graph6_round_trips_and_matches_networkx(word):
+    g = parse_graph6(word)
+    assert to_graph6(g) == word
+    ref = nx.from_graph6_bytes(word.encode("ascii"))
+    assert ref.number_of_nodes() == g.n
+    assert {tuple(sorted(e)) for e in ref.edges()} == set(g.edges())
+
+
+@FUZZ
+@given(st.integers(0, MAX_VERTICES).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+def test_to_graph6_then_parse_is_identity(case):
+    n, bits = case
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    g = graph_from_edges(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+    assert parse_graph6(to_graph6(g)) == g
+
+
+@FUZZ
+@given(st.text(max_size=12))
+def test_parse_graph6_rejects_with_package_errors_only(text):
+    try:
+        g = parse_graph6(text)
+    except (Graph6Error, TooLarge):
+        return
+    assert to_graph6(g) == text.rstrip("\n")

@@ -1,6 +1,6 @@
-"""The forked shard split of run_census: identical reports for any worker
-count, worker failures mapped to exceptions and exit codes, no process
-left behind."""
+"""The forked shard split of the census, builtin and ingested: identical
+reports for any worker count, worker failures mapped to exceptions and
+exit codes, no process left behind."""
 
 import os
 import pickle
@@ -49,6 +49,28 @@ def test_compare_identical_for_any_worker_count(capsys):
         assert main(["compare", "--n", "0:7", "--workers", workers]) == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
+
+
+@pytest.fixture
+def graph6_file(tmp_path):
+    """Every class with n = 5 and n = 6, and P_3 under a second labeling."""
+    path = tmp_path / "in.g6"
+    assert main(["enumerate", "--n", "5", "--out", str(tmp_path / "n5.g6")]) == 0
+    assert main(["enumerate", "--n", "6", "--out", str(tmp_path / "n6.g6")]) == 0
+    path.write_text((tmp_path / "n5.g6").read_text() + (tmp_path / "n6.g6").read_text()
+                    + "Bg\nBo\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", [["table", "--per-edges"], ["mates"], ["compare"],
+                                  ["compare", "--dedup"]], ids=" ".join)
+def test_ingest_identical_for_any_worker_count(graph6_file, capsys, verb):
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([*verb, "--in", graph6_file, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 1
 
 
 def test_child_invariant_violation_propagates(monkeypatch, capsys):
@@ -128,6 +150,17 @@ def test_parallel_compare_imports_no_pool():
     assert "coperm.pipeline" in imported
     assert not {mod for mod in imported
                 if mod.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_serial_ingest_imports_no_fork_machinery(graph6_file):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "coperm.cli",
+                           "table", "--in", graph6_file, "--workers", "1"],
+                          env=dict(os.environ, PYTHONPATH=PYTHONPATH),
+                          capture_output=True, text=True, timeout=120, check=True)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "coperm.pipeline" in imported
+    assert not imported & {"pickle", "signal"}
 
 
 def _copermerror_classes(cls=errors.CopermError):
