@@ -1,7 +1,7 @@
 """Exact permanental/characteristic polynomial census of small graphs."""
 
 from .backend import BACKEND
-from .charpoly import char_poly, determinant_exact
+from .charpoly import char_poly
 from .collide import (
     FamilyRecord,
     ShardStats,
@@ -16,15 +16,13 @@ from .collide import (
 from .enumerate import enumerate_by_edges, enumerate_graphs, ingest_graph6
 from .graphs import (
     Graph,
-    adjacency_char_matrix,
     canonical_form,
     edge_count,
     graph_from_edges,
     parse_graph6,
-    permute,
     to_graph6,
 )
-from .permanent import permanent_naive, permanent_ryser, perm_poly, perm_poly_symbolic
+from .permanent import perm_poly, perm_poly_symbolic
 from .pipeline import CensusResult, run_census, run_ingest_census
 
 __version__ = "0.1.0"
@@ -35,11 +33,9 @@ __all__ = [
     "FamilyRecord",
     "Graph",
     "ShardStats",
-    "adjacency_char_matrix",
     "aggregate",
     "canonical_form",
     "char_poly",
-    "determinant_exact",
     "edge_count",
     "enumerate_by_edges",
     "enumerate_graphs",
@@ -52,9 +48,6 @@ __all__ = [
     "parse_graph6",
     "perm_poly",
     "perm_poly_symbolic",
-    "permanent_naive",
-    "permanent_ryser",
-    "permute",
     "persist_fingerprints",
     "run_census",
     "run_ingest_census",

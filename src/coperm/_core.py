@@ -5,9 +5,14 @@ Twin of _purepy with identical signatures. The shared library is cached
 as <cache>/coperm/<key>.so, where <cache> is $XDG_CACHE_HOME or
 ~/.cache and the key is the CRC-32, Adler-32 and length of the compile
 command plus the C source, so an edited source builds afresh and an
-unchanged one loads at once. Import raises ImportError, with the reason
-as its message, when the library can be neither loaded nor built;
-backend.py then falls back to _purepy.
+unchanged one loads at once; a build removes the libraries of earlier
+sources. Import raises ImportError, with the reason as its message,
+when the library can be neither loaded nor built; backend.py then falls
+back to _purepy.
+
+permanent and determinant accumulate in 128 bits and are exact only
+under the caller's contract stated in _kernels.c; the census calls
+graph_poly, canonical_form and canonical_children alone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 
 def _build(target: Path) -> None:
     """Compile into a temporary file beside target, then rename it into
-    place, so concurrent first imports never load a partial library."""
+    place, so concurrent first imports never load a partial library, and
+    remove the other libraries in the cache, built from earlier sources."""
     # imported here: only a cache miss needs them, and every start would pay
     import shutil
     import subprocess
@@ -55,6 +61,12 @@ def _build(target: Path) -> None:
         raise ImportError(f"build failed: {exc}") from None
     finally:
         Path(tmp).unlink(missing_ok=True)
+    for stale in target.parent.glob("*.so"):
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 def _load() -> tuple[ctypes.CDLL, str]:
@@ -87,7 +99,6 @@ for _name, _args, _res in (
         ("coperm_permanent", (_PTR, _INT, _PTR), None),
         ("coperm_determinant", (_PTR, _INT, _PTR), None),
         ("coperm_graph_poly", (_PTR, _INT, _INT, _PTR), None),
-        ("coperm_is_canonical", (_PTR, _INT), _INT),
         ("coperm_canonical_form", (_PTR, _INT, _PTR), None),
         ("coperm_canonical_children", (_PTR, _INT, _INT, _INT, _PTR), _INT)):
     _fn = getattr(_lib, _name)
@@ -137,12 +148,6 @@ def graph_poly(rows, n: int, kind: str) -> list[int]:
     out = array("q", bytes(8 * (n + 1)))
     _lib.coperm_graph_poly(_addr(r), n, kind == "perm", _addr(out))
     return out.tolist()
-
-
-def is_canonical(rows, n: int) -> bool:
-    """True when no relabeling yields a smaller column-major bitstring."""
-    r = _checked("I", rows, n, n)
-    return bool(_lib.coperm_is_canonical(_addr(r), n))
 
 
 def canonical_form(rows, n: int) -> list[int]:

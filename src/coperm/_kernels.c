@@ -1,21 +1,24 @@
-/* Compiled kernels of coperm: Gray-code Ryser permanents, Bareiss
- * determinants, graph-polynomial coefficients computed directly (Ryser
- * for per(xI - A), Berkowitz for det(xI - A)), and the minimum-lex
- * canonical-order search. Plain C entry points over arrays of long long
- * (matrix entries, coefficients) and unsigned int (adjacency bitmask
- * rows), the item types of Python's array typecodes "q" and "I". Built on
- * first use and called through ctypes by _core.py, which checks every
- * size against MAXK first.
+/* Compiled kernels of coperm: graph-polynomial coefficients computed
+ * directly (Ryser for per(xI - A), Berkowitz for det(xI - A)), the
+ * minimum-lex canonical-order search, and scalar Ryser permanents and
+ * Bareiss determinants of integer matrices. Plain C entry points over
+ * arrays of long long (matrix entries, coefficients) and unsigned int
+ * (adjacency bitmask rows), the item types of Python's array typecodes
+ * "q" and "I". Built on first use and called through ctypes by _core.py,
+ * which checks every size against MAXK first.
  *
- * The scalar kernels take arbitrary matrices and accumulate in 128 bits;
- * the bounds in permanent.py and charpoly.py keep every product and
- * quotient below 2**126. The Ryser sum alone may pass 2**127 between
- * terms, so it accumulates modulo 2**128, which is exact whenever the
- * final permanent fits. A 128-bit result v is stored as two long longs,
- * its int64 residue lo and hi = (v - lo) / 2**64, so hi is 0 whenever v
- * fits in 64 bits. The polynomial kernels need no bound check: they work
- * modulo 2**64, and every coefficient they return fits (see
- * coperm_graph_poly). */
+ * The polynomial kernels need no bound check: they work modulo 2**64,
+ * and every coefficient they return fits (see coperm_graph_poly). The
+ * scalar kernels accumulate in 128 bits, and their caller must keep them
+ * in range: for coperm_permanent, the product over rows of each row's
+ * sum of absolute entries (a zero row counting 1) below 2**126; for
+ * coperm_determinant, the product over rows of each row's sum of squared
+ * entries below 2**120, so that by Hadamard's inequality every minor,
+ * and each product of two that Bareiss forms, fits. The Ryser sum alone
+ * may pass 2**127 between terms, so it accumulates modulo 2**128, which
+ * is exact whenever the final permanent fits. A 128-bit result v is
+ * stored as two long longs, its int64 residue lo and
+ * hi = (v - lo) / 2**64, so hi is 0 whenever v fits in 64 bits. */
 
 #include <string.h>
 
@@ -319,15 +322,6 @@ static int canon_dfs(const unsigned int *rows, int n, unsigned int *best, unsign
         }
     }
     return updated;
-}
-
-int coperm_is_canonical(const unsigned int *rows, int n)
-{
-    unsigned int targets[MAXK];
-    int perm[MAXK];
-
-    targets_of(rows, n, targets);
-    return !smaller_exists(rows, n, targets, perm, 0, 0);
 }
 
 void coperm_canonical_form(const unsigned int *rows, int n, unsigned int *out)

@@ -1,13 +1,13 @@
 """Pure-Python kernel implementations.
 
 Twin of the compiled kernels (_kernels.c) with identical signatures and
-semantics: Gray-code Ryser permanents, fraction-free Bareiss
-determinants, graph-polynomial coefficients computed directly (Ryser's
-sum with polynomial row sums for per(xI - A), Berkowitz's
-division-free recurrence for det(xI - A)), and the minimum-lex
-canonical-order search used for isomorph rejection. Python integers
-never wrap, so this module doubles as the widened-arithmetic path of
-permanent_ryser and determinant_exact.
+semantics: graph-polynomial coefficients computed directly (Ryser's sum
+with polynomial row sums for per(xI - A), Berkowitz's division-free
+recurrence for det(xI - A)), the minimum-lex canonical-order search used
+for isomorph rejection, and Gray-code Ryser permanents and fraction-free
+Bareiss determinants of integer matrices. Python integers never wrap, so
+the scalar kernels here are exact for any input; they agree with the
+compiled ones within the caller contract stated in _kernels.c.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def _colval(row, perm, depth):
     return c
 
 
-def is_canonical(rows, n: int) -> bool:
-    """True when no relabeling yields a smaller column-major bitstring."""
+def _is_canonical(rows, n: int) -> bool:
+    # True when no relabeling yields a smaller column-major bitstring
     targets = _targets(rows, n)
     perm = [0] * n
 
@@ -222,6 +222,6 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[int]:
         for i in range(k):
             child[i] = rows[i] | (((s >> i) & 1) << k)
         child[k] = s
-        if is_canonical(child, k + 1):
+        if _is_canonical(child, k + 1):
             out.append(s)
     return out

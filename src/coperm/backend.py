@@ -27,10 +27,7 @@ else:
 
 BACKEND = _impl.BACKEND_NAME
 
-permanent = _impl.permanent
-determinant = _impl.determinant
 graph_poly = _impl.graph_poly
-is_canonical = _impl.is_canonical
 canonical_form = _impl.canonical_form
 canonical_children = _impl.canonical_children
 

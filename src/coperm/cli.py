@@ -2,8 +2,7 @@
 
 Verbs: enumerate, poly, table, mates, compare, fingerprint, merge.
 Exit codes: 0 success, 2 usage, 3 decode/data error, 5 internal
-invariant violation. Code 4 (arithmetic overflow) is unused: the
-polynomial kernels are exact at every size they accept.
+invariant violation.
 """
 
 from __future__ import annotations

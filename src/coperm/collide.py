@@ -5,7 +5,7 @@ canonical byte encoding of the coefficient vector. Shards never mix
 (n, m), which keeps grouping embarrassingly parallel: two graphs with a
 different edge count cannot share a polynomial, since the x^(n-2)
 coefficient is m on the permanental side and -m on the characteristic
-side.
+side; the census checks it in fingerprint(), record by record.
 
 Fingerprint layout (bit-exact): u8 n, u16 little-endian m, then the
 coefficients c_(n-2) down to c_0 (c_n and c_(n-1) are omitted, always 1
@@ -73,14 +73,17 @@ def poly_from_fingerprint(fp: bytes) -> tuple[int, ...]:
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     pos = 0
-    for j in range(n - 2, -1, -1):
-        sign, blen = body[pos], body[pos + 1]
-        pos += 2
-        mag = int.from_bytes(body[pos:pos + blen], "little")
-        pos += blen
-        coeffs[j] = -mag if sign else mag
-    if pos != len(body):
-        raise DegreeMismatch("fingerprint body has trailing bytes")
+    try:
+        for j in range(n - 2, -1, -1):
+            sign, blen = body[pos], body[pos + 1]
+            pos += 2
+            mag = int.from_bytes(body[pos:pos + blen], "little")
+            pos += blen
+            coeffs[j] = -mag if sign else mag
+    except IndexError:
+        raise DegreeMismatch(f"fingerprint body holds fewer than {n - 1} coefficients") from None
+    if pos != len(body):  # trailing bytes, or a last magnitude cut short
+        raise DegreeMismatch(f"fingerprint body does not hold exactly {n - 1} coefficients")
     return tuple(coeffs)
 
 

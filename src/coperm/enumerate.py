@@ -63,10 +63,15 @@ def ingest_graph6(path):
     """Decode a graph6 file, one graph per line, in file order.
 
     Blank lines are skipped; no deduplication happens here. Malformed
-    lines raise DecodeError carrying the line number.
+    lines, non-ASCII bytes included, raise DecodeError carrying the line
+    number.
     """
-    with open(path, encoding="ascii") as fh:
+    # latin-1 maps every byte to one character, so decoding never fails
+    # and a non-ASCII byte is reported with its line
+    with open(path, encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise DecodeError(lineno, "non-ASCII byte")
             word = line.strip()
             if not word:
                 continue

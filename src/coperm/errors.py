@@ -25,14 +25,6 @@ class TooLarge(CopermError):
     """Input exceeds a documented size bound."""
 
 
-class BadPermutation(CopermError):
-    """Relabeling map is not a bijection on the vertex range."""
-
-
-class ArithmeticOverflow(CopermError):
-    """Fixed-width accumulation would wrap and widening is disabled."""
-
-
 class DegreeMismatch(CopermError):
     """Polynomial is not monic of the declared degree, or its low-order
     coefficients disagree with the graph invariants they encode."""
@@ -59,8 +51,8 @@ class RunFormatError(CopermError):
 
 
 class InvariantViolation(CopermError):
-    """An internal pipeline invariant failed (e.g. a polynomial collided
-    across two different edge-count shards)."""
+    """An internal pipeline invariant failed (e.g. a shard worker died
+    before sending a complete result)."""
 
 
 class DecodeError(CopermError):

@@ -14,13 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import backend
-from .errors import (
-    BadPermutation,
-    InvalidChar,
-    TooLarge,
-    TrailingGarbage,
-    TruncatedBody,
-)
+from .errors import InvalidChar, TooLarge, TrailingGarbage, TruncatedBody
 
 MAX_VERTICES = 32
 CANONICAL_MAX = 10  # backtracking canonical search is exponential past this
@@ -30,9 +24,6 @@ class Graph(namedtuple("Graph", "n rows")):
     """n vertices; rows is a tuple of n adjacency bitmasks."""
 
     __slots__ = ()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
 
     def edges(self):
         for i in range(self.n):
@@ -60,11 +51,6 @@ def graph_from_edges(n: int, edges) -> Graph:
 def edge_count(g: Graph) -> int:
     """Number of edges: half the total adjacency popcount."""
     return sum(r.bit_count() for r in g.rows) // 2
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ r ^ (1 << i)) & full for i, r in enumerate(g.rows)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -133,35 +119,9 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def adjacency_char_matrix(g: Graph, t: int) -> list[list[int]]:
-    """The integer matrix tI - A(G)."""
-    return [
-        [t if i == j else (-1 if (g.rows[i] >> j) & 1 else 0) for j in range(g.n)]
-        for i in range(g.n)
-    ]
-
-
-def permute(g: Graph, sigma) -> Graph:
-    """Relabel: edge (i, j) maps to (sigma[i], sigma[j])."""
-    sig = list(sigma)
-    if sorted(sig) != list(range(g.n)):
-        raise BadPermutation(f"not a bijection on 0..{g.n - 1}: {sig}")
-    rows = [0] * g.n
-    for i, j in g.edges():
-        a, b = sig[i], sig[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph(g.n, tuple(rows))
-
-
 def canonical_form(g: Graph) -> Graph:
     """The minimum-lex representative of g's isomorphism class."""
     if g.n > CANONICAL_MAX:
         raise TooLarge(f"canonical labeling supports n <= {CANONICAL_MAX}")
     return Graph(g.n, tuple(backend.canonical_form(list(g.rows), g.n)))
 
-
-def is_canonical(g: Graph) -> bool:
-    if g.n > CANONICAL_MAX:
-        raise TooLarge(f"canonical labeling supports n <= {CANONICAL_MAX}")
-    return backend.is_canonical(list(g.rows), g.n)

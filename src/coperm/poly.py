@@ -1,61 +1,10 @@
-"""Exact integer polynomial helpers.
+"""Rendering of integer polynomials.
 
 A polynomial is a coefficient tuple, constant term first:
 (c0, c1, ..., cn) stands for c0 + c1*x + ... + cn*x^n.
 """
 
 from __future__ import annotations
-
-
-def from_values(values) -> tuple[int, ...]:
-    """Recover integer coefficients from the values p(0), p(1), ..., p(deg).
-
-    Forward differences give the falling-factorial coefficients
-    Delta^k p(0) / k!, which are integers exactly when p has integer
-    coefficients, so the whole conversion stays in integer arithmetic.
-    """
-    n = len(values) - 1
-    diffs = list(values)
-    ff = []
-    fact = 1
-    for k in range(n + 1):
-        if k:
-            fact *= k
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        q, r = divmod(diffs[0], fact)
-        if r:
-            raise ValueError("values are not those of an integer polynomial")
-        ff.append(q)
-
-    coeffs = [0] * (n + 1)
-    basis = [1]  # x(x-1)...(x-k+1), low coefficients first
-    for k, e in enumerate(ff):
-        if k:
-            s = k - 1
-            prev = basis
-            basis = [0] * (len(prev) + 1)
-            for j, c in enumerate(prev):
-                basis[j + 1] += c
-                basis[j] -= s * c
-        for j, c in enumerate(basis):
-            coeffs[j] += e * c
-    return tuple(coeffs)
-
-
-def mul(a, b) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def evaluate(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def text(coeffs) -> str:

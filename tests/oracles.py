@@ -24,12 +24,56 @@ def det_leibniz(matrix) -> int:
     return total
 
 
-def _mul(a, b):
+def permanent_naive(matrix) -> int:
+    """Permanent by direct summation over all k! permutations."""
+    k = len(matrix)
+    total = 0
+    for sigma in permutations(range(k)):
+        p = 1
+        for i, j in enumerate(sigma):
+            p *= matrix[i][j]
+            if p == 0:
+                break
+        total += p
+    return total
+
+
+def mul(a, b) -> tuple:
+    """Product of two coefficient tuples, constant term first."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return out
+    return tuple(out)
+
+
+def evaluate(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def from_values(values) -> tuple:
+    """Integer coefficients of the polynomial taking the values p(0), p(1),
+    ..., p(deg). Forward differences give the falling-factorial
+    coefficients Delta^k p(0) / k!, which are integers exactly when p has
+    integer coefficients, so the conversion stays in integer arithmetic."""
+    n = len(values) - 1
+    diffs = list(values)
+    coeffs = (0,) * (n + 1)
+    basis = (1,)  # x(x-1)...(x-k+1), constant term first
+    fact = 1
+    for k in range(n + 1):
+        if k:
+            fact *= k
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            basis = mul(basis, (-(k - 1), 1))
+        q, r = divmod(diffs[0], fact)
+        if r:
+            raise ValueError("values are not those of an integer polynomial")
+        coeffs = tuple(c + q * b for c, b in zip(coeffs, basis + (0,) * n))
+    return coeffs
 
 
 def char_poly_leibniz(g) -> tuple:
@@ -43,9 +87,9 @@ def char_poly_leibniz(g) -> tuple:
         term = [_parity(sigma)]
         for i, j in enumerate(sigma):
             if i == j:
-                term = _mul(term, [0, 1])
+                term = mul(term, [0, 1])
             elif (g.rows[i] >> j) & 1:
-                term = _mul(term, [-1])
+                term = mul(term, [-1])
             else:
                 term = None
                 break
@@ -69,3 +113,20 @@ def random_graph(rng, n):
 
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return graph_from_edges(n, edges)
+
+
+def permute(g, sigma):
+    """Relabel g: edge (i, j) maps to (sigma[i], sigma[j])."""
+    from coperm.graphs import Graph
+
+    rows = [0] * g.n
+    for i, j in g.edges():
+        rows[sigma[i]] |= 1 << sigma[j]
+        rows[sigma[j]] |= 1 << sigma[i]
+    return Graph(g.n, tuple(rows))
+
+
+def char_matrix(g, t):
+    """The integer matrix tI - A(g)."""
+    return [[t if i == j else -((g.rows[i] >> j) & 1) for j in range(g.n)]
+            for i in range(g.n)]

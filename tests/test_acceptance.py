@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from coperm import poly
+from coperm.backend import available_backends
 from coperm.charpoly import char_poly
 from coperm.cli import main, mate_fraction
 from coperm.collide import (
@@ -18,14 +18,15 @@ from coperm.collide import (
     merge_sorted_runs,
     persist_fingerprints,
 )
-from coperm.graphs import permute
-from coperm.permanent import (
-    perm_poly,
-    perm_poly_symbolic,
+from coperm.permanent import perm_poly, perm_poly_symbolic
+from oracles import (
+    char_poly_leibniz,
+    disjoint_union,
+    mul,
     permanent_naive,
-    permanent_ryser,
+    permute,
+    random_graph,
 )
-from oracles import char_poly_leibniz, disjoint_union, random_graph
 from tables import CHAR_AGGREGATE, PERM_AGGREGATE, PERM_BY_EDGES
 
 
@@ -94,12 +95,14 @@ def test_smallest_mates(census):
 
 
 def test_oracle_ryser_vs_naive():
+    backends = available_backends().values()
     rng = random.Random(20240501)
     ok = True
     for _ in range(500):
         k = rng.randint(0, 7)
         mat = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        ok &= permanent_ryser(mat) == permanent_naive(mat)
+        flat = [e for row in mat for e in row]
+        ok &= {impl.permanent(flat, k) for impl in backends} == {permanent_naive(mat)}
     _report("oracle: Ryser == naive on 500 random matrices", ok)
 
 
@@ -160,7 +163,7 @@ def test_oracle_union_multiplicativity():
     for _ in range(200):
         a = random_graph(rng, rng.randint(0, 5))
         b = random_graph(rng, rng.randint(0, 9 - a.n))
-        ok &= perm_poly(disjoint_union(a, b)) == poly.mul(perm_poly(a), perm_poly(b))
+        ok &= perm_poly(disjoint_union(a, b)) == mul(perm_poly(a), perm_poly(b))
     _report("oracle: multiplicativity over disjoint unions", ok)
 
 

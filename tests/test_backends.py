@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 import coperm
-from coperm import backend, charpoly, permanent, poly
+from coperm import backend, permanent
 from coperm.backend import available_backends
 from coperm.enumerate import enumerate_graphs
 from coperm.errors import TooLarge
-from coperm.graphs import Graph, adjacency_char_matrix
+from coperm.graphs import Graph
 
-from oracles import random_graph
+from oracles import char_matrix, from_values, mul, random_graph
 
 BACKENDS = available_backends()
 needs_both = pytest.mark.skipif(
@@ -68,7 +68,6 @@ def test_canonical_machinery_agrees():
                 if rng.random() < 0.5:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-        assert a.is_canonical(rows, n) == b.is_canonical(rows, n)
         assert a.canonical_form(rows, n) == b.canonical_form(rows, n)
         if n:
             k = n - 1
@@ -78,19 +77,23 @@ def test_canonical_machinery_agrees():
 
 @needs_both
 def test_canonical_form_fixed_point_means_canonical():
+    # canonical_children returns a subset exactly when its child graph is
+    # its own canonical_form
     rng = random.Random(15)
     core = BACKENDS["compiled"]
     for _ in range(200):
-        n = rng.randint(1, 7)
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
+        k = rng.randint(0, 6)
+        rows = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
                 if rng.random() < 0.4:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-        canon = core.canonical_form(rows, n)
-        assert core.is_canonical(canon, n)
-        assert core.is_canonical(rows, n) == (canon == rows)
+        rows = core.canonical_form(rows, k)
+        kept = set(core.canonical_children(rows, k, 0, k))
+        for s in range(1 << k):
+            child = [r | ((s >> i & 1) << k) for i, r in enumerate(rows)] + [s]
+            assert (s in kept) == (core.canonical_form(child, k + 1) == child)
 
 
 @needs_both
@@ -118,7 +121,6 @@ def test_enumeration_identical_across_backends():
     ("permanent", ([0] * 17 * 17, 17)),
     ("determinant", ([0] * 17 * 17, 17)),
     ("graph_poly", ([0] * 17, 17, "perm")),
-    ("is_canonical", ([0] * 17, 17)),
     ("canonical_form", ([0] * 17, 17)),
     ("canonical_children", ([0] * 16, 16, 0, 16)),  # children have 17 vertices
 ])
@@ -137,7 +139,7 @@ def test_compiled_entry_points_reject_short_and_out_of_range_input():
     with pytest.raises(OverflowError):
         core.determinant([1 << 64], 1)
     with pytest.raises(OverflowError):
-        core.is_canonical([-1], 1)
+        core.canonical_form([-1], 1)
 
 
 # ------------------------------------- exactness of the polynomial kernels
@@ -147,10 +149,18 @@ def complete(n):
 
 
 def interpolated(g, kind):
-    """Oracle: per/det(tI - A) at t = 0..n with the scalar kernels, then
-    exact interpolation."""
-    fn = permanent.permanent_ryser if kind == "perm" else charpoly.determinant_exact
-    return list(poly.from_values([fn(adjacency_char_matrix(g, t)) for t in range(g.n + 1)]))
+    """Oracle: per/det(tI - A) at t = 0..n with the scalar kernels of the
+    backend in use, then exact interpolation."""
+    impl = BACKENDS[backend.BACKEND]
+    fn = impl.permanent if kind == "perm" else impl.determinant
+    values = []
+    for t in range(g.n + 1):
+        mat = char_matrix(g, t)
+        # a row's sum of squared entries bounds its sum of absolute entries,
+        # so this keeps both 128-bit kernels within their caller contracts
+        assert math.prod(max(1, sum(e * e for e in row)) for row in mat) < 1 << 120
+        values.append(fn([e for row in mat for e in row], g.n))
+    return list(from_values(values))
 
 
 def assert_exact(g, kind, want):
@@ -191,7 +201,7 @@ def test_complete_and_empty_graphs_exact_up_to_12():
         perm = [math.comb(n, k) * derangements(n - k) * (-1) ** (n - k) for k in range(n + 1)]
         char = [1]
         for root in [n - 1] + [-1] * (n - 1) if n else []:
-            char = list(poly.mul(char, (-root, 1)))
+            char = list(mul(char, (-root, 1)))
         assert max(map(abs, perm + char)) <= math.factorial(n)
         assert_exact(complete(n), "perm", perm)
         assert_exact(complete(n), "char", char)
@@ -212,17 +222,18 @@ def test_random_graphs_exact_8_to_12():
 
 @needs_both
 def test_128_bit_results_cross_exactly():
+    # the caller contract of the 128-bit Ryser kernel: the rows' sums of
+    # absolute entries multiply to less than 2**126
     big = [[120] * 12 for _ in range(12)]
-    assert permanent._ryser_fits(big)
+    assert (12 * 120) ** 12 < 1 << 126
     want = math.factorial(12) * 120 ** 12  # about 2**111
     assert want > 1 << 110
     neg = [[-120] * 11 for _ in range(11)]
-    assert permanent._ryser_fits(neg)
+    assert (11 * 120) ** 11 < 1 << 126
     neg_want = -math.factorial(11) * 120 ** 11  # about -2**101
     for impl in BACKENDS.values():
         assert impl.permanent([e for row in big for e in row], 12) == want
         assert impl.permanent([e for row in neg for e in row], 11) == neg_want
-    assert permanent.permanent_ryser(big) == want
 
 
 def paley_hadamard_12():
@@ -243,13 +254,15 @@ def test_negative_determinant_at_the_hadamard_bound():
                for i in range(12) for j in range(12))
     m = [[9 * e for e in row] for row in h]
     m[0], m[1] = m[1], m[0]
-    # Hadamard's inequality caps |det| at the square root of the bound
-    # _bareiss_fits checks; 9H attains it
-    assert charpoly._bareiss_fits(m)
+    # the caller contract of the 128-bit Bareiss kernel: the rows' sums of
+    # squared entries multiply to less than 2**120. Hadamard's inequality
+    # caps |det| at the square root of that product; 9H attains it
+    bound = math.prod(sum(e * e for e in row) for row in m)
+    assert bound == (81 * 12) ** 12 < 1 << 120
     want = -(9 ** 12 * 12 ** 6)
+    assert want * want == bound
     for impl in BACKENDS.values():
         assert impl.determinant([e for row in m for e in row], 12) == want
-    assert charpoly.determinant_exact(m) == want
 
 
 # ------------------------------------------------------- backend selection
@@ -274,14 +287,33 @@ def test_pure_python_switch_is_quiet():
     assert (name, reason, err) == ("pure-python", "COPERM_PURE_PYTHON set", [])
 
 
+def copy_package(tmp_path, kernels_c: bytes) -> Path:
+    """A copy of the package with the given _kernels.c; returns the
+    directory to put on PYTHONPATH."""
+    package = Path(coperm.__file__).parent
+    copy = tmp_path / "src" / "coperm"
+    copy.mkdir(parents=True)
+    for f in package.glob("*.py"):
+        (copy / f.name).write_bytes(f.read_bytes())
+    (copy / "_kernels.c").write_bytes(kernels_c)
+    return copy.parent
+
+
 @needs_both
 def test_compiles_once_then_loads_quietly(tmp_path):
-    first = select_backend({"XDG_CACHE_HOME": str(tmp_path)})
-    libs = list((tmp_path / "coperm").iterdir())
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    cache = tmp_path / "cache" / "coperm"
+    first = select_backend(env)
+    libs = list(cache.iterdir())
     assert len(libs) == 1  # the library, and no temporary file left
     assert first == ("compiled", f"compiled {libs[0]}", [])
-    assert select_backend({"XDG_CACHE_HOME": str(tmp_path)}) == \
-        ("compiled", f"loaded {libs[0]}", [])
+    assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
+    # an edited source builds afresh, and the build removes the old library
+    source = (Path(coperm.__file__).parent / "_kernels.c").read_bytes()
+    edited = select_backend(env, copy_package(tmp_path, source + b"/* edited */\n"))
+    new_libs = list(cache.iterdir())
+    assert len(new_libs) == 1 and new_libs != libs
+    assert edited == ("compiled", f"compiled {new_libs[0]}", [])
 
 
 @pytest.mark.parametrize("setup, reason_start", [
@@ -297,13 +329,7 @@ def test_unwanted_fallback_says_why_on_stderr(tmp_path, setup, reason_start):
     elif setup == "no-cc":
         env["PATH"] = str(tmp_path)
     else:
-        package = Path(coperm.__file__).parent
-        copy = tmp_path / "src" / "coperm"
-        copy.mkdir(parents=True)
-        for f in package.glob("*.py"):
-            (copy / f.name).write_bytes(f.read_bytes())
-        (copy / "_kernels.c").write_text("this is not C\n")
-        pythonpath = copy.parent
+        pythonpath = copy_package(tmp_path, b"this is not C\n")
     name, reason, err = select_backend(env, pythonpath)
     assert name == "pure-python"
     assert reason.startswith(reason_start)

@@ -68,6 +68,17 @@ def test_fingerprint_round_trip_random():
         assert poly_from_fingerprint(fp) == p
 
 
+def test_poly_from_fingerprint_rejects_short_bodies():
+    fp = fingerprint((-2, 3, 0, 1), 3, 3)
+    for cut in range(3, len(fp)):
+        with pytest.raises(DegreeMismatch):
+            poly_from_fingerprint(fp[:cut])
+    with pytest.raises(DegreeMismatch):
+        poly_from_fingerprint(bytes([3, 0, 0]))
+    with pytest.raises(DegreeMismatch):
+        poly_from_fingerprint(fp + b"\0")
+
+
 def test_fingerprint_validation():
     with pytest.raises(DegreeMismatch):
         fingerprint((1, 0, 2), 2, 1)  # not monic
@@ -277,3 +288,15 @@ def test_fingerprint_parts():
     n, m, body = fingerprint_parts(fp)
     assert (n, m) == (3, 2)
     assert fp == bytes([3, 2, 0]) + body
+
+
+def test_no_polynomial_spans_two_edge_counts(census):
+    # the premise of sharding by (n, m): fingerprint() checks every
+    # record's x^(n-2) coefficient against its m, so a coefficient body
+    # never recurs under another m
+    for n in range(9):
+        for kind in ("perm", "char"):
+            m_of = {}
+            for m, fam in census[n].families(kind):
+                _, _, body = fingerprint_parts(fam.fingerprint)
+                assert m_of.setdefault(body, m) == m, (n, kind, body)

@@ -94,10 +94,11 @@ def test_ingest_empty_file(tmp_path):
 
 def test_ingest_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.g6"
-    path.write_text("A_\nB\n")
-    with pytest.raises(DecodeError) as err:
-        list(ingest_graph6(path))
-    assert err.value.lineno == 2
+    for raw in (b"A_\nB\n", b"A_\nB\xc3\n"):  # a truncated word, a non-ASCII byte
+        path.write_bytes(raw)
+        with pytest.raises(DecodeError) as err:
+            list(ingest_graph6(path))
+        assert err.value.lineno == 2
 
 
 def test_ingest_missing_file(tmp_path):

@@ -1,4 +1,5 @@
-"""Property-based fuzzing of the input boundaries: run files and graph6."""
+"""Property-based fuzzing of the input boundaries: run files, graph6
+words and graph6 files."""
 
 import tempfile
 from pathlib import Path
@@ -56,6 +57,20 @@ def test_merge_of_a_flipped_byte_exits_0_or_3(pos, byte):
 @given(size=st.integers(0, len(VALID_RUN) - 1))
 def test_merge_of_a_truncated_run_exits_3(size):
     assert merge_exit_code(VALID_RUN[:size]) == 3
+
+
+def ingest_exit_code(raw: bytes, dedup: bool) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.g6"
+        path.write_bytes(raw)
+        argv = ["table", "--in", str(path), "--out", str(Path(tmp) / "report.tsv")]
+        return main(argv + ["--dedup"] * dedup)
+
+
+@FUZZ
+@given(raw=st.binary(max_size=40), dedup=st.booleans())
+def test_table_of_arbitrary_bytes_exits_0_or_3(raw, dedup):
+    assert ingest_exit_code(raw, dedup) in (0, 3)
 
 
 @st.composite

@@ -2,15 +2,20 @@ import random
 
 import pytest
 
-from coperm.errors import ArithmeticOverflow, TooLarge
-from coperm.graphs import Graph, edge_count, graph_from_edges, permute
-from coperm.permanent import (
-    perm_poly,
-    perm_poly_symbolic,
-    permanent_naive,
-    permanent_ryser,
-)
-from oracles import disjoint_union, random_graph
+from coperm.backend import available_backends
+from coperm.errors import TooLarge
+from coperm.graphs import Graph, edge_count, graph_from_edges
+from coperm.permanent import perm_poly, perm_poly_symbolic
+from oracles import disjoint_union, mul, permanent_naive, permute, random_graph
+
+BACKENDS = available_backends().values()
+
+
+def permanents(matrix) -> set[int]:
+    """The permanent from every backend; one value when they agree."""
+    flat = [e for row in matrix for e in row]
+    return {impl.permanent(flat, len(matrix)) for impl in BACKENDS}
+
 
 K2 = graph_from_edges(2, [(0, 1)])
 K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -25,10 +30,10 @@ def test_naive_known_values():
 
 
 def test_ryser_known_values():
-    assert permanent_ryser([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == 2
-    assert permanent_ryser([[3, -1], [-1, 3]]) == 10
-    assert permanent_ryser([[0, 0], [0, 0]]) == 0
-    assert permanent_ryser([]) == 1  # empty product
+    assert permanents([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == {2}
+    assert permanents([[3, -1], [-1, 3]]) == {10}
+    assert permanents([[0, 0], [0, 0]]) == {0}
+    assert permanents([]) == {1}  # empty product
 
 
 def test_ryser_equals_naive_on_500_random_matrices():
@@ -36,27 +41,14 @@ def test_ryser_equals_naive_on_500_random_matrices():
     for _ in range(500):
         k = rng.randint(0, 7)
         mat = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        assert permanent_ryser(mat) == permanent_naive(mat)
+        assert permanents(mat) == {permanent_naive(mat)}
 
 
 def test_size_caps():
     with pytest.raises(TooLarge):
-        permanent_naive([[0] * 10] * 10)
-    with pytest.raises(TooLarge):
-        permanent_ryser([[0] * 13] * 13)
-    with pytest.raises(TooLarge):
         perm_poly(graph_from_edges(13, []))
     with pytest.raises(TooLarge):
         perm_poly_symbolic(graph_from_edges(8, []))
-
-
-def test_overflow_raises_then_widens():
-    big = 1 << 40
-    mat = [[big] * 7 for _ in range(7)]
-    with pytest.raises(ArithmeticOverflow):
-        permanent_ryser(mat)
-    import math
-    assert permanent_ryser(mat, widened=True) == math.factorial(7) * big ** 7
 
 
 def test_poly_known_values():
@@ -111,11 +103,9 @@ def test_isomorphism_invariance():
 
 
 def test_multiplicative_over_components():
-    from coperm import poly
-
     rng = random.Random(2718)
     for _ in range(200):
         a = random_graph(rng, rng.randint(0, 5))
         b = random_graph(rng, rng.randint(0, 9 - a.n))
         u = disjoint_union(a, b)
-        assert perm_poly(u) == poly.mul(perm_poly(a), perm_poly(b))
+        assert perm_poly(u) == mul(perm_poly(a), perm_poly(b))
