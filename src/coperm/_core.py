@@ -2,13 +2,15 @@
 use and loaded with ctypes.
 
 Twin of _purepy with identical signatures. The shared library is cached
-as <cache>/coperm/<key>.so, where <cache> is $XDG_CACHE_HOME or
-~/.cache and the key is the CRC-32, Adler-32 and length of the compile
-command plus the C source, so an edited source builds afresh and an
-unchanged one loads at once; a build removes the libraries of earlier
-sources. Import raises ImportError, with the reason as its message,
-when the library can be neither loaded nor built; backend.py then falls
-back to _purepy.
+as <cache>/coperm/<place>/<key>.so, where <cache> is $XDG_CACHE_HOME or
+~/.cache, <place> is the CRC-32 of the package directory, and the key is
+the CRC-32, Adler-32 and length of the compile command plus the C
+source, so an edited source builds afresh and an unchanged one loads at
+once. A build removes the libraries of earlier sources in its own
+<place> only, so checkouts of different sources can share one cache.
+Import raises ImportError, with the reason as its message, when the
+library can be neither loaded nor built; backend.py then falls back to
+_purepy.
 
 permanent and determinant accumulate in 128 bits and are exact only
 under the caller's contract stated in _kernels.c; the census calls
@@ -36,7 +38,8 @@ _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 def _build(target: Path) -> None:
     """Compile into a temporary file beside target, then rename it into
     place, so concurrent first imports never load a partial library, and
-    remove the other libraries in the cache, built from earlier sources."""
+    remove the other libraries in its directory, built from earlier
+    sources of the same package directory."""
     # imported here: only a cache miss needs them, and every start would pay
     import shutil
     import subprocess
@@ -79,7 +82,8 @@ def _load() -> tuple[ctypes.CDLL, str]:
     key = " ".join(_COMPILE).encode() + b"\0" + source
     digest = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}{len(key):x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    path = cache / "coperm" / f"{digest}.so"
+    place = f"{zlib.crc32(os.fsencode(_SOURCE.parent.resolve())):08x}"
+    path = cache / "coperm" / place / f"{digest}.so"
     how = "loaded"
     if not path.is_file():
         _build(path)

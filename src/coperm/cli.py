@@ -137,15 +137,19 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _family_row(head: str, fam) -> str:
+    """A mates or merge report row; head holds its n and m columns."""
+    p = collide.poly_from_fingerprint(fam.fingerprint)
+    return f"{head}{len(fam.members)}\t{poly.text(p)}\t" + " ".join(fam.members)
+
+
 def cmd_mates(args) -> int:
     kinds = (args.kind,)
     censuses = _census_by_n(args, kinds)
     lines = [MATES_HEADER]
     for n in sorted(censuses):
         for m, fam in censuses[n].families(args.kind, min_size=2):
-            p = collide.poly_from_fingerprint(fam.fingerprint)
-            lines.append(f"{n}\t{m}\t{fam.size}\t{poly.text(p)}\t"
-                         + " ".join(fam.members))
+            lines.append(_family_row(f"{n}\t{m}\t", fam))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -183,7 +187,8 @@ def cmd_compare(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     n, m = args.n_single, args.edges
-    graphs = ingest_shards(args.infile, args.dedup).get((n, m), []) if args.infile else None
+    graphs = (ingest_shards(args.infile, args.dedup, only=(n, m)).get((n, m), [])
+              if args.infile else None)
     shard = compute_shard(n, m, (args.kind,), graphs)
     records = [(fam.fingerprint, g6) for fam in shard.families(args.kind) for g6 in fam.members]
     count = collide.persist_fingerprints(records, args.out, n, m)
@@ -194,10 +199,12 @@ def cmd_fingerprint(args) -> int:
 def cmd_merge(args) -> int:
     lines = [MATES_HEADER.replace("members", "members (all family sizes)")]
     stream = collide.merge_sorted_runs(args.runs)
+    head = None
     for fam in collide.group_sorted(stream):
-        n, m, _ = collide.fingerprint_parts(fam.fingerprint)
-        p = collide.poly_from_fingerprint(fam.fingerprint)
-        lines.append(f"{n}\t{m}\t{fam.size}\t{poly.text(p)}\t" + " ".join(fam.members))
+        if head is None:  # the runs of one merge hold a single (n, m) shard
+            n, m, _ = collide.fingerprint_parts(fam.fingerprint)
+            head = f"{n}\t{m}\t"
+        lines.append(_family_row(head, fam))
     _emit(lines, args.out)
     return EXIT_OK
 

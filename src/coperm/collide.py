@@ -69,20 +69,23 @@ def fingerprint_parts(fp: bytes) -> tuple[int, int, bytes]:
 
 def poly_from_fingerprint(fp: bytes) -> tuple[int, ...]:
     """Inverse codec: reconstruct the full coefficient vector."""
-    n, _, body = fingerprint_parts(fp)
+    n = fp[0]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    pos = 0
+    pos = 3
     try:
         for j in range(n - 2, -1, -1):
-            sign, blen = body[pos], body[pos + 1]
+            sign, blen = fp[pos], fp[pos + 1]
             pos += 2
-            mag = int.from_bytes(body[pos:pos + blen], "little")
+            if blen == 1:  # the common case, decoded without a slice
+                mag = fp[pos]
+            else:
+                mag = int.from_bytes(fp[pos:pos + blen], "little")
             pos += blen
             coeffs[j] = -mag if sign else mag
     except IndexError:
         raise DegreeMismatch(f"fingerprint body holds fewer than {n - 1} coefficients") from None
-    if pos != len(body):  # trailing bytes, or a last magnitude cut short
+    if pos != len(fp):  # trailing bytes, or a last magnitude cut short
         raise DegreeMismatch(f"fingerprint body does not hold exactly {n - 1} coefficients")
     return tuple(coeffs)
 
@@ -102,12 +105,14 @@ class FamilyRecord(namedtuple("FamilyRecord", "fingerprint members")):
 ShardStats = namedtuple("ShardStats", "n m graphs distinct_polys with_mate max_family")
 
 
-def _family(fp: bytes, members) -> FamilyRecord:
-    ms = sorted(members)
-    for a, b in zip(ms, ms[1:]):
-        if a == b:
-            raise DuplicateMember(f"graph {a!r} appears twice within one shard")
-    return FamilyRecord(fp, tuple(ms))
+def _family(fp: bytes, members: list[str]) -> FamilyRecord:
+    """The family of a fresh member list, which it sorts in place."""
+    if len(members) > 1:
+        members.sort()
+        for a, b in zip(members, members[1:]):
+            if a == b:
+                raise DuplicateMember(f"graph {a!r} appears twice within one shard")
+    return FamilyRecord(fp, tuple(members))
 
 
 def group_families(records) -> list[FamilyRecord]:
@@ -185,10 +190,7 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
     return len(recs)
 
 
-def read_run_header(path) -> tuple[int, int, int]:
-    """(n, m, record count) of a run file; raises RunFormatError if corrupt."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
+def _check_header(raw: bytes, path) -> tuple[int, int, int]:
     if len(raw) != _HEADER.size:
         raise RunFormatError(f"{path}: short header")
     magic, version, n, m, count = _HEADER.unpack(raw)
@@ -199,77 +201,96 @@ def read_run_header(path) -> tuple[int, int, int]:
     return n, m, count
 
 
-def _read_exact(fh, size, path):
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise RunFormatError(f"{path}: truncated record")
-    return raw
+def read_run_header(path) -> tuple[int, int, int]:
+    """(n, m, record count) of a run file; raises RunFormatError if corrupt."""
+    with open(path, "rb") as fh:
+        return _check_header(fh.read(_HEADER.size), path)
 
 
+_CHUNK = 1 << 16  # bytes a run reader asks for per read
 _GRAPH6_BYTES = bytes(range(63, 127))
 
 
-def _iter_run(fh, path):
-    magic, version, n, m, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, path))
+def _iter_run(fh, path, n: int, m: int, count: int):
+    """Check and yield the records of a run file whose header has been read.
+
+    From each record's start the buffer holds the bytes of a worst-case
+    record, or the rest of the file, so a record is parsed by indexing and
+    reaches past the buffer only where the file ends inside it.
+    """
     # byte checks of each graph6 member for n vertices, cheaper than a
     # full decode: its length, first byte, range and zero padding bits
     nbits = n * (n - 1) // 2
     width = 1 + (nbits + 5) // 6
     first = n + 63
     padding = (1 << (-nbits % 6)) - 1
-    # a read comes back short only at the end of the file, so checking the
-    # lengths once per record catches every truncation
-    read = fh.read
+    # prefix, n - 1 coefficients of at most 2 + 255 bytes, length byte, member
+    longest = 3 + 257 * max(n - 1, 0) + 1 + width
     prefix = bytes([n]) + m.to_bytes(2, "little")
+    pairs = range(n - 1)
+    read = fh.read
+    buf, pos = b"", 0
     prev = None
     for _ in range(count):
-        fp = read(3)
-        if fp != prefix:
-            if len(fp) != 3:
+        if len(buf) - pos < longest:
+            parts = [buf[pos:]]
+            have = len(parts[0])
+            while have < longest:
+                more = read(_CHUNK)
+                if not more:  # the end of the file
+                    break
+                parts.append(more)
+                have += len(more)
+            buf, pos = b"".join(parts), 0
+        if not buf.startswith(prefix, pos):
+            if len(buf) - pos < 3:
                 raise RunFormatError(f"{path}: truncated record")
-            raise RunFormatError(f"{path}: record for shard {fingerprint_parts(fp)[:2]} "
+            raise RunFormatError(f"{path}: record for shard "
+                                 f"{fingerprint_parts(buf[pos:pos + 3])[:2]} "
                                  f"in run (n={n}, m={m})")
-        size = 3
-        for _ in range(n - 1):
-            pair = read(2)
-            if len(pair) != 2:
-                break
-            fp += pair + read(pair[1])
-            size += 2 + pair[1]
+        end = pos + 3
+        try:
+            for _ in pairs:
+                end += 2 + buf[end + 1]
+        except IndexError:
+            raise RunFormatError(f"{path}: truncated record") from None
         # the graph6 length byte, then a member of the one valid length
-        raw = read(1 + width)
-        if len(fp) != size or len(raw) != 1 + width:
+        stop = end + 1 + width
+        if stop > len(buf):
             raise RunFormatError(f"{path}: truncated record")
-        member = raw[1:]
-        if (raw[0] != width or member[0] != first or member.translate(None, _GRAPH6_BYTES)
+        member = buf[end + 1:stop]
+        if (buf[end] != width or member[0] != first or member.translate(None, _GRAPH6_BYTES)
                 or (member[-1] - 63) & padding):
             raise RunFormatError(f"{path}: {member!r} is not a graph6 word for n={n}")
-        g6 = member.decode("ascii")
+        fp = buf[pos:end]
         if prev is not None and fp < prev:
             raise UnsortedRun(f"{path}: records out of order")
         prev = fp
-        yield fp, g6
-    if fh.read(1):
+        pos = stop
+        yield fp, member.decode("ascii")
+    if pos < len(buf) or read(1):
         raise RunFormatError(f"{path}: trailing bytes after {count} records")
 
 
 def merge_sorted_runs(paths):
     """K-way merge of sorted run files into one globally sorted record stream.
 
-    All runs must belong to the same (n, m) shard.
+    All runs must belong to the same (n, m) shard; each is opened once.
     """
     paths = list(paths)
     if not paths:
         return
-    shard = None
-    for p in paths:
-        n, m, _ = read_run_header(p)
-        if shard is None:
-            shard = (n, m)
-        elif shard != (n, m):
-            raise ShardViolation(f"run {p} is shard {(n, m)}, expected {shard}")
     with ExitStack() as stack:
-        streams = [_iter_run(stack.enter_context(open(p, "rb")), p) for p in paths]
+        streams = []
+        shard = None
+        for p in paths:
+            fh = stack.enter_context(open(p, "rb"))
+            n, m, count = _check_header(fh.read(_HEADER.size), p)
+            if shard is None:
+                shard = (n, m)
+            elif shard != (n, m):
+                raise RunFormatError(f"run {p} is shard {(n, m)}, expected {shard}")
+            streams.append(_iter_run(fh, p, n, m, count))
         yield from heapq.merge(*streams)
 
 
@@ -283,18 +304,20 @@ def group_sorted(records):
     cur = None
     members: list[str] = []
     for fp, g6 in records:
-        key = fp[:3]
+        if fp == cur:
+            members.append(g6)
+            continue
+        # a record of the current family shares its shard, so only a new
+        # fingerprint is checked
         if shard is None:
-            shard = key
-        elif key != shard:
+            shard = fp[:3]
+        elif not fp.startswith(shard):
             raise ShardViolation("mixed shards in sorted stream")
-        if fp != cur:
-            if cur is not None:
-                if fp < cur:
-                    raise UnsortedRun("record stream is not sorted")
-                yield _family(cur, members)
-            cur = fp
-            members = []
-        members.append(g6)
+        if cur is not None:
+            if fp < cur:
+                raise UnsortedRun("record stream is not sorted")
+            yield _family(cur, members)
+        cur = fp
+        members = [g6]
     if cur is not None:
         yield _family(cur, members)

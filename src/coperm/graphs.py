@@ -25,16 +25,6 @@ class Graph(namedtuple("Graph", "n rows")):
 
     __slots__ = ()
 
-    def edges(self):
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    yield (i, j)
-                r >>= 1
-                j += 1
-
 
 def graph_from_edges(n: int, edges) -> Graph:
     if not 0 <= n <= MAX_VERTICES:

@@ -76,22 +76,28 @@ def _shard_worker(job) -> ShardResult:
     return compute_shard(*job)
 
 
-def ingest_shards(path, dedup: bool = False) -> dict[tuple[int, int], list[Graph]]:
+def ingest_shards(path, dedup: bool = False,
+                  only: tuple[int, int] | None = None) -> dict[tuple[int, int], list[Graph]]:
     """The graphs of a graph6 file bucketed by (n, m), in file order.
 
     With dedup=True, graphs are canonicalized first and isomorphic
     repeats are dropped; otherwise exact duplicate lines surface as
-    DuplicateMember when their shard is grouped.
+    DuplicateMember when their shard is grouped. With only=(n, m), every
+    graph of another bucket is dropped as soon as it is decoded, before
+    canonicalization, which preserves (n, m).
     """
     buckets: dict[tuple[int, int], list[Graph]] = {}
     seen: set[Graph] = set()
     for g in ingest_graph6(path):
+        key = (g.n, edge_count(g))
+        if only is not None and key != only:
+            continue
         if dedup:
             g = canonical_form(g)
             if g in seen:
                 continue
             seen.add(g)
-        buckets.setdefault((g.n, edge_count(g)), []).append(g)
+        buckets.setdefault(key, []).append(g)
     return buckets
 
 

@@ -6,24 +6,24 @@ A polynomial is a coefficient tuple, constant term first:
 
 from __future__ import annotations
 
+# the power names of every degree a graph6 graph can have (n <= 32)
+_POWERS = ("", "x", *(f"x^{j}" for j in range(2, 33)))
+
 
 def text(coeffs) -> str:
     """Human-readable rendering, highest power first, e.g. "x^3 + 2x"."""
-    pieces = []
+    parts = []
     for j in range(len(coeffs) - 1, -1, -1):
         c = coeffs[j]
-        if c == 0:
+        if not c:
             continue
-        mag = abs(c)
-        if j == 0:
-            body = str(mag)
-        else:
-            var = "x" if j == 1 else f"x^{j}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not pieces:
-        return "0"
-    return " ".join(pieces)
+        if c < 0:
+            parts.append(" - " if parts else "-")
+            c = -c
+        elif parts:
+            parts.append(" + ")
+        if c != 1 or not j:
+            parts.append(str(c))
+        if j:
+            parts.append(_POWERS[j] if j < len(_POWERS) else f"x^{j}")
+    return "".join(parts) or "0"

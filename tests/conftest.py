@@ -1,7 +1,9 @@
 import pytest
 
+from coperm import collide
 from coperm.enumerate import enumerate_graphs
 from coperm.pipeline import run_census
+from oracles import READER_CHUNKS
 
 
 def pytest_addoption(parser):
@@ -40,3 +42,14 @@ def census9(request):
     if not request.config.getoption("--runslow"):
         pytest.skip("needs --runslow")
     return run_census(9, ("perm", "char"), workers=2)
+
+
+@pytest.fixture
+def reader_chunks(monkeypatch):
+    """Iterate over it to run a test body once per READER_CHUNKS size, set
+    on the run reader for that pass."""
+    def sizes():
+        for size in READER_CHUNKS:
+            monkeypatch.setattr(collide, "_CHUNK", size)
+            yield size
+    return sizes

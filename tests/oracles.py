@@ -1,7 +1,14 @@
 """Test-side reference implementations, kept independent of the package
-internals they check."""
+internals they check, and the run-reader chunk sizes the run-file tests
+use."""
 
 from itertools import permutations
+
+from coperm import collide
+
+# chunk sizes of the run reader to test with: the default, and one so small
+# that every record is read over several refills
+READER_CHUNKS = (collide._CHUNK, 3)
 
 
 def _parity(sigma) -> int:
@@ -115,12 +122,17 @@ def random_graph(rng, n):
     return graph_from_edges(n, edges)
 
 
+def edges(g):
+    """The edges (i, j), i < j, of g, in row order."""
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.rows[i] >> j & 1]
+
+
 def permute(g, sigma):
     """Relabel g: edge (i, j) maps to (sigma[i], sigma[j])."""
     from coperm.graphs import Graph
 
     rows = [0] * g.n
-    for i, j in g.edges():
+    for i, j in edges(g):
         rows[sigma[i]] |= 1 << sigma[j]
         rows[sigma[j]] |= 1 << sigma[i]
     return Graph(g.n, tuple(rows))

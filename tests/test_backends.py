@@ -304,16 +304,29 @@ def test_compiles_once_then_loads_quietly(tmp_path):
     env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
     cache = tmp_path / "cache" / "coperm"
     first = select_backend(env)
-    libs = list(cache.iterdir())
+    [place] = cache.iterdir()  # one directory per package location
+    libs = list(place.iterdir())
     assert len(libs) == 1  # the library, and no temporary file left
     assert first == ("compiled", f"compiled {libs[0]}", [])
     assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
-    # an edited source builds afresh, and the build removes the old library
+    # a copy with another source shares the cache: after the first build of
+    # each, both load without rebuilding, whichever ran last
     source = (Path(coperm.__file__).parent / "_kernels.c").read_bytes()
-    edited = select_backend(env, copy_package(tmp_path, source + b"/* edited */\n"))
-    new_libs = list(cache.iterdir())
-    assert len(new_libs) == 1 and new_libs != libs
-    assert edited == ("compiled", f"compiled {new_libs[0]}", [])
+    copy = copy_package(tmp_path, source + b"/* edited */\n")
+    edited = select_backend(env, copy)
+    [copy_place] = set(cache.iterdir()) - {place}
+    copy_libs = list(copy_place.iterdir())
+    assert edited == ("compiled", f"compiled {copy_libs[0]}", [])
+    assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
+    assert select_backend(env, copy) == ("compiled", f"loaded {copy_libs[0]}", [])
+    # a source edited in place builds afresh, and the build removes the old
+    # library of that place only
+    (copy / "coperm" / "_kernels.c").write_bytes(source + b"/* edited again */\n")
+    again = select_backend(env, copy)
+    new_libs = list(copy_place.iterdir())
+    assert len(new_libs) == 1 and new_libs != copy_libs
+    assert again == ("compiled", f"compiled {new_libs[0]}", [])
+    assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
 
 
 @pytest.mark.parametrize("setup, reason_start", [

@@ -144,7 +144,7 @@ def test_fingerprint_and_merge(tmp_path, capsys):
     (b"\x02Bw", b"\x02B "),         # byte outside 63..126
     (b"\x02Bw", b"\x03Bw?"),        # too long for n = 3
 ], ids=["non-ascii", "padding", "first-byte", "out-of-range", "length"])
-def test_merge_rejects_invalid_graph6_member_exit_3(tmp_path, capsys, old, new):
+def test_merge_rejects_invalid_graph6_member_exit_3(tmp_path, capsys, reader_chunks, old, new):
     run_file = tmp_path / "k3.run"
     code, _, _ = run(capsys, "fingerprint", "--n", "3", "--edges", "3",
                      "--out", str(run_file))
@@ -152,12 +152,13 @@ def test_merge_rejects_invalid_graph6_member_exit_3(tmp_path, capsys, old, new):
     raw = run_file.read_bytes()
     assert raw.count(old) == 1
     run_file.write_bytes(raw.replace(old, new))
-    code, out, err = run(capsys, "merge", str(run_file))
-    assert code == 3
-    assert "not a graph6 word for n=3" in err
+    for _ in reader_chunks():
+        code, out, err = run(capsys, "merge", str(run_file))
+        assert code == 3
+        assert "not a graph6 word for n=3" in err
 
 
-def test_merge_rejects_record_of_another_shard_exit_3(tmp_path, capsys):
+def test_merge_rejects_record_of_another_shard_exit_3(tmp_path, capsys, reader_chunks):
     # the x^(n-2) coefficient of P_3 says m = 2; a record whose m bytes
     # claim 1 in a run headed (3, 2) is corrupt, not a family of (3, 1)
     run_file = tmp_path / "p3.run"
@@ -166,9 +167,20 @@ def test_merge_rejects_record_of_another_shard_exit_3(tmp_path, capsys):
     assert raw[_HEADER.size:_HEADER.size + 3] == bytes([3, 2, 0])
     raw[_HEADER.size + 1] = 1
     run_file.write_bytes(raw)
-    code, out, err = run(capsys, "merge", str(run_file))
-    assert code == 3 and out == ""
-    assert "record for shard (3, 1) in run (n=3, m=2)" in err
+    for _ in reader_chunks():
+        code, out, err = run(capsys, "merge", str(run_file))
+        assert code == 3 and out == ""
+        assert "record for shard (3, 1) in run (n=3, m=2)" in err
+
+
+def test_merge_rejects_runs_of_two_shards_exit_3(tmp_path, capsys, reader_chunks):
+    a, b = tmp_path / "a.run", tmp_path / "b.run"
+    assert run(capsys, "fingerprint", "--n", "2", "--edges", "1", "--out", str(a))[0] == 0
+    assert run(capsys, "fingerprint", "--n", "3", "--edges", "2", "--out", str(b))[0] == 0
+    for _ in reader_chunks():
+        code, out, err = run(capsys, "merge", str(a), str(b))
+        assert code == 3 and out == ""
+        assert f"coperm: run {b} is shard (3, 2), expected (2, 1)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,6 +253,18 @@ def test_fingerprint_in_computes_only_the_requested_shard(tmp_path, capsys, monk
     monkeypatch.setattr(pipeline, "perm_poly", lambda g: calls.append(g) or real(g))
     fingerprint_run(capsys, tmp_path / "a.run", 6, 4, "perm", "--in", str(src))
     assert len(calls) == 9  # the 9 classes with n=6, m=4, of 156 in the file
+    assert {(g.n, edge_count(g)) for g in calls} == {(6, 4)}
+
+
+def test_fingerprint_in_dedup_canonicalizes_only_the_requested_shard(tmp_path, capsys,
+                                                                    monkeypatch):
+    src = tmp_path / "n6.g6"
+    enumerate_file(capsys, src, 6)
+    calls = []
+    real = pipeline.canonical_form
+    monkeypatch.setattr(pipeline, "canonical_form", lambda g: calls.append(g) or real(g))
+    fingerprint_run(capsys, tmp_path / "a.run", 6, 4, "perm", "--in", str(src), "--dedup")
+    assert len(calls) == 9  # the 9 lines with n=6, m=4, of 156 in the file
     assert {(g.n, edge_count(g)) for g in calls} == {(6, 4)}
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coperm import collide
 from coperm.collide import (
     FamilyRecord,
     aggregate,
@@ -186,18 +187,19 @@ def test_group_families_matches_published_n6_m4():
     assert sorted(f.size for f in fams) == [1, 1, 1, 1, 1, 2, 2]
 
 
-def test_run_file_round_trip(tmp_path):
+def test_run_file_round_trip(tmp_path, reader_chunks):
     records = _records_n6_m4()
     path = tmp_path / "n6m4.run"
     count = persist_fingerprints(records, path, 6, 4)
     assert count == 9
     assert read_run_header(path) == (6, 4, 9)
-    merged = list(merge_sorted_runs([path]))
-    assert merged == sorted(records)
+    for _ in reader_chunks():
+        merged = list(merge_sorted_runs([path]))
+        assert merged == sorted(records)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 30])
-def test_run_file_round_trip_at_small_and_wide_n(tmp_path, n):
+def test_run_file_round_trip_at_small_and_wide_n(tmp_path, n, reader_chunks):
     # at n = 30 the graph6 length byte (74) is itself a graph6 character
     rng = random.Random(n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
@@ -205,20 +207,39 @@ def test_run_file_round_trip_at_small_and_wide_n(tmp_path, n):
     record = (fingerprint((0,) * n + (1,), n, len(edges), kind=None), to_graph6(g))
     path = tmp_path / "wide.run"
     persist_fingerprints([record], path, n, len(edges))
-    assert list(merge_sorted_runs([path])) == [record]
+    for _ in reader_chunks():
+        assert list(merge_sorted_runs([path])) == [record]
 
 
-def test_truncated_run_detected_at_every_cut(tmp_path):
+def test_truncated_run_detected_at_every_cut(tmp_path, reader_chunks):
     path = tmp_path / "n6m4.run"
     persist_fingerprints(_records_n6_m4(), path, 6, 4)
     raw = path.read_bytes()
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
-        with pytest.raises(RunFormatError):
-            list(merge_sorted_runs([path]))
+        for _ in reader_chunks():
+            with pytest.raises(RunFormatError):
+                list(merge_sorted_runs([path]))
 
 
-def test_merge_equals_in_memory_grouping(tmp_path):
+def test_round_trip_of_runs_larger_than_a_chunk(tmp_path):
+    # 3,000 records of about 60 bytes at (n, m) = (12, 30), over two runs
+    # that each span more than one default-size chunk
+    rng = random.Random(3000)
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    records = []
+    for _ in range(3000):
+        word = to_graph6(graph_from_edges(12, rng.sample(pairs, 30)))
+        body = tuple(rng.randint(-70000, 70000) for _ in range(10))
+        records.append((fingerprint((*body, 30, 0, 1), 12, 30, kind=None), word))
+    paths = [tmp_path / "a.run", tmp_path / "b.run"]
+    for i, path in enumerate(paths):
+        persist_fingerprints(records[i::2], path, 12, 30)
+        assert path.stat().st_size > collide._CHUNK
+    assert list(merge_sorted_runs(paths)) == sorted(records)
+
+
+def test_merge_equals_in_memory_grouping(tmp_path, reader_chunks):
     records = _records_n6_m4()
     rng = random.Random(44)
     rng.shuffle(records)
@@ -227,8 +248,9 @@ def test_merge_equals_in_memory_grouping(tmp_path):
         p = tmp_path / f"run{i}.run"
         persist_fingerprints(records[i::2], p, 6, 4)
         paths.append(p)
-    fams = list(group_sorted(merge_sorted_runs(paths)))
-    assert fams == group_families(records)
+    for _ in reader_chunks():
+        fams = list(group_sorted(merge_sorted_runs(paths)))
+        assert fams == group_families(records)
 
 
 def test_merge_empty_and_single(tmp_path):
@@ -238,13 +260,14 @@ def test_merge_empty_and_single(tmp_path):
     assert list(merge_sorted_runs([p])) == sorted(_records_n6_m4())
 
 
-def test_merge_rejects_mixed_shards(tmp_path):
+def test_merge_rejects_mixed_shards(tmp_path, reader_chunks):
     a = tmp_path / "a.run"
     b = tmp_path / "b.run"
     persist_fingerprints([(fingerprint((1, 0, 1), 2, 1, kind=None), "A_")], a, 2, 1)
     persist_fingerprints([(fingerprint((0, 2, 0, 1), 3, 2, kind=None), "Bg")], b, 3, 2)
-    with pytest.raises(ShardViolation):
-        list(merge_sorted_runs([a, b]))
+    for _ in reader_chunks():
+        with pytest.raises(RunFormatError, match=r"is shard \(3, 2\), expected \(2, 1\)"):
+            list(merge_sorted_runs([a, b]))
 
 
 def test_persist_rejects_foreign_records(tmp_path):
@@ -253,7 +276,7 @@ def test_persist_rejects_foreign_records(tmp_path):
                              tmp_path / "x.run", 3, 2)
 
 
-def test_unsorted_run_detected(tmp_path):
+def test_unsorted_run_detected(tmp_path, reader_chunks):
     records = sorted(_records_n6_m4(), reverse=True)
     path = tmp_path / "bad.run"
     # bypass the sorting writer to craft a corrupt run
@@ -263,8 +286,9 @@ def test_unsorted_run_detected(tmp_path):
         fh.write(struct.pack("<4sHBHQ", RUN_MAGIC, RUN_VERSION, 6, 4, len(records)))
         for fp, g6 in records:
             fh.write(fp + bytes([len(g6)]) + g6.encode())
-    with pytest.raises(UnsortedRun):
-        list(merge_sorted_runs([path]))
+    for _ in reader_chunks():
+        with pytest.raises(UnsortedRun):
+            list(merge_sorted_runs([path]))
 
 
 def test_corrupt_run_detected(tmp_path):

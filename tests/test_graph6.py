@@ -5,6 +5,7 @@ import pytest
 
 from coperm.errors import InvalidChar, TooLarge, TrailingGarbage, TruncatedBody
 from coperm.graphs import Graph, graph_from_edges, parse_graph6, to_graph6
+from oracles import edges
 
 
 def test_known_words():
@@ -61,12 +62,12 @@ def test_against_reference_decoder():
     rng = random.Random(99)
     for _ in range(200):
         n = rng.randint(1, 12)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.5]
-        g = graph_from_edges(n, edges)
+        g = graph_from_edges(n, pairs)
         word = to_graph6(g)
         ref = nx.from_graph6_bytes(word.encode("ascii"))
-        assert set(ref.edges()) == {(i, j) for i, j in g.edges()}
+        assert set(ref.edges()) == set(edges(g))
         ref_word = nx.to_graph6_bytes(ref, header=False).decode().strip()
         assert ref_word == word
         assert parse_graph6(ref_word) == g
@@ -77,4 +78,4 @@ def test_parse_matches_reference_on_reference_output():
     word = nx.to_graph6_bytes(g, header=False).decode().strip()
     ours = parse_graph6(word)
     assert ours.n == 10
-    assert {(i, j) for i, j in ours.edges()} == {tuple(sorted(e)) for e in g.edges()}
+    assert set(edges(ours)) == {tuple(sorted(e)) for e in g.edges()}
