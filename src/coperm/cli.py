@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 
 from . import backend, collide, poly
 from .charpoly import char_poly
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .graphs import MAX_VERTICES, edge_count, parse_graph6, to_graph6
 from .permanent import perm_poly
-from .pipeline import compute_shard, ingest_shards, run_census, run_ingest_census
+from .pipeline import ingest_shards, run_census, run_ingest_census, shard_records
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,13 +79,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_EMIT_LINES = 4096  # report lines joined into one write
+
+
 def _emit(lines, out_path) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write report lines, a chunk at a time, to out_path or stdout. Any
+    failure, also one raised while the lines are produced, removes the
+    partial out_path."""
+    lines = iter(lines)
+    fh = open(out_path, "w", encoding="ascii") if out_path else sys.stdout
+    try:
+        while chunk := list(islice(lines, _EMIT_LINES)):
+            fh.write("".join(line + "\n" for line in chunk))
+        if out_path:
+            fh.close()
+    except BaseException:
+        if out_path:
+            fh.close()
+            os.unlink(out_path)
+        raise
 
 
 def _census_by_n(args, kinds):
@@ -144,13 +157,10 @@ def _family_row(head: str, fam) -> str:
 
 
 def cmd_mates(args) -> int:
-    kinds = (args.kind,)
-    censuses = _census_by_n(args, kinds)
-    lines = [MATES_HEADER]
-    for n in sorted(censuses):
-        for m, fam in censuses[n].families(args.kind, min_size=2):
-            lines.append(_family_row(f"{n}\t{m}\t", fam))
-    _emit(lines, args.out)
+    censuses = _census_by_n(args, (args.kind,))
+    rows = (_family_row(f"{n}\t{m}\t", fam)
+            for n in sorted(censuses) for m, fam in censuses[n].families(args.kind))
+    _emit(chain([MATES_HEADER], rows), args.out)
     return EXIT_OK
 
 
@@ -169,15 +179,12 @@ def cmd_compare(args) -> int:
             f"\t{sc.distinct_polys}\t{sc.with_mate}"
             f"\t{mate_fraction(sc.with_mate, sc.graphs)}\t{sc.max_family}")
         for shard in census.shards:
-            perm_size = {}
-            for fam in shard.families("perm"):
-                for g6 in fam.members:
-                    perm_size[g6] = fam.size
+            # every graph of a shard lies in one perm family, so a graph
+            # outside the perm families with a mate is a perm singleton
+            perm_mated = {g6 for fam in shard.families("perm") for g6 in fam.members}
             for fam in shard.families("char"):
-                if fam.size < 2:
-                    continue
                 for g6 in fam.members:
-                    if perm_size[g6] == 1:
+                    if g6 not in perm_mated:
                         spectral_only.append(f"{n}\t{shard.m}\t{g6}")
     lines.append("# cospectral graphs distinguished by the permanental polynomial")
     lines.extend(spectral_only)
@@ -189,23 +196,24 @@ def cmd_fingerprint(args) -> int:
     n, m = args.n_single, args.edges
     graphs = (ingest_shards(args.infile, args.dedup, only=(n, m)).get((n, m), [])
               if args.infile else None)
-    shard = compute_shard(n, m, (args.kind,), graphs)
-    records = [(fam.fingerprint, g6) for fam in shard.families(args.kind) for g6 in fam.members]
+    records = shard_records(n, m, (args.kind,), graphs)[args.kind]
     count = collide.persist_fingerprints(records, args.out, n, m)
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_merge(args) -> int:
-    lines = [MATES_HEADER.replace("members", "members (all family sizes)")]
-    stream = collide.merge_sorted_runs(args.runs)
+def _merge_rows(runs):
+    yield MATES_HEADER.replace("members", "members (all family sizes)")
     head = None
-    for fam in collide.group_sorted(stream):
+    for fam in collide.group_sorted(collide.merge_sorted_runs(runs)):
         if head is None:  # the runs of one merge hold a single (n, m) shard
             n, m, _ = collide.fingerprint_parts(fam.fingerprint)
             head = f"{n}\t{m}\t"
-        lines.append(_family_row(head, fam))
-    _emit(lines, args.out)
+        yield _family_row(head, fam)
+
+
+def cmd_merge(args) -> int:
+    _emit(_merge_rows(args.runs), args.out)
     return EXIT_OK
 
 

@@ -121,28 +121,11 @@ def group_families(records) -> list[FamilyRecord]:
     Order-insensitive: the same input multiset yields the same output,
     sorted by fingerprint bytes.
     """
-    shard = None
-    groups: dict[bytes, list[str]] = {}
-    for fp, g6 in records:
-        key = fp[:3]
-        if shard is None:
-            shard = key
-        elif key != shard:
-            got = (fp[0], int.from_bytes(fp[1:3], "little"))
-            want = (shard[0], int.from_bytes(shard[1:3], "little"))
-            raise ShardViolation(f"mixed shards: record for (n, m)={got}, shard is {want}")
-        groups.setdefault(fp, []).append(g6)
-    return [_family(fp, groups[fp]) for fp in sorted(groups)]
+    return list(group_sorted(sorted(records)))
 
 
-def shard_stats(families, n: int | None = None, m: int | None = None) -> ShardStats:
-    """Counting columns of one census row from its families."""
-    if families:
-        fn, fm, _ = fingerprint_parts(families[0].fingerprint)
-        n = fn if n is None else n
-        m = fm if m is None else m
-    elif n is None or m is None:
-        raise ValueError("empty shard needs explicit n and m")
+def shard_stats(families, n: int, m: int) -> ShardStats:
+    """Counting columns of one census row from all of its families."""
     graphs = sum(f.size for f in families)
     with_mate = sum(f.size for f in families if f.size >= 2)
     max_family = max((f.size for f in families), default=0)
@@ -177,12 +160,16 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
     fingerprint bytes, u8 graph6 length, graph6 bytes.
     """
     recs = sorted(records)
+    prefix = bytes([n]) + m.to_bytes(2, "little")
+    for i, (fp, g6) in enumerate(recs):  # checked before the file is opened
+        if not fp.startswith(prefix):
+            raise ShardViolation(
+                f"record for shard {fingerprint_parts(fp)[:2]} in run (n={n}, m={m})")
+        if i and recs[i - 1] == (fp, g6):
+            raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)))
         for fp, g6 in recs:
-            if fp[:3] != bytes([n]) + m.to_bytes(2, "little"):
-                raise ShardViolation(
-                    f"record for shard {fingerprint_parts(fp)[:2]} in run (n={n}, m={m})")
             raw = g6.encode("ascii")
             fh.write(fp)
             fh.write(bytes([len(raw)]))
@@ -295,11 +282,8 @@ def merge_sorted_runs(paths):
 
 
 def group_sorted(records):
-    """Streaming grouper over a fingerprint-sorted record stream.
-
-    Yields the same FamilyRecords, in the same order, as group_families
-    applied to the whole multiset.
-    """
+    """Streaming grouper over a fingerprint-sorted record stream of one
+    (n, m) shard: yields its FamilyRecords in fingerprint order."""
     shard = None
     cur = None
     members: list[str] = []
@@ -312,7 +296,9 @@ def group_sorted(records):
         if shard is None:
             shard = fp[:3]
         elif not fp.startswith(shard):
-            raise ShardViolation("mixed shards in sorted stream")
+            raise ShardViolation(f"mixed shards: record for (n, m)="
+                                 f"{fingerprint_parts(fp)[:2]}, shard is "
+                                 f"{fingerprint_parts(shard)[:2]}")
         if cur is not None:
             if fp < cur:
                 raise UnsortedRun("record stream is not sorted")

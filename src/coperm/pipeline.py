@@ -9,9 +9,10 @@ independent. With w > 1 workers the parent forks w - 1 children
 i runs on worker i % w, the parent being worker 0; one worker forks
 nothing. Interleaving by m balances the work: two workers get 522/522
 graphs at n=7, 6,178/6,168 at n=8 and 137,352/137,316 at n=9. Each
-child pickles its results, or the exception it raised, down its own
-pipe. Results fold in shard-key order, which keeps every report
-byte-identical across worker counts.
+child pickles its results (counts, and only the families with a mate),
+or the exception it raised, down its own pipe. Results fold in
+shard-key order, which keeps every report byte-identical across worker
+counts.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from .errors import InvariantViolation
 from .graphs import Graph, canonical_form, edge_count, to_graph6
 from .permanent import perm_poly
 
-KINDS = ("perm", "char")
-
-
 class ShardResult(namedtuple("ShardResult", "n m by_kind")):
-    """One shard's outcome; by_kind maps kind -> (ShardStats, list[FamilyRecord])."""
+    """One shard's outcome; by_kind maps kind -> (ShardStats, list[FamilyRecord]),
+    the list holding only the families of two or more graphs."""
 
     __slots__ = ()
 
@@ -63,11 +62,13 @@ def shard_records(n: int, m: int, kinds, graphs=None):
 
 
 def compute_shard(n: int, m: int, kinds, graphs=None) -> ShardResult:
+    """Count every family of the shard, and keep those with a mate: the
+    singletons, most of a shard, are neither held nor sent to the parent."""
     recs = shard_records(n, m, kinds, graphs)
     by_kind = {}
     for k in kinds:
-        fams = group_families(recs[k])
-        by_kind[k] = (shard_stats(fams, n, m), fams)
+        fams = group_families(recs.pop(k))
+        by_kind[k] = (shard_stats(fams, n, m), [f for f in fams if f.size >= 2])
     return ShardResult(n, m, by_kind)
 
 
@@ -104,27 +105,26 @@ def ingest_shards(path, dedup: bool = False,
 class CensusResult:
     """All shard results for one vertex count, in edge-count order."""
 
-    def __init__(self, n: int, shards: list[ShardResult], kinds):
+    def __init__(self, n: int, shards: list[ShardResult]):
         self.n = n
         self.shards = shards
-        self.kinds = tuple(kinds)
 
     def aggregate(self, kind: str) -> ShardStats:
         return aggregate([s.stats(kind) for s in self.shards])
 
-    def families(self, kind: str, min_size: int = 1):
-        """(m, FamilyRecord) pairs in (m, fingerprint) order."""
+    def families(self, kind: str):
+        """(m, FamilyRecord) pairs of the families with a mate, in
+        (m, fingerprint) order."""
         for s in self.shards:
             for fam in s.families(kind):
-                if fam.size >= min_size:
-                    yield s.m, fam
+                yield s.m, fam
 
 
 def run_census(n: int, kinds=("perm",), workers: int = 1) -> CensusResult:
     """Builtin census of every (n, m) shard."""
     kinds = tuple(kinds)
     jobs = [(n, m, kinds) for m in range(n * (n - 1) // 2 + 1)]
-    return _census(jobs, kinds, workers)[n]
+    return _census(jobs, workers)[n]
 
 
 def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
@@ -134,15 +134,15 @@ def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
     kinds = tuple(kinds)
     buckets = ingest_shards(path, dedup)
     jobs = [(n, m, kinds, buckets[n, m]) for n, m in sorted(buckets)]
-    return _census(jobs, kinds, workers)
+    return _census(jobs, workers)
 
 
-def _census(jobs, kinds, workers: int) -> dict[int, CensusResult]:
+def _census(jobs, workers: int) -> dict[int, CensusResult]:
     """Run the shard jobs, sorted by (n, m), and fold them per n."""
     by_n: dict[int, list[ShardResult]] = {}
     for shard in _dispatch(jobs, workers):
         by_n.setdefault(shard.n, []).append(shard)
-    return {n: CensusResult(n, shards, kinds) for n, shards in by_n.items()}
+    return {n: CensusResult(n, shards) for n, shards in by_n.items()}
 
 
 def _dispatch(jobs, workers: int) -> list[ShardResult]:

@@ -2,7 +2,9 @@
 internals they check, and the run-reader chunk sizes the run-file tests
 use."""
 
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
+from math import factorial, gcd, lcm
 
 from coperm import collide
 
@@ -142,3 +144,44 @@ def char_matrix(g, t):
     """The integer matrix tI - A(g)."""
     return [[t if i == j else -((g.rows[i] >> j) & 1) for j in range(g.n)]
             for i in range(g.n)]
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most largest, largest part first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def graph_counts_by_edges(n: int) -> list[int]:
+    """Unlabeled graphs on n vertices with m edges, for m = 0..n(n-1)/2.
+
+    Polya's theorem with the cycle index of S_n acting on vertex pairs
+    (Harary & Palmer, Graphical Enumeration, 1973, ch. 4): a permutation
+    of cycle type a (a[k] cycles of length k) splits the pairs into
+    cycles whose lengths L each contribute a factor 1 + x^L; the counts
+    are the average of these products over S_n.
+    """
+    pairs = n * (n - 1) // 2
+    total = [0] * (pairs + 1)
+    for parts in _partitions(n, n):
+        a = Counter(parts)
+        perms = factorial(n)  # permutations of this cycle type
+        lengths = []
+        for k, c in a.items():
+            perms //= k ** c * factorial(c)
+            # pairs inside one k-cycle, then pairs across two k-cycles
+            lengths += [k] * (c * ((k - 1) // 2) + k * c * (c - 1) // 2)
+            if k % 2 == 0:  # the k/2 pairs of opposite vertices of a k-cycle
+                lengths += [k // 2] * c
+        for r, s in combinations(a, 2):
+            lengths += [lcm(r, s)] * (a[r] * a[s] * gcd(r, s))
+        poly = [1] + [0] * pairs
+        for length in lengths:
+            for e in range(pairs, length - 1, -1):
+                poly[e] += poly[e - length]
+        for e, coeff in enumerate(poly):
+            total[e] += perms * coeff
+    return [t // factorial(n) for t in total]

@@ -17,17 +17,21 @@ from coperm.collide import (
     group_sorted,
     merge_sorted_runs,
     persist_fingerprints,
+    shard_stats,
 )
+from coperm.enumerate import enumerate_graphs
 from coperm.permanent import perm_poly, perm_poly_symbolic
+from coperm.pipeline import shard_records
 from oracles import (
     char_poly_leibniz,
     disjoint_union,
+    graph_counts_by_edges,
     mul,
     permanent_naive,
     permute,
     random_graph,
 )
-from tables import CHAR_AGGREGATE, PERM_AGGREGATE, PERM_BY_EDGES
+from tables import CHAR_AGGREGATE, GRAPH_COUNTS, PERM_AGGREGATE, PERM_BY_EDGES
 
 
 def _report(name, ok):
@@ -87,7 +91,7 @@ def test_characteristic_comparison_n9(census9):
 
 
 def test_smallest_mates(census):
-    fams = list(census[6].families("perm", min_size=2))
+    fams = list(census[6].families("perm"))
     ok = len(fams) == 3
     ok &= all(fam.size == 2 for _, fam in fams)
     ok &= sorted(m for m, _ in fams) == [4, 4, 7]
@@ -123,25 +127,37 @@ def test_oracle_char_poly_vs_leibniz(graphs_by_n):
     _report("oracle: char_poly == Leibniz expansion, n <= 6", ok)
 
 
-def test_oracle_coefficient_invariants(census):
-    from coperm.graphs import edge_count, parse_graph6
+def test_oracle_coefficient_invariants():
+    from coperm.graphs import edge_count
 
     ok = True
+    checked = 0
     for n in range(9):
-        for shard in census[n].shards:
-            for fam in shard.families("perm"):
-                for g6 in fam.members:
-                    g = parse_graph6(g6)
-                    p = perm_poly(g)
-                    c = char_poly(g)
-                    ok &= p[n] == 1 and c[n] == 1
-                    if n >= 1:
-                        ok &= p[n - 1] == 0 and c[n - 1] == 0
-                    if n >= 2:
-                        ok &= p[n - 2] == edge_count(g)
-                        ok &= c[n - 2] == -edge_count(g)
-                    ok &= all((-1) ** k * p[n - k] >= 0 for k in range(n + 1))
+        for g in enumerate_graphs(n):
+            p = perm_poly(g)
+            c = char_poly(g)
+            ok &= p[n] == 1 and c[n] == 1
+            if n >= 1:
+                ok &= p[n - 1] == 0 and c[n - 1] == 0
+            if n >= 2:
+                ok &= p[n - 2] == edge_count(g)
+                ok &= c[n - 2] == -edge_count(g)
+            ok &= all((-1) ** k * p[n - k] >= 0 for k in range(n + 1))
+            checked += 1
+    ok &= checked == sum(GRAPH_COUNTS[n] for n in range(9))
     _report("oracle: coefficient invariants on all graphs, n <= 8", ok)
+
+
+def test_oracle_polya_graph_counts(census):
+    ok = True
+    for n in range(9):
+        counts = graph_counts_by_edges(n)
+        for kind in ("perm", "char"):
+            ok &= [s.stats(kind).graphs for s in census[n].shards] == counts
+    ok &= all(sum(graph_counts_by_edges(n)) == c for n, c in GRAPH_COUNTS.items())
+    ok &= all(graph_counts_by_edges(n)[m] == row[0]
+              for n, rows in PERM_BY_EDGES.items() for m, row in rows.items())
+    _report("oracle: Polya count of graphs per (n, m), n <= 8, and the tables", ok)
 
 
 def test_oracle_isomorphism_invariance():
@@ -181,8 +197,7 @@ def test_external_memory_equivalence(census, tmp_path):
     ok = True
     for n in range(4, 9):
         for shard in census[n].shards:
-            records = [(fam.fingerprint, g6)
-                       for fam in shard.families("perm") for g6 in fam.members]
+            records = shard_records(n, shard.m, ("perm",))["perm"]
             rng.shuffle(records)
             paths = []
             for i in range(4):
@@ -191,6 +206,8 @@ def test_external_memory_equivalence(census, tmp_path):
                 paths.append(p)
             merged = list(group_sorted(merge_sorted_runs(paths)))
             ok &= merged == group_families(records)
+            ok &= shard_stats(merged, n, shard.m) == shard.stats("perm")
+            ok &= [f for f in merged if f.size >= 2] == shard.families("perm")
     _report("external merge equals in-memory grouping", ok)
 
 

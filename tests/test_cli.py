@@ -11,7 +11,7 @@ import coperm
 from coperm import cli, pipeline
 from coperm.backend import available_backends
 from coperm.cli import main, mate_fraction
-from coperm.collide import _HEADER
+from coperm.collide import _HEADER, persist_fingerprints
 from coperm.graphs import edge_count, parse_graph6, to_graph6
 from oracles import permute
 
@@ -135,6 +135,25 @@ def test_fingerprint_and_merge(tmp_path, capsys):
     code, out, _ = run(capsys, "merge", str(a))
     assert code == 0
     assert len(out.splitlines()) == 8  # header + 7 families
+
+
+def test_merge_failing_after_rows_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    # the second run repeats the shard's last record, so the merge fails at
+    # its last family, after six rows were written two lines at a time
+    whole, last = tmp_path / "whole.run", tmp_path / "last.run"
+    records = pipeline.shard_records(6, 4, ("perm",))["perm"]
+    persist_fingerprints(records, whole, 6, 4)
+    persist_fingerprints([max(records)], last, 6, 4)
+    monkeypatch.setattr(cli, "_EMIT_LINES", 2)
+    sizes = []  # of the report file when it is removed
+    real_unlink = os.unlink
+    monkeypatch.setattr(os, "unlink", lambda p: sizes.append(Path(p).stat().st_size)
+                        or real_unlink(p))
+    out = tmp_path / "report.txt"
+    code, _, err = run(capsys, "merge", str(whole), str(last), "--out", str(out))
+    assert code == 3 and "appears twice" in err
+    assert sizes and sizes[0] > 0
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new", [

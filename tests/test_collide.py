@@ -25,6 +25,7 @@ from coperm.errors import (
     UnsortedRun,
 )
 from coperm.graphs import graph_from_edges, to_graph6
+from coperm.pipeline import shard_records
 
 
 def test_fingerprint_layout_exact_bytes():
@@ -125,8 +126,9 @@ def test_group_families_order_insensitive():
 
 
 def test_group_families_rejects_mixed_shards():
-    records = _shard([((1, 0, 1), 2, 1, "A_"), ((0, 2, 0, 1), 3, 2, "Bg")])
-    with pytest.raises(ShardViolation):
+    records = _shard([((0, 2, 0, 1), 3, 2, "Bg"), ((1, 0, 1), 2, 1, "A_")])
+    with pytest.raises(ShardViolation,
+                       match=r"record for \(n, m\)=\(3, 2\), shard is \(2, 1\)"):
         group_families(records)
 
 
@@ -142,12 +144,12 @@ def test_shard_stats():
         ((1, 0, 1), 2, 1, "A^"),
         ((3, 0, 1), 2, 1, "Az"),
     ]))
-    s = shard_stats(fams)
+    s = shard_stats(fams, 2, 1)
     assert (s.n, s.m) == (2, 1)
     assert (s.graphs, s.distinct_polys, s.with_mate, s.max_family) == (3, 2, 2, 2)
 
     fam3 = [FamilyRecord(fingerprint((1, 0, 1), 2, 1, kind=None), ("A", "B", "C"))]
-    s = shard_stats(fam3)
+    s = shard_stats(fam3, 2, 1)
     assert (s.graphs, s.distinct_polys, s.with_mate, s.max_family) == (3, 1, 3, 3)
 
     empty = shard_stats([], n=5, m=0)
@@ -159,8 +161,11 @@ def test_shard_accounting_identity(census):
         for shard in result.shards:
             for kind in ("perm", "char"):
                 st = shard.stats(kind)
-                big = sum(1 for f in shard.families(kind) if f.size >= 2)
-                assert st.with_mate == st.graphs - st.distinct_polys + big
+                held = shard.families(kind)
+                # a shard holds only its families with a mate
+                assert all(f.size >= 2 for f in held)
+                assert st.with_mate == sum(f.size for f in held)
+                assert st.with_mate == st.graphs - st.distinct_polys + len(held)
 
 
 def test_aggregate():
@@ -274,6 +279,14 @@ def test_persist_rejects_foreign_records(tmp_path):
     with pytest.raises(ShardViolation):
         persist_fingerprints([(fingerprint((1, 0, 1), 2, 1, kind=None), "A_")],
                              tmp_path / "x.run", 3, 2)
+    assert not (tmp_path / "x.run").exists()
+
+
+def test_persist_rejects_duplicate_records(tmp_path):
+    records = _records_n6_m4()
+    with pytest.raises(DuplicateMember, match="appears twice"):
+        persist_fingerprints(records + records[4:5], tmp_path / "x.run", 6, 4)
+    assert not (tmp_path / "x.run").exists()
 
 
 def test_unsorted_run_detected(tmp_path, reader_chunks):
@@ -314,13 +327,14 @@ def test_fingerprint_parts():
     assert fp == bytes([3, 2, 0]) + body
 
 
-def test_no_polynomial_spans_two_edge_counts(census):
+def test_no_polynomial_spans_two_edge_counts():
     # the premise of sharding by (n, m): fingerprint() checks every
     # record's x^(n-2) coefficient against its m, so a coefficient body
-    # never recurs under another m
+    # of any graph never recurs under another m
     for n in range(9):
-        for kind in ("perm", "char"):
-            m_of = {}
-            for m, fam in census[n].families(kind):
-                _, _, body = fingerprint_parts(fam.fingerprint)
-                assert m_of.setdefault(body, m) == m, (n, kind, body)
+        m_of = {"perm": {}, "char": {}}
+        for m in range(n * (n - 1) // 2 + 1):
+            for kind, records in shard_records(n, m, ("perm", "char")).items():
+                for fp, _ in records:
+                    _, _, body = fingerprint_parts(fp)
+                    assert m_of[kind].setdefault(body, m) == m, (n, kind, body)
