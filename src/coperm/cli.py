@@ -22,7 +22,6 @@ from .errors import (
     DuplicateMember,
     Graph6Error,
     InvariantViolation,
-    MixedN,
     RunFormatError,
     ShardViolation,
     TooLarge,
@@ -39,7 +38,7 @@ EXIT_INVARIANT = 5
 
 _DATA_ERRORS = (Graph6Error, DecodeError, DuplicateMember,
                 RunFormatError, UnsortedRun, DegreeMismatch, TooLarge, OSError)
-_INVARIANT_ERRORS = (InvariantViolation, ShardViolation, MixedN)
+_INVARIANT_ERRORS = (InvariantViolation, ShardViolation)
 
 AGGREGATE_HEADER = "n\tgraphs\tdistinct_polys\twith_mate\tfraction_with_mate\tmax_family"
 PER_EDGE_HEADER = "n\tm\tgraphs\tdistinct_polys\twith_mate\tmax_family"
@@ -221,7 +220,7 @@ def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
                 infile=False, workers=False):
     if n_range:
         sub.add_argument("--n", type=_parse_n_range, required=not infile,
-                         help="vertex count, or an inclusive range a:b")
+                         help="vertex count, or an inclusive range a:b (not with --in)")
     if n_single:
         sub.add_argument("--n", dest="n_single", type=int, required=True,
                          help="vertex count")
@@ -236,8 +235,8 @@ def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
         sub.add_argument("--dedup", action="store_true",
                          help="canonicalize ingested graphs and drop isomorphic repeats")
     if workers:
-        sub.add_argument("--workers", type=_positive_int, default=None,
-                         help="shard worker processes (default COPERM_WORKERS or 1)")
+        sub.add_argument("--workers", type=_positive_int, default=1,
+                         help="shard worker processes (default 1)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -288,24 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fn", None) is cmd_fingerprint:
-        if not args.out:
-            parser.error("fingerprint requires --out")
-        if not 0 <= args.n_single <= MAX_VERTICES:
-            parser.error(f"--n must lie in 0..{MAX_VERTICES} for fingerprint")
+    if getattr(args, "fn", None) is cmd_fingerprint and not args.out:
+        parser.error("fingerprint requires --out")
+    if hasattr(args, "n_single") and not 0 <= args.n_single <= MAX_VERTICES:
+        parser.error(f"--n must lie in 0..{MAX_VERTICES}")
     if getattr(args, "edges", None) is not None:
         pairs = args.n_single * (args.n_single - 1) // 2
         if not 0 <= args.edges <= pairs:
             parser.error(f"--edges must lie in 0..{pairs} for --n {args.n_single}")
-    if getattr(args, "n", None) is None and hasattr(args, "n") \
-            and getattr(args, "infile", None) is None:
-        parser.error("--n is required without --in")
-    if hasattr(args, "workers") and args.workers is None:
-        env = os.environ.get("COPERM_WORKERS")
-        try:
-            args.workers = _positive_int(env) if env else 1
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"COPERM_WORKERS: {exc}")
+    if hasattr(args, "n") and (args.n is None) == (args.infile is None):
+        parser.error("--n is required without --in" if args.n is None
+                     else "--n cannot be combined with --in")
     try:
         return args.fn(args)
     except _INVARIANT_ERRORS as exc:

@@ -23,7 +23,6 @@ from contextlib import ExitStack
 from .errors import (
     DegreeMismatch,
     DuplicateMember,
-    MixedN,
     RunFormatError,
     ShardViolation,
     UnsortedRun,
@@ -132,26 +131,6 @@ def shard_stats(families, n: int, m: int) -> ShardStats:
     return ShardStats(n, m, graphs, len(families), with_mate, max_family)
 
 
-def aggregate(stats_list) -> ShardStats:
-    """Fold per-m shard stats into the per-n row.
-
-    Sound because polynomials in different m shards can never collide,
-    so distinct counts add up and max_family is a plain maximum.
-    """
-    stats_list = list(stats_list)
-    ns = {s.n for s in stats_list}
-    if len(ns) != 1:
-        raise MixedN(f"aggregate over mixed vertex counts {sorted(ns)}")
-    return ShardStats(
-        n=ns.pop(),
-        m=None,
-        graphs=sum(s.graphs for s in stats_list),
-        distinct_polys=sum(s.distinct_polys for s in stats_list),
-        with_mate=sum(s.with_mate for s in stats_list),
-        max_family=max((s.max_family for s in stats_list), default=0),
-    )
-
-
 def persist_fingerprints(records, path, n: int, m: int) -> int:
     """Write one shard's (fingerprint, graph6) records as a sorted run file.
 
@@ -186,12 +165,6 @@ def _check_header(raw: bytes, path) -> tuple[int, int, int]:
     if version != RUN_VERSION:
         raise RunFormatError(f"{path}: unsupported version {version}")
     return n, m, count
-
-
-def read_run_header(path) -> tuple[int, int, int]:
-    """(n, m, record count) of a run file; raises RunFormatError if corrupt."""
-    with open(path, "rb") as fh:
-        return _check_header(fh.read(_HEADER.size), path)
 
 
 _CHUNK = 1 << 16  # bytes a run reader asks for per read

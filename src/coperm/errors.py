@@ -34,10 +34,6 @@ class ShardViolation(CopermError):
     """Records with mixed (n, m) keys fed to a single-shard operation."""
 
 
-class MixedN(CopermError):
-    """Aggregation over shard statistics with differing vertex counts."""
-
-
 class DuplicateMember(CopermError):
     """The same graph6 string appeared twice within one shard."""
 

@@ -26,18 +26,6 @@ class Graph(namedtuple("Graph", "n rows")):
     __slots__ = ()
 
 
-def graph_from_edges(n: int, edges) -> Graph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise TooLarge(f"n={n} outside 0..{MAX_VERTICES}")
-    rows = [0] * n
-    for i, j in edges:
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"bad edge ({i}, {j}) for n={n}")
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
-
-
 def edge_count(g: Graph) -> int:
     """Number of edges: half the total adjacency popcount."""
     return sum(r.bit_count() for r in g.rows) // 2

@@ -24,7 +24,6 @@ from .charpoly import char_poly
 from .collide import (
     FamilyRecord,
     ShardStats,
-    aggregate,
     fingerprint,
     group_families,
     shard_stats,
@@ -110,7 +109,13 @@ class CensusResult:
         self.shards = shards
 
     def aggregate(self, kind: str) -> ShardStats:
-        return aggregate([s.stats(kind) for s in self.shards])
+        """The per-n row (m None). Polynomials of different m never
+        collide, so the shard counts add up and max_family is their maximum."""
+        stats = [s.stats(kind) for s in self.shards]
+        return ShardStats(self.n, None, sum(s.graphs for s in stats),
+                          sum(s.distinct_polys for s in stats),
+                          sum(s.with_mate for s in stats),
+                          max((s.max_family for s in stats), default=0))
 
     def families(self, kind: str):
         """(m, FamilyRecord) pairs of the families with a mate, in

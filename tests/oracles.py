@@ -1,16 +1,57 @@
 """Test-side reference implementations, kept independent of the package
-internals they check, and the run-reader chunk sizes the run-file tests
-use."""
+internals they check, a graph builder from edge lists, and the run-reader
+chunk sizes the run-file tests use."""
 
 from collections import Counter
 from itertools import combinations, permutations
 from math import factorial, gcd, lcm
 
 from coperm import collide
+from coperm.errors import TooLarge
+from coperm.graphs import MAX_VERTICES, Graph
 
 # chunk sizes of the run reader to test with: the default, and one so small
 # that every record is read over several refills
 READER_CHUNKS = (collide._CHUNK, 3)
+SYMBOLIC_MAX = 7
+
+
+def graph_from_edges(n: int, edges) -> Graph:
+    if not 0 <= n <= MAX_VERTICES:
+        raise TooLarge(f"n={n} outside 0..{MAX_VERTICES}")
+    rows = [0] * n
+    for i, j in edges:
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"bad edge ({i}, {j}) for n={n}")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def perm_poly_symbolic(g) -> tuple[int, ...]:
+    """Expand per(xI - A) permutation by permutation. Row i goes to
+    column i (a factor x) or to an unused neighbour (a factor -1); any
+    other choice contributes 0, so only those permutations are walked.
+    Factorial time in the worst case (K_n), so n is capped low."""
+    n = g.n
+    if n > SYMBOLIC_MAX:
+        raise TooLarge(f"symbolic expansion supports n <= {SYMBOLIC_MAX}")
+    total = [0] * (n + 1)
+
+    def expand(i: int, used: int, fixed: int) -> None:
+        if i == n:
+            total[fixed] += -1 if (n - fixed) & 1 else 1
+            return
+        if not (used >> i) & 1:
+            expand(i + 1, used | (1 << i), fixed + 1)
+        free = g.rows[i] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            expand(i + 1, used | low, fixed)
+
+    expand(0, 0, 0)
+    return tuple(total)
 
 
 def _parity(sigma) -> int:
@@ -110,16 +151,12 @@ def char_poly_leibniz(g) -> tuple:
 
 def disjoint_union(g, h):
     """Block-diagonal union of two graphs (test helper)."""
-    from coperm.graphs import Graph
-
     rows = list(g.rows) + [r << g.n for r in h.rows]
     return Graph(g.n + h.n, tuple(rows))
 
 
 def random_graph(rng, n):
     """Erdos-Renyi p=1/2 labeled graph from a seeded rng."""
-    from coperm.graphs import graph_from_edges
-
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return graph_from_edges(n, edges)
 
@@ -131,8 +168,6 @@ def edges(g):
 
 def permute(g, sigma):
     """Relabel g: edge (i, j) maps to (sigma[i], sigma[j])."""
-    from coperm.graphs import Graph
-
     rows = [0] * g.n
     for i, j in edges(g):
         rows[sigma[i]] |= 1 << sigma[j]

@@ -20,13 +20,14 @@ from coperm.collide import (
     shard_stats,
 )
 from coperm.enumerate import enumerate_graphs
-from coperm.permanent import perm_poly, perm_poly_symbolic
+from coperm.permanent import perm_poly
 from coperm.pipeline import shard_records
 from oracles import (
     char_poly_leibniz,
     disjoint_union,
     graph_counts_by_edges,
     mul,
+    perm_poly_symbolic,
     permanent_naive,
     permute,
     random_graph,

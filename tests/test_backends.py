@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 import coperm
-from coperm import backend, permanent
+from coperm import backend
 from coperm.backend import available_backends
 from coperm.enumerate import enumerate_graphs
 from coperm.errors import TooLarge
 from coperm.graphs import Graph
 
-from oracles import char_matrix, from_values, mul, random_graph
+from oracles import char_matrix, from_values, mul, perm_poly_symbolic, random_graph
 
 BACKENDS = available_backends()
 needs_both = pytest.mark.skipif(
@@ -183,7 +183,7 @@ def test_graph_polys_exact_on_every_graph_up_to_7(graphs_by_n):
     graphs = [g for n in range(7) for g in graphs_by_n[n]] + list(enumerate_graphs(7))
     assert len(graphs) == 1253
     for g in graphs:
-        assert_exact(g, "perm", list(permanent.perm_poly_symbolic(g)))
+        assert_exact(g, "perm", list(perm_poly_symbolic(g)))
         assert_exact(g, "char", interpolated(g, "char"))
 
 
@@ -280,6 +280,27 @@ def select_backend(env_changes, pythonpath=None):
         env=env, capture_output=True, text=True, timeout=120, check=True)
     name, reason = json.loads(proc.stdout)
     return name, reason, proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default", "COPERM_PURE_PYTHON"])
+def test_import_coperm_loads_only_the_backend(pure):
+    """A bare `import coperm` selects the kernels and names them in BACKEND,
+    and loads none of the census modules."""
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    env.pop("COPERM_PURE_PYTHON", None)
+    if pure:
+        env["COPERM_PURE_PYTHON"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, coperm; print(json.dumps([coperm.BACKEND, "
+         "coperm.backend.graph_poly.__module__, sorted(sys.modules)]))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    name, kernels, loaded = json.loads(proc.stdout)
+    assert not {"coperm.pipeline", "coperm.collide", "coperm.cli", "coperm.enumerate"} \
+        & set(loaded)
+    want = "pure-python" if pure or "compiled" not in BACKENDS else "compiled"
+    assert name == want
+    assert kernels == {"compiled": "coperm._core", "pure-python": "coperm._purepy"}[want]
 
 
 def test_pure_python_switch_is_quiet():

@@ -208,6 +208,9 @@ def test_merge_rejects_runs_of_two_shards_exit_3(tmp_path, capsys, reader_chunks
     ["fingerprint", "--n", "3", "--edges", "9"],
     ["fingerprint", "--in", "IN", "--n", "300", "--edges", "5"],
     ["fingerprint", "--in", "IN", "--n", "-1", "--edges", "0"],
+    ["fingerprint", "--n", "-1", "--edges", "0"],
+    ["enumerate", "--n", "-1"],
+    ["enumerate", "--n", "-1", "--edges", "0"],
     ["fingerprint", "--in", "IN", "--n", "33", "--edges", "5"],
     ["fingerprint", "--in", "IN", "--n", "8", "--edges", "70000"],
     ["fingerprint", "--in", "IN", "--n", "8", "--edges", "29"],
@@ -222,6 +225,16 @@ def test_out_of_range_n_or_edges_exit_2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "must lie in 0.." in capsys.readouterr().err
     assert not (tmp_path / "x.run").exists()
+
+
+@pytest.mark.parametrize("verb", ["table", "mates", "compare"])
+def test_n_with_in_exit_2(tmp_path, capsys, verb):
+    src = tmp_path / "in.g6"
+    src.write_text("Bg\nCr\n")  # one graph with n=3, one with n=4
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--in", str(src), "--n", "3"])
+    assert exc.value.code == 2
+    assert "--n cannot be combined with --in" in capsys.readouterr().err
 
 
 def enumerate_file(capsys, path, n):
@@ -316,18 +329,7 @@ def test_bad_workers_flag_exit_2(capsys, bad):
     assert "--workers: expected an integer >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5"])
-def test_bad_workers_env_exit_2(monkeypatch, capsys, bad):
-    monkeypatch.setenv("COPERM_WORKERS", bad)
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--n", "4"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ")
-    assert f"COPERM_WORKERS: expected an integer >= 1, got {bad!r}" in err
-
-
-def test_workers_from_flag_and_env(monkeypatch, capsys):
+def test_workers_from_flag(monkeypatch, capsys):
     seen = []
     real = cli.run_census
 
@@ -336,15 +338,9 @@ def test_workers_from_flag_and_env(monkeypatch, capsys):
         return real(n, kinds, workers=workers)
 
     monkeypatch.setattr(cli, "run_census", spy)
-    monkeypatch.delenv("COPERM_WORKERS", raising=False)
     assert run(capsys, "table", "--n", "4")[0] == 0
-    monkeypatch.setenv("COPERM_WORKERS", "")  # empty means unset
-    assert run(capsys, "table", "--n", "4")[0] == 0
-    monkeypatch.setenv("COPERM_WORKERS", "3")
-    assert run(capsys, "table", "--n", "4")[0] == 0
-    monkeypatch.setenv("COPERM_WORKERS", "abc")  # the flag wins, the variable is not read
     assert run(capsys, "table", "--n", "4", "--workers", "2")[0] == 0
-    assert seen == [1, 1, 3, 2]
+    assert seen == [1, 2]
 
 
 def test_mate_fraction_rounding():

@@ -5,7 +5,7 @@ import pytest
 from coperm import collide
 from coperm.collide import (
     FamilyRecord,
-    aggregate,
+    ShardStats,
     fingerprint,
     fingerprint_parts,
     group_families,
@@ -13,19 +13,18 @@ from coperm.collide import (
     merge_sorted_runs,
     persist_fingerprints,
     poly_from_fingerprint,
-    read_run_header,
     shard_stats,
 )
 from coperm.errors import (
     DegreeMismatch,
     DuplicateMember,
-    MixedN,
     RunFormatError,
     ShardViolation,
     UnsortedRun,
 )
-from coperm.graphs import graph_from_edges, to_graph6
-from coperm.pipeline import shard_records
+from coperm.graphs import to_graph6
+from coperm.pipeline import CensusResult, ShardResult, run_census, shard_records
+from oracles import graph_from_edges
 
 
 def test_fingerprint_layout_exact_bytes():
@@ -169,12 +168,18 @@ def test_shard_accounting_identity(census):
 
 
 def test_aggregate():
-    rows = [shard_stats([], n=6, m=m) for m in range(3)]
-    agg = aggregate(rows)
-    assert agg.n == 6 and agg.m is None and agg.graphs == 0
+    census = run_census(5, ("perm", "char"))
+    for kind in ("perm", "char"):
+        rows = [s.stats(kind) for s in census.shards]
+        agg = census.aggregate(kind)
+        assert agg.n == 5 and agg.m is None and agg.graphs == 34
+        for col in ("graphs", "distinct_polys", "with_mate"):
+            assert getattr(agg, col) == sum(getattr(r, col) for r in rows)
+        assert agg.max_family == max(r.max_family for r in rows)
 
-    with pytest.raises(MixedN):
-        aggregate([shard_stats([], n=5, m=0), shard_stats([], n=6, m=0)])
+    empty = CensusResult(6, [ShardResult(6, m, {"perm": (shard_stats([], n=6, m=m), [])})
+                             for m in range(3)])
+    assert empty.aggregate("perm") == ShardStats(6, None, 0, 0, 0, 0)
 
 
 def _records_n6_m4():
@@ -197,7 +202,7 @@ def test_run_file_round_trip(tmp_path, reader_chunks):
     path = tmp_path / "n6m4.run"
     count = persist_fingerprints(records, path, 6, 4)
     assert count == 9
-    assert read_run_header(path) == (6, 4, 9)
+    assert collide._HEADER.unpack(path.read_bytes()[:collide._HEADER.size])[2:] == (6, 4, 9)
     for _ in reader_chunks():
         merged = list(merge_sorted_runs([path]))
         assert merged == sorted(records)
@@ -307,11 +312,11 @@ def test_unsorted_run_detected(tmp_path, reader_chunks):
 def test_corrupt_run_detected(tmp_path):
     path = tmp_path / "bad.run"
     path.write_bytes(b"NOPE" + bytes(13))
-    with pytest.raises(RunFormatError):
-        read_run_header(path)
+    with pytest.raises(RunFormatError, match="bad magic"):
+        list(merge_sorted_runs([path]))
     path.write_bytes(b"CP")
-    with pytest.raises(RunFormatError):
-        read_run_header(path)
+    with pytest.raises(RunFormatError, match="short header"):
+        list(merge_sorted_runs([path]))
 
 
 def test_group_sorted_rejects_unsorted_stream():

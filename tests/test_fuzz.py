@@ -13,9 +13,9 @@ from coperm.cli import main
 from coperm.collide import fingerprint, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
 from coperm.errors import Graph6Error, TooLarge
-from coperm.graphs import MAX_VERTICES, graph_from_edges, parse_graph6, to_graph6
+from coperm.graphs import MAX_VERTICES, parse_graph6, to_graph6
 from coperm.permanent import perm_poly
-from oracles import READER_CHUNKS, edges
+from oracles import READER_CHUNKS, edges, graph_from_edges
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402

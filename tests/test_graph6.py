@@ -4,8 +4,8 @@ import networkx as nx
 import pytest
 
 from coperm.errors import InvalidChar, TooLarge, TrailingGarbage, TruncatedBody
-from coperm.graphs import Graph, graph_from_edges, parse_graph6, to_graph6
-from oracles import edges
+from coperm.graphs import Graph, parse_graph6, to_graph6
+from oracles import edges, graph_from_edges
 
 
 def test_known_words():

@@ -4,8 +4,8 @@ from itertools import permutations
 import pytest
 
 from coperm.errors import TooLarge
-from coperm.graphs import Graph, canonical_form, edge_count, graph_from_edges
-from oracles import char_matrix, permute, random_graph
+from coperm.graphs import Graph, canonical_form, edge_count
+from oracles import char_matrix, graph_from_edges, permute, random_graph
 
 P3 = graph_from_edges(3, [(0, 1), (1, 2)])
 K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])

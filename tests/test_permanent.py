@@ -4,9 +4,17 @@ import pytest
 
 from coperm.backend import available_backends
 from coperm.errors import TooLarge
-from coperm.graphs import Graph, edge_count, graph_from_edges
-from coperm.permanent import perm_poly, perm_poly_symbolic
-from oracles import disjoint_union, mul, permanent_naive, permute, random_graph
+from coperm.graphs import Graph, edge_count
+from coperm.permanent import perm_poly
+from oracles import (
+    disjoint_union,
+    graph_from_edges,
+    mul,
+    perm_poly_symbolic,
+    permanent_naive,
+    permute,
+    random_graph,
+)
 
 BACKENDS = available_backends().values()
 
