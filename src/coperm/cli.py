@@ -13,7 +13,6 @@ import sys
 from itertools import chain, islice
 
 from . import backend, collide, poly
-from .charpoly import char_poly
 from .enumerate import enumerate_by_edges, enumerate_graphs
 from .errors import (
     CopermError,
@@ -27,8 +26,7 @@ from .errors import (
     TooLarge,
     UnsortedRun,
 )
-from .graphs import MAX_VERTICES, edge_count, parse_graph6, to_graph6
-from .permanent import perm_poly
+from .graphs import MAX_VERTICES, char_poly, edge_count, parse_graph6, perm_poly, to_graph6
 from .pipeline import ingest_shards, run_census, run_ingest_census, shard_records
 
 EXIT_OK = 0
@@ -100,13 +98,11 @@ def _emit(lines, out_path) -> None:
 
 
 def _census_by_n(args, kinds):
-    """n -> CensusResult, from the builtin generator or an ingested file."""
+    """n -> CensusResult, from one census of the builtin generator or of an
+    ingested file."""
     if args.infile:
         return run_ingest_census(args.infile, kinds, dedup=args.dedup, workers=args.workers)
-    censuses = {}
-    for n in args.n:
-        censuses[n] = run_census(n, kinds, workers=args.workers)
-    return censuses
+    return run_census(args.n, kinds, workers=args.workers)
 
 
 def cmd_enumerate(args) -> int:
@@ -163,31 +159,30 @@ def cmd_mates(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    censuses = _census_by_n(args, ("perm", "char"))
-    lines = [COMPARE_HEADER]
-    spectral_only: list[str] = []
+def _compare_rows(censuses):
+    yield COMPARE_HEADER
     for n in sorted(censuses):
-        census = censuses[n]
-        sp = census.aggregate("perm")
-        sc = census.aggregate("char")
-        lines.append(
-            f"{n}\t{sp.graphs}"
-            f"\t{sp.distinct_polys}\t{sp.with_mate}"
-            f"\t{mate_fraction(sp.with_mate, sp.graphs)}\t{sp.max_family}"
-            f"\t{sc.distinct_polys}\t{sc.with_mate}"
-            f"\t{mate_fraction(sc.with_mate, sc.graphs)}\t{sc.max_family}")
-        for shard in census.shards:
+        sp = censuses[n].aggregate("perm")
+        sc = censuses[n].aggregate("char")
+        yield (f"{n}\t{sp.graphs}"
+               f"\t{sp.distinct_polys}\t{sp.with_mate}"
+               f"\t{mate_fraction(sp.with_mate, sp.graphs)}\t{sp.max_family}"
+               f"\t{sc.distinct_polys}\t{sc.with_mate}"
+               f"\t{mate_fraction(sc.with_mate, sc.graphs)}\t{sc.max_family}")
+    yield "# cospectral graphs distinguished by the permanental polynomial"
+    for n in sorted(censuses):
+        for shard in censuses[n].shards:
             # every graph of a shard lies in one perm family, so a graph
             # outside the perm families with a mate is a perm singleton
             perm_mated = {g6 for fam in shard.families("perm") for g6 in fam.members}
             for fam in shard.families("char"):
                 for g6 in fam.members:
                     if g6 not in perm_mated:
-                        spectral_only.append(f"{n}\t{shard.m}\t{g6}")
-    lines.append("# cospectral graphs distinguished by the permanental polynomial")
-    lines.extend(spectral_only)
-    _emit(lines, args.out)
+                        yield f"{n}\t{shard.m}\t{g6}"
+
+
+def cmd_compare(args) -> int:
+    _emit(_compare_rows(_census_by_n(args, ("perm", "char"))), args.out)
     return EXIT_OK
 
 

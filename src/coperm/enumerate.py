@@ -43,17 +43,21 @@ def _orderly(n: int, m: int | None):
             stack.append((child, e + s.bit_count()))
 
 
-def enumerate_graphs(n: int):
-    """One representative per isomorphism class on n vertices."""
+def check_builtin(n: int) -> None:
+    """Raise TooLarge unless the builtin generator covers n vertices."""
     if not 0 <= n <= BUILTIN_MAX:
         raise TooLarge(f"builtin generation supports n <= {BUILTIN_MAX}; ingest instead")
+
+
+def enumerate_graphs(n: int):
+    """One representative per isomorphism class on n vertices."""
+    check_builtin(n)
     return _orderly(n, None)
 
 
 def enumerate_by_edges(n: int, m: int):
     """One representative per isomorphism class with exactly m edges."""
-    if not 0 <= n <= BUILTIN_MAX:
-        raise TooLarge(f"builtin generation supports n <= {BUILTIN_MAX}; ingest instead")
+    check_builtin(n)
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"m={m} outside 0..{n * (n - 1) // 2} for n={n}")
     return _orderly(n, m)

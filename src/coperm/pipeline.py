@@ -2,8 +2,10 @@
 
 A work unit is one (n, m) shard. Its graphs come from the builtin
 generator or from a graph6 file bucketed by ingest_shards; either way
-they go through the same compute_shard (polynomials, fingerprints,
-families, counts), the same dispatch and the same fold. Shards are
+every requested shard, of every n, goes through one dispatch of the same
+compute_shard (polynomials, fingerprints, families, counts), and the
+results fold into one CensusResult per n. run_census and
+run_ingest_census both return that n -> CensusResult dict. Shards are
 independent. With w > 1 workers the parent forks w - 1 children
 (POSIX only; the census runs no threads, so forking is safe) and shard
 i runs on worker i % w, the parent being worker 0; one worker forks
@@ -20,7 +22,6 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 
-from .charpoly import char_poly
 from .collide import (
     FamilyRecord,
     ShardStats,
@@ -28,10 +29,10 @@ from .collide import (
     group_families,
     shard_stats,
 )
-from .enumerate import enumerate_by_edges, ingest_graph6
+from .enumerate import check_builtin, enumerate_by_edges, ingest_graph6
 from .errors import InvariantViolation
-from .graphs import Graph, canonical_form, edge_count, to_graph6
-from .permanent import perm_poly
+from .graphs import Graph, canonical_form, char_poly, edge_count, perm_poly, to_graph6
+
 
 class ShardResult(namedtuple("ShardResult", "n m by_kind")):
     """One shard's outcome; by_kind maps kind -> (ShardStats, list[FamilyRecord]),
@@ -125,11 +126,15 @@ class CensusResult:
                 yield s.m, fam
 
 
-def run_census(n: int, kinds=("perm",), workers: int = 1) -> CensusResult:
-    """Builtin census of every (n, m) shard."""
+def run_census(ns, kinds=("perm",), workers: int = 1) -> dict[int, CensusResult]:
+    """Builtin census of every (n, m) shard of the given distinct vertex
+    counts, one CensusResult per n; an n past the builtin bound raises
+    TooLarge before any shard runs."""
+    for n in ns:
+        check_builtin(n)
     kinds = tuple(kinds)
-    jobs = [(n, m, kinds) for m in range(n * (n - 1) // 2 + 1)]
-    return _census(jobs, workers)[n]
+    jobs = [(n, m, kinds) for n in ns for m in range(n * (n - 1) // 2 + 1)]
+    return _census(jobs, workers)
 
 
 def run_ingest_census(path, kinds=("perm",), dedup: bool = False,

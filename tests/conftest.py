@@ -34,14 +34,14 @@ def graphs_n8():
 @pytest.fixture(scope="session")
 def census():
     """Both-kind census results for every n <= 8."""
-    return {n: run_census(n, ("perm", "char")) for n in range(9)}
+    return run_census(range(9), ("perm", "char"))
 
 
 @pytest.fixture(scope="session")
 def census9(request):
     if not request.config.getoption("--runslow"):
         pytest.skip("needs --runslow")
-    return run_census(9, ("perm", "char"), workers=2)
+    return run_census([9], ("perm", "char"), workers=2)[9]
 
 
 @pytest.fixture

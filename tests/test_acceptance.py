@@ -10,7 +10,6 @@ import random
 import pytest
 
 from coperm.backend import available_backends
-from coperm.charpoly import char_poly
 from coperm.cli import main, mate_fraction
 from coperm.collide import (
     group_families,
@@ -20,7 +19,7 @@ from coperm.collide import (
     shard_stats,
 )
 from coperm.enumerate import enumerate_graphs
-from coperm.permanent import perm_poly
+from coperm.graphs import char_poly, perm_poly
 from coperm.pipeline import shard_records
 from oracles import (
     char_poly_leibniz,

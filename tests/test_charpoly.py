@@ -3,10 +3,9 @@ import random
 import pytest
 
 from coperm.backend import available_backends
-from coperm.charpoly import char_poly
 from coperm.collide import fingerprint, group_families, shard_stats
 from coperm.errors import TooLarge
-from coperm.graphs import edge_count, to_graph6
+from coperm.graphs import char_poly, edge_count, to_graph6
 from oracles import char_poly_leibniz, det_leibniz, graph_from_edges, permute, random_graph
 
 BACKENDS = available_backends().values()

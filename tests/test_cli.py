@@ -12,6 +12,7 @@ from coperm import cli, pipeline
 from coperm.backend import available_backends
 from coperm.cli import main, mate_fraction
 from coperm.collide import _HEADER, persist_fingerprints
+from coperm.enumerate import BUILTIN_MAX
 from coperm.graphs import edge_count, parse_graph6, to_graph6
 from oracles import permute
 
@@ -237,6 +238,33 @@ def test_n_with_in_exit_2(tmp_path, capsys, verb):
     assert "--n cannot be combined with --in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["table", "mates", "compare"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_n_past_builtin_bound_exits_3_before_any_shard(monkeypatch, capsys, verb, workers):
+    def no_shard(job):
+        raise AssertionError(f"shard {job[:2]} ran")
+
+    monkeypatch.setattr(pipeline, "_shard_worker", no_shard)
+    code, out, err = run(capsys, verb, "--n", f"0:{BUILTIN_MAX + 1}", "--workers", workers)
+    assert code == 3 and out == ""
+    assert err == f"coperm: builtin generation supports n <= {BUILTIN_MAX}; ingest instead\n"
+
+
+def test_compare_streams_its_report(monkeypatch, capsys):
+    handed = []
+    real = cli._emit
+
+    def emit(lines, out_path):
+        handed.append(lines)
+        return real(lines, out_path)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    code, out, _ = run(capsys, "compare", "--n", "0:6")
+    assert code == 0 and out.count("\n") > 8
+    [lines] = handed
+    assert iter(lines) is lines  # an iterator, not a list built in memory
+
+
 def enumerate_file(capsys, path, n):
     assert run(capsys, "enumerate", "--n", str(n), "--out", str(path))[0] == 0
     return path.read_text().split()
@@ -333,9 +361,9 @@ def test_workers_from_flag(monkeypatch, capsys):
     seen = []
     real = cli.run_census
 
-    def spy(n, kinds, workers):
+    def spy(ns, kinds, workers):
         seen.append(workers)
-        return real(n, kinds, workers=workers)
+        return real(ns, kinds, workers=workers)
 
     monkeypatch.setattr(cli, "run_census", spy)
     assert run(capsys, "table", "--n", "4")[0] == 0
@@ -362,6 +390,9 @@ def test_mate_fraction_matches_decimal_rounding():
 
 
 def test_cold_poly_skips_modules_it_does_not_use():
+    # builds the compiled kernels first if need be, so that the child times
+    # a cold start and not a build (whose subprocess import loads signal)
+    backends = available_backends()
     env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
     env.pop("COPERM_PURE_PYTHON", None)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "coperm.cli", "poly", "A_"],
@@ -371,7 +402,7 @@ def test_cold_poly_skips_modules_it_does_not_use():
     assert "coperm.pipeline" in imported
     unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib", "multiprocessing",
               "pickle", "signal"}
-    if "compiled" in available_backends():
+    if "compiled" in backends:
         unused.add("coperm._purepy")  # loaded only as the fallback
     assert not imported & unused
 

@@ -168,7 +168,7 @@ def test_shard_accounting_identity(census):
 
 
 def test_aggregate():
-    census = run_census(5, ("perm", "char"))
+    census = run_census([5], ("perm", "char"))[5]
     for kind in ("perm", "char"):
         rows = [s.stats(kind) for s in census.shards]
         agg = census.aggregate(kind)
@@ -183,9 +183,8 @@ def test_aggregate():
 
 
 def _records_n6_m4():
-    from coperm.graphs import to_graph6
     from coperm.enumerate import enumerate_by_edges
-    from coperm.permanent import perm_poly
+    from coperm.graphs import perm_poly, to_graph6
 
     return [(fingerprint(perm_poly(g), 6, 4), to_graph6(g))
             for g in enumerate_by_edges(6, 4)]

@@ -13,8 +13,7 @@ from coperm.cli import main
 from coperm.collide import fingerprint, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
 from coperm.errors import Graph6Error, TooLarge
-from coperm.graphs import MAX_VERTICES, parse_graph6, to_graph6
-from coperm.permanent import perm_poly
+from coperm.graphs import MAX_VERTICES, parse_graph6, perm_poly, to_graph6
 from oracles import READER_CHUNKS, edges, graph_from_edges
 
 pytest.importorskip("hypothesis")

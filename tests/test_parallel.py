@@ -43,10 +43,13 @@ def raise_(exc):
     raise exc
 
 
-def test_compare_identical_for_any_worker_count(capsys):
+@pytest.mark.parametrize("verb", [["table", "--per-edges"], ["mates", "--kind", "char"],
+                                  ["compare"]], ids=" ".join)
+def test_compare_identical_for_any_worker_count(capsys, verb):
+    # every n of the range goes through one dispatch of all its shards
     outputs = set()
     for workers in ("1", "2", "3", "64"):  # 64: more workers than shards
-        assert main(["compare", "--n", "0:7", "--workers", workers]) == 0
+        assert main([*verb, "--n", "0:7", "--workers", workers]) == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
 
@@ -76,7 +79,7 @@ def test_ingest_identical_for_any_worker_count(graph6_file, capsys, verb):
 def test_child_invariant_violation_propagates(monkeypatch, capsys):
     fail_in_child_at(monkeypatch, 3, lambda: raise_(InvariantViolation("planted at m=3")))
     with pytest.raises(InvariantViolation, match="planted at m=3"):
-        pipeline.run_census(5, ("perm", "char"), workers=2)
+        pipeline.run_census([5], ("perm", "char"), workers=2)
     assert main(["compare", "--n", "5", "--workers", "2"]) == 5
     assert "planted at m=3" in capsys.readouterr().err
 
@@ -84,7 +87,7 @@ def test_child_invariant_violation_propagates(monkeypatch, capsys):
 def test_child_exception_keeps_class_and_fields(monkeypatch, capsys):
     fail_in_child_at(monkeypatch, 1, lambda: raise_(DecodeError(7, "planted")))
     with pytest.raises(DecodeError) as exc:
-        pipeline.run_census(5, ("perm",), workers=2)
+        pipeline.run_census([5], ("perm",), workers=2)
     assert (exc.value.lineno, exc.value.reason) == (7, "planted")
     assert main(["table", "--n", "5", "--workers", "2"]) == 3
     assert "line 7: planted" in capsys.readouterr().err
@@ -93,7 +96,7 @@ def test_child_exception_keeps_class_and_fields(monkeypatch, capsys):
 def test_child_that_exits_without_sending_is_an_invariant_violation(monkeypatch):
     fail_in_child_at(monkeypatch, 1, lambda: os._exit(0))
     with pytest.raises(InvariantViolation, match="wait status 0 after sending 0 bytes"):
-        pipeline.run_census(5, ("perm",), workers=2)
+        pipeline.run_census([5], ("perm",), workers=2)
 
 
 def test_parent_failure_kills_and_reaps_children(monkeypatch):
@@ -109,7 +112,7 @@ def test_parent_failure_kills_and_reaps_children(monkeypatch):
     monkeypatch.setattr(pipeline, "compute_shard", compute_shard)
     t0 = time.monotonic()
     with pytest.raises(InvariantViolation, match="parent share failed"):
-        pipeline.run_census(5, ("perm",), workers=3)
+        pipeline.run_census([5], ("perm",), workers=3)
     assert time.monotonic() - t0 < 30
 
 

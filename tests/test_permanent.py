@@ -4,8 +4,7 @@ import pytest
 
 from coperm.backend import available_backends
 from coperm.errors import TooLarge
-from coperm.graphs import Graph, edge_count
-from coperm.permanent import perm_poly
+from coperm.graphs import Graph, edge_count, perm_poly
 from oracles import (
     disjoint_union,
     graph_from_edges,
