@@ -1,8 +1,9 @@
 """Command-line entry point wiring the census pipeline together.
 
 Verbs: enumerate, poly, table, mates, compare, fingerprint, merge.
-Exit codes: 0 success, 2 usage, 3 decode/data error, 5 internal
-invariant violation.
+Exit codes: 0 success, 2 usage (including an --out that names an input
+file), 3 any other package error or OSError, 5 InvariantViolation and
+its subclasses.
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ from itertools import chain, islice
 
 from . import backend, collide, poly
 from .enumerate import enumerate_by_edges, enumerate_graphs
-from .errors import (
-    CopermError,
-    DecodeError,
-    DegreeMismatch,
-    DuplicateMember,
-    Graph6Error,
-    InvariantViolation,
-    RunFormatError,
-    ShardViolation,
-    TooLarge,
-    UnsortedRun,
-)
+from .errors import CopermError, InvariantViolation
 from .graphs import MAX_VERTICES, char_poly, edge_count, parse_graph6, perm_poly, to_graph6
 from .pipeline import ingest_shards, run_census, run_ingest_census, shard_records
 
@@ -33,10 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 5
-
-_DATA_ERRORS = (Graph6Error, DecodeError, DuplicateMember,
-                RunFormatError, UnsortedRun, DegreeMismatch, TooLarge, OSError)
-_INVARIANT_ERRORS = (InvariantViolation, ShardViolation)
 
 AGGREGATE_HEADER = "n\tgraphs\tdistinct_polys\twith_mate\tfraction_with_mate\tmax_family"
 PER_EDGE_HEADER = "n\tm\tgraphs\tdistinct_polys\twith_mate\tmax_family"
@@ -279,6 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of the two does not exist
+        return False
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -293,17 +286,18 @@ def main(argv=None) -> int:
     if hasattr(args, "n") and (args.n is None) == (args.infile is None):
         parser.error("--n is required without --in" if args.n is None
                      else "--n cannot be combined with --in")
+    # checked before anything is read or written: opening --out truncates it
+    inputs = [*getattr(args, "runs", ()), getattr(args, "infile", None)]
+    if args.out and any(path and _same_file(path, args.out) for path in inputs):
+        parser.error("--out must not name an input file")
     try:
         return args.fn(args)
-    except _INVARIANT_ERRORS as exc:
+    except InvariantViolation as exc:
         print(f"coperm: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except _DATA_ERRORS as exc:
+    except (CopermError, OSError) as exc:
         print(f"coperm: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except CopermError as exc:
-        print(f"coperm: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -36,8 +36,6 @@ def _orderly(n: int, m: int | None):
             capacity_after = total_pairs - (k + 1) * k // 2
             lo = max(0, m - e - capacity_after)
             hi = min(k, m - e)
-            if lo > hi:
-                continue
         for s in backend.canonical_children(list(rows), k, lo, hi):
             child = tuple(r | (((s >> i) & 1) << k) for i, r in enumerate(rows)) + (s,)
             stack.append((child, e + s.bit_count()))
@@ -81,5 +79,5 @@ def ingest_graph6(path):
                 continue
             try:
                 yield parse_graph6(word)
-            except Graph6Error as exc:
+            except (Graph6Error, TooLarge) as exc:
                 raise DecodeError(lineno, str(exc)) from exc

@@ -30,10 +30,6 @@ class DegreeMismatch(CopermError):
     coefficients disagree with the graph invariants they encode."""
 
 
-class ShardViolation(CopermError):
-    """Records with mixed (n, m) keys fed to a single-shard operation."""
-
-
 class DuplicateMember(CopermError):
     """The same graph6 string appeared twice within one shard."""
 
@@ -49,6 +45,10 @@ class RunFormatError(CopermError):
 class InvariantViolation(CopermError):
     """An internal pipeline invariant failed (e.g. a shard worker died
     before sending a complete result)."""
+
+
+class ShardViolation(InvariantViolation):
+    """Records with mixed (n, m) keys fed to a single-shard operation."""
 
 
 class DecodeError(CopermError):

@@ -12,9 +12,13 @@ i runs on worker i % w, the parent being worker 0; one worker forks
 nothing. Interleaving by m balances the work: two workers get 522/522
 graphs at n=7, 6,178/6,168 at n=8 and 137,352/137,316 at n=9. Each
 child pickles its results (counts, and only the families with a mate),
-or the exception it raised, down its own pipe. Results fold in
-shard-key order, which keeps every report byte-identical across worker
-counts.
+or the exception it raised, down its own pipe. After its own share the
+parent reads the pipes in worker order, and the first failure read (a
+child's exception, or a child that died or sent a truncated result)
+stops every worker: it is raised at once, and every child not yet reaped
+is killed and reaped, just as after a failure in the parent's own share.
+Results fold in shard-key order, which keeps every report byte-identical
+across worker counts.
 """
 
 from __future__ import annotations
@@ -179,10 +183,9 @@ def _dispatch(jobs, workers: int) -> list[ShardResult]:
             pipes[pid] = r
         shards = [None] * len(jobs)
         shards[::w] = [_shard_worker(j) for j in jobs[::w]]
-        failure = None
         for pid in list(pipes):
             import pickle  # here, so that one worker never imports it
-            data = _read_to_eof(pipes[pid])
+            data = os.fdopen(pipes[pid], "rb", closefd=False).read()
             _, status = os.waitpid(pid, 0)
             os.close(pipes.pop(pid))
             try:
@@ -190,19 +193,17 @@ def _dispatch(jobs, workers: int) -> list[ShardResult]:
             except (EOFError, pickle.UnpicklingError):  # truncated
                 payload = None
             if payload is None:
-                failure = failure or InvariantViolation(
+                raise InvariantViolation(
                     f"shard worker pid {pid} ended with wait status {status} "
                     f"after sending {len(data)} bytes, not a complete result")
-            elif isinstance(payload, BaseException):
-                failure = failure or payload
-            else:
-                for i, shard in payload:
-                    shards[i] = shard
-        if failure is not None:
-            raise failure
+            if isinstance(payload, BaseException):
+                raise payload
+            for i, shard in payload:
+                shards[i] = shard
         return shards
     finally:
-        # only after a failure or an interruption: stop and reap the rest
+        # only after the first failure or an interruption: stop and reap
+        # every child not yet reaped
         for pid, r in pipes.items():
             import signal
             os.close(r)
@@ -226,10 +227,3 @@ def _child_main(jobs, k: int, w: int, wr: int):
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_to_eof(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)

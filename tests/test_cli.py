@@ -44,13 +44,16 @@ def test_poly_decode_error_exit_3(capsys):
     assert "bit characters" in err
 
 
-def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["table"])  # --n required without --in
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
+def test_usage_error_exit_2(capsys):
+    for argv, message in [(["table"], "--n is required without --in"),
+                          (["nonsense"], "invalid choice: 'nonsense'"),
+                          (["fingerprint", "--n", "3", "--edges", "2"],
+                           "fingerprint requires --out"),
+                          (["table", "--n", "5:3"], "bad n range '5:3'")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_enumerate_counts(capsys):
@@ -226,6 +229,26 @@ def test_out_of_range_n_or_edges_exit_2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "must lie in 0.." in capsys.readouterr().err
     assert not (tmp_path / "x.run").exists()
+
+
+@pytest.mark.parametrize("verb", ["merge", "table"])
+def test_out_naming_an_input_exit_2(tmp_path, capsys, verb):
+    # opening --out truncates it, so an input named again as --out would be
+    # emptied before it is read, then removed as a partial report
+    if verb == "merge":
+        src = tmp_path / "x.run"
+        persist_fingerprints(pipeline.shard_records(6, 4, ("perm",))["perm"], src, 6, 4)
+        argv = ["merge", str(src)]
+    else:
+        src = tmp_path / "x.g6"
+        src.write_text("A_\nBg\n")
+        argv = ["table", "--in", str(src)]
+    before = src.read_bytes()
+    with pytest.raises(SystemExit) as exc:  # the same file under another spelling
+        main([*argv, "--out", str(tmp_path / "." / src.name)])
+    assert exc.value.code == 2
+    assert "--out must not name an input file" in capsys.readouterr().err
+    assert src.read_bytes() == before
 
 
 @pytest.mark.parametrize("verb", ["table", "mates", "compare"])

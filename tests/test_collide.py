@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coperm import collide
+from coperm.cli import main
 from coperm.collide import (
     FamilyRecord,
     ShardStats,
@@ -316,6 +317,14 @@ def test_corrupt_run_detected(tmp_path):
     path.write_bytes(b"CP")
     with pytest.raises(RunFormatError, match="short header"):
         list(merge_sorted_runs([path]))
+    persist_fingerprints(shard_records(3, 2, ("perm",))["perm"], path, 3, 2)
+    good = path.read_bytes()
+    for raw, match in [(good[:4] + (2).to_bytes(2, "little") + good[6:], "unsupported version 2"),
+                       (good + b"\0", "trailing bytes after 1 records")]:
+        path.write_bytes(raw)
+        with pytest.raises(RunFormatError, match=match):
+            list(merge_sorted_runs([path]))
+        assert main(["merge", str(path)]) == 3
 
 
 def test_group_sorted_rejects_unsorted_stream():

@@ -94,7 +94,8 @@ def test_ingest_empty_file(tmp_path):
 
 def test_ingest_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.g6"
-    for raw in (b"A_\nB\n", b"A_\nB\xc3\n"):  # a truncated word, a non-ASCII byte
+    # a truncated word, a non-ASCII byte, n = 33 past the cap, a multi-byte n
+    for raw in (b"A_\nB\n", b"A_\nB\xc3\n", b"A_\n`??\n", b"A_\n~??\n"):
         path.write_bytes(raw)
         with pytest.raises(DecodeError) as err:
             list(ingest_graph6(path))

@@ -116,6 +116,24 @@ def test_parent_failure_kills_and_reaps_children(monkeypatch):
     assert time.monotonic() - t0 < 30
 
 
+def test_child_failure_stops_the_other_workers_at_once(monkeypatch):
+    # three workers at n=5: worker k runs the shards with m % 3 == k
+    parent, real = os.getpid(), pipeline.compute_shard
+
+    def compute_shard(n, m, kinds):
+        if os.getpid() != parent:
+            if m % 3 == 1:
+                raise InvariantViolation("worker 1 failed")
+            time.sleep(20)  # worker 2, stopped once worker 1's failure is read
+        return real(n, m, kinds)
+
+    monkeypatch.setattr(pipeline, "compute_shard", compute_shard)
+    t0 = time.monotonic()
+    with pytest.raises(InvariantViolation, match="worker 1 failed"):
+        pipeline.run_census([5], ("perm",), workers=3)
+    assert time.monotonic() - t0 < 10
+
+
 _SELF_KILL = """
 import os, signal, sys
 from coperm import cli, pipeline
@@ -172,10 +190,27 @@ def _copermerror_classes(cls=errors.CopermError):
         yield from _copermerror_classes(sub)
 
 
-@pytest.mark.parametrize("cls", sorted(set(_copermerror_classes()), key=lambda c: c.__name__),
-                         ids=lambda c: c.__name__)
+ERROR_CLASSES = sorted(set(_copermerror_classes()), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
 def test_every_error_survives_pickling(cls):
     exc = cls(3, "bad") if cls is DecodeError else cls("bad")
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls
     assert str(back) == str(exc)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_maps_to_its_exit_code(monkeypatch, capsys, cls):
+    exc = cls(3, "planted") if cls is DecodeError else cls("planted")
+    fail_in_child_at(monkeypatch, 1, lambda: raise_(exc))
+    code = main(["compare", "--n", "4", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if issubclass(cls, InvariantViolation):
+        assert code == 5
+        assert captured.err == f"coperm: invariant violation: {exc}\n"
+    else:
+        assert code == 3
+        assert captured.err == f"coperm: {exc}\n"
