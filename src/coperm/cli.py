@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from itertools import chain, islice
 
 from . import backend, collide, poly
 from .enumerate import enumerate_by_edges, enumerate_graphs
 from .errors import CopermError, InvariantViolation
 from .graphs import MAX_VERTICES, char_poly, edge_count, parse_graph6, perm_poly, to_graph6
-from .pipeline import ingest_shards, run_census, run_ingest_census, shard_records
+from .pipeline import aggregate, ingest_shards, run_census, run_ingest_census, shard_records
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,24 +69,17 @@ _EMIT_LINES = 4096  # report lines joined into one write
 def _emit(lines, out_path) -> None:
     """Write report lines, a chunk at a time, to out_path or stdout. Any
     failure, also one raised while the lines are produced, removes the
-    partial out_path."""
+    partial out_path (see collide.output_file)."""
     lines = iter(lines)
-    fh = open(out_path, "w", encoding="ascii") if out_path else sys.stdout
-    try:
+    with (collide.output_file(out_path, "w", encoding="ascii") if out_path
+          else nullcontext(sys.stdout)) as fh:
         while chunk := list(islice(lines, _EMIT_LINES)):
             fh.write("".join(line + "\n" for line in chunk))
-        if out_path:
-            fh.close()
-    except BaseException:
-        if out_path:
-            fh.close()
-            os.unlink(out_path)
-        raise
 
 
 def _census_by_n(args, kinds):
-    """n -> CensusResult, from one census of the builtin generator or of an
-    ingested file."""
+    """n -> its shard results in m order, from one census of the builtin
+    generator or of an ingested file."""
     if args.infile:
         return run_ingest_census(args.infile, kinds, dedup=args.dedup, workers=args.workers)
     return run_census(args.n, kinds, workers=args.workers)
@@ -116,14 +110,13 @@ def cmd_table(args) -> int:
     censuses = _census_by_n(args, kinds)
     lines = [PER_EDGE_HEADER if args.per_edges else AGGREGATE_HEADER]
     for n in sorted(censuses):
-        census = censuses[n]
         if args.per_edges:
-            for shard in census.shards:
-                s = shard.stats(args.kind)
+            for shard in censuses[n]:
+                s = shard.stats[args.kind]
                 lines.append(f"{n}\t{s.m}\t{s.graphs}\t{s.distinct_polys}"
                              f"\t{s.with_mate}\t{s.max_family}")
         else:
-            s = census.aggregate(args.kind)
+            s = aggregate(censuses[n], args.kind)
             frac = mate_fraction(s.with_mate, s.graphs)
             lines.append(f"{n}\t{s.graphs}\t{s.distinct_polys}\t{s.with_mate}"
                          f"\t{frac}\t{s.max_family}")
@@ -139,8 +132,8 @@ def _family_row(head: str, fam) -> str:
 
 def cmd_mates(args) -> int:
     censuses = _census_by_n(args, (args.kind,))
-    rows = (_family_row(f"{n}\t{m}\t", fam)
-            for n in sorted(censuses) for m, fam in censuses[n].families(args.kind))
+    rows = (_family_row(f"{n}\t{shard.m}\t", fam) for n in sorted(censuses)
+            for shard in censuses[n] for fam in shard.families[args.kind])
     _emit(chain([MATES_HEADER], rows), args.out)
     return EXIT_OK
 
@@ -148,8 +141,8 @@ def cmd_mates(args) -> int:
 def _compare_rows(censuses):
     yield COMPARE_HEADER
     for n in sorted(censuses):
-        sp = censuses[n].aggregate("perm")
-        sc = censuses[n].aggregate("char")
+        sp = aggregate(censuses[n], "perm")
+        sc = aggregate(censuses[n], "char")
         yield (f"{n}\t{sp.graphs}"
                f"\t{sp.distinct_polys}\t{sp.with_mate}"
                f"\t{mate_fraction(sp.with_mate, sp.graphs)}\t{sp.max_family}"
@@ -157,11 +150,11 @@ def _compare_rows(censuses):
                f"\t{mate_fraction(sc.with_mate, sc.graphs)}\t{sc.max_family}")
     yield "# cospectral graphs distinguished by the permanental polynomial"
     for n in sorted(censuses):
-        for shard in censuses[n].shards:
+        for shard in censuses[n]:
             # every graph of a shard lies in one perm family, so a graph
             # outside the perm families with a mate is a perm singleton
-            perm_mated = {g6 for fam in shard.families("perm") for g6 in fam.members}
-            for fam in shard.families("char"):
+            perm_mated = {g6 for fam in shard.families["perm"] for g6 in fam.members}
+            for fam in shard.families["char"]:
                 for g6 in fam.members:
                     if g6 not in perm_mated:
                         yield f"{n}\t{shard.m}\t{g6}"

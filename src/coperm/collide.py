@@ -16,9 +16,11 @@ magnitude length L, and L little-endian magnitude bytes, minimal L.
 from __future__ import annotations
 
 import heapq
+import os
+import stat
 import struct
 from collections import namedtuple
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 
 from .errors import (
     DegreeMismatch,
@@ -89,15 +91,9 @@ def poly_from_fingerprint(fp: bytes) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-class FamilyRecord(namedtuple("FamilyRecord", "fingerprint members")):
-    """All graphs sharing one polynomial: fingerprint bytes, and a tuple of
-    graph6 members, sorted."""
-
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+# all graphs sharing one polynomial: fingerprint bytes, and a tuple of
+# graph6 members, sorted
+FamilyRecord = namedtuple("FamilyRecord", "fingerprint members")
 
 
 # m is None for a per-n aggregate
@@ -125,10 +121,27 @@ def group_families(records) -> list[FamilyRecord]:
 
 def shard_stats(families, n: int, m: int) -> ShardStats:
     """Counting columns of one census row from all of its families."""
-    graphs = sum(f.size for f in families)
-    with_mate = sum(f.size for f in families if f.size >= 2)
-    max_family = max((f.size for f in families), default=0)
-    return ShardStats(n, m, graphs, len(families), with_mate, max_family)
+    sizes = [len(f.members) for f in families]
+    with_mate = sum(s for s in sizes if s >= 2)
+    return ShardStats(n, m, sum(sizes), len(sizes), with_mate, max(sizes, default=0))
+
+
+@contextmanager
+def output_file(path, mode: str, encoding: str | None = None):
+    """path opened for writing. A failure in the body or in the close
+    removes the partial file, if it is a regular file: a symlink, FIFO
+    or device is never removed."""
+    fh = open(path, mode, encoding=encoding)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        try:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        except OSError:  # already gone
+            pass
+        raise
 
 
 def persist_fingerprints(records, path, n: int, m: int) -> int:
@@ -136,7 +149,9 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
 
     Returns the record count. The on-disk format is the header (magic,
     version u16, n u8, m u16, count u64) followed by records of
-    fingerprint bytes, u8 graph6 length, graph6 bytes.
+    fingerprint bytes, u8 graph6 length, graph6 bytes. A record that
+    fails a check leaves path untouched; a failure once it is opened
+    removes it (see output_file).
     """
     recs = sorted(records)
     prefix = bytes([n]) + m.to_bytes(2, "little")
@@ -146,7 +161,7 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
                 f"record for shard {fingerprint_parts(fp)[:2]} in run (n={n}, m={m})")
         if i and recs[i - 1] == (fp, g6):
             raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
-    with open(path, "wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)))
         for fp, g6 in recs:
             raw = g6.encode("ascii")

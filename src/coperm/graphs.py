@@ -32,10 +32,8 @@ CANONICAL_MAX = 10  # backtracking canonical search is exponential past this
 POLY_MAX = 12
 
 
-class Graph(namedtuple("Graph", "n rows")):
-    """n vertices; rows is a tuple of n adjacency bitmasks."""
-
-    __slots__ = ()
+# n vertices; rows is a tuple of n adjacency bitmasks
+Graph = namedtuple("Graph", "n rows")
 
 
 def edge_count(g: Graph) -> int:

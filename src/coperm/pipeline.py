@@ -3,10 +3,10 @@
 A work unit is one (n, m) shard. Its graphs come from the builtin
 generator or from a graph6 file bucketed by ingest_shards; either way
 every requested shard, of every n, goes through one dispatch of the same
-compute_shard (polynomials, fingerprints, families, counts), and the
-results fold into one CensusResult per n. run_census and
-run_ingest_census both return that n -> CensusResult dict. Shards are
-independent. With w > 1 workers the parent forks w - 1 children
+compute_shard (polynomials, fingerprints, families, counts).
+run_census and run_ingest_census both return n -> that n's ShardResults
+in m order, and aggregate folds one such list into its per-n row.
+Shards are independent. With w > 1 workers the parent forks w - 1 children
 (POSIX only; the census runs no threads, so forking is safe) and shard
 i runs on worker i % w, the parent being worker 0; one worker forks
 nothing. Interleaving by m balances the work: two workers get 522/522
@@ -26,29 +26,15 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 
-from .collide import (
-    FamilyRecord,
-    ShardStats,
-    fingerprint,
-    group_families,
-    shard_stats,
-)
+from .collide import ShardStats, fingerprint, group_families, shard_stats
 from .enumerate import check_builtin, enumerate_by_edges, ingest_graph6
 from .errors import InvariantViolation
 from .graphs import Graph, canonical_form, char_poly, edge_count, perm_poly, to_graph6
 
 
-class ShardResult(namedtuple("ShardResult", "n m by_kind")):
-    """One shard's outcome; by_kind maps kind -> (ShardStats, list[FamilyRecord]),
-    the list holding only the families of two or more graphs."""
-
-    __slots__ = ()
-
-    def stats(self, kind: str) -> ShardStats:
-        return self.by_kind[kind][0]
-
-    def families(self, kind: str) -> list[FamilyRecord]:
-        return self.by_kind[kind][1]
+# One shard's outcome: stats maps kind -> ShardStats, and families maps
+# kind -> the shard's FamilyRecords of two or more graphs.
+ShardResult = namedtuple("ShardResult", "n m stats families")
 
 
 def shard_records(n: int, m: int, kinds, graphs=None):
@@ -69,11 +55,12 @@ def compute_shard(n: int, m: int, kinds, graphs=None) -> ShardResult:
     """Count every family of the shard, and keep those with a mate: the
     singletons, most of a shard, are neither held nor sent to the parent."""
     recs = shard_records(n, m, kinds, graphs)
-    by_kind = {}
+    stats, families = {}, {}
     for k in kinds:
         fams = group_families(recs.pop(k))
-        by_kind[k] = (shard_stats(fams, n, m), [f for f in fams if f.size >= 2])
-    return ShardResult(n, m, by_kind)
+        stats[k] = shard_stats(fams, n, m)
+        families[k] = [f for f in fams if len(f.members) >= 2]
+    return ShardResult(n, m, stats, families)
 
 
 def _shard_worker(job) -> ShardResult:
@@ -106,34 +93,21 @@ def ingest_shards(path, dedup: bool = False,
     return buckets
 
 
-class CensusResult:
-    """All shard results for one vertex count, in edge-count order."""
-
-    def __init__(self, n: int, shards: list[ShardResult]):
-        self.n = n
-        self.shards = shards
-
-    def aggregate(self, kind: str) -> ShardStats:
-        """The per-n row (m None). Polynomials of different m never
-        collide, so the shard counts add up and max_family is their maximum."""
-        stats = [s.stats(kind) for s in self.shards]
-        return ShardStats(self.n, None, sum(s.graphs for s in stats),
-                          sum(s.distinct_polys for s in stats),
-                          sum(s.with_mate for s in stats),
-                          max((s.max_family for s in stats), default=0))
-
-    def families(self, kind: str):
-        """(m, FamilyRecord) pairs of the families with a mate, in
-        (m, fingerprint) order."""
-        for s in self.shards:
-            for fam in s.families(kind):
-                yield s.m, fam
+def aggregate(shards, kind: str) -> ShardStats:
+    """The per-n row (m None) of one n's shard results. Polynomials of
+    different m never collide, so the shard counts add up and max_family
+    is their maximum."""
+    stats = [s.stats[kind] for s in shards]
+    return ShardStats(shards[0].n, None, sum(s.graphs for s in stats),
+                      sum(s.distinct_polys for s in stats),
+                      sum(s.with_mate for s in stats),
+                      max(s.max_family for s in stats))
 
 
-def run_census(ns, kinds=("perm",), workers: int = 1) -> dict[int, CensusResult]:
+def run_census(ns, kinds=("perm",), workers: int = 1) -> dict[int, list[ShardResult]]:
     """Builtin census of every (n, m) shard of the given distinct vertex
-    counts, one CensusResult per n; an n past the builtin bound raises
-    TooLarge before any shard runs."""
+    counts, as n -> its shard results in m order; an n past the builtin
+    bound raises TooLarge before any shard runs."""
     for n in ns:
         check_builtin(n)
     kinds = tuple(kinds)
@@ -142,21 +116,21 @@ def run_census(ns, kinds=("perm",), workers: int = 1) -> dict[int, CensusResult]
 
 
 def run_ingest_census(path, kinds=("perm",), dedup: bool = False,
-                      workers: int = 1) -> dict[int, CensusResult]:
-    """Census over the graphs of a graph6 file, one CensusResult per n
-    (see ingest_shards for dedup)."""
+                      workers: int = 1) -> dict[int, list[ShardResult]]:
+    """Census over the graphs of a graph6 file, as n -> its shard results
+    in m order (see ingest_shards for dedup)."""
     kinds = tuple(kinds)
     buckets = ingest_shards(path, dedup)
     jobs = [(n, m, kinds, buckets[n, m]) for n, m in sorted(buckets)]
     return _census(jobs, workers)
 
 
-def _census(jobs, workers: int) -> dict[int, CensusResult]:
-    """Run the shard jobs, sorted by (n, m), and fold them per n."""
+def _census(jobs, workers: int) -> dict[int, list[ShardResult]]:
+    """Run the shard jobs, sorted by (n, m), and list their results per n."""
     by_n: dict[int, list[ShardResult]] = {}
     for shard in _dispatch(jobs, workers):
         by_n.setdefault(shard.n, []).append(shard)
-    return {n: CensusResult(n, shards) for n, shards in by_n.items()}
+    return by_n
 
 
 def _dispatch(jobs, workers: int) -> list[ShardResult]:

@@ -20,7 +20,7 @@ from coperm.collide import (
 )
 from coperm.enumerate import enumerate_graphs
 from coperm.graphs import char_poly, perm_poly
-from coperm.pipeline import shard_records
+from coperm.pipeline import aggregate, shard_records
 from oracles import (
     char_poly_leibniz,
     disjoint_union,
@@ -47,16 +47,16 @@ def test_table1_reproduction_n_le_8(census):
     ok = True
     for n in range(9):
         graphs, distinct, with_mate, _, max_family = PERM_AGGREGATE[n]
-        ok &= _agg_tuple(census[n].aggregate("perm")) == \
+        ok &= _agg_tuple(aggregate(census[n], "perm")) == \
             (graphs, distinct, with_mate, max_family)
     for n in range(6):
-        ok &= census[n].aggregate("perm").with_mate == 0
+        ok &= aggregate(census[n], "perm").with_mate == 0
     _report("table-1 reproduction, n <= 8", ok)
 
 
 @pytest.mark.slow
 def test_table1_reproduction_n9(census9):
-    s = census9.aggregate("perm")
+    s = aggregate(census9, "perm")
     ok = _agg_tuple(s) == (274668, 274153, 980, 5)
     ok &= mate_fraction(s.with_mate, s.graphs) == "0.00357"
     _report("table-1 reproduction, n = 9", ok)
@@ -65,35 +65,35 @@ def test_table1_reproduction_n9(census9):
 def test_per_edge_tables_n4_to_n8(census):
     ok = True
     for n in range(4, 9):
-        rows = {s.m: _agg_tuple(s.stats("perm")) for s in census[n].shards}
+        rows = {s.m: _agg_tuple(s.stats["perm"]) for s in census[n]}
         ok &= rows == PERM_BY_EDGES[n]
     _report("per-edge tables, n = 4..8", ok)
 
 
 @pytest.mark.slow
 def test_per_edge_table_n9(census9):
-    rows = {s.m: _agg_tuple(s.stats("perm")) for s in census9.shards}
+    rows = {s.m: _agg_tuple(s.stats["perm"]) for s in census9}
     _report("per-edge table, n = 9", rows == PERM_BY_EDGES[9])
 
 
 def test_characteristic_comparison_n_le_8(census):
     ok = True
     for n in range(9):
-        ok &= _agg_tuple(census[n].aggregate("char")) == CHAR_AGGREGATE[n]
+        ok &= _agg_tuple(aggregate(census[n], "char")) == CHAR_AGGREGATE[n]
     _report("characteristic comparison, n <= 8", ok)
 
 
 @pytest.mark.slow
 def test_characteristic_comparison_n9(census9):
-    s = census9.aggregate("char")
+    s = aggregate(census9, "char")
     _report("characteristic comparison, n = 9",
             _agg_tuple(s) == (274668, 247357, 51039, 10))
 
 
 def test_smallest_mates(census):
-    fams = list(census[6].families("perm"))
+    fams = [(s.m, fam) for s in census[6] for fam in s.families["perm"]]
     ok = len(fams) == 3
-    ok &= all(fam.size == 2 for _, fam in fams)
+    ok &= all(len(fam.members) == 2 for _, fam in fams)
     ok &= sorted(m for m, _ in fams) == [4, 4, 7]
     _report("smallest copermanental families at n = 6", ok)
 
@@ -153,7 +153,7 @@ def test_oracle_polya_graph_counts(census):
     for n in range(9):
         counts = graph_counts_by_edges(n)
         for kind in ("perm", "char"):
-            ok &= [s.stats(kind).graphs for s in census[n].shards] == counts
+            ok &= [s.stats[kind].graphs for s in census[n]] == counts
     ok &= all(sum(graph_counts_by_edges(n)) == c for n, c in GRAPH_COUNTS.items())
     ok &= all(graph_counts_by_edges(n)[m] == row[0]
               for n, rows in PERM_BY_EDGES.items() for m, row in rows.items())
@@ -196,7 +196,7 @@ def test_external_memory_equivalence(census, tmp_path):
     rng = random.Random(97)
     ok = True
     for n in range(4, 9):
-        for shard in census[n].shards:
+        for shard in census[n]:
             records = shard_records(n, shard.m, ("perm",))["perm"]
             rng.shuffle(records)
             paths = []
@@ -206,12 +206,12 @@ def test_external_memory_equivalence(census, tmp_path):
                 paths.append(p)
             merged = list(group_sorted(merge_sorted_runs(paths)))
             ok &= merged == group_families(records)
-            ok &= shard_stats(merged, n, shard.m) == shard.stats("perm")
-            ok &= [f for f in merged if f.size >= 2] == shard.families("perm")
+            ok &= shard_stats(merged, n, shard.m) == shard.stats["perm"]
+            ok &= [f for f in merged if len(f.members) >= 2] == shard.families["perm"]
     _report("external merge equals in-memory grouping", ok)
 
 
 @pytest.mark.slow
 def test_enumeration_total_n9(census9):
-    total = sum(s.stats("perm").graphs for s in census9.shards)
+    total = sum(s.stats["perm"].graphs for s in census9)
     _report("n = 9 shard totals sum to 274668", total == 274668)

@@ -194,20 +194,35 @@ def derangements(k):
     return d[k]
 
 
+def complete_and_empty_cases(n):
+    """(graph, kind, polynomial) for K_n and the empty graph on n vertices."""
+    # per(xI - A(K_n)): sum over permutations with k fixed points of
+    # (-1)^(n-k) x^k; det(xI - A(K_n)) = (x - n + 1)(x + 1)^(n - 1)
+    perm = [math.comb(n, k) * derangements(n - k) * (-1) ** (n - k) for k in range(n + 1)]
+    char = [1]
+    for root in [n - 1] + [-1] * (n - 1) if n else []:
+        char = list(mul(char, (-root, 1)))
+    assert max(map(abs, perm + char)) <= math.factorial(n)
+    x_to_n = [0] * n + [1]
+    empty = Graph(n, (0,) * n)
+    return [(complete(n), "perm", perm), (complete(n), "char", char),
+            (empty, "perm", x_to_n), (empty, "char", x_to_n)]
+
+
 def test_complete_and_empty_graphs_exact_up_to_12():
     for n in range(13):
-        # per(xI - A(K_n)): sum over permutations with k fixed points of
-        # (-1)^(n-k) x^k; det(xI - A(K_n)) = (x - n + 1)(x + 1)^(n - 1)
-        perm = [math.comb(n, k) * derangements(n - k) * (-1) ** (n - k) for k in range(n + 1)]
-        char = [1]
-        for root in [n - 1] + [-1] * (n - 1) if n else []:
-            char = list(mul(char, (-root, 1)))
-        assert max(map(abs, perm + char)) <= math.factorial(n)
-        assert_exact(complete(n), "perm", perm)
-        assert_exact(complete(n), "char", char)
-        x_to_n = [0] * n + [1]
-        assert_exact(Graph(n, (0,) * n), "perm", x_to_n)
-        assert_exact(Graph(n, (0,) * n), "char", x_to_n)
+        for g, kind, want in complete_and_empty_cases(n):
+            assert_exact(g, kind, want)
+
+
+@needs_both
+def test_complete_and_empty_graphs_exact_13_to_maxk_compiled():
+    # up to the largest size the compiled kernels accept, MAXK
+    core = BACKENDS["compiled"]
+    assert core.MAXK == 16
+    for n in range(13, core.MAXK + 1):
+        for g, kind, want in complete_and_empty_cases(n):
+            assert core.graph_poly(list(g.rows), n, kind) == want, (n, kind)
 
 
 def test_random_graphs_exact_8_to_12():

@@ -160,6 +160,37 @@ def test_merge_failing_after_rows_leaves_no_out_file(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_failing_merge_keeps_a_symlink_out(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    bad = tmp_path / "bad.run"
+    bad.write_bytes(b"CPRM")
+    code, _, err = run(capsys, "merge", str(bad), "--out", str(link))
+    assert code == 3 and "short header" in err
+    assert link.is_symlink()  # a partial output is removed only as a regular file
+
+
+@pytest.mark.parametrize("n, edges", [(7, 10), (8, 9)], ids=["at-close", "mid-write"])
+def test_fingerprint_past_the_file_size_limit_leaves_no_out(tmp_path, n, edges):
+    # the 3,942-byte run file fails when its buffer is flushed at close, the
+    # 11,903-byte one while records are still being written
+    import resource
+
+    available_backends()  # the child must not build the compiled kernels
+    out = tmp_path / "big.run"
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    # CPython ignores SIGXFSZ, so a write past the limit fails with EFBIG
+    proc = subprocess.run(
+        [sys.executable, "-m", "coperm.cli", "fingerprint", "--n", str(n), "--edges", str(edges),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024)))
+    assert proc.returncode == 3 and "File too large" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new", [
     (b"\x02Bw", b"\x02B\xc3"),     # not ASCII
     (b"\x02Bw", b"\x02B~"),         # nonzero padding bits
@@ -355,9 +386,11 @@ def test_fingerprint_in_repeat_fails_only_in_its_shard(tmp_path, capsys):
     src = tmp_path / "dup.g6"
     src.write_text("A_\nBg\nBg\n")  # P_3 twice: shard (3, 2)
     out = tmp_path / "x.run"
+    out.write_bytes(b"kept")
     code, _, err = run(capsys, "fingerprint", "--in", str(src), "--n", "3", "--edges", "2",
                        "--out", str(out))
     assert code == 3 and "twice" in err
+    assert out.read_bytes() == b"kept"  # the check fails before --out is opened
     code, _, err = run(capsys, "fingerprint", "--in", str(src), "--n", "2", "--edges", "1",
                        "--out", str(out))
     assert code == 0 and "wrote 1 records" in err

@@ -24,7 +24,7 @@ from coperm.errors import (
     UnsortedRun,
 )
 from coperm.graphs import to_graph6
-from coperm.pipeline import CensusResult, ShardResult, run_census, shard_records
+from coperm.pipeline import ShardResult, aggregate, run_census, shard_records
 from oracles import graph_from_edges
 
 
@@ -107,7 +107,7 @@ def test_group_families_basic():
         ((3, 0, 1), 2, 1, "Az"),
     ])
     fams = group_families(records)
-    assert [f.size for f in fams] == [2, 1]
+    assert [len(f.members) for f in fams] == [2, 1]
     assert fams[0].members == ("A^", "A_")  # lexicographically sorted
 
 
@@ -157,30 +157,30 @@ def test_shard_stats():
 
 
 def test_shard_accounting_identity(census):
-    for n, result in census.items():
-        for shard in result.shards:
+    for shards in census.values():
+        for shard in shards:
             for kind in ("perm", "char"):
-                st = shard.stats(kind)
-                held = shard.families(kind)
+                st = shard.stats[kind]
+                held = shard.families[kind]
                 # a shard holds only its families with a mate
-                assert all(f.size >= 2 for f in held)
-                assert st.with_mate == sum(f.size for f in held)
+                assert all(len(f.members) >= 2 for f in held)
+                assert st.with_mate == sum(len(f.members) for f in held)
                 assert st.with_mate == st.graphs - st.distinct_polys + len(held)
 
 
 def test_aggregate():
-    census = run_census([5], ("perm", "char"))[5]
+    shards = run_census([5], ("perm", "char"))[5]
     for kind in ("perm", "char"):
-        rows = [s.stats(kind) for s in census.shards]
-        agg = census.aggregate(kind)
+        rows = [s.stats[kind] for s in shards]
+        agg = aggregate(shards, kind)
         assert agg.n == 5 and agg.m is None and agg.graphs == 34
         for col in ("graphs", "distinct_polys", "with_mate"):
             assert getattr(agg, col) == sum(getattr(r, col) for r in rows)
         assert agg.max_family == max(r.max_family for r in rows)
 
-    empty = CensusResult(6, [ShardResult(6, m, {"perm": (shard_stats([], n=6, m=m), [])})
-                             for m in range(3)])
-    assert empty.aggregate("perm") == ShardStats(6, None, 0, 0, 0, 0)
+    empty = [ShardResult(6, m, {"perm": shard_stats([], n=6, m=m)}, {"perm": []})
+             for m in range(3)]
+    assert aggregate(empty, "perm") == ShardStats(6, None, 0, 0, 0, 0)
 
 
 def _records_n6_m4():
@@ -194,7 +194,7 @@ def _records_n6_m4():
 def test_group_families_matches_published_n6_m4():
     fams = group_families(_records_n6_m4())
     assert len(fams) == 7
-    assert sorted(f.size for f in fams) == [1, 1, 1, 1, 1, 2, 2]
+    assert sorted(len(f.members) for f in fams) == [1, 1, 1, 1, 1, 2, 2]
 
 
 def test_run_file_round_trip(tmp_path, reader_chunks):
