@@ -20,8 +20,6 @@ from .errors import CopermError, InvariantViolation
 from .graphs import MAX_VERTICES, char_poly, edge_count, parse_graph6, perm_poly, to_graph6
 from .pipeline import aggregate, ingest_shards, run_census, run_ingest_census, shard_records
 
-EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 5
 
@@ -85,16 +83,15 @@ def _census_by_n(args, kinds):
     return run_census(args.n, kinds, workers=args.workers)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> None:
     if args.edges is not None:
         stream = enumerate_by_edges(args.n_single, args.edges)
     else:
         stream = enumerate_graphs(args.n_single)
     _emit((to_graph6(g) for g in stream), args.out)
-    return EXIT_OK
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args) -> None:
     g = parse_graph6(args.graph6)
     lines = [f"graph\t{to_graph6(g)}\tn={g.n}\tm={edge_count(g)}"]
     kinds = ("perm", "char") if args.kind == "both" else (args.kind,)
@@ -102,26 +99,25 @@ def cmd_poly(args) -> int:
         p = perm_poly(g) if kind == "perm" else char_poly(g)
         lines.append(f"{kind}\t{list(p)}\t{poly.text(p)}")
     _emit(lines, args.out)
-    return EXIT_OK
 
 
-def cmd_table(args) -> int:
-    kinds = (args.kind,)
-    censuses = _census_by_n(args, kinds)
+def _aggregate_columns(s) -> str:
+    """The distinct, with-mate, fraction and max-family columns of a per-n row."""
+    return (f"{s.distinct_polys}\t{s.with_mate}"
+            f"\t{mate_fraction(s.with_mate, s.graphs)}\t{s.max_family}")
+
+
+def cmd_table(args) -> None:
+    censuses = _census_by_n(args, (args.kind,))
     lines = [PER_EDGE_HEADER if args.per_edges else AGGREGATE_HEADER]
     for n in sorted(censuses):
         if args.per_edges:
-            for shard in censuses[n]:
-                s = shard.stats[args.kind]
-                lines.append(f"{n}\t{s.m}\t{s.graphs}\t{s.distinct_polys}"
-                             f"\t{s.with_mate}\t{s.max_family}")
+            lines += ("\t".join(map(str, (n, shard.m, *shard.stats[args.kind])))
+                      for shard in censuses[n])
         else:
             s = aggregate(censuses[n], args.kind)
-            frac = mate_fraction(s.with_mate, s.graphs)
-            lines.append(f"{n}\t{s.graphs}\t{s.distinct_polys}\t{s.with_mate}"
-                         f"\t{frac}\t{s.max_family}")
+            lines.append(f"{n}\t{s.graphs}\t{_aggregate_columns(s)}")
     _emit(lines, args.out)
-    return EXIT_OK
 
 
 def _family_row(head: str, fam) -> str:
@@ -130,24 +126,18 @@ def _family_row(head: str, fam) -> str:
     return f"{head}{len(fam.members)}\t{poly.text(p)}\t" + " ".join(fam.members)
 
 
-def cmd_mates(args) -> int:
+def cmd_mates(args) -> None:
     censuses = _census_by_n(args, (args.kind,))
     rows = (_family_row(f"{n}\t{shard.m}\t", fam) for n in sorted(censuses)
             for shard in censuses[n] for fam in shard.families[args.kind])
     _emit(chain([MATES_HEADER], rows), args.out)
-    return EXIT_OK
 
 
 def _compare_rows(censuses):
     yield COMPARE_HEADER
     for n in sorted(censuses):
-        sp = aggregate(censuses[n], "perm")
-        sc = aggregate(censuses[n], "char")
-        yield (f"{n}\t{sp.graphs}"
-               f"\t{sp.distinct_polys}\t{sp.with_mate}"
-               f"\t{mate_fraction(sp.with_mate, sp.graphs)}\t{sp.max_family}"
-               f"\t{sc.distinct_polys}\t{sc.with_mate}"
-               f"\t{mate_fraction(sc.with_mate, sc.graphs)}\t{sc.max_family}")
+        perm, char = (aggregate(censuses[n], kind) for kind in ("perm", "char"))
+        yield f"{n}\t{perm.graphs}\t{_aggregate_columns(perm)}\t{_aggregate_columns(char)}"
     yield "# cospectral graphs distinguished by the permanental polynomial"
     for n in sorted(censuses):
         for shard in censuses[n]:
@@ -160,19 +150,17 @@ def _compare_rows(censuses):
                         yield f"{n}\t{shard.m}\t{g6}"
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     _emit(_compare_rows(_census_by_n(args, ("perm", "char"))), args.out)
-    return EXIT_OK
 
 
-def cmd_fingerprint(args) -> int:
+def cmd_fingerprint(args) -> None:
     n, m = args.n_single, args.edges
     graphs = (ingest_shards(args.infile, args.dedup, only=(n, m)).get((n, m), [])
               if args.infile else None)
     records = shard_records(n, m, (args.kind,), graphs)[args.kind]
     count = collide.persist_fingerprints(records, args.out, n, m)
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
-    return EXIT_OK
 
 
 def _merge_rows(runs):
@@ -185,9 +173,8 @@ def _merge_rows(runs):
         yield _family_row(head, fam)
 
 
-def cmd_merge(args) -> int:
+def cmd_merge(args) -> None:
     _emit(_merge_rows(args.runs), args.out)
-    return EXIT_OK
 
 
 def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
@@ -279,18 +266,21 @@ def main(argv=None) -> int:
     if hasattr(args, "n") and (args.n is None) == (args.infile is None):
         parser.error("--n is required without --in" if args.n is None
                      else "--n cannot be combined with --in")
+    if getattr(args, "dedup", False) and not args.infile:
+        parser.error("--dedup needs --in")
     # checked before anything is read or written: opening --out truncates it
     inputs = [*getattr(args, "runs", ()), getattr(args, "infile", None)]
     if args.out and any(path and _same_file(path, args.out) for path in inputs):
         parser.error("--out must not name an input file")
     try:
-        return args.fn(args)
+        args.fn(args)
     except InvariantViolation as exc:
         print(f"coperm: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (CopermError, OSError) as exc:
         print(f"coperm: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ canonical byte encoding of the coefficient vector. Shards never mix
 (n, m), which keeps grouping embarrassingly parallel: two graphs with a
 different edge count cannot share a polynomial, since the x^(n-2)
 coefficient is m on the permanental side and -m on the characteristic
-side; the census checks it in fingerprint(), record by record.
+side; fingerprint() checks it record by record. A shard's records are
+grouped, written and merged sorted by (fingerprint, graph6), each pair
+once, which group_sorted checks for all three.
 
 Fingerprint layout (bit-exact): u8 n, u16 little-endian m, then the
 coefficients c_(n-2) down to c_0 (c_n and c_(n-1) are omitted, always 1
@@ -35,17 +37,16 @@ RUN_VERSION = 1
 _HEADER = struct.Struct("<4sHBHQ")  # magic, version, n, m, record count
 
 
-def fingerprint(p, n: int, m: int, kind: str | None = "perm") -> bytes:
+def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
     """Canonical bytes for a monic degree-n graph polynomial.
 
-    kind selects the x^(n-2) consistency check (m for "perm", -m for
-    "char"); pass None to skip it.
+    Its x^(n-2) coefficient must be m for kind "perm" and -m for "char".
     """
     if len(p) != n + 1 or p[n] != 1:
         raise DegreeMismatch(f"expected a monic polynomial of degree {n}")
     if n >= 1 and p[n - 1] != 0:
         raise DegreeMismatch("x^(n-1) coefficient must vanish for a graph polynomial")
-    if n >= 2 and kind is not None:
+    if n >= 2:
         want = m if kind == "perm" else -m
         if p[n - 2] != want:
             raise DegreeMismatch(
@@ -96,18 +97,8 @@ def poly_from_fingerprint(fp: bytes) -> tuple[int, ...]:
 FamilyRecord = namedtuple("FamilyRecord", "fingerprint members")
 
 
-# m is None for a per-n aggregate
-ShardStats = namedtuple("ShardStats", "n m graphs distinct_polys with_mate max_family")
-
-
-def _family(fp: bytes, members: list[str]) -> FamilyRecord:
-    """The family of a fresh member list, which it sorts in place."""
-    if len(members) > 1:
-        members.sort()
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise DuplicateMember(f"graph {a!r} appears twice within one shard")
-    return FamilyRecord(fp, tuple(members))
+# the counting columns of one shard, or of one n summed over its shards
+ShardStats = namedtuple("ShardStats", "graphs distinct_polys with_mate max_family")
 
 
 def group_families(records) -> list[FamilyRecord]:
@@ -119,11 +110,11 @@ def group_families(records) -> list[FamilyRecord]:
     return list(group_sorted(sorted(records)))
 
 
-def shard_stats(families, n: int, m: int) -> ShardStats:
+def shard_stats(families) -> ShardStats:
     """Counting columns of one census row from all of its families."""
     sizes = [len(f.members) for f in families]
     with_mate = sum(s for s in sizes if s >= 2)
-    return ShardStats(n, m, sum(sizes), len(sizes), with_mate, max(sizes, default=0))
+    return ShardStats(sum(sizes), len(sizes), with_mate, max(sizes, default=0))
 
 
 @contextmanager
@@ -154,13 +145,12 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
     removes it (see output_file).
     """
     recs = sorted(records)
-    prefix = bytes([n]) + m.to_bytes(2, "little")
-    for i, (fp, g6) in enumerate(recs):  # checked before the file is opened
-        if not fp.startswith(prefix):
-            raise ShardViolation(
-                f"record for shard {fingerprint_parts(fp)[:2]} in run (n={n}, m={m})")
-        if i and recs[i - 1] == (fp, g6):
-            raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
+    # checked before the file is opened; group_sorted holds the rest to recs[0]'s shard
+    if recs and fingerprint_parts(recs[0][0])[:2] != (n, m):
+        raise ShardViolation(f"record for shard {fingerprint_parts(recs[0][0])[:2]} "
+                             f"in run (n={n}, m={m})")
+    for _ in group_sorted(recs):
+        pass
     with output_file(path, "wb") as fh:
         fh.write(_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)))
         for fp, g6 in recs:
@@ -270,13 +260,19 @@ def merge_sorted_runs(paths):
 
 
 def group_sorted(records):
-    """Streaming grouper over a fingerprint-sorted record stream of one
-    (n, m) shard: yields its FamilyRecords in fingerprint order."""
+    """Streaming grouper over the records of one (n, m) shard, each greater
+    than the one before as a (fingerprint, graph6) pair: yields its
+    FamilyRecords in fingerprint order. An equal pair raises DuplicateMember,
+    a smaller one UnsortedRun, one of another shard ShardViolation."""
     shard = None
     cur = None
     members: list[str] = []
     for fp, g6 in records:
         if fp == cur:
+            if g6 <= members[-1]:
+                if g6 == members[-1]:
+                    raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
+                raise UnsortedRun("record stream is not sorted")
             members.append(g6)
             continue
         # a record of the current family shares its shard, so only a new
@@ -290,8 +286,8 @@ def group_sorted(records):
         if cur is not None:
             if fp < cur:
                 raise UnsortedRun("record stream is not sorted")
-            yield _family(cur, members)
+            yield FamilyRecord(cur, tuple(members))
         cur = fp
         members = [g6]
     if cur is not None:
-        yield _family(cur, members)
+        yield FamilyRecord(cur, tuple(members))

@@ -18,9 +18,6 @@ BUILTIN_MAX = 9
 
 
 def _orderly(n: int, m: int | None):
-    if n == 0:
-        yield Graph(0, ())
-        return
     total_pairs = n * (n - 1) // 2
     stack = [((), 0)]
     while stack:

@@ -6,17 +6,17 @@ every requested shard, of every n, goes through one dispatch of the same
 compute_shard (polynomials, fingerprints, families, counts).
 run_census and run_ingest_census both return n -> that n's ShardResults
 in m order, and aggregate folds one such list into its per-n row.
-Shards are independent. With w > 1 workers the parent forks w - 1 children
-(POSIX only; the census runs no threads, so forking is safe) and shard
-i runs on worker i % w, the parent being worker 0; one worker forks
-nothing. Interleaving by m balances the work: two workers get 522/522
-graphs at n=7, 6,178/6,168 at n=8 and 137,352/137,316 at n=9. Each
-child pickles its results (counts, and only the families with a mate),
-or the exception it raised, down its own pipe. After its own share the
-parent reads the pipes in worker order, and the first failure read (a
-child's exception, or a child that died or sent a truncated result)
-stops every worker: it is raised at once, and every child not yet reaped
-is killed and reaped, just as after a failure in the parent's own share.
+Shards are independent. One worker runs them all in-process and forks
+nothing. With w > 1 workers the parent forks w children (POSIX only; the
+census runs no threads, so forking is safe), shard i runs on child
+i % w, and the parent only collects. Interleaving by m balances the
+work: two workers get 522/522 graphs at n=7, 6,178/6,168 at n=8 and
+137,352/137,316 at n=9. Each child pickles its results (counts, and
+only the families with a mate), or the exception it raised, down its
+own pipe. The parent waits on every pipe at once, so the first failure
+of any child (its exception, or a child that died or sent a truncated
+result) is raised as soon as that child ends, and every child not yet
+reaped is killed and reaped, as after an interruption of the parent.
 Results fold in shard-key order, which keeps every report byte-identical
 across worker counts.
 """
@@ -58,7 +58,7 @@ def compute_shard(n: int, m: int, kinds, graphs=None) -> ShardResult:
     stats, families = {}, {}
     for k in kinds:
         fams = group_families(recs.pop(k))
-        stats[k] = shard_stats(fams, n, m)
+        stats[k] = shard_stats(fams)
         families[k] = [f for f in fams if len(f.members) >= 2]
     return ShardResult(n, m, stats, families)
 
@@ -94,14 +94,11 @@ def ingest_shards(path, dedup: bool = False,
 
 
 def aggregate(shards, kind: str) -> ShardStats:
-    """The per-n row (m None) of one n's shard results. Polynomials of
-    different m never collide, so the shard counts add up and max_family
-    is their maximum."""
-    stats = [s.stats[kind] for s in shards]
-    return ShardStats(shards[0].n, None, sum(s.graphs for s in stats),
-                      sum(s.distinct_polys for s in stats),
-                      sum(s.with_mate for s in stats),
-                      max(s.max_family for s in stats))
+    """The per-n row of one n's shard results. Polynomials of different m
+    never collide, so the shard counts add up and max_family is their
+    maximum."""
+    graphs, distinct, with_mate, max_family = zip(*(s.stats[kind] for s in shards))
+    return ShardStats(sum(graphs), sum(distinct), sum(with_mate), max(max_family))
 
 
 def run_census(ns, kinds=("perm",), workers: int = 1) -> dict[int, list[ShardResult]]:
@@ -134,12 +131,17 @@ def _census(jobs, workers: int) -> dict[int, list[ShardResult]]:
 
 
 def _dispatch(jobs, workers: int) -> list[ShardResult]:
-    """Run job i on worker i % w, w = min(workers, len(jobs)): the parent
-    is worker 0 and forks the rest, so one worker forks nothing."""
-    w = max(1, min(workers, len(jobs)))
-    pipes: dict[int, int] = {}  # pid -> read end, for every child not yet reaped
+    """Run the jobs in-process for one worker; otherwise run job i on
+    forked child i % w, w = min(workers, len(jobs)), and collect."""
+    w = min(workers, len(jobs))
+    if w <= 1:
+        return [_shard_worker(j) for j in jobs]
+    import pickle  # here, so that one worker never imports them
+    import select
+    shards = [None] * len(jobs)
+    pipes: dict[int, int] = {}  # read end -> pid, for every child not yet reaped
     try:
-        for k in range(1, w):
+        for k in range(w):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
@@ -150,35 +152,38 @@ def _dispatch(jobs, workers: int) -> list[ShardResult]:
             if pid == 0:
                 # a read end left open here would block a writer forever,
                 # instead of failing it, should the parent die
-                for fd in (r, *pipes.values()):
+                for fd in (r, *pipes):
                     os.close(fd)
                 _child_main(jobs, k, w, wr)
             os.close(wr)
-            pipes[pid] = r
-        shards = [None] * len(jobs)
-        shards[::w] = [_shard_worker(j) for j in jobs[::w]]
-        for pid in list(pipes):
-            import pickle  # here, so that one worker never imports it
-            data = os.fdopen(pipes[pid], "rb", closefd=False).read()
-            _, status = os.waitpid(pid, 0)
-            os.close(pipes.pop(pid))
-            try:
-                payload = pickle.loads(data) if status == 0 else None
-            except (EOFError, pickle.UnpicklingError):  # truncated
-                payload = None
-            if payload is None:
-                raise InvariantViolation(
-                    f"shard worker pid {pid} ended with wait status {status} "
-                    f"after sending {len(data)} bytes, not a complete result")
-            if isinstance(payload, BaseException):
-                raise payload
-            for i, shard in payload:
-                shards[i] = shard
+            pipes[r] = pid
+        received: dict[int, list[bytes]] = {r: [] for r in pipes}
+        while pipes:
+            for r in select.select(list(pipes), [], [])[0]:
+                if chunk := os.read(r, 1 << 16):
+                    received[r].append(chunk)
+                    continue
+                _, status = os.waitpid(pipes[r], 0)
+                pid = pipes.pop(r)
+                os.close(r)
+                data = b"".join(received.pop(r))
+                try:
+                    payload = pickle.loads(data) if status == 0 else None
+                except (EOFError, pickle.UnpicklingError):  # truncated
+                    payload = None
+                if payload is None:
+                    raise InvariantViolation(
+                        f"shard worker pid {pid} ended with wait status {status} "
+                        f"after sending {len(data)} bytes, not a complete result")
+                if isinstance(payload, BaseException):
+                    raise payload
+                for i, shard in payload:
+                    shards[i] = shard
         return shards
     finally:
         # only after the first failure or an interruption: stop and reap
         # every child not yet reaped
-        for pid, r in pipes.items():
+        for r, pid in pipes.items():
             import signal
             os.close(r)
             os.kill(pid, signal.SIGKILL)

@@ -1,6 +1,6 @@
 """Test-side reference implementations, kept independent of the package
 internals they check, a graph builder from edge lists, and the run-reader
-chunk sizes the run-file tests use."""
+chunk sizes and raw run-file writer the run-file tests use."""
 
 from collections import Counter
 from itertools import combinations, permutations
@@ -14,6 +14,22 @@ from coperm.graphs import MAX_VERTICES, Graph
 # that every record is read over several refills
 READER_CHUNKS = (collide._CHUNK, 3)
 SYMBOLIC_MAX = 7
+
+
+def raw_run(n: int, m: int, records) -> bytes:
+    """The bytes of a run file holding records in the order given: unlike
+    persist_fingerprints, it neither sorts nor checks them."""
+    header = collide._HEADER.pack(collide.RUN_MAGIC, collide.RUN_VERSION, n, m, len(records))
+    return header + b"".join(fp + bytes([len(g6)]) + g6.encode() for fp, g6 in records)
+
+
+def members_out_of_order(records) -> list:
+    """records sorted, but for the two members of the first family of two,
+    swapped: in fingerprint order, yet not in (fingerprint, graph6) order."""
+    records = sorted(records)
+    i = next(i for i, (a, b) in enumerate(zip(records, records[1:])) if a[0] == b[0])
+    records[i:i + 2] = records[i + 1], records[i]
+    return records
 
 
 def graph_from_edges(n: int, edges) -> Graph:

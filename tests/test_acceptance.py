@@ -39,16 +39,11 @@ def _report(name, ok):
     assert ok, name
 
 
-def _agg_tuple(stats):
-    return (stats.graphs, stats.distinct_polys, stats.with_mate, stats.max_family)
-
-
 def test_table1_reproduction_n_le_8(census):
     ok = True
     for n in range(9):
         graphs, distinct, with_mate, _, max_family = PERM_AGGREGATE[n]
-        ok &= _agg_tuple(aggregate(census[n], "perm")) == \
-            (graphs, distinct, with_mate, max_family)
+        ok &= aggregate(census[n], "perm") == (graphs, distinct, with_mate, max_family)
     for n in range(6):
         ok &= aggregate(census[n], "perm").with_mate == 0
     _report("table-1 reproduction, n <= 8", ok)
@@ -57,7 +52,7 @@ def test_table1_reproduction_n_le_8(census):
 @pytest.mark.slow
 def test_table1_reproduction_n9(census9):
     s = aggregate(census9, "perm")
-    ok = _agg_tuple(s) == (274668, 274153, 980, 5)
+    ok = s == (274668, 274153, 980, 5)
     ok &= mate_fraction(s.with_mate, s.graphs) == "0.00357"
     _report("table-1 reproduction, n = 9", ok)
 
@@ -65,21 +60,21 @@ def test_table1_reproduction_n9(census9):
 def test_per_edge_tables_n4_to_n8(census):
     ok = True
     for n in range(4, 9):
-        rows = {s.m: _agg_tuple(s.stats["perm"]) for s in census[n]}
+        rows = {s.m: s.stats["perm"] for s in census[n]}
         ok &= rows == PERM_BY_EDGES[n]
     _report("per-edge tables, n = 4..8", ok)
 
 
 @pytest.mark.slow
 def test_per_edge_table_n9(census9):
-    rows = {s.m: _agg_tuple(s.stats["perm"]) for s in census9}
+    rows = {s.m: s.stats["perm"] for s in census9}
     _report("per-edge table, n = 9", rows == PERM_BY_EDGES[9])
 
 
 def test_characteristic_comparison_n_le_8(census):
     ok = True
     for n in range(9):
-        ok &= _agg_tuple(aggregate(census[n], "char")) == CHAR_AGGREGATE[n]
+        ok &= aggregate(census[n], "char") == CHAR_AGGREGATE[n]
     _report("characteristic comparison, n <= 8", ok)
 
 
@@ -87,7 +82,7 @@ def test_characteristic_comparison_n_le_8(census):
 def test_characteristic_comparison_n9(census9):
     s = aggregate(census9, "char")
     _report("characteristic comparison, n = 9",
-            _agg_tuple(s) == (274668, 247357, 51039, 10))
+            s == (274668, 247357, 51039, 10))
 
 
 def test_smallest_mates(census):
@@ -206,7 +201,7 @@ def test_external_memory_equivalence(census, tmp_path):
                 paths.append(p)
             merged = list(group_sorted(merge_sorted_runs(paths)))
             ok &= merged == group_families(records)
-            ok &= shard_stats(merged, n, shard.m) == shard.stats["perm"]
+            ok &= shard_stats(merged) == shard.stats["perm"]
             ok &= [f for f in merged if len(f.members) >= 2] == shard.families["perm"]
     _report("external merge equals in-memory grouping", ok)
 

@@ -14,7 +14,7 @@ from coperm.cli import main, mate_fraction
 from coperm.collide import _HEADER, persist_fingerprints
 from coperm.enumerate import BUILTIN_MAX
 from coperm.graphs import edge_count, parse_graph6, to_graph6
-from oracles import permute
+from oracles import members_out_of_order, permute, raw_run
 
 
 def run(capsys, *argv):
@@ -227,6 +227,16 @@ def test_merge_rejects_record_of_another_shard_exit_3(tmp_path, capsys, reader_c
         assert "record for shard (3, 1) in run (n=3, m=2)" in err
 
 
+def test_merge_rejects_members_out_of_order_exit_3(tmp_path, capsys, reader_chunks):
+    records = members_out_of_order(pipeline.shard_records(6, 4, ("perm",))["perm"])
+    run_file = tmp_path / "swapped.run"
+    run_file.write_bytes(raw_run(6, 4, records))
+    for _ in reader_chunks():
+        code, out, err = run(capsys, "merge", str(run_file))
+        assert code == 3 and out == ""
+        assert err == "coperm: record stream is not sorted\n"
+
+
 def test_merge_rejects_runs_of_two_shards_exit_3(tmp_path, capsys, reader_chunks):
     a, b = tmp_path / "a.run", tmp_path / "b.run"
     assert run(capsys, "fingerprint", "--n", "2", "--edges", "1", "--out", str(a))[0] == 0
@@ -290,6 +300,19 @@ def test_n_with_in_exit_2(tmp_path, capsys, verb):
         main([verb, "--in", str(src), "--n", "3"])
     assert exc.value.code == 2
     assert "--n cannot be combined with --in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["table", "--n", "5"], ["mates", "--n", "5"],
+                                  ["compare", "--n", "5"],
+                                  ["fingerprint", "--n", "5", "--edges", "3"]],
+                         ids=lambda argv: argv[0])
+def test_dedup_without_in_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dedup", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--dedup needs --in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["table", "mates", "compare"])
@@ -457,7 +480,7 @@ def test_cold_poly_skips_modules_it_does_not_use():
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "coperm.pipeline" in imported
     unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib", "multiprocessing",
-              "pickle", "signal"}
+              "pickle", "select", "signal"}
     if "compiled" in backends:
         unused.add("coperm._purepy")  # loaded only as the fallback
     assert not imported & unused

@@ -25,7 +25,7 @@ from coperm.errors import (
 )
 from coperm.graphs import to_graph6
 from coperm.pipeline import ShardResult, aggregate, run_census, shard_records
-from oracles import graph_from_edges
+from oracles import graph_from_edges, members_out_of_order, raw_run
 
 
 def test_fingerprint_layout_exact_bytes():
@@ -63,10 +63,12 @@ def test_fingerprint_deterministic_and_injective():
 def test_fingerprint_round_trip_random():
     rng = random.Random(1612)
     for _ in range(300):
-        n = rng.randint(0, 12)
+        n, m, kind = rng.randint(0, 12), rng.randint(0, 60), rng.choice(("perm", "char"))
         coeffs = [rng.randint(-10**6, 10**6) for _ in range(max(n - 1, 0))]
+        if n >= 2:
+            coeffs[n - 2] = m if kind == "perm" else -m
         p = tuple(coeffs) + ((0,) if n >= 1 else ()) + (1,)
-        fp = fingerprint(p, n, rng.randint(0, 60), kind=None)
+        fp = fingerprint(p, n, m, kind)
         assert poly_from_fingerprint(fp) == p
 
 
@@ -97,26 +99,26 @@ def test_fingerprint_validation():
 
 
 def _shard(records):
-    return [(fingerprint(p, n, m, kind=None), g6) for p, n, m, g6 in records]
+    return [(fingerprint(p, n, m), g6) for p, n, m, g6 in records]
+
+
+# two permanental polynomials at (n, m) = (3, 2), the first held by two members
+THREE_RECORDS = [
+    ((0, 2, 0, 1), 3, 2, "Bg"),
+    ((0, 2, 0, 1), 3, 2, "BW"),
+    ((1, 2, 0, 1), 3, 2, "Bo"),
+]
 
 
 def test_group_families_basic():
-    records = _shard([
-        ((1, 0, 1), 2, 1, "A_"),
-        ((1, 0, 1), 2, 1, "A^"),
-        ((3, 0, 1), 2, 1, "Az"),
-    ])
+    records = _shard(THREE_RECORDS)
     fams = group_families(records)
     assert [len(f.members) for f in fams] == [2, 1]
-    assert fams[0].members == ("A^", "A_")  # lexicographically sorted
+    assert fams[0].members == ("BW", "Bg")  # lexicographically sorted
 
 
 def test_group_families_order_insensitive():
-    records = _shard([
-        ((1, 0, 1), 2, 1, "A_"),
-        ((1, 0, 1), 2, 1, "A^"),
-        ((3, 0, 1), 2, 1, "Az"),
-    ])
+    records = _shard(THREE_RECORDS)
     rng = random.Random(8)
     base = group_families(records)
     for _ in range(10):
@@ -139,21 +141,12 @@ def test_group_families_rejects_duplicates():
 
 
 def test_shard_stats():
-    fams = group_families(_shard([
-        ((1, 0, 1), 2, 1, "A_"),
-        ((1, 0, 1), 2, 1, "A^"),
-        ((3, 0, 1), 2, 1, "Az"),
-    ]))
-    s = shard_stats(fams, 2, 1)
-    assert (s.n, s.m) == (2, 1)
-    assert (s.graphs, s.distinct_polys, s.with_mate, s.max_family) == (3, 2, 2, 2)
+    s = shard_stats(group_families(_shard(THREE_RECORDS)))
+    assert s == ShardStats(graphs=3, distinct_polys=2, with_mate=2, max_family=2)
 
-    fam3 = [FamilyRecord(fingerprint((1, 0, 1), 2, 1, kind=None), ("A", "B", "C"))]
-    s = shard_stats(fam3, 2, 1)
-    assert (s.graphs, s.distinct_polys, s.with_mate, s.max_family) == (3, 1, 3, 3)
-
-    empty = shard_stats([], n=5, m=0)
-    assert (empty.graphs, empty.max_family) == (0, 0)
+    fam3 = [FamilyRecord(fingerprint((1, 0, 1), 2, 1), ("A", "B", "C"))]
+    assert shard_stats(fam3) == ShardStats(3, 1, 3, 3)
+    assert shard_stats([]) == ShardStats(0, 0, 0, 0)
 
 
 def test_shard_accounting_identity(census):
@@ -173,14 +166,13 @@ def test_aggregate():
     for kind in ("perm", "char"):
         rows = [s.stats[kind] for s in shards]
         agg = aggregate(shards, kind)
-        assert agg.n == 5 and agg.m is None and agg.graphs == 34
+        assert agg.graphs == 34
         for col in ("graphs", "distinct_polys", "with_mate"):
             assert getattr(agg, col) == sum(getattr(r, col) for r in rows)
         assert agg.max_family == max(r.max_family for r in rows)
 
-    empty = [ShardResult(6, m, {"perm": shard_stats([], n=6, m=m)}, {"perm": []})
-             for m in range(3)]
-    assert aggregate(empty, "perm") == ShardStats(6, None, 0, 0, 0, 0)
+    empty = [ShardResult(6, m, {"perm": shard_stats([])}, {"perm": []}) for m in range(3)]
+    assert aggregate(empty, "perm") == ShardStats(0, 0, 0, 0)
 
 
 def _records_n6_m4():
@@ -214,7 +206,10 @@ def test_run_file_round_trip_at_small_and_wide_n(tmp_path, n, reader_chunks):
     rng = random.Random(n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     g = graph_from_edges(n, edges)
-    record = (fingerprint((0,) * n + (1,), n, len(edges), kind=None), to_graph6(g))
+    p = [0] * n + [1]
+    if n >= 2:
+        p[n - 2] = len(edges)
+    record = (fingerprint(p, n, len(edges)), to_graph6(g))
     path = tmp_path / "wide.run"
     persist_fingerprints([record], path, n, len(edges))
     for _ in reader_chunks():
@@ -241,7 +236,7 @@ def test_round_trip_of_runs_larger_than_a_chunk(tmp_path):
     for _ in range(3000):
         word = to_graph6(graph_from_edges(12, rng.sample(pairs, 30)))
         body = tuple(rng.randint(-70000, 70000) for _ in range(10))
-        records.append((fingerprint((*body, 30, 0, 1), 12, 30, kind=None), word))
+        records.append((fingerprint((*body, 30, 0, 1), 12, 30), word))
     paths = [tmp_path / "a.run", tmp_path / "b.run"]
     for i, path in enumerate(paths):
         persist_fingerprints(records[i::2], path, 12, 30)
@@ -273,8 +268,8 @@ def test_merge_empty_and_single(tmp_path):
 def test_merge_rejects_mixed_shards(tmp_path, reader_chunks):
     a = tmp_path / "a.run"
     b = tmp_path / "b.run"
-    persist_fingerprints([(fingerprint((1, 0, 1), 2, 1, kind=None), "A_")], a, 2, 1)
-    persist_fingerprints([(fingerprint((0, 2, 0, 1), 3, 2, kind=None), "Bg")], b, 3, 2)
+    persist_fingerprints([(fingerprint((1, 0, 1), 2, 1), "A_")], a, 2, 1)
+    persist_fingerprints([(fingerprint((0, 2, 0, 1), 3, 2), "Bg")], b, 3, 2)
     for _ in reader_chunks():
         with pytest.raises(RunFormatError, match=r"is shard \(3, 2\), expected \(2, 1\)"):
             list(merge_sorted_runs([a, b]))
@@ -282,7 +277,7 @@ def test_merge_rejects_mixed_shards(tmp_path, reader_chunks):
 
 def test_persist_rejects_foreign_records(tmp_path):
     with pytest.raises(ShardViolation):
-        persist_fingerprints([(fingerprint((1, 0, 1), 2, 1, kind=None), "A_")],
+        persist_fingerprints([(fingerprint((1, 0, 1), 2, 1), "A_")],
                              tmp_path / "x.run", 3, 2)
     assert not (tmp_path / "x.run").exists()
 
@@ -295,18 +290,19 @@ def test_persist_rejects_duplicate_records(tmp_path):
 
 
 def test_unsorted_run_detected(tmp_path, reader_chunks):
-    records = sorted(_records_n6_m4(), reverse=True)
     path = tmp_path / "bad.run"
-    # bypass the sorting writer to craft a corrupt run
-    import struct
-    from coperm.collide import RUN_MAGIC, RUN_VERSION
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHBHQ", RUN_MAGIC, RUN_VERSION, 6, 4, len(records)))
-        for fp, g6 in records:
-            fh.write(fp + bytes([len(g6)]) + g6.encode())
+    path.write_bytes(raw_run(6, 4, sorted(_records_n6_m4(), reverse=True)))
     for _ in reader_chunks():
         with pytest.raises(UnsortedRun):
             list(merge_sorted_runs([path]))
+
+
+def test_run_with_members_out_of_order_detected(tmp_path, reader_chunks):
+    path = tmp_path / "swapped.run"
+    path.write_bytes(raw_run(6, 4, members_out_of_order(_records_n6_m4())))
+    for _ in reader_chunks():
+        with pytest.raises(UnsortedRun):
+            list(group_sorted(merge_sorted_runs([path])))
 
 
 def test_corrupt_run_detected(tmp_path):

@@ -28,7 +28,7 @@ def no_child_left():
 
 def fail_in_child_at(monkeypatch, m, action):
     """Make compute_shard call action() for edge count m, in a forked
-    worker only (with two workers, odd m are the child's)."""
+    worker only (with two or more workers, every shard runs in one)."""
     parent, real = os.getpid(), pipeline.compute_shard
 
     def compute_shard(n, m_, kinds):
@@ -100,18 +100,19 @@ def test_child_that_exits_without_sending_is_an_invariant_violation(monkeypatch)
 
 
 def test_parent_failure_kills_and_reaps_children(monkeypatch):
-    parent, real = os.getpid(), pipeline.compute_shard
+    # an interruption of the parent while it waits for its busy children
+    import select
 
     def compute_shard(n, m, kinds):
-        if os.getpid() != parent:
-            time.sleep(60)  # a busy child, stopped by the parent's cleanup
-        elif m == 0:
-            raise InvariantViolation("parent share failed")
-        return real(n, m, kinds)
+        time.sleep(60)  # a busy child, stopped by the parent's cleanup
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline, "compute_shard", compute_shard)
+    monkeypatch.setattr(select, "select", interrupted)
     t0 = time.monotonic()
-    with pytest.raises(InvariantViolation, match="parent share failed"):
+    with pytest.raises(KeyboardInterrupt):
         pipeline.run_census([5], ("perm",), workers=3)
     assert time.monotonic() - t0 < 30
 
@@ -124,12 +125,31 @@ def test_child_failure_stops_the_other_workers_at_once(monkeypatch):
         if os.getpid() != parent:
             if m % 3 == 1:
                 raise InvariantViolation("worker 1 failed")
-            time.sleep(20)  # worker 2, stopped once worker 1's failure is read
+            time.sleep(20)  # workers 0 and 2, stopped once worker 1's failure is read
         return real(n, m, kinds)
 
     monkeypatch.setattr(pipeline, "compute_shard", compute_shard)
     t0 = time.monotonic()
     with pytest.raises(InvariantViolation, match="worker 1 failed"):
+        pipeline.run_census([5], ("perm",), workers=3)
+    assert time.monotonic() - t0 < 10
+
+
+def test_later_worker_failure_is_raised_while_an_earlier_one_runs(monkeypatch):
+    # the failure of worker 2 is read first, not after worker 1's sleeps
+    parent, real = os.getpid(), pipeline.compute_shard
+
+    def compute_shard(n, m, kinds):
+        if os.getpid() != parent:
+            if m % 3 == 2:
+                raise InvariantViolation("worker 2 failed")
+            if m % 3 == 1:
+                time.sleep(20)
+        return real(n, m, kinds)
+
+    monkeypatch.setattr(pipeline, "compute_shard", compute_shard)
+    t0 = time.monotonic()
+    with pytest.raises(InvariantViolation, match="worker 2 failed"):
         pipeline.run_census([5], ("perm",), workers=3)
     assert time.monotonic() - t0 < 10
 
@@ -181,7 +201,7 @@ def test_serial_ingest_imports_no_fork_machinery(graph6_file):
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "coperm.pipeline" in imported
-    assert not imported & {"pickle", "signal"}
+    assert not imported & {"pickle", "select", "signal"}
 
 
 def _copermerror_classes(cls=errors.CopermError):
