@@ -2,8 +2,7 @@
 
 Verbs: enumerate, poly, table, mates, compare, fingerprint, merge.
 Exit codes: 0 success, 2 usage (including an --out that names an input
-file), 3 any other package error or OSError, 5 InvariantViolation and
-its subclasses.
+file), 3 any other package error or OSError, 5 InvariantViolation.
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ def mate_fraction(with_mate: int, graphs: int) -> str:
 
 
 def _parse_n_range(text: str) -> range:
-    if ":" in text:
-        a, b = text.split(":", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(text)
+    a, sep, b = text.partition(":")
+    try:
+        lo, hi = int(a), int(b if sep else a)
+    except ValueError:
+        lo, hi = 0, -1  # refused below
     if lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad n range {text!r}")
     return range(lo, hi + 1)
@@ -120,15 +119,15 @@ def cmd_table(args) -> None:
     _emit(lines, args.out)
 
 
-def _family_row(head: str, fam) -> str:
-    """A mates or merge report row; head holds its n and m columns."""
-    p = collide.poly_from_fingerprint(fam.fingerprint)
-    return f"{head}{len(fam.members)}\t{poly.text(p)}\t" + " ".join(fam.members)
+def _family_row(n: int, m: int, fam) -> str:
+    """A mates or merge report row of a family of shard (n, m)."""
+    p = collide.poly_from_fingerprint(fam.fingerprint, n)
+    return f"{n}\t{m}\t{len(fam.members)}\t{poly.text(p)}\t" + " ".join(fam.members)
 
 
 def cmd_mates(args) -> None:
     censuses = _census_by_n(args, (args.kind,))
-    rows = (_family_row(f"{n}\t{shard.m}\t", fam) for n in sorted(censuses)
+    rows = (_family_row(n, shard.m, fam) for n in sorted(censuses)
             for shard in censuses[n] for fam in shard.families[args.kind])
     _emit(chain([MATES_HEADER], rows), args.out)
 
@@ -165,12 +164,9 @@ def cmd_fingerprint(args) -> None:
 
 def _merge_rows(runs):
     yield MATES_HEADER.replace("members", "members (all family sizes)")
-    head = None
+    n, m = collide.run_shard(runs[0])  # merge_sorted_runs holds every run to it
     for fam in collide.group_sorted(collide.merge_sorted_runs(runs)):
-        if head is None:  # the runs of one merge hold a single (n, m) shard
-            n, m, _ = collide.fingerprint_parts(fam.fingerprint)
-            head = f"{n}\t{m}\t"
-        yield _family_row(head, fam)
+        yield _family_row(n, m, fam)
 
 
 def cmd_merge(args) -> None:

@@ -5,14 +5,15 @@ canonical byte encoding of the coefficient vector. Shards never mix
 (n, m), which keeps grouping embarrassingly parallel: two graphs with a
 different edge count cannot share a polynomial, since the x^(n-2)
 coefficient is m on the permanental side and -m on the characteristic
-side; fingerprint() checks it record by record. A shard's records are
-grouped, written and merged sorted by (fingerprint, graph6), each pair
-once, which group_sorted checks for all three.
+side; fingerprint() checks it record by record, and a run reader checks
+it against its file's header, the one place that stores (n, m). A
+shard's records are grouped, written and merged sorted by (fingerprint,
+graph6), each pair once, which group_sorted checks for all three.
 
-Fingerprint layout (bit-exact): u8 n, u16 little-endian m, then the
-coefficients c_(n-2) down to c_0 (c_n and c_(n-1) are omitted, always 1
-and 0), each as a sign byte (0x00 nonnegative, 0x01 negative), a u8
-magnitude length L, and L little-endian magnitude bytes, minimal L.
+Fingerprint layout (bit-exact): the coefficients c_(n-2) down to c_0
+(c_n and c_(n-1) are omitted, always 1 and 0), each as a sign byte
+(0x00 nonnegative, 0x01 negative), a u8 magnitude length L, and L
+little-endian magnitude bytes, minimal L (0 is sign 0, L = 0).
 """
 
 from __future__ import annotations
@@ -24,16 +25,11 @@ import struct
 from collections import namedtuple
 from contextlib import ExitStack, contextmanager
 
-from .errors import (
-    DegreeMismatch,
-    DuplicateMember,
-    RunFormatError,
-    ShardViolation,
-    UnsortedRun,
-)
+from .errors import DegreeMismatch, DuplicateMember, RunFormatError, UnsortedRun
+from .graphs import MAX_VERTICES
 
 RUN_MAGIC = b"CPRM"
-RUN_VERSION = 1
+RUN_VERSION = 2
 _HEADER = struct.Struct("<4sHBHQ")  # magic, version, n, m, record count
 
 
@@ -52,8 +48,6 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
             raise DegreeMismatch(
                 f"x^(n-2) coefficient {p[n - 2]} disagrees with m={m} ({kind})")
     out = bytearray()
-    out.append(n)
-    out += m.to_bytes(2, "little")
     for j in range(n - 2, -1, -1):
         c = p[j]
         mag = -c if c < 0 else c
@@ -64,31 +58,21 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
     return bytes(out)
 
 
-def fingerprint_parts(fp: bytes) -> tuple[int, int, bytes]:
-    """Split a fingerprint into (n, m, coefficient body)."""
-    return fp[0], int.from_bytes(fp[1:3], "little"), fp[3:]
-
-
-def poly_from_fingerprint(fp: bytes) -> tuple[int, ...]:
-    """Inverse codec: reconstruct the full coefficient vector."""
-    n = fp[0]
+def poly_from_fingerprint(fp: bytes, n: int) -> tuple[int, ...]:
+    """Inverse codec: the full coefficient vector of the fingerprint of a
+    degree-n polynomial, as built by fingerprint() or cut by a run reader."""
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    pos = 3
-    try:
-        for j in range(n - 2, -1, -1):
-            sign, blen = fp[pos], fp[pos + 1]
-            pos += 2
-            if blen == 1:  # the common case, decoded without a slice
-                mag = fp[pos]
-            else:
-                mag = int.from_bytes(fp[pos:pos + blen], "little")
-            pos += blen
-            coeffs[j] = -mag if sign else mag
-    except IndexError:
-        raise DegreeMismatch(f"fingerprint body holds fewer than {n - 1} coefficients") from None
-    if pos != len(fp):  # trailing bytes, or a last magnitude cut short
-        raise DegreeMismatch(f"fingerprint body does not hold exactly {n - 1} coefficients")
+    pos = 0
+    for j in range(n - 2, -1, -1):
+        sign, blen = fp[pos], fp[pos + 1]
+        pos += 2
+        if blen == 1:  # the common case, decoded without a slice
+            mag = fp[pos]
+        else:
+            mag = int.from_bytes(fp[pos:pos + blen], "little")
+        pos += blen
+        coeffs[j] = -mag if sign else mag
     return tuple(coeffs)
 
 
@@ -145,11 +129,7 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
     removes it (see output_file).
     """
     recs = sorted(records)
-    # checked before the file is opened; group_sorted holds the rest to recs[0]'s shard
-    if recs and fingerprint_parts(recs[0][0])[:2] != (n, m):
-        raise ShardViolation(f"record for shard {fingerprint_parts(recs[0][0])[:2]} "
-                             f"in run (n={n}, m={m})")
-    for _ in group_sorted(recs):
+    for _ in group_sorted(recs):  # checked before the file is opened
         pass
     with output_file(path, "wb") as fh:
         fh.write(_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)))
@@ -169,7 +149,16 @@ def _check_header(raw: bytes, path) -> tuple[int, int, int]:
         raise RunFormatError(f"{path}: bad magic {magic!r}")
     if version != RUN_VERSION:
         raise RunFormatError(f"{path}: unsupported version {version}")
+    if n > MAX_VERTICES or m > n * (n - 1) // 2:
+        raise RunFormatError(f"{path}: shard (n={n}, m={m}) is not one of graphs "
+                             f"on n <= {MAX_VERTICES} vertices with m <= n(n-1)/2 edges")
     return n, m, count
+
+
+def run_shard(path) -> tuple[int, int]:
+    """The (n, m) shard of a run file, read from its header."""
+    with open(path, "rb") as fh:
+        return _check_header(fh.read(_HEADER.size), path)[:2]
 
 
 _CHUNK = 1 << 16  # bytes a run reader asks for per read
@@ -189,10 +178,15 @@ def _iter_run(fh, path, n: int, m: int, count: int):
     width = 1 + (nbits + 5) // 6
     first = n + 63
     padding = (1 << (-nbits % 6)) - 1
-    # prefix, n - 1 coefficients of at most 2 + 255 bytes, length byte, member
-    longest = 3 + 257 * max(n - 1, 0) + 1 + width
-    prefix = bytes([n]) + m.to_bytes(2, "little")
-    pairs = range(n - 1)
+    # n - 1 coefficients of at most 2 + 255 bytes, length byte, member
+    longest = 257 * max(n - 1, 0) + 1 + width
+    # c_(n-2), the coefficient the shard fixes: m or -m, encoded (only +0 for
+    # m = 0); n < 2 has no coefficient
+    mag = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    lead = (tuple(bytes([sign, len(mag)]) + mag for sign in range(1 + (m > 0)))
+            if n >= 2 else (b"",))
+    lead_len = len(lead[0])
+    rest = range(n - 2)
     read = fh.read
     buf, pos = b"", 0
     prev = None
@@ -207,16 +201,20 @@ def _iter_run(fh, path, n: int, m: int, count: int):
                 parts.append(more)
                 have += len(more)
             buf, pos = b"".join(parts), 0
-        if not buf.startswith(prefix, pos):
-            if len(buf) - pos < 3:
+        if not buf.startswith(lead, pos):
+            if len(buf) - pos < lead_len:
                 raise RunFormatError(f"{path}: truncated record")
-            raise RunFormatError(f"{path}: record for shard "
-                                 f"{fingerprint_parts(buf[pos:pos + 3])[:2]} "
-                                 f"in run (n={n}, m={m})")
-        end = pos + 3
+            raise RunFormatError(f"{path}: record whose x^(n-2) coefficient is not "
+                                 f"+-m in run (n={n}, m={m})")
+        end = pos + lead_len
         try:
-            for _ in pairs:
-                end += 2 + buf[end + 1]
+            for _ in rest:
+                sign, blen = buf[end], buf[end + 1]
+                end += 2 + blen
+                # canonical: a sign of 0 or 1, and a nonzero top magnitude
+                # byte, or else L = 0 (buf[end - 1] is then L) and sign 0
+                if sign > 1 or not buf[end - 1] and (sign or blen):
+                    raise RunFormatError(f"{path}: coefficient not in canonical form")
         except IndexError:
             raise RunFormatError(f"{path}: truncated record") from None
         # the graph6 length byte, then a member of the one valid length
@@ -263,8 +261,7 @@ def group_sorted(records):
     """Streaming grouper over the records of one (n, m) shard, each greater
     than the one before as a (fingerprint, graph6) pair: yields its
     FamilyRecords in fingerprint order. An equal pair raises DuplicateMember,
-    a smaller one UnsortedRun, one of another shard ShardViolation."""
-    shard = None
+    a smaller one UnsortedRun."""
     cur = None
     members: list[str] = []
     for fp, g6 in records:
@@ -275,14 +272,6 @@ def group_sorted(records):
                 raise UnsortedRun("record stream is not sorted")
             members.append(g6)
             continue
-        # a record of the current family shares its shard, so only a new
-        # fingerprint is checked
-        if shard is None:
-            shard = fp[:3]
-        elif not fp.startswith(shard):
-            raise ShardViolation(f"mixed shards: record for (n, m)="
-                                 f"{fingerprint_parts(fp)[:2]}, shard is "
-                                 f"{fingerprint_parts(shard)[:2]}")
         if cur is not None:
             if fp < cur:
                 raise UnsortedRun("record stream is not sorted")

@@ -39,16 +39,13 @@ class UnsortedRun(CopermError):
 
 
 class RunFormatError(CopermError):
-    """A fingerprint run file is corrupt (bad magic, version, or length)."""
+    """A fingerprint run file is corrupt (bad magic, version, shard key or
+    length, or a record that is not a canonical one of its shard)."""
 
 
 class InvariantViolation(CopermError):
     """An internal pipeline invariant failed (e.g. a shard worker died
     before sending a complete result)."""
-
-
-class ShardViolation(InvariantViolation):
-    """Records with mixed (n, m) keys fed to a single-shard operation."""
 
 
 class DecodeError(CopermError):

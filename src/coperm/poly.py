@@ -25,5 +25,5 @@ def text(coeffs) -> str:
         if c != 1 or not j:
             parts.append(str(c))
         if j:
-            parts.append(_POWERS[j] if j < len(_POWERS) else f"x^{j}")
+            parts.append(_POWERS[j])
     return "".join(parts) or "0"

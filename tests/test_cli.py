@@ -49,7 +49,9 @@ def test_usage_error_exit_2(capsys):
                           (["nonsense"], "invalid choice: 'nonsense'"),
                           (["fingerprint", "--n", "3", "--edges", "2"],
                            "fingerprint requires --out"),
-                          (["table", "--n", "5:3"], "bad n range '5:3'")]:
+                          (["table", "--n", "5:3"], "bad n range '5:3'"),
+                          (["table", "--n", "3:"], "bad n range '3:'"),
+                          (["table", "--n", "a:b"], "bad n range 'a:b'")]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -213,18 +215,48 @@ def test_merge_rejects_invalid_graph6_member_exit_3(tmp_path, capsys, reader_chu
 
 
 def test_merge_rejects_record_of_another_shard_exit_3(tmp_path, capsys, reader_chunks):
-    # the x^(n-2) coefficient of P_3 says m = 2; a record whose m bytes
-    # claim 1 in a run headed (3, 2) is corrupt, not a family of (3, 1)
+    # the x^(n-2) coefficient of P_3 is m = 2; a record whose c_1 says 1
+    # in a run headed (3, 2) is corrupt, not a family of (3, 1)
     run_file = tmp_path / "p3.run"
     assert run(capsys, "fingerprint", "--n", "3", "--edges", "2", "--out", str(run_file))[0] == 0
     raw = bytearray(run_file.read_bytes())
-    assert raw[_HEADER.size:_HEADER.size + 3] == bytes([3, 2, 0])
-    raw[_HEADER.size + 1] = 1
+    assert raw[_HEADER.size:_HEADER.size + 3] == bytes([0, 1, 2])  # c_1 = +2
+    raw[_HEADER.size + 2] = 1
     run_file.write_bytes(raw)
     for _ in reader_chunks():
         code, out, err = run(capsys, "merge", str(run_file))
         assert code == 3 and out == ""
-        assert "record for shard (3, 1) in run (n=3, m=2)" in err
+        assert "record whose x^(n-2) coefficient is not +-m in run (n=3, m=2)" in err
+
+
+def _recoded(fp: bytes, k: int, coefficient: bytes) -> bytes:
+    """fp with its k-th coefficient, counted from c_(n-2), replaced by the
+    given bytes."""
+    pos = 0
+    for _ in range(k):
+        pos += 2 + fp[pos + 1]
+    return fp[:pos] + coefficient + fp[pos + 2 + fp[pos + 1]:]
+
+
+@pytest.mark.parametrize("k, coefficient", [
+    (1, b"\x02\x01\x04"),      # c_3 = -4 with sign byte 2
+    (4, b"\x01\x00"),          # c_0 = 0 as a negative zero
+    (3, b"\x00\x02\x04\x00"),  # c_1 = 4 with a zero top magnitude byte
+], ids=["sign-2", "negative-zero", "zero-top-byte"])
+def test_merge_rejects_non_canonical_coefficient_exit_3(tmp_path, capsys, reader_chunks,
+                                                        k, coefficient):
+    # E@Pw and E@rG share x^6 - 6x^4 - 4x^3 + 5x^2 + 4x; one of them
+    # re-encoded would otherwise split the family into two rows
+    records = pipeline.shard_records(6, 6, ("char",))["char"]
+    fp = next(fp for fp, g6 in records if g6 == "E@rG")
+    assert fp == bytes([1, 1, 6, 1, 1, 4, 0, 1, 5, 0, 1, 4, 0, 0])
+    run_file = tmp_path / "recoded.run"
+    run_file.write_bytes(raw_run(6, 6, sorted(
+        (_recoded(fp, k, coefficient) if g6 == "E@rG" else fp, g6) for fp, g6 in records)))
+    for _ in reader_chunks():
+        code, out, err = run(capsys, "merge", str(run_file))
+        assert code == 3 and out == ""
+        assert "coefficient not in canonical form" in err
 
 
 def test_merge_rejects_members_out_of_order_exit_3(tmp_path, capsys, reader_chunks):

@@ -8,7 +8,6 @@ from coperm.collide import (
     FamilyRecord,
     ShardStats,
     fingerprint,
-    fingerprint_parts,
     group_families,
     group_sorted,
     merge_sorted_runs,
@@ -16,42 +15,33 @@ from coperm.collide import (
     poly_from_fingerprint,
     shard_stats,
 )
-from coperm.errors import (
-    DegreeMismatch,
-    DuplicateMember,
-    RunFormatError,
-    ShardViolation,
-    UnsortedRun,
-)
+from coperm.errors import DegreeMismatch, DuplicateMember, RunFormatError, UnsortedRun
 from coperm.graphs import to_graph6
 from coperm.pipeline import ShardResult, aggregate, run_census, shard_records
 from oracles import graph_from_edges, members_out_of_order, raw_run
 
 
 def test_fingerprint_layout_exact_bytes():
-    # pi(P_3) = x^3 + 2x at (n=3, m=2)
+    # pi(P_3) = x^3 + 2x at (n=3, m=2): the coefficient body alone, no shard key
     assert fingerprint((0, 2, 0, 1), 3, 2) == bytes(
-        [3, 2, 0,  # n, m little-endian
-         0, 1, 2,  # c_1 = +2
+        [0, 1, 2,  # c_1 = +2
          0, 0])    # c_0 = 0
     # pi(K_3) = x^3 + 3x - 2 at (n=3, m=3)
     assert fingerprint((-2, 3, 0, 1), 3, 3) == bytes(
-        [3, 3, 0,
-         0, 1, 3,   # c_1 = +3
+        [0, 1, 3,   # c_1 = +3
          1, 1, 2])  # c_0 = -2
 
 
 def test_fingerprint_multibyte_magnitude():
     fp = fingerprint((0, 256, 4, 0, 1), 4, 4)
-    assert fp == bytes([4, 4, 0,
-                        0, 1, 4,      # c_2 = m = 4
+    assert fp == bytes([0, 1, 4,      # c_2 = m = 4
                         0, 2, 0, 1,   # c_1 = 256, two LE bytes, no leading zero
                         0, 0])        # c_0 = 0
 
 
 def test_fingerprint_tiny_degrees():
-    assert fingerprint((1,), 0, 0) == bytes([0, 0, 0])
-    assert fingerprint((0, 1), 1, 0) == bytes([1, 0, 0])
+    assert fingerprint((1,), 0, 0) == b""
+    assert fingerprint((0, 1), 1, 0) == b""
 
 
 def test_fingerprint_deterministic_and_injective():
@@ -69,18 +59,7 @@ def test_fingerprint_round_trip_random():
             coeffs[n - 2] = m if kind == "perm" else -m
         p = tuple(coeffs) + ((0,) if n >= 1 else ()) + (1,)
         fp = fingerprint(p, n, m, kind)
-        assert poly_from_fingerprint(fp) == p
-
-
-def test_poly_from_fingerprint_rejects_short_bodies():
-    fp = fingerprint((-2, 3, 0, 1), 3, 3)
-    for cut in range(3, len(fp)):
-        with pytest.raises(DegreeMismatch):
-            poly_from_fingerprint(fp[:cut])
-    with pytest.raises(DegreeMismatch):
-        poly_from_fingerprint(bytes([3, 0, 0]))
-    with pytest.raises(DegreeMismatch):
-        poly_from_fingerprint(fp + b"\0")
+        assert poly_from_fingerprint(fp, n) == p
 
 
 def test_fingerprint_validation():
@@ -125,13 +104,6 @@ def test_group_families_order_insensitive():
         shuffled = records[:]
         rng.shuffle(shuffled)
         assert group_families(shuffled) == base
-
-
-def test_group_families_rejects_mixed_shards():
-    records = _shard([((0, 2, 0, 1), 3, 2, "Bg"), ((1, 0, 1), 2, 1, "A_")])
-    with pytest.raises(ShardViolation,
-                       match=r"record for \(n, m\)=\(3, 2\), shard is \(2, 1\)"):
-        group_families(records)
 
 
 def test_group_families_rejects_duplicates():
@@ -198,6 +170,19 @@ def test_run_file_round_trip(tmp_path, reader_chunks):
     for _ in reader_chunks():
         merged = list(merge_sorted_runs([path]))
         assert merged == sorted(records)
+
+
+def test_run_file_exact_bytes(tmp_path):
+    # P_3 at (n, m) = (3, 2): the header holds the shard key, the record
+    # only the coefficient body, the graph6 length and the graph6 word
+    path = tmp_path / "p3.run"
+    persist_fingerprints(shard_records(3, 2, ("perm",))["perm"], path, 3, 2)
+    assert path.read_bytes() == (
+        b"CPRM" + bytes([2, 0,            # version 2
+                         3, 2, 0,         # n, m little-endian
+                         1, 0, 0, 0, 0, 0, 0, 0,  # one record
+                         0, 1, 2, 0, 0,   # c_1 = +2, c_0 = 0
+                         2]) + b"BW")
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 30])
@@ -275,13 +260,6 @@ def test_merge_rejects_mixed_shards(tmp_path, reader_chunks):
             list(merge_sorted_runs([a, b]))
 
 
-def test_persist_rejects_foreign_records(tmp_path):
-    with pytest.raises(ShardViolation):
-        persist_fingerprints([(fingerprint((1, 0, 1), 2, 1), "A_")],
-                             tmp_path / "x.run", 3, 2)
-    assert not (tmp_path / "x.run").exists()
-
-
 def test_persist_rejects_duplicate_records(tmp_path):
     records = _records_n6_m4()
     with pytest.raises(DuplicateMember, match="appears twice"):
@@ -315,8 +293,16 @@ def test_corrupt_run_detected(tmp_path):
         list(merge_sorted_runs([path]))
     persist_fingerprints(shard_records(3, 2, ("perm",))["perm"], path, 3, 2)
     good = path.read_bytes()
-    for raw, match in [(good[:4] + (2).to_bytes(2, "little") + good[6:], "unsupported version 2"),
-                       (good + b"\0", "trailing bytes after 1 records")]:
+    head = collide._HEADER.size
+    # version 1: the same run, but its record opens with u8 n and u16le m
+    v1 = good[:4] + (1).to_bytes(2, "little") + good[6:head] + bytes([3, 2, 0]) + good[head:]
+    for raw, match in [
+            (v1, "unsupported version 1"),
+            (raw_run(40, 0, [(b"\0\0" * 39, "g" + "?" * 130)]),  # past 32 vertices
+             r"shard \(n=40, m=0\) is not one of graphs on n <= 32 vertices"),
+            (raw_run(3, 100, [(bytes([0, 1, 100, 0, 0]), "Bw")]),  # K_3 has 3 edges
+             r"shard \(n=3, m=100\) is not one of graphs"),
+            (good + b"\0", "trailing bytes after 1 records")]:
         path.write_bytes(raw)
         with pytest.raises(RunFormatError, match=match):
             list(merge_sorted_runs([path]))
@@ -329,21 +315,13 @@ def test_group_sorted_rejects_unsorted_stream():
         list(group_sorted(records))
 
 
-def test_fingerprint_parts():
-    fp = fingerprint((0, 2, 0, 1), 3, 2)
-    n, m, body = fingerprint_parts(fp)
-    assert (n, m) == (3, 2)
-    assert fp == bytes([3, 2, 0]) + body
-
-
 def test_no_polynomial_spans_two_edge_counts():
     # the premise of sharding by (n, m): fingerprint() checks every
-    # record's x^(n-2) coefficient against its m, so a coefficient body
-    # of any graph never recurs under another m
+    # record's x^(n-2) coefficient against its m, so a fingerprint of any
+    # graph never recurs under another m
     for n in range(9):
         m_of = {"perm": {}, "char": {}}
         for m in range(n * (n - 1) // 2 + 1):
             for kind, records in shard_records(n, m, ("perm", "char")).items():
                 for fp, _ in records:
-                    _, _, body = fingerprint_parts(fp)
-                    assert m_of[kind].setdefault(body, m) == m, (n, kind, body)
+                    assert m_of[kind].setdefault(fp, m) == m, (n, kind, fp)

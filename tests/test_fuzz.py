@@ -36,14 +36,20 @@ VALID_RUN = _valid_run()
 
 
 def merge_exit_codes(raw: bytes) -> set[int]:
-    """Exit codes of merge over raw, read with each READER_CHUNKS size."""
+    """Exit codes of merge over raw, read with each READER_CHUNKS size. A
+    merge that exits 0 must report each polynomial on one row only: two
+    rows of one polynomial would be one family split in two."""
     codes = set()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzzed.run"
+        path, report = Path(tmp) / "fuzzed.run", Path(tmp) / "report.tsv"
         path.write_bytes(raw)
         for chunk in READER_CHUNKS:
             with mock.patch.object(collide, "_CHUNK", chunk):
-                codes.add(main(["merge", str(path), "--out", str(Path(tmp) / "report.tsv")]))
+                code = main(["merge", str(path), "--out", str(report)])
+            if code == 0:
+                polys = [row.split("\t")[3] for row in report.read_text().splitlines()[1:]]
+                assert len(polys) == len(set(polys)), polys
+            codes.add(code)
     return codes
 
 
