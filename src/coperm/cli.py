@@ -3,17 +3,20 @@
 Verbs: enumerate, poly, table, mates, compare, fingerprint, merge.
 Exit codes: 0 success, 2 usage (including an --out that names an input
 file), 3 any other package error or OSError, 5 InvariantViolation.
+The argument parser is built once per process and reused by every main()
+call, so a process that runs several commands pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
 
-from . import backend, collide, poly
+from . import backend, collide
 from .enumerate import enumerate_by_edges, enumerate_graphs
 from .errors import CopermError, InvariantViolation
 from .graphs import MAX_VERTICES, char_poly, edge_count, parse_graph6, perm_poly, to_graph6
@@ -92,11 +95,13 @@ def cmd_enumerate(args) -> None:
 
 def cmd_poly(args) -> None:
     g = parse_graph6(args.graph6)
-    lines = [f"graph\t{to_graph6(g)}\tn={g.n}\tm={edge_count(g)}"]
+    m = edge_count(g)
+    lines = [f"graph\t{to_graph6(g)}\tn={g.n}\tm={m}"]
     kinds = ("perm", "char") if args.kind == "both" else (args.kind,)
     for kind in kinds:
         p = perm_poly(g) if kind == "perm" else char_poly(g)
-        lines.append(f"{kind}\t{list(p)}\t{poly.text(p)}")
+        text = collide.render(collide.fingerprint(p, g.n, m, kind), g.n)
+        lines.append(f"{kind}\t{list(p)}\t{text}")
     _emit(lines, args.out)
 
 
@@ -119,16 +124,17 @@ def cmd_table(args) -> None:
     _emit(lines, args.out)
 
 
-def _family_row(n: int, m: int, fam) -> str:
-    """A mates or merge report row of a family of shard (n, m)."""
-    p = collide.poly_from_fingerprint(fam.fingerprint, n)
-    return f"{n}\t{m}\t{len(fam.members)}\t{poly.text(p)}\t" + " ".join(fam.members)
+def _family_rows(n: int, m: int, families):
+    """The mates or merge report rows of families of shard (n, m)."""
+    head, render = f"{n}\t{m}\t", collide.render
+    for fp, members in families:
+        yield f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members)
 
 
 def cmd_mates(args) -> None:
     censuses = _census_by_n(args, (args.kind,))
-    rows = (_family_row(n, shard.m, fam) for n in sorted(censuses)
-            for shard in censuses[n] for fam in shard.families[args.kind])
+    rows = (row for n in sorted(censuses) for shard in censuses[n]
+            for row in _family_rows(n, shard.m, shard.families[args.kind]))
     _emit(chain([MATES_HEADER], rows), args.out)
 
 
@@ -165,8 +171,7 @@ def cmd_fingerprint(args) -> None:
 def _merge_rows(runs):
     yield MATES_HEADER.replace("members", "members (all family sizes)")
     n, m = collide.run_shard(runs[0])  # merge_sorted_runs holds every run to it
-    for fam in collide.group_sorted(collide.merge_sorted_runs(runs)):
-        yield _family_row(n, m, fam)
+    yield from _family_rows(n, m, collide.group_sorted(collide.merge_sorted_runs(runs)))
 
 
 def cmd_merge(args) -> None:
@@ -197,7 +202,11 @@ def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The coperm parser, built by the first call and then shared by every
+    main() call in the process: parsing leaves it as it is, and so must
+    its callers."""
     parser = argparse.ArgumentParser(
         prog="coperm",
         description="Exact permanental/characteristic polynomial census of small graphs "

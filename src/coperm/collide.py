@@ -1,4 +1,5 @@
-"""Polynomial fingerprints, family grouping, and census statistics.
+"""Polynomial fingerprints, their rendering, family grouping, and census
+statistics.
 
 Graphs sharing a polynomial are collected into families keyed by a
 canonical byte encoding of the coefficient vector. Shards never mix
@@ -13,7 +14,8 @@ graph6), each pair once, which group_sorted checks for all three.
 Fingerprint layout (bit-exact): the coefficients c_(n-2) down to c_0
 (c_n and c_(n-1) are omitted, always 1 and 0), each as a sign byte
 (0x00 nonnegative, 0x01 negative), a u8 magnitude length L, and L
-little-endian magnitude bytes, minimal L (0 is sign 0, L = 0).
+little-endian magnitude bytes, minimal L (0 is sign 0, L = 0). render()
+turns one back into report text without decoding it to integers.
 """
 
 from __future__ import annotations
@@ -58,22 +60,40 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
     return bytes(out)
 
 
-def poly_from_fingerprint(fp: bytes, n: int) -> tuple[int, ...]:
-    """Inverse codec: the full coefficient vector of the fingerprint of a
-    degree-n polynomial, as built by fingerprint() or cut by a run reader."""
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+# the power names of every degree a graph6 graph can have
+_POWERS = ("", "x", *(f"x^{j}" for j in range(2, MAX_VERTICES + 1)))
+# per degree j, the text of each term c x^j with |c| < 256 at index
+# sign << 8 | |c|, filled on first use
+_TERMS = [[None] * 512 for _ in range(MAX_VERTICES + 1)]
+# per n, (j, the memo of degree j) for j = n-2 down to 0, a fingerprint's order
+_BODY = [tuple((j, _TERMS[j]) for j in range(n - 2, -1, -1))
+         for n in range(MAX_VERTICES + 1)]
+
+
+def _term(sign: int, mag: int, j: int) -> str:
+    """The text of a term c x^j that follows the leading one, e.g. " - 7x^2"."""
+    return (" - " if sign else " + ") + (str(mag) if mag != 1 or not j else "") + _POWERS[j]
+
+
+def render(fp: bytes, n: int) -> str:
+    """The polynomial of the fingerprint of a degree-n polynomial, as built
+    by fingerprint() or cut by a run reader, highest power first, e.g.
+    "x^3 + 3x - 2". One walk over the bytes: a term with a one-byte
+    magnitude comes from its degree's memo, a longer one is rendered."""
+    out = _POWERS[n] or "1"
     pos = 0
-    for j in range(n - 2, -1, -1):
-        sign, blen = fp[pos], fp[pos + 1]
-        pos += 2
-        if blen == 1:  # the common case, decoded without a slice
-            mag = fp[pos]
-        else:
-            mag = int.from_bytes(fp[pos:pos + blen], "little")
-        pos += blen
-        coeffs[j] = -mag if sign else mag
-    return tuple(coeffs)
+    for j, memo in _BODY[n]:
+        blen = fp[pos + 1]
+        if blen == 1:
+            key = fp[pos] << 8 | fp[pos + 2]
+            term = memo[key]
+            if term is None:
+                term = memo[key] = _term(fp[pos], fp[pos + 2], j)
+            out += term
+        elif blen:  # 0 is a zero coefficient, which has no term
+            out += _term(fp[pos], int.from_bytes(fp[pos + 2:pos + 2 + blen], "little"), j)
+        pos += 2 + blen
+    return out
 
 
 # all graphs sharing one polynomial: fingerprint bytes, and a tuple of

@@ -1,6 +1,8 @@
 """Test-side reference implementations, kept independent of the package
-internals they check, a graph builder from edge lists, and the run-reader
-chunk sizes and raw run-file writer the run-file tests use."""
+internals they check (among them the polynomial text and fingerprint
+decoder that the report renderer is checked against), a graph builder from
+edge lists, and the run-reader chunk sizes and raw run-file writer the
+run-file tests use."""
 
 from collections import Counter
 from itertools import combinations, permutations
@@ -118,6 +120,41 @@ def evaluate(coeffs, x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def text(coeffs) -> str:
+    """Human-readable rendering, highest power first, e.g. "x^3 + 2x", of
+    a coefficient tuple, constant term first."""
+    parts = []
+    for j in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[j]
+        if not c:
+            continue
+        if c < 0:
+            parts.append(" - " if parts else "-")
+            c = -c
+        elif parts:
+            parts.append(" + ")
+        if c != 1 or not j:
+            parts.append(str(c))
+        if j:
+            parts.append("x" if j == 1 else f"x^{j}")
+    return "".join(parts) or "0"
+
+
+def poly_from_fingerprint(fp: bytes, n: int) -> tuple[int, ...]:
+    """The full coefficient vector, constant term first, of the fingerprint
+    of a monic degree-n graph polynomial (see coperm.collide)."""
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    pos = 0
+    for j in range(n - 2, -1, -1):
+        sign, blen = fp[pos], fp[pos + 1]
+        mag = int.from_bytes(fp[pos + 2:pos + 2 + blen], "little")
+        pos += 2 + blen
+        coeffs[j] = -mag if sign else mag
+    assert pos == len(fp), "trailing bytes after n - 1 coefficients"
+    return tuple(coeffs)
 
 
 def from_values(values) -> tuple:

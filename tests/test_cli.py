@@ -11,10 +11,11 @@ import coperm
 from coperm import cli, pipeline
 from coperm.backend import available_backends
 from coperm.cli import main, mate_fraction
-from coperm.collide import _HEADER, persist_fingerprints
+from coperm.collide import _HEADER, fingerprint, persist_fingerprints
 from coperm.enumerate import BUILTIN_MAX
-from coperm.graphs import edge_count, parse_graph6, to_graph6
-from oracles import members_out_of_order, permute, raw_run
+from coperm.graphs import char_poly, edge_count, parse_graph6, perm_poly, to_graph6
+from oracles import graph_from_edges, members_out_of_order, permute, raw_run, text
+from tables import GRAPH_COUNTS
 
 
 def run(capsys, *argv):
@@ -141,6 +142,72 @@ def test_fingerprint_and_merge(tmp_path, capsys):
     code, out, _ = run(capsys, "merge", str(a))
     assert code == 0
     assert len(out.splitlines()) == 8  # header + 7 families
+
+
+@pytest.mark.parametrize("kind", ["perm", "char"])
+def test_merge_renders_each_family_as_the_oracle(tmp_path, capsys, kind):
+    # every shard with n <= 7: each row's polynomial is the oracle text of
+    # its first member's polynomial
+    poly_of = perm_poly if kind == "perm" else char_poly
+    run_file = tmp_path / "shard.run"
+    graphs = 0
+    for n in range(8):
+        for m in range(n * (n - 1) // 2 + 1):
+            fingerprint_run(capsys, run_file, n, m, kind)
+            code, out, err = run(capsys, "merge", str(run_file))
+            assert code == 0, err
+            for row in out.splitlines()[1:]:
+                row_n, row_m, size, poly, members = row.split("\t")
+                members = members.split()
+                assert (int(row_n), int(row_m), int(size)) == (n, m, len(members))
+                assert poly == text(poly_of(parse_graph6(members[0])))
+                graphs += len(members)
+    assert graphs == sum(GRAPH_COUNTS[n] for n in range(8))
+
+
+def test_merge_renders_coefficients_past_eight_bytes(tmp_path, capsys):
+    n, m = 30, 200
+    rng = random.Random(30)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    words = sorted({to_graph6(graph_from_edges(n, rng.sample(pairs, m))) for _ in range(3)})
+    polys = []
+    for top in (2**64, -2**64, 2**2039 + 5):  # 9, 9 and 255 magnitude bytes
+        p = [0] * (n + 1)
+        p[n], p[n - 2] = 1, m
+        for j in range(n - 2):
+            p[j] = rng.choice((top + j, -(top + j), 0, 1, -1, 255, -256))
+        polys.append(tuple(p))
+    records = sorted([(fingerprint(polys[0], n, m), words[0]),
+                      (fingerprint(polys[0], n, m), words[1]),
+                      (fingerprint(polys[1], n, m), words[2]),
+                      (fingerprint(polys[2], n, m), words[0])])
+    run_file = tmp_path / "wide.run"
+    run_file.write_bytes(raw_run(n, m, records))
+    code, out, err = run(capsys, "merge", str(run_file))
+    assert code == 0, err
+    text_of = {fingerprint(p, n, m): text(p) for p in polys}
+    rows = [row.split("\t") for row in out.splitlines()[1:]]
+    assert [row[3] for row in rows] == [text_of[fp] for fp in sorted(text_of)]
+    assert [row[2] for row in rows] == ["2" if fp == records[0][0] else "1"
+                                        for fp in sorted(text_of)]
+
+
+def test_repeated_main_calls_stay_independent(tmp_path, capsys):
+    # one process, one parser: a usage error and every earlier command
+    # leave nothing behind that a later command sees
+    run_file = tmp_path / "m5.run"
+    fingerprint_run(capsys, run_file, 5, 5, "char")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "5:3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    calls = [("poly", "Dhc", "--kind", "perm"), ("poly", "Dhc"),
+             ("mates", "--n", "6", "--kind", "char"), ("mates", "--n", "6"),
+             ("merge", str(run_file))]
+    first = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 and out for code, out, _ in first)
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_merge_failing_after_rows_leaves_no_out_file(tmp_path, capsys, monkeypatch):

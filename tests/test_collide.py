@@ -12,13 +12,12 @@ from coperm.collide import (
     group_sorted,
     merge_sorted_runs,
     persist_fingerprints,
-    poly_from_fingerprint,
     shard_stats,
 )
 from coperm.errors import DegreeMismatch, DuplicateMember, RunFormatError, UnsortedRun
 from coperm.graphs import to_graph6
 from coperm.pipeline import ShardResult, aggregate, run_census, shard_records
-from oracles import graph_from_edges, members_out_of_order, raw_run
+from oracles import graph_from_edges, members_out_of_order, poly_from_fingerprint, raw_run
 
 
 def test_fingerprint_layout_exact_bytes():
