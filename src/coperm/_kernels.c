@@ -1,25 +1,28 @@
-/* Compiled kernels of coperm: graph-polynomial coefficients computed
- * directly (Ryser for per(xI - A), Berkowitz for det(xI - A)), the
- * minimum-lex canonical-order search, and scalar Ryser permanents and
- * Bareiss determinants of integer matrices. Plain C entry points over
- * arrays of long long (matrix entries, coefficients) and unsigned int
- * (adjacency bitmask rows), the item types of Python's array typecodes
- * "q" and "I". Built on first use and called through ctypes by _core.py,
- * which checks every size against MAXK first.
+/* Compiled kernels of coperm, as the CPython extension module behind
+ * coperm._core: graph-polynomial coefficients computed directly (Ryser
+ * for per(xI - A), Berkowitz for det(xI - A)), the minimum-lex
+ * canonical-order search and the canonical children it yields, and
+ * scalar Ryser permanents and Bareiss determinants of integer matrices.
+ * _core.py builds this file on first use against the running
+ * interpreter's headers and loads it as an extension module. Each entry
+ * point converts its arguments itself: a size past MAXK raises TooLarge,
+ * a negative size or too few items ValueError, an item outside its C
+ * type OverflowError, and a non-integer TypeError.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
- * and every coefficient they return fits (see coperm_graph_poly). The
+ * and every coefficient they return fits (see py_graph_poly). The
  * scalar kernels accumulate in 128 bits, and their caller must keep them
- * in range: for coperm_permanent, the product over rows of each row's
- * sum of absolute entries (a zero row counting 1) below 2**126; for
- * coperm_determinant, the product over rows of each row's sum of squared
+ * in range: for permanent, the product over rows of each row's sum of
+ * absolute entries (a zero row counting 1) below 2**126; for
+ * determinant, the product over rows of each row's sum of squared
  * entries below 2**120, so that by Hadamard's inequality every minor,
  * and each product of two that Bareiss forms, fits. The Ryser sum alone
  * may pass 2**127 between terms, so it accumulates modulo 2**128, which
- * is exact whenever the final permanent fits. A 128-bit result v is
- * stored as two long longs, its int64 residue lo and
- * hi = (v - lo) / 2**64, so hi is 0 whenever v fits in 64 bits. */
+ * is exact whenever the final permanent fits. */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <limits.h>
 #include <string.h>
 
 #define MAXK 16
@@ -27,18 +30,6 @@
 typedef __int128 i128;
 typedef unsigned __int128 u128;
 typedef unsigned long long u64;
-
-static void store(long long *lo, long long *hi, i128 v)
-{
-    *lo = (long long)v;
-    *hi = (long long)((v - *lo) >> 64);
-}
-
-static void load(const long long *entries, int k, i128 *a)
-{
-    for (int i = 0; i < k * k; i++)
-        a[i] = entries[i];
-}
 
 static i128 ryser(const i128 *a, int k)
 {
@@ -116,20 +107,6 @@ static i128 bareiss(i128 *a, int k)
     return sign * a[k * k - 1];
 }
 
-void coperm_permanent(const long long *entries, int k, long long *out)
-{
-    i128 a[MAXK * MAXK];
-    load(entries, k, a);
-    store(out, out + 1, ryser(a, k));
-}
-
-void coperm_determinant(const long long *entries, int k, long long *out)
-{
-    i128 a[MAXK * MAXK];
-    load(entries, k, a);
-    store(out, out + 1, bareiss(a, k));
-}
-
 /* per(xI - A) by one Gray-code Ryser sweep over the column sets S:
  * per(M) = sum_S (-1)^(n-|S|) prod_i sum_(j in S) M_ij, and row i's sum is
  * x - r_i when i is in S and -r_i otherwise, r_i = |N(i) & S|. The signs
@@ -148,11 +125,12 @@ static void perm_poly(const unsigned int *rows, int n, u64 *acc)
     for (unsigned int t = 1; t <= all; t++) {
         int j = __builtin_ctz(t);
         s ^= 1u << j;
+        /* bits past n - 1 are no vertex: counting them would write past r */
         if (s >> j & 1)
-            for (m = rows[j]; m; m &= m - 1)
+            for (m = rows[j] & all; m; m &= m - 1)
                 r[__builtin_ctz(m)]++;
         else
-            for (m = rows[j]; m; m &= m - 1)
+            for (m = rows[j] & all; m; m &= m - 1)
                 r[__builtin_ctz(m)]--;
         /* at most 15 factors below 16 each, so c never wraps to 0 */
         c = 1;
@@ -218,23 +196,6 @@ static void char_poly(const unsigned int *rows, int n, u64 *acc)
     }
     for (int d = 0; d <= n; d++)
         acc[d] = p[n - d];
-}
-
-/* Coefficients, constant first, of per(xI - A) (perm != 0) or det(xI - A)
- * into out[0..n]. Both methods use ring operations only, so computing
- * modulo 2**64 gives every coefficient's residue; each coefficient is at
- * most n! <= 16! < 2**45 in magnitude, so the signed residue is its
- * value. */
-void coperm_graph_poly(const unsigned int *rows, int n, int perm, long long *out)
-{
-    u64 acc[MAXK + 1];
-
-    if (perm)
-        perm_poly(rows, n, acc);
-    else
-        char_poly(rows, n, acc);
-    for (int d = 0; d <= n; d++)
-        out[d] = (long long)acc[d];
 }
 
 /* column of vertex `row` under the partial relabeling perm[0..depth) */
@@ -324,33 +285,235 @@ static int canon_dfs(const unsigned int *rows, int n, unsigned int *best, unsign
     return updated;
 }
 
-void coperm_canonical_form(const unsigned int *rows, int n, unsigned int *out)
-{
-    unsigned int best[MAXK], cur[MAXK];
-    int perm[MAXK];
+/* ------------------------------------------------------- Python entry points */
 
+static PyObject *too_large; /* coperm.errors.TooLarge */
+
+/* A size argument plus extra as a C int in 0..MAXK: TooLarge past MAXK,
+ * ValueError below 0. */
+static int size_arg(PyObject *obj, int extra, int *out)
+{
+    int overflow;
+    long long v;
+    PyObject *index = PyNumber_Index(obj);
+
+    if (index == NULL)
+        return -1;
+    v = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow > 0 || v > MAXK - extra) {
+        PyErr_Format(too_large, "compiled kernels support sizes <= %d, got %S%s",
+                     MAXK, obj, extra ? " + 1" : "");
+        return -1;
+    }
+    if (overflow < 0 || v < 0) {
+        PyErr_Format(PyExc_ValueError, "negative size %S", obj);
+        return -1;
+    }
+    *out = (int)v + extra;
+    return 0;
+}
+
+/* A plain int argument as a C int: OverflowError outside its range. */
+static int int_arg(PyObject *obj, int *out)
+{
+    long v = PyLong_AsLong(obj); /* uses __index__; TypeError without it */
+
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (v < INT_MIN || v > INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "argument out of the range of a C int");
+        return -1;
+    }
+    *out = (int)v;
+    return 0;
+}
+
+/* Every item of values as a C unsigned int (wide = 0) or long long
+ * (wide = 1), as array("I") and array("q") convert them; the first need
+ * items go to out. ValueError when fewer than need. */
+static int items_arg(PyObject *values, Py_ssize_t need, int wide, void *out)
+{
+    /* a tuple, which no item's __index__ can resize under the loop; a
+     * tuple argument is taken as it is */
+    PyObject *seq = PySequence_Tuple(values);
+    Py_ssize_t len;
+
+    if (seq == NULL)
+        return -1;
+    len = PyTuple_GET_SIZE(seq);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *index = PyNumber_Index(PyTuple_GET_ITEM(seq, i));
+        long long v = 0;
+        unsigned long u = 0;
+
+        if (index == NULL)
+            goto fail;
+        if (wide)
+            v = PyLong_AsLongLong(index);
+        else
+            u = PyLong_AsUnsignedLong(index);
+        Py_DECREF(index);
+        if (PyErr_Occurred())
+            goto fail;
+        if (!wide && u > UINT_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "unsigned int is greater than maximum");
+            goto fail;
+        }
+        if (i < need) {
+            if (wide)
+                ((long long *)out)[i] = v;
+            else
+                ((unsigned int *)out)[i] = (unsigned int)u;
+        }
+    }
+    Py_DECREF(seq);
+    if (len < need) {
+        PyErr_Format(PyExc_ValueError, "%zd values needed, got %zd", need, len);
+        return -1;
+    }
+    return 0;
+fail:
+    Py_DECREF(seq);
+    return -1;
+}
+
+static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments, got %zd",
+                 name, want, nargs);
+    return 0;
+}
+
+static PyObject *from_i128(i128 v)
+{
+    PyObject *hi, *shift, *lo, *up = NULL, *sum = NULL;
+
+    if (v == (long long)v)
+        return PyLong_FromLongLong((long long)v);
+    hi = PyLong_FromLongLong((long long)(v >> 64));
+    shift = PyLong_FromLong(64);
+    lo = PyLong_FromUnsignedLongLong((u64)v);
+    if (hi && shift && lo && (up = PyNumber_Lshift(hi, shift)))
+        sum = PyNumber_Add(up, lo);
+    Py_XDECREF(hi);
+    Py_XDECREF(shift);
+    Py_XDECREF(lo);
+    Py_XDECREF(up);
+    return sum;
+}
+
+static PyObject *matrix_kernel(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                               int perm)
+{
+    long long entries[MAXK * MAXK];
+    i128 a[MAXK * MAXK];
+    int k;
+
+    if (!nargs_ok(name, nargs, 2) || size_arg(args[1], 0, &k) < 0
+        || items_arg(args[0], k * k, 1, entries) < 0)
+        return NULL;
+    for (int i = 0; i < k * k; i++)
+        a[i] = entries[i];
+    return from_i128(perm ? ryser(a, k) : bareiss(a, k));
+}
+
+static PyObject *py_permanent(PyObject *Py_UNUSED(module), PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    return matrix_kernel("permanent", args, nargs, 1);
+}
+
+static PyObject *py_determinant(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    return matrix_kernel("determinant", args, nargs, 0);
+}
+
+/* A new list of the n ints v[0..n), read as C unsigned ints (wide = 0) or
+ * as signed 64-bit residues (wide = 1). */
+static PyObject *int_list(const void *v, int n, int wide)
+{
+    PyObject *out = PyList_New(n), *x;
+
+    if (out == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        x = wide ? PyLong_FromLongLong((long long)((const u64 *)v)[i])
+                 : PyLong_FromUnsignedLong(((const unsigned int *)v)[i]);
+        if (x == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+/* graph_poly(rows, n, kind): coefficients, constant first, of
+ * per(xI - A) when kind is "perm" and of det(xI - A) otherwise. Both
+ * methods use ring operations only, so computing modulo 2**64 gives every
+ * coefficient's residue; each coefficient is at most n! <= 16! < 2**45 in
+ * magnitude, so the signed residue is its value. */
+static PyObject *py_graph_poly(PyObject *Py_UNUSED(module), PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    unsigned int rows[MAXK];
+    u64 acc[MAXK + 1];
+    int n;
+
+    if (!nargs_ok("graph_poly", nargs, 3) || size_arg(args[1], 0, &n) < 0
+        || items_arg(args[0], n, 0, rows) < 0)
+        return NULL;
+    if (PyUnicode_Check(args[2]) && PyUnicode_CompareWithASCIIString(args[2], "perm") == 0)
+        perm_poly(rows, n, acc);
+    else
+        char_poly(rows, n, acc);
+    return int_list(acc, n + 1, 1);
+}
+
+/* canonical_form(rows, n): adjacency rows of the minimum-lex relabeling */
+static PyObject *py_canonical_form(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    unsigned int rows[MAXK], best[MAXK], cur[MAXK], out[MAXK] = {0};
+    int perm[MAXK], n;
+
+    if (!nargs_ok("canonical_form", nargs, 2) || size_arg(args[1], 0, &n) < 0
+        || items_arg(args[0], n, 0, rows) < 0)
+        return NULL;
     targets_of(rows, n, best);
     canon_dfs(rows, n, best, cur, perm, 0, 0, 1);
-    for (int j = 0; j < n; j++)
-        out[j] = 0;
     for (int j = 0; j < n; j++)
         for (int i = 0; i < j; i++)
             if ((best[j] >> (j - 1 - i)) & 1) {
                 out[i] |= 1u << j;
                 out[j] |= 1u << i;
             }
+    return int_list(out, n, 0);
 }
 
-/* Neighbor subsets S of the new vertex k, lo <= |S| <= hi, whose extension
- * of rows[0..k) is canonical, in increasing order into out; returns how
- * many. */
-int coperm_canonical_children(const unsigned int *rows, int k, int lo, int hi, unsigned int *out)
+/* canonical_children(rows, k, lo, hi): the rows of every canonical
+ * extension of rows[0..k) by a vertex k with neighbour set S,
+ * lo <= |S| <= hi, one tuple per child, in decreasing order of S. */
+static PyObject *py_canonical_children(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                       Py_ssize_t nargs)
 {
-    unsigned int child[MAXK];
-    unsigned int targets[MAXK];
-    int perm[MAXK], count = 0;
+    unsigned int rows[MAXK], child[MAXK], targets[MAXK];
+    int perm[MAXK], size, k, lo, hi;
+    PyObject *out, *tuple, *x;
 
-    for (unsigned int s = 0; s < 1u << k; s++) {
+    if (!nargs_ok("canonical_children", nargs, 4) || size_arg(args[1], 1, &size) < 0
+        || int_arg(args[2], &lo) < 0 || int_arg(args[3], &hi) < 0)
+        return NULL;
+    k = size - 1; /* the children have k + 1 vertices */
+    if (items_arg(args[0], k, 0, rows) < 0 || (out = PyList_New(0)) == NULL)
+        return NULL;
+    for (unsigned int s = 1u << k; s-- > 0;) {
         int pc = __builtin_popcount(s);
         if (pc < lo || pc > hi)
             continue;
@@ -358,8 +521,71 @@ int coperm_canonical_children(const unsigned int *rows, int k, int lo, int hi, u
             child[i] = rows[i] | (((s >> i) & 1u) << k);
         child[k] = s;
         targets_of(child, k + 1, targets);
-        if (!smaller_exists(child, k + 1, targets, perm, 0, 0))
-            out[count++] = s;
+        if (smaller_exists(child, k + 1, targets, perm, 0, 0))
+            continue;
+        if ((tuple = PyTuple_New(k + 1)) == NULL)
+            goto fail;
+        for (int i = 0; i <= k; i++) {
+            if ((x = PyLong_FromUnsignedLong(child[i])) == NULL) {
+                Py_DECREF(tuple);
+                goto fail;
+            }
+            PyTuple_SET_ITEM(tuple, i, x);
+        }
+        if (PyList_Append(out, tuple) < 0) {
+            Py_DECREF(tuple);
+            goto fail;
+        }
+        Py_DECREF(tuple);
     }
-    return count;
+    return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
+}
+
+#define ENTRY(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef methods[] = {
+    ENTRY(permanent, "Permanent of a k x k matrix given as a flat row-major list."),
+    ENTRY(determinant, "Determinant by fraction-free elimination; every division is exact."),
+    ENTRY(graph_poly, "Coefficients (constant first) of per/det(xI - A) for adjacency rows."),
+    ENTRY(canonical_form, "Adjacency rows of the minimum-lex relabeling of the graph."),
+    ENTRY(canonical_children,
+          "Rows of each canonical extension by a new vertex k with neighbour set S,\n"
+          "lo <= |S| <= hi: one tuple per child, in decreasing order of S."),
+    {NULL, NULL, 0, NULL},
+};
+
+static int exec_module(PyObject *module)
+{
+    PyObject *errors = PyImport_ImportModule("coperm.errors");
+
+    if (errors == NULL)
+        return -1;
+    Py_XSETREF(too_large, PyObject_GetAttrString(errors, "TooLarge"));
+    Py_DECREF(errors);
+    if (too_large == NULL)
+        return -1;
+    return PyModule_AddIntConstant(module, "MAXK", MAXK);
+}
+
+static PyModuleDef_Slot slots[] = {
+    {Py_mod_exec, (void *)exec_module},
+#if PY_VERSION_HEX >= 0x030C0000
+    /* too_large is one static for the whole process */
+    {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
+#endif
+    {0, NULL},
+};
+
+static struct PyModuleDef module_def = {
+    PyModuleDef_HEAD_INIT, "coperm._core", NULL, 0, methods, slots, NULL, NULL, NULL,
+};
+
+/* loaded under the name coperm._core, so the kernels belong to that module */
+PyMODINIT_FUNC PyInit__core(void)
+{
+    return PyModuleDef_Init(&module_def);
 }

@@ -207,15 +207,13 @@ def canonical_form(rows, n: int) -> list[int]:
     return out
 
 
-def canonical_children(rows, k: int, lo: int, hi: int) -> list[int]:
-    """Neighbor subsets S of the new vertex k whose extension is canonical.
-
-    Only subsets with lo <= |S| <= hi are considered; the caller uses the
-    bounds to prune edge-count-restricted enumeration.
-    """
+def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Rows of each canonical extension of rows[0..k) by a new vertex k with
+    neighbour set S, lo <= |S| <= hi: one tuple per child, in decreasing
+    order of S."""
     out = []
-    child = list(rows) + [0]
-    for s in range(1 << k):
+    child = list(rows[:k]) + [0]
+    for s in range((1 << k) - 1, -1, -1):
         pc = s.bit_count()
         if pc < lo or pc > hi:
             continue
@@ -223,5 +221,5 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[int]:
             child[i] = rows[i] | (((s >> i) & 1) << k)
         child[k] = s
         if _is_canonical(child, k + 1):
-            out.append(s)
+            out.append(tuple(child))
     return out

@@ -35,6 +35,18 @@ RUN_VERSION = 2
 _HEADER = struct.Struct("<4sHBHQ")  # magic, version, n, m, record count
 
 
+def _coefficient(c: int) -> bytes:
+    """The bytes of one fingerprint coefficient: sign, length, magnitude."""
+    mag = -c if c < 0 else c
+    blen = (mag.bit_length() + 7) // 8
+    return bytes((c < 0, blen)) + mag.to_bytes(blen, "little")
+
+
+# the bytes of each coefficient c with |c| < 256, at index c: a negative c
+# indexes from the end, so slot 256 is never read
+_SMALL = [*map(_coefficient, range(256)), b"", *map(_coefficient, range(-255, 0))]
+
+
 def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
     """Canonical bytes for a monic degree-n graph polynomial.
 
@@ -49,15 +61,9 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
         if p[n - 2] != want:
             raise DegreeMismatch(
                 f"x^(n-2) coefficient {p[n - 2]} disagrees with m={m} ({kind})")
-    out = bytearray()
-    for j in range(n - 2, -1, -1):
-        c = p[j]
-        mag = -c if c < 0 else c
-        blen = (mag.bit_length() + 7) // 8
-        out.append(1 if c < 0 else 0)
-        out.append(blen)
-        out += mag.to_bytes(blen, "little")
-    return bytes(out)
+    small = _SMALL
+    body = p[n - 2::-1] if n >= 2 else ()
+    return b"".join([small[c] if -256 < c < 256 else _coefficient(c) for c in body])
 
 
 # the power names of every degree a graph6 graph can have

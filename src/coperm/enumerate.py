@@ -3,9 +3,16 @@
 Builtin generation grows graphs one vertex at a time and keeps a child
 exactly when its labeling already is the minimum-lex canonical one.
 Deleting the last vertex of a canonical graph leaves a canonical graph,
-so every isomorphism class surfaces exactly once, no seen-set needed,
-and memory stays flat. External graph6 files can be ingested instead
-for sizes past the builtin bound.
+so every isomorphism class surfaces exactly once, no seen-set needed.
+The walk goes level by level: the canonical k-vertex graphs are built
+once per process, from the (k-1)-vertex ones, and kept. A walk over n
+vertices expands the kept (n-1)-vertex parents, one canonical_children
+call per parent, and holds no n-vertex graph. So memory is one
+(n-1)-vertex level per process (12,346 parents for n = 9), plus the
+smaller levels. Each parent's children come in decreasing order of the
+new vertex's neighbour set, which is the order of a depth-first walk
+from the empty graph. External graph6 files can be ingested instead for
+sizes past the builtin bound.
 """
 
 from __future__ import annotations
@@ -16,26 +23,33 @@ from .graphs import Graph, parse_graph6
 
 BUILTIN_MAX = 9
 
+# _levels[k]: (rows, edge count) of every canonical k-vertex graph, in
+# walk order; level k is built from level k - 1 on first use
+_levels = [[((), 0)]]
 
-def _orderly(n: int, m: int | None):
-    total_pairs = n * (n - 1) // 2
-    stack = [((), 0)]
-    while stack:
-        rows, e = stack.pop()
-        k = len(rows)
-        if k == n:
-            yield Graph(n, rows)
-            continue
-        if m is None:
-            lo, hi = 0, k
-        else:
-            # edges still placeable once the new vertex is in
-            capacity_after = total_pairs - (k + 1) * k // 2
-            lo = max(0, m - e - capacity_after)
-            hi = min(k, m - e)
-        for s in backend.canonical_children(list(rows), k, lo, hi):
-            child = tuple(r | (((s >> i) & 1) << k) for i, r in enumerate(rows)) + (s,)
-            stack.append((child, e + s.bit_count()))
+
+def _level(k: int) -> list[tuple[tuple[int, ...], int]]:
+    while len(_levels) <= k:
+        j = len(_levels) - 1  # the parents' vertex count
+        _levels.append([(child, e + child[j].bit_count())
+                        for rows, e in _levels[j]
+                        for child in backend.canonical_children(rows, j, 0, j)])
+    return _levels[k]
+
+
+def _walk(n: int, m: int | None):
+    """The canonical n-vertex graphs, with exactly m edges unless m is
+    None, in walk order."""
+    if n == 0:
+        yield Graph(0, ())
+        return
+    k = n - 1
+    children = backend.canonical_children
+    for rows, e in _level(k):
+        lo, hi = (0, k) if m is None else (m - e, m - e)
+        if 0 <= hi and lo <= k:
+            for child in children(rows, k, lo, hi):
+                yield Graph(n, child)
 
 
 def check_builtin(n: int) -> None:
@@ -47,7 +61,7 @@ def check_builtin(n: int) -> None:
 def enumerate_graphs(n: int):
     """One representative per isomorphism class on n vertices."""
     check_builtin(n)
-    return _orderly(n, None)
+    return _walk(n, None)
 
 
 def enumerate_by_edges(n: int, m: int):
@@ -55,7 +69,7 @@ def enumerate_by_edges(n: int, m: int):
     check_builtin(n)
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"m={m} outside 0..{n * (n - 1) // 2} for n={n}")
-    return _orderly(n, m)
+    return _walk(n, m)
 
 
 def ingest_graph6(path):

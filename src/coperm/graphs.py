@@ -87,31 +87,31 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+# the graph6 character of each 6-bit group, indexed by the group with its
+# first bit lowest
+_G6_CHARS = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
+_G6_GROUPS = [range(0, n * (n - 1) // 2, 6) for n in range(MAX_VERTICES + 1)]
+
+
 def to_graph6(g: Graph) -> str:
     """Encode to the short graph6 form with canonical zero padding."""
     if g.n > MAX_VERTICES:
         raise TooLarge(f"n={g.n} exceeds the {MAX_VERTICES}-vertex cap")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.rows[j] >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    # bit (i, j), i < j, of the upper triangle at position j(j-1)/2 + i
+    bits = 0
+    j = 0
+    for r in g.rows:
+        bits |= (r & ((1 << j) - 1)) << (j * (j - 1) >> 1)
+        j += 1
+    chars = _G6_CHARS
+    return chr(g.n + 63) + "".join([chars[bits >> s & 63] for s in _G6_GROUPS[g.n]])
 
 
 def canonical_form(g: Graph) -> Graph:
     """The minimum-lex representative of g's isomorphism class."""
     if g.n > CANONICAL_MAX:
         raise TooLarge(f"canonical labeling supports n <= {CANONICAL_MAX}")
-    return Graph(g.n, tuple(backend.canonical_form(list(g.rows), g.n)))
+    return Graph(g.n, tuple(backend.canonical_form(g.rows, g.n)))
 
 
 def perm_poly(g: Graph) -> tuple[int, ...]:

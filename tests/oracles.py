@@ -1,8 +1,10 @@
 """Test-side reference implementations, kept independent of the package
 internals they check (among them the polynomial text and fingerprint
-decoder that the report renderer is checked against), a graph builder from
-edge lists, and the run-reader chunk sizes and raw run-file writer the
-run-file tests use."""
+decoder that the report renderer is checked against, the fingerprint
+encoder and graph6 bit loop that the table-driven ones are checked
+against, and the stack walk that fixes the enumeration order), a graph
+builder from edge lists, and the run-reader chunk sizes and raw run-file
+writer the run-file tests use."""
 
 from collections import Counter
 from itertools import combinations, permutations
@@ -155,6 +157,70 @@ def poly_from_fingerprint(fp: bytes, n: int) -> tuple[int, ...]:
         coeffs[j] = -mag if sign else mag
     assert pos == len(fp), "trailing bytes after n - 1 coefficients"
     return tuple(coeffs)
+
+
+def fingerprint_bytes(p, n: int) -> bytes:
+    """The fingerprint body of p, coefficient by coefficient (see
+    coperm.collide), without fingerprint()'s checks."""
+    out = bytearray()
+    for j in range(n - 2, -1, -1):
+        c = p[j]
+        mag = -c if c < 0 else c
+        blen = (mag.bit_length() + 7) // 8
+        out.append(1 if c < 0 else 0)
+        out.append(blen)
+        out += mag.to_bytes(blen, "little")
+    return bytes(out)
+
+
+def graph6_bits(g) -> str:
+    """The graph6 word of g, bit by bit in column order."""
+    out = [chr(g.n + 63)]
+    acc = 0
+    nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.rows[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def orderly_reference(n: int, m, canonical_form) -> list[tuple[int, ...]]:
+    """The rows of every canonical n-vertex graph (with exactly m edges,
+    unless m is None) in the order of the depth-first stack walk from the
+    empty graph: at each vertex k, every neighbour set S of the new vertex,
+    within the edges still placeable, whose child is its own
+    canonical_form(rows, k + 1) is pushed in increasing order of S, so the
+    walk pops children in decreasing order."""
+    total_pairs = n * (n - 1) // 2
+    out = []
+    stack = [((), 0)]
+    while stack:
+        rows, e = stack.pop()
+        k = len(rows)
+        if k == n:
+            out.append(rows)
+            continue
+        if m is None:
+            lo, hi = 0, k
+        else:
+            # edges still placeable once the new vertex is in
+            capacity_after = total_pairs - (k + 1) * k // 2
+            lo = max(0, m - e - capacity_after)
+            hi = min(k, m - e)
+        for s in range(1 << k):
+            if not lo <= s.bit_count() <= hi:
+                continue
+            child = tuple(r | (((s >> i) & 1) << k) for i, r in enumerate(rows)) + (s,)
+            if tuple(canonical_form(child, k + 1)) == child:
+                stack.append((child, e + s.bit_count()))
+    return out
 
 
 def from_values(values) -> tuple:

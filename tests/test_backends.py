@@ -6,8 +6,10 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,41 @@ def test_graph_poly_agrees():
             assert a.graph_poly(rows, n, kind) == b.graph_poly(rows, n, kind)
 
 
+def random_rows(rng, n, p=0.5):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def children_from_subsets(impl, rows, k):
+    """The children of rows built from each neighbour set S of the new
+    vertex k, in decreasing order of S, keeping those that are their own
+    canonical form."""
+    out = []
+    for s in range((1 << k) - 1, -1, -1):
+        child = tuple(r | (s >> i & 1) << k for i, r in enumerate(rows)) + (s,)
+        if tuple(impl.canonical_form(child, k + 1)) == child:
+            out.append(child)
+    return out
+
+
+def test_graph_poly_ignores_bits_past_n():
+    # a row bit past n - 1 names no vertex; the compiled Ryser sweep once
+    # counted it, writing past its per-row array
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        rows = random_rows(rng, n)
+        junk = [r | rng.getrandbits(32 - n) << n for r in rows]
+        for impl in BACKENDS.values():
+            for kind in ("perm", "char"):
+                assert impl.graph_poly(junk, n, kind) == impl.graph_poly(rows, n, kind)
+
+
 @needs_both
 def test_canonical_machinery_agrees():
     rng = random.Random(14)
@@ -62,38 +99,33 @@ def test_canonical_machinery_agrees():
     b = BACKENDS["pure-python"]
     for _ in range(300):
         n = rng.randint(0, 7)
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+        rows = random_rows(rng, n)
         assert a.canonical_form(rows, n) == b.canonical_form(rows, n)
         if n:
             k = n - 1
-            assert a.canonical_children(rows[:k], k, 0, k) == \
-                b.canonical_children(rows[:k], k, 0, k)
+            lo = rng.randint(0, k)
+            hi = rng.randint(lo, k)
+            for bounds in ((0, k), (lo, hi)):
+                assert a.canonical_children(rows[:k], k, *bounds) == \
+                    b.canonical_children(rows[:k], k, *bounds)
 
 
-@needs_both
 def test_canonical_form_fixed_point_means_canonical():
-    # canonical_children returns a subset exactly when its child graph is
-    # its own canonical_form
-    rng = random.Random(15)
-    core = BACKENDS["compiled"]
-    for _ in range(200):
-        k = rng.randint(0, 6)
-        rows = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if rng.random() < 0.4:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        rows = core.canonical_form(rows, k)
-        kept = set(core.canonical_children(rows, k, 0, k))
-        for s in range(1 << k):
-            child = [r | ((s >> i & 1) << k) for i, r in enumerate(rows)] + [s]
-            assert (s in kept) == (core.canonical_form(child, k + 1) == child)
+    # on every backend, canonical_children returns the rows of exactly the
+    # children that are their own canonical_form, in decreasing order of
+    # the new vertex's neighbour set
+    for impl in BACKENDS.values():
+        rng = random.Random(15)
+        for _ in range(120):
+            k = rng.randint(0, 6)
+            rows = impl.canonical_form(random_rows(rng, k, 0.4), k)
+            kept = children_from_subsets(impl, rows, k)
+            lo = rng.randint(0, k)
+            for lo, hi in ((0, k), (lo, rng.randint(lo, k)), (lo, lo)):
+                got = impl.canonical_children(rows, k, lo, hi)
+                assert got == [c for c in kept if lo <= c[k].bit_count() <= hi], \
+                    (impl.BACKEND_NAME, rows, lo, hi)
+                assert all(type(child) is tuple for child in got)
 
 
 @needs_both
@@ -102,18 +134,13 @@ def test_enumeration_identical_across_backends():
     b = BACKENDS["pure-python"]
 
     def levels(impl, n):
-        out = [[()]]
+        level = [()]
         for k in range(n):
-            nxt = []
-            for rows in out[-1]:
-                for s in impl.canonical_children(list(rows), k, 0, k):
-                    nxt.append(tuple(r | (((s >> i) & 1) << k)
-                                     for i, r in enumerate(rows)) + (s,))
-            out.append(nxt)
-        return out[-1]
+            level = [child for rows in level for child in impl.canonical_children(rows, k, 0, k)]
+        return level
 
-    for n in range(6):
-        assert sorted(levels(a, n)) == sorted(levels(b, n))
+    for n in range(7):
+        assert levels(a, n) == levels(b, n)
 
 
 @needs_both
@@ -140,6 +167,97 @@ def test_compiled_entry_points_reject_short_and_out_of_range_input():
         core.determinant([1 << 64], 1)
     with pytest.raises(OverflowError):
         core.canonical_form([-1], 1)
+
+
+# ----------------------------------------- the extension's entry points
+
+# beyond the size-17, short and out-of-range cases above
+BAD_INPUT = [
+    ("permanent", ([], -1), ValueError),
+    ("permanent", ([1 << 63], 1), OverflowError),
+    ("permanent", ([1.0], 1), TypeError),
+    ("permanent", ([1], "1"), TypeError),
+    ("determinant", ([1, 2], 2), ValueError),
+    ("determinant", ([-(1 << 63) - 1], 1), OverflowError),
+    ("determinant", (None, 1), TypeError),
+    ("graph_poly", ([0] * 17, 1 << 70, "perm"), TooLarge),
+    ("graph_poly", ([0, 0], 3, "perm"), ValueError),
+    ("graph_poly", ([0], -(1 << 70), "char"), ValueError),
+    ("graph_poly", ([1 << 32], 1, "perm"), OverflowError),
+    ("graph_poly", ([0], 1), TypeError),
+    ("canonical_form", ([0, -1], 2), OverflowError),
+    ("canonical_form", ([0, "1"], 2), TypeError),
+    ("canonical_children", ([0], 2, 0, 2), ValueError),
+    ("canonical_children", ([], -1, 0, 0), ValueError),
+    ("canonical_children", ([0], 1, 1 << 40, 1), OverflowError),
+    ("canonical_children", ([0], 1, 0, 1.0), TypeError),
+    ("canonical_children", ([0], 1, 0), TypeError),
+]
+
+
+@needs_both
+@pytest.mark.parametrize("name, args, error", BAD_INPUT,
+                         ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in enumerate(BAD_INPUT)])
+def test_compiled_entry_points_reject_bad_input(name, args, error):
+    with pytest.raises(error):
+        getattr(BACKENDS["compiled"], name)(*args)
+
+
+LEAK_CALLS = 10**5
+
+
+def leak_cases():
+    """Per entry point: arguments that succeed and arguments that fail,
+    holding ints above 256, which no interpreter caches."""
+    big = [int(f"{1 << 20 | v}") for v in (6, 5, 3)]  # high bits past n are ignored
+    return {
+        "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
+        "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
+        "graph_poly": (((*big,), 3, "perm"), (big[:2], 3, "char")),
+        "canonical_form": ((big, 3), ([*big[:2], -big[2]], 3)),
+        "canonical_children": (((*big,), 3, 0, 3), (big, 3, big[0], 1 << 40)),
+    }
+
+
+def held_objects(args):
+    """The arguments and their items, but for the small ints every
+    interpreter shares, whose counts other code moves."""
+    objects = [*args, *(x for a in args if isinstance(a, (list, tuple)) for x in a)]
+    return [x for x in objects if not (type(x) is int and -5 <= x <= 256)]
+
+
+@needs_both
+@pytest.mark.parametrize("name", sorted(leak_cases()))
+def test_compiled_entry_points_hold_no_references(name):
+    """10**5 calls that succeed and 10**4 that fail leave the refcount of
+    every input unchanged and the traced memory flat."""
+    fn = getattr(BACKENDS["compiled"], name)
+    good, bad = leak_cases()[name]
+
+    def failing():
+        try:
+            fn(*bad)
+        except (ValueError, OverflowError):
+            return
+        raise AssertionError("the bad arguments were accepted")
+
+    objects = held_objects(good) + held_objects(bad)
+    before = [sys.getrefcount(x) for x in objects]
+    for _ in range(1000):  # warm up any lazily made objects
+        fn(*good)
+        failing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(LEAK_CALLS):
+            fn(*good)
+        for _ in range(LEAK_CALLS // 10):
+            failing()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert [sys.getrefcount(x) for x in objects] == before
+    assert grown < 4096, f"{grown} bytes still traced after the calls"
 
 
 # ------------------------------------- exactness of the polynomial kernels
@@ -282,15 +400,16 @@ def test_negative_determinant_at_the_hadamard_bound():
 
 # ------------------------------------------------------- backend selection
 
-def select_backend(env_changes, pythonpath=None):
-    """BACKEND and REASON of a fresh import, and its stderr lines."""
+def select_backend(env_changes, pythonpath=None, prelude=""):
+    """BACKEND and REASON of a fresh import, after running prelude, and
+    its stderr lines."""
     env = dict(os.environ)
     env.pop("COPERM_PURE_PYTHON", None)
     env.update(env_changes)
     env["PYTHONPATH"] = str(pythonpath or Path(coperm.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json; from coperm import backend; "
+         prelude + "\nimport json; from coperm import backend; "
          "print(json.dumps([backend.BACKEND, backend.REASON]))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     name, reason = json.loads(proc.stdout)
@@ -316,6 +435,18 @@ def test_import_coperm_loads_only_the_backend(pure):
     want = "pure-python" if pure or "compiled" not in BACKENDS else "compiled"
     assert name == want
     assert kernels == {"compiled": "coperm._core", "pure-python": "coperm._purepy"}[want]
+
+
+def test_import_coperm_does_not_load_ctypes():
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    env.pop("COPERM_PURE_PYTHON", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, coperm; print(json.dumps([coperm.BACKEND, sorted(sys.modules)]))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    name, loaded = json.loads(proc.stdout)
+    assert name == ("compiled" if "compiled" in BACKENDS else "pure-python")
+    assert "ctypes" not in loaded
 
 
 def test_pure_python_switch_is_quiet():
@@ -363,6 +494,34 @@ def test_compiles_once_then_loads_quietly(tmp_path):
     assert len(new_libs) == 1 and new_libs != copy_libs
     assert again == ("compiled", f"compiled {new_libs[0]}", [])
     assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
+    # an interpreter of another ABI tag builds its own library beside this
+    # one, and leaves this one in place
+    other = select_backend(env, prelude="import sys; sys.implementation.cache_tag = 'other-0'")
+    [other_lib] = set(place.iterdir()) - set(libs)
+    assert other == ("compiled", f"compiled {other_lib}", [])
+    assert libs[0].name.endswith(f".{sys.implementation.cache_tag}.so")
+    assert other_lib.name.endswith(".other-0.so")
+    assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
+
+
+@needs_both
+def test_abi_tag_names_the_library():
+    core = BACKENDS["compiled"]
+    source = (Path(coperm.__file__).parent / "_kernels.c").read_bytes()
+    a, b = core._library(source, "cpython-311"), core._library(source, "cpython-312")
+    assert a.parent == b.parent
+    assert a.name.endswith(".cpython-311.so") and b.name.endswith(".cpython-312.so")
+    assert a.name.split(".")[0] != b.name.split(".")[0]  # the key covers the tag too
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler to get that far")
+def test_missing_python_headers_fall_back_and_say_why(tmp_path):
+    # an include directory without Python.h
+    prelude = f"import sysconfig; sysconfig.get_path = lambda name: {str(tmp_path)!r}"
+    name, reason, err = select_backend({"XDG_CACHE_HOME": str(tmp_path / "cache")},
+                                       prelude=prelude)
+    assert (name, reason) == ("pure-python", f"Python.h not found in {tmp_path}")
+    assert len(err) == 1 and reason in err[0]
 
 
 @pytest.mark.parametrize("setup, reason_start", [

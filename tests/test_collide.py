@@ -17,7 +17,13 @@ from coperm.collide import (
 from coperm.errors import DegreeMismatch, DuplicateMember, RunFormatError, UnsortedRun
 from coperm.graphs import to_graph6
 from coperm.pipeline import ShardResult, aggregate, run_census, shard_records
-from oracles import graph_from_edges, members_out_of_order, poly_from_fingerprint, raw_run
+from oracles import (
+    fingerprint_bytes,
+    graph_from_edges,
+    members_out_of_order,
+    poly_from_fingerprint,
+    raw_run,
+)
 
 
 def test_fingerprint_layout_exact_bytes():
@@ -59,6 +65,22 @@ def test_fingerprint_round_trip_random():
         p = tuple(coeffs) + ((0,) if n >= 1 else ()) + (1,)
         fp = fingerprint(p, n, m, kind)
         assert poly_from_fingerprint(fp, n) == p
+
+
+def test_fingerprint_equals_the_coefficient_encoder():
+    # the table covers |c| < 256; 256 and past 2**64 are encoded directly
+    edges_of_table = [0, 1, -1, 2, -2, 255, -255, 256, -256, 257, 65535, -65536,
+                      2**64 - 1, 2**64, -2**64, 2**64 + 1, -(2**70) - 3]
+    rng = random.Random(1613)
+    for n in range(13):
+        for _ in range(40):
+            body = [rng.choice(edges_of_table) for _ in range(max(n - 1, 0))]
+            p = tuple(body) + ((0,) if n >= 1 else ()) + (1,)
+            m = abs(p[n - 2]) if n >= 2 else 0
+            kind = "perm" if n < 2 or p[n - 2] >= 0 else "char"
+            assert fingerprint(p, n, m, kind) == fingerprint_bytes(p, n), p
+    for c in edges_of_table:
+        assert fingerprint((c, 0, 0, 1), 3, 0) == fingerprint_bytes((c, 0, 0, 1), 3)
 
 
 def test_fingerprint_validation():

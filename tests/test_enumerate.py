@@ -1,11 +1,18 @@
 from collections import Counter
+from functools import cache
 
 import pytest
 
+from coperm import backend
+from coperm import enumerate as walk
+from coperm.backend import available_backends
 from coperm.enumerate import enumerate_by_edges, enumerate_graphs, ingest_graph6
 from coperm.errors import DecodeError, TooLarge
 from coperm.graphs import canonical_form, edge_count, to_graph6
+from oracles import orderly_reference
 from tables import GRAPH_COUNTS, PERM_BY_EDGES
+
+BACKENDS = available_backends()
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -70,6 +77,59 @@ def test_builtin_bound():
         enumerate_by_edges(10, 3)
     with pytest.raises(ValueError):
         enumerate_by_edges(5, 11)
+
+
+@cache
+def reference_walk(n, m):
+    # the fastest canonical_form at hand decides canonicity
+    impl = BACKENDS.get("compiled") or BACKENDS["pure-python"]
+    return orderly_reference(n, m, impl.canonical_form)
+
+
+def walk_cases():
+    for name in ("compiled", "pure-python"):
+        for n in range(9):
+            marks = [pytest.mark.skipif(name not in BACKENDS,
+                                        reason="compiled kernels unavailable")]
+            if name == "pure-python" and n == 8:
+                marks.append(pytest.mark.slow)  # about 35 s of pure-Python search
+            yield pytest.param(name, n, marks=marks, id=f"{name}-{n}")
+
+
+@pytest.mark.parametrize("name, n", walk_cases())
+def test_walk_order_is_the_stack_walk(monkeypatch, name, n):
+    """The level-wise walk yields the graphs of the depth-first stack walk,
+    in its order, for all m and for each m, with either backend's
+    canonical_children building the levels from scratch."""
+    monkeypatch.setattr(backend, "canonical_children", BACKENDS[name].canonical_children)
+    monkeypatch.setattr(walk, "_levels", [[((), 0)]])
+    assert [g.rows for g in enumerate_graphs(n)] == reference_walk(n, None)
+    for m in range(n * (n - 1) // 2 + 1):
+        got = list(enumerate_by_edges(n, m))
+        assert [g.rows for g in got] == reference_walk(n, m), m
+        assert all(g.n == n for g in got)
+
+
+def test_levels_are_built_once(monkeypatch):
+    calls = []
+    real = backend.canonical_children
+
+    def counted(rows, k, lo, hi):
+        calls.append((k, lo, hi))
+        return real(rows, k, lo, hi)
+
+    monkeypatch.setattr(backend, "canonical_children", counted)
+    monkeypatch.setattr(walk, "_levels", [[((), 0)]])
+    assert sum(1 for _ in enumerate_graphs(6)) == GRAPH_COUNTS[6]
+    # one unrestricted call per canonical graph on 0..5 vertices
+    assert len(calls) == sum(GRAPH_COUNTS[k] for k in range(6))
+    calls.clear()
+    for m in range(16):
+        list(enumerate_by_edges(6, m))
+    # the 5-vertex parents are kept: one call per parent and edge count of
+    # its children (0..5 more edges than the parent has)
+    assert len(calls) == 6 * GRAPH_COUNTS[5]
+    assert all(k == 5 and lo == hi for k, lo, hi in calls)
 
 
 def test_ingest_round_trip(tmp_path):

@@ -14,7 +14,7 @@ from coperm.collide import fingerprint, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
 from coperm.errors import Graph6Error, TooLarge
 from coperm.graphs import MAX_VERTICES, parse_graph6, perm_poly, to_graph6
-from oracles import READER_CHUNKS, edges, graph_from_edges
+from oracles import READER_CHUNKS, edges, graph6_bits, graph_from_edges
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -115,6 +115,16 @@ def test_to_graph6_then_parse_is_identity(case):
     pairs = [(i, j) for j in range(n) for i in range(j)]
     g = graph_from_edges(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
     assert parse_graph6(to_graph6(g)) == g
+
+
+@FUZZ
+@given(st.integers(0, MAX_VERTICES).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+def test_to_graph6_equals_the_bit_loop(case):
+    n, bits = case
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    g = graph_from_edges(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+    assert to_graph6(g) == graph6_bits(g)
 
 
 @FUZZ
