@@ -20,7 +20,8 @@ backend.py then falls back to _purepy.
 
 permanent and determinant accumulate in 128 bits and are exact only
 under the caller's contract stated in _kernels.c; the census calls
-graph_poly, canonical_form and canonical_children alone.
+graph_poly, canonical_form and canonical_children alone, and merge
+scan_records and render alone.
 """
 
 from __future__ import annotations
@@ -120,3 +121,5 @@ determinant = _ext.determinant
 graph_poly = _ext.graph_poly
 canonical_form = _ext.canonical_form
 canonical_children = _ext.canonical_children
+scan_records = _ext.scan_records
+render = _ext.render

@@ -1,13 +1,19 @@
 /* Compiled kernels of coperm, as the CPython extension module behind
  * coperm._core: graph-polynomial coefficients computed directly (Ryser
  * for per(xI - A), Berkowitz for det(xI - A)), the minimum-lex
- * canonical-order search and the canonical children it yields, and
- * scalar Ryser permanents and Bareiss determinants of integer matrices.
- * _core.py builds this file on first use against the running
- * interpreter's headers and loads it as an extension module. Each entry
- * point converts its arguments itself: a size past MAXK raises TooLarge,
- * a negative size or too few items ValueError, an item outside its C
- * type OverflowError, and a non-integer TypeError.
+ * canonical-order search and the canonical children it yields, scalar
+ * Ryser permanents and Bareiss determinants of integer matrices, and the
+ * two byte-level steps of a run-file merge: scan_records, which cuts and
+ * checks the records a buffer holds, and render, which writes a
+ * fingerprint as report text. _core.py builds this file on first use
+ * against the running interpreter's headers and loads it as an extension
+ * module. Each of the seven entry points converts its arguments itself:
+ * a size past MAXK raises TooLarge, a negative size or too few items
+ * ValueError, an item outside its C type OverflowError, and a
+ * non-integer TypeError; scan_records and render raise ValueError for an
+ * n, m or offset out of range or a fingerprint of the wrong length, and
+ * TypeError for a buffer that is not bytes, so malformed bytes are never
+ * read past their end.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). The
@@ -544,6 +550,330 @@ fail:
     return NULL;
 }
 
+/* ----------------------------------------------------------- run files */
+
+#define MAX_VERTICES 32 /* graphs.MAX_VERTICES, the largest n of a run */
+
+/* An int argument as a C long long in lo..hi: ValueError outside, where
+ * a value past the range of long long is past hi too, and TypeError for
+ * a non-integer. With saturate set, a value past hi reads as hi. */
+static int bounded_arg(PyObject *obj, long long lo, long long hi, int saturate,
+                       const char *name, long long *out)
+{
+    int overflow;
+    long long v;
+    PyObject *index = PyNumber_Index(obj);
+
+    if (index == NULL)
+        return -1;
+    v = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (saturate && (overflow > 0 || v > hi)) {
+        *out = hi;
+        return 0;
+    }
+    if (overflow || v < lo || v > hi) {
+        PyErr_Format(PyExc_ValueError, "%s must lie in %lld..%lld, got %S", name, lo, hi, obj);
+        return -1;
+    }
+    *out = v;
+    return 0;
+}
+
+/* whether the bytes a[0..alen) sort before b[0..blen); *equal is set when
+ * they are the same bytes */
+static int bytes_before(const unsigned char *a, Py_ssize_t alen, const unsigned char *b,
+                        Py_ssize_t blen, int *equal)
+{
+    int c = memcmp(a, b, alen < blen ? alen : blen);
+
+    *equal = c == 0 && alen == blen;
+    return c < 0 || (c == 0 && alen < blen);
+}
+
+/* scan_records(buf, pos, count, n, m, prev, final): the records of a run
+ * of shard (n, m) that start at buf[pos], checked and cut as far as the
+ * buffer holds whole ones, at most count of them. Each record is the
+ * fingerprint (c_(n-2) first, which must be +-m, encoded; then n - 2
+ * canonical coefficients), a length byte and a graph6 word for n
+ * vertices; the fingerprints must not decrease, the first not below prev
+ * (bytes, or None). Returns (records, pos, stop): the (fingerprint bytes,
+ * graph6 str) pairs, the offset after the last of them (on a "graph6"
+ * stop, where the rejected word starts), and why the scan stopped: None
+ * when it read count records; "more" when the next record runs past buf
+ * and final is false; when that record fails a check, "truncated" (it
+ * runs past buf, which holds the rest of the file), "lead", "canonical",
+ * "graph6" or "unsorted", checked in the order of the record's bytes.
+ * Consecutive records of one fingerprint share one bytes object. */
+static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    PyObject *buf, *prev, *last, *records, *fp, *g6, *rec, *out;
+    const unsigned char *b, *member, *lastb;
+    unsigned char lead[4];
+    long long pos, count, n, m, read = 0;
+    Py_ssize_t size, lastlen, start, end, stop = 0, nbits, width, lead_len = 0;
+    int final, padding, bad, equal;
+    const char *why = NULL;
+
+    if (!nargs_ok("scan_records", nargs, 7))
+        return NULL;
+    buf = args[0];
+    prev = args[5];
+    if (!PyBytes_Check(buf) || (prev != Py_None && !PyBytes_Check(prev))) {
+        PyErr_SetString(PyExc_TypeError, "scan_records() takes a bytes buffer, "
+                                         "and bytes or None as prev");
+        return NULL;
+    }
+    size = PyBytes_GET_SIZE(buf);
+    if (bounded_arg(args[1], 0, size, 0, "pos", &pos) < 0
+        || bounded_arg(args[2], 0, LLONG_MAX, 1, "count", &count) < 0
+        || bounded_arg(args[3], 0, MAX_VERTICES, 0, "n", &n) < 0
+        || bounded_arg(args[4], 0, 0xffff, 0, "m", &m) < 0
+        || (final = PyObject_IsTrue(args[6])) < 0)
+        return NULL;
+    b = (const unsigned char *)PyBytes_AS_STRING(buf);
+    /* c_(n-2) as its sign byte, which may be 1 only when m > 0, then m's
+     * length and little-endian bytes; n < 2 has no coefficient */
+    if (n >= 2) {
+        lead[1] = (unsigned char)((m > 0) + (m > 0xff));
+        lead[2] = (unsigned char)(m & 0xff);
+        lead[3] = (unsigned char)(m >> 8);
+        lead_len = 2 + lead[1];
+    }
+    /* a graph6 word for n vertices: its length, first byte, range and
+     * zero padding bits */
+    nbits = n * (n - 1) / 2;
+    width = 1 + (nbits + 5) / 6;
+    padding = (1 << (6 - nbits % 6) % 6) - 1;
+    last = prev == Py_None ? NULL : prev;
+    if ((records = PyList_New(0)) == NULL)
+        return NULL;
+    for (start = (Py_ssize_t)pos; read < count; start = stop, read++) {
+        if (size - start < lead_len)
+            goto cut;
+        if (n >= 2 && (b[start] > (m > 0) || memcmp(b + start + 1, lead + 1, lead_len - 1))) {
+            why = "lead";
+            break;
+        }
+        end = start + lead_len;
+        for (long long j = 0; j < n - 2 && !why; j++) {
+            unsigned int sign, blen;
+
+            if (size - end < 2)
+                goto cut;
+            sign = b[end];
+            blen = b[end + 1];
+            end += 2 + blen;
+            /* canonical: a sign of 0 or 1, and a nonzero top magnitude
+             * byte, or else L = 0 (b[end - 1] is then L) and sign 0 */
+            if (sign > 1)
+                why = "canonical";
+            else if (end > size)
+                goto cut;
+            else if (b[end - 1] == 0 && (sign || blen))
+                why = "canonical";
+        }
+        if (why)
+            break;
+        /* the graph6 length byte, then a word of the one valid length */
+        stop = end + 1 + width;
+        if (stop > size)
+            goto cut;
+        member = b + end + 1;
+        bad = b[end] != width || member[0] != n + 63 || ((member[width - 1] - 63) & padding);
+        for (Py_ssize_t i = 0; i < width && !bad; i++)
+            bad = member[i] < 63 || member[i] > 126;
+        if (bad) {
+            why = "graph6";
+            start = end + 1;
+            break;
+        }
+        equal = 0;
+        if (last != NULL) {
+            lastb = (const unsigned char *)PyBytes_AS_STRING(last);
+            lastlen = PyBytes_GET_SIZE(last);
+            if (bytes_before(b + start, end - start, lastb, lastlen, &equal)) {
+                why = "unsorted";
+                break;
+            }
+        }
+        if (equal) {
+            fp = last;
+            Py_INCREF(fp);
+        } else if ((fp = PyBytes_FromStringAndSize((const char *)b + start, end - start)) == NULL)
+            goto fail;
+        if ((g6 = PyUnicode_DecodeASCII((const char *)member, width, NULL)) == NULL) {
+            Py_DECREF(fp);
+            goto fail;
+        }
+        if ((rec = PyTuple_New(2)) == NULL) {
+            Py_DECREF(fp);
+            Py_DECREF(g6);
+            goto fail;
+        }
+        PyTuple_SET_ITEM(rec, 0, fp);
+        PyTuple_SET_ITEM(rec, 1, g6);
+        last = fp; /* the list holds it from here on */
+        if (PyList_Append(records, rec) < 0) {
+            Py_DECREF(rec);
+            goto fail;
+        }
+        Py_DECREF(rec);
+    }
+    goto done;
+cut:
+    why = final ? "truncated" : "more";
+done:
+    out = why ? Py_BuildValue("(Ons)", records, start, why)
+              : Py_BuildValue("(OnO)", records, start, Py_None);
+    Py_DECREF(records);
+    return out;
+fail:
+    Py_DECREF(records);
+    return NULL;
+}
+
+/* the decimal digits of the little-endian magnitude mag[0..len), len
+ * <= 255, written at out; returns how many */
+static Py_ssize_t write_decimal(const unsigned char *mag, int len, char *out)
+{
+    unsigned int limbs[64], groups[70]; /* 255 bytes < 10**615 < 10**(9 * 70) */
+    char tmp[20];
+    int nlimbs = (len + 3) / 4, ngroups = 0;
+    Py_ssize_t k = 0, t = 0;
+    u64 v = 0;
+
+    if (len <= 8) {
+        for (int i = len; i-- > 0;)
+            v = v << 8 | mag[i];
+        do
+            tmp[t++] = (char)('0' + v % 10);
+        while (v /= 10);
+        while (t)
+            out[k++] = tmp[--t];
+        return k;
+    }
+    memset(limbs, 0, sizeof limbs);
+    for (int i = 0; i < len; i++)
+        limbs[i / 4] |= (unsigned int)mag[i] << (8 * (i % 4));
+    /* base 10**9 groups, lowest first, by long division */
+    for (;;) {
+        while (nlimbs && !limbs[nlimbs - 1])
+            nlimbs--;
+        if (!nlimbs)
+            break;
+        v = 0;
+        for (int i = nlimbs; i-- > 0;) {
+            v = v << 32 | limbs[i];
+            limbs[i] = (unsigned int)(v / 1000000000u);
+            v %= 1000000000u;
+        }
+        groups[ngroups++] = (unsigned int)v;
+    }
+    if (!ngroups)
+        groups[ngroups++] = 0;
+    for (int g = ngroups; g-- > 0;) {
+        v = groups[g];
+        t = 0;
+        do
+            tmp[t++] = (char)('0' + v % 10);
+        while (v /= 10);
+        for (; g < ngroups - 1 && t < 9; t++) /* zero-padded below the top */
+            tmp[t] = '0';
+        while (t)
+            out[k++] = tmp[--t];
+    }
+    return k;
+}
+
+/* the name of x^j, j <= MAX_VERTICES, written at out ("" for j = 0);
+ * returns its length */
+static Py_ssize_t write_power(int j, char *out)
+{
+    Py_ssize_t k = 0;
+
+    if (j == 0)
+        return 0;
+    out[k++] = 'x';
+    if (j == 1)
+        return k;
+    out[k++] = '^';
+    if (j >= 10)
+        out[k++] = (char)('0' + j / 10);
+    out[k++] = (char)('0' + j % 10);
+    return k;
+}
+
+/* whether the little-endian magnitude mag[0..len), len >= 1, is 1 */
+static int is_one(const unsigned char *mag, int len)
+{
+    for (int i = 1; i < len; i++)
+        if (mag[i])
+            return 0;
+    return mag[0] == 1;
+}
+
+/* render(fp, n): the text of the monic degree-n polynomial whose
+ * fingerprint is fp, highest power first, e.g. "x^3 + 3x - 2": a
+ * coefficient of magnitude 1 shows no digits unless it is the constant,
+ * and a zero one no term. ValueError unless fp is exactly n - 1
+ * coefficients, each a sign byte, a length L and L magnitude bytes. */
+static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    char small[1024], *text;
+    const unsigned char *b;
+    Py_ssize_t size, pos = 0, k = 0, cap;
+    long long n, j;
+    PyObject *out;
+
+    if (!nargs_ok("render", nargs, 2))
+        return NULL;
+    if (!PyBytes_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "render() takes fingerprint bytes");
+        return NULL;
+    }
+    if (bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0)
+        return NULL;
+    b = (const unsigned char *)PyBytes_AS_STRING(args[0]);
+    size = PyBytes_GET_SIZE(args[0]);
+    for (j = n - 2; j >= 0 && size - pos >= 2 && size - pos - 2 >= b[pos + 1]; j--)
+        pos += 2 + b[pos + 1];
+    if (j >= 0 || pos != size) {
+        PyErr_Format(PyExc_ValueError, "not the fingerprint of a degree-%lld polynomial", n);
+        return NULL;
+    }
+    /* "x^n", then per coefficient of L bytes at most " - ", 3L digits
+     * (256**L < 1000**L) and "x^j" */
+    cap = 4 + 7 * n + 3 * size;
+    text = cap <= (Py_ssize_t)sizeof small ? small : PyMem_Malloc(cap);
+    if (text == NULL)
+        return PyErr_NoMemory();
+    if (n == 0)
+        text[k++] = '1';
+    k += write_power((int)n, text + k);
+    pos = 0;
+    for (j = n - 2; j >= 0; j--) {
+        int sign = b[pos], blen = b[pos + 1];
+        const unsigned char *mag = b + pos + 2;
+
+        pos += 2 + blen;
+        if (!blen)
+            continue;
+        memcpy(text + k, sign ? " - " : " + ", 3);
+        k += 3;
+        if (!j || !is_one(mag, blen))
+            k += write_decimal(mag, blen, text + k);
+        k += write_power((int)j, text + k);
+    }
+    out = PyUnicode_DecodeASCII(text, k, NULL);
+    if (text != small)
+        PyMem_Free(text);
+    return out;
+}
+
 #define ENTRY(name, doc) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
@@ -555,6 +885,10 @@ static PyMethodDef methods[] = {
     ENTRY(canonical_children,
           "Rows of each canonical extension by a new vertex k with neighbour set S,\n"
           "lo <= |S| <= hi: one tuple per child, in decreasing order of S."),
+    ENTRY(scan_records,
+          "The checked (fingerprint, graph6) records of a run of shard (n, m) that buf\n"
+          "holds whole from pos, at most count: (records, pos, stop)."),
+    ENTRY(render, "The text of the monic degree-n polynomial whose fingerprint is fp."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -4,10 +4,13 @@ Twin of the compiled kernels (_kernels.c) with identical signatures and
 semantics: graph-polynomial coefficients computed directly (Ryser's sum
 with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
-for isomorph rejection, and Gray-code Ryser permanents and fraction-free
-Bareiss determinants of integer matrices. Python integers never wrap, so
+for isomorph rejection, Gray-code Ryser permanents and fraction-free
+Bareiss determinants of integer matrices, and the run-file record scanner
+and fingerprint renderer of merge. Python integers never wrap, so
 the scalar kernels here are exact for any input; they agree with the
-compiled ones within the caller contract stated in _kernels.c.
+compiled ones within the caller contract stated in _kernels.c. The run-file
+twins agree with them on every buffer and on every fingerprint a run
+reader accepts; only the compiled ones check their other arguments.
 """
 
 from __future__ import annotations
@@ -222,4 +225,103 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:
         child[k] = s
         if _is_canonical(child, k + 1):
             out.append(tuple(child))
+    return out
+
+
+# ------------------------------------------------------------- run files
+
+MAX_VERTICES = 32  # graphs.MAX_VERTICES, the largest n of a run
+_GRAPH6_BYTES = bytes(range(63, 127))
+
+
+def scan_records(buf: bytes, pos: int, count: int, n: int, m: int, prev, final):
+    """The checked (fingerprint, graph6) records of a run of shard (n, m)
+    that buf holds whole from pos, at most count: (records, pos, stop).
+    pos is the offset after the last record (on a "graph6" stop, where the
+    rejected word starts); stop is None once count are read, "more" when
+    the next record runs past buf and final is false, and otherwise the
+    check that record fails: "truncated" (buf holds the rest of the file),
+    "lead", "canonical", "graph6" or "unsorted" (its fingerprint sorts
+    below the one before, or below prev for the first)."""
+    # byte checks of each graph6 member for n vertices, cheaper than a
+    # full decode: its length, first byte, range and zero padding bits
+    nbits = n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    first = n + 63
+    padding = (1 << (-nbits % 6)) - 1
+    # c_(n-2), the coefficient the shard fixes: m or -m, encoded (only +0 for
+    # m = 0); n < 2 has no coefficient
+    mag = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    lead = (tuple(bytes([sign, len(mag)]) + mag for sign in range(1 + (m > 0)))
+            if n >= 2 else (b"",))
+    lead_len = len(lead[0])
+    rest = range(n - 2)
+    cut = "truncated" if final else "more"
+    records = []
+    while len(records) < count:
+        if not buf.startswith(lead, pos):
+            if len(buf) - pos < lead_len:
+                return records, pos, cut
+            return records, pos, "lead"
+        end = pos + lead_len
+        try:
+            for _ in rest:
+                sign, blen = buf[end], buf[end + 1]
+                end += 2 + blen
+                # canonical: a sign of 0 or 1, and a nonzero top magnitude
+                # byte, or else L = 0 (buf[end - 1] is then L) and sign 0
+                if sign > 1 or not buf[end - 1] and (sign or blen):
+                    return records, pos, "canonical"
+        except IndexError:
+            return records, pos, cut
+        # the graph6 length byte, then a member of the one valid length
+        stop = end + 1 + width
+        if stop > len(buf):
+            return records, pos, cut
+        member = buf[end + 1:stop]
+        if (buf[end] != width or member[0] != first or member.translate(None, _GRAPH6_BYTES)
+                or (member[-1] - 63) & padding):
+            return records, end + 1, "graph6"
+        fp = buf[pos:end]
+        if prev is not None and fp < prev:
+            return records, pos, "unsorted"
+        prev = fp
+        pos = stop
+        records.append((fp, member.decode("ascii")))
+    return records, pos, None
+
+
+# the power names of every degree a run's polynomial can have
+_POWERS = ("", "x", *(f"x^{j}" for j in range(2, MAX_VERTICES + 1)))
+# per degree j, the text of each term c x^j with |c| < 256 at index
+# sign << 8 | |c|, filled on first use
+_TERMS = [[None] * 512 for _ in range(MAX_VERTICES + 1)]
+# per n, (j, the memo of degree j) for j = n-2 down to 0, a fingerprint's order
+_BODY = [tuple((j, _TERMS[j]) for j in range(n - 2, -1, -1))
+         for n in range(MAX_VERTICES + 1)]
+
+
+def _term(sign: int, mag: int, j: int) -> str:
+    """The text of a term c x^j that follows the leading one, e.g. " - 7x^2"."""
+    return (" - " if sign else " + ") + (str(mag) if mag != 1 or not j else "") + _POWERS[j]
+
+
+def render(fp: bytes, n: int) -> str:
+    """The text of the monic degree-n polynomial whose fingerprint is fp,
+    highest power first, e.g. "x^3 + 3x - 2". One walk over the bytes: a
+    term with a one-byte magnitude comes from its degree's memo, a longer
+    one is rendered."""
+    out = _POWERS[n] or "1"
+    pos = 0
+    for j, memo in _BODY[n]:
+        blen = fp[pos + 1]
+        if blen == 1:
+            key = fp[pos] << 8 | fp[pos + 2]
+            term = memo[key]
+            if term is None:
+                term = memo[key] = _term(fp[pos], fp[pos + 2], j)
+            out += term
+        elif blen:  # 0 is a zero coefficient, which has no term
+            out += _term(fp[pos], int.from_bytes(fp[pos + 2:pos + 2 + blen], "little"), j)
+        pos += 2 + blen
     return out

@@ -30,6 +30,8 @@ BACKEND = _impl.BACKEND_NAME
 graph_poly = _impl.graph_poly
 canonical_form = _impl.canonical_form
 canonical_children = _impl.canonical_children
+scan_records = _impl.scan_records
+render = _impl.render
 
 
 def available_backends():

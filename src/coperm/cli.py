@@ -170,8 +170,11 @@ def cmd_fingerprint(args) -> None:
 
 def _merge_rows(runs):
     yield MATES_HEADER.replace("members", "members (all family sizes)")
-    n, m = collide.run_shard(runs[0])  # merge_sorted_runs holds every run to it
-    yield from _family_rows(n, m, collide.group_sorted(collide.merge_sorted_runs(runs)))
+    shard = []  # (n, m), which the merge reads from the run headers before any record
+    families = collide.group_sorted(collide.merge_sorted_runs(runs, shard.append))
+    first = next(families, None)
+    if first is not None:
+        yield from _family_rows(*shard[0], chain([first], families))
 
 
 def cmd_merge(args) -> None:

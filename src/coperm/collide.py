@@ -15,7 +15,8 @@ Fingerprint layout (bit-exact): the coefficients c_(n-2) down to c_0
 (c_n and c_(n-1) are omitted, always 1 and 0), each as a sign byte
 (0x00 nonnegative, 0x01 negative), a u8 magnitude length L, and L
 little-endian magnitude bytes, minimal L (0 is sign 0, L = 0). render()
-turns one back into report text without decoding it to integers.
+turns one back into report text without decoding it to integers; it and
+the run reader's record scanner are kernels of the backend.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import struct
 from collections import namedtuple
 from contextlib import ExitStack, contextmanager
 
+from . import backend
 from .errors import DegreeMismatch, DuplicateMember, RunFormatError, UnsortedRun
 from .graphs import MAX_VERTICES
 
@@ -66,40 +68,10 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
     return b"".join([small[c] if -256 < c < 256 else _coefficient(c) for c in body])
 
 
-# the power names of every degree a graph6 graph can have
-_POWERS = ("", "x", *(f"x^{j}" for j in range(2, MAX_VERTICES + 1)))
-# per degree j, the text of each term c x^j with |c| < 256 at index
-# sign << 8 | |c|, filled on first use
-_TERMS = [[None] * 512 for _ in range(MAX_VERTICES + 1)]
-# per n, (j, the memo of degree j) for j = n-2 down to 0, a fingerprint's order
-_BODY = [tuple((j, _TERMS[j]) for j in range(n - 2, -1, -1))
-         for n in range(MAX_VERTICES + 1)]
-
-
-def _term(sign: int, mag: int, j: int) -> str:
-    """The text of a term c x^j that follows the leading one, e.g. " - 7x^2"."""
-    return (" - " if sign else " + ") + (str(mag) if mag != 1 or not j else "") + _POWERS[j]
-
-
-def render(fp: bytes, n: int) -> str:
-    """The polynomial of the fingerprint of a degree-n polynomial, as built
-    by fingerprint() or cut by a run reader, highest power first, e.g.
-    "x^3 + 3x - 2". One walk over the bytes: a term with a one-byte
-    magnitude comes from its degree's memo, a longer one is rendered."""
-    out = _POWERS[n] or "1"
-    pos = 0
-    for j, memo in _BODY[n]:
-        blen = fp[pos + 1]
-        if blen == 1:
-            key = fp[pos] << 8 | fp[pos + 2]
-            term = memo[key]
-            if term is None:
-                term = memo[key] = _term(fp[pos], fp[pos + 2], j)
-            out += term
-        elif blen:  # 0 is a zero coefficient, which has no term
-            out += _term(fp[pos], int.from_bytes(fp[pos + 2:pos + 2 + blen], "little"), j)
-        pos += 2 + blen
-    return out
+# render(fp, n): the polynomial of a fingerprint as built by fingerprint()
+# or cut by a run reader, as report text, highest power first, e.g.
+# "x^3 + 3x - 2", read off the bytes with no decode to integers
+render = backend.render
 
 
 # all graphs sharing one polynomial: fingerprint bytes, and a tuple of
@@ -181,90 +153,51 @@ def _check_header(raw: bytes, path) -> tuple[int, int, int]:
     return n, m, count
 
 
-def run_shard(path) -> tuple[int, int]:
-    """The (n, m) shard of a run file, read from its header."""
-    with open(path, "rb") as fh:
-        return _check_header(fh.read(_HEADER.size), path)[:2]
-
-
 _CHUNK = 1 << 16  # bytes a run reader asks for per read
-_GRAPH6_BYTES = bytes(range(63, 127))
 
 
 def _iter_run(fh, path, n: int, m: int, count: int):
     """Check and yield the records of a run file whose header has been read.
 
-    From each record's start the buffer holds the bytes of a worst-case
-    record, or the rest of the file, so a record is parsed by indexing and
-    reaches past the buffer only where the file ends inside it.
+    The backend's scan_records cuts and checks as many whole records as
+    the buffer holds, and says why it stopped; a record that runs past the
+    buffer is scanned again once a read has added to it, or found
+    truncated when the file ends inside it.
     """
-    # byte checks of each graph6 member for n vertices, cheaper than a
-    # full decode: its length, first byte, range and zero padding bits
-    nbits = n * (n - 1) // 2
-    width = 1 + (nbits + 5) // 6
-    first = n + 63
-    padding = (1 << (-nbits % 6)) - 1
-    # n - 1 coefficients of at most 2 + 255 bytes, length byte, member
-    longest = 257 * max(n - 1, 0) + 1 + width
-    # c_(n-2), the coefficient the shard fixes: m or -m, encoded (only +0 for
-    # m = 0); n < 2 has no coefficient
-    mag = m.to_bytes((m.bit_length() + 7) // 8, "little")
-    lead = (tuple(bytes([sign, len(mag)]) + mag for sign in range(1 + (m > 0)))
-            if n >= 2 else (b"",))
-    lead_len = len(lead[0])
-    rest = range(n - 2)
     read = fh.read
-    buf, pos = b"", 0
-    prev = None
-    for _ in range(count):
-        if len(buf) - pos < longest:
-            parts = [buf[pos:]]
-            have = len(parts[0])
-            while have < longest:
-                more = read(_CHUNK)
-                if not more:  # the end of the file
-                    break
-                parts.append(more)
-                have += len(more)
-            buf, pos = b"".join(parts), 0
-        if not buf.startswith(lead, pos):
-            if len(buf) - pos < lead_len:
-                raise RunFormatError(f"{path}: truncated record")
+    buf, pos, prev, final = b"", 0, None, False
+    left = count
+    while left:
+        records, pos, stop = backend.scan_records(buf, pos, left, n, m, prev, final)
+        if records:
+            left -= len(records)
+            prev = records[-1][0]
+            yield from records
+        if stop == "more":
+            more = read(_CHUNK)
+            buf, pos, final = buf[pos:] + more, 0, not more
+        elif stop == "truncated":
+            raise RunFormatError(f"{path}: truncated record")
+        elif stop == "lead":
             raise RunFormatError(f"{path}: record whose x^(n-2) coefficient is not "
                                  f"+-m in run (n={n}, m={m})")
-        end = pos + lead_len
-        try:
-            for _ in rest:
-                sign, blen = buf[end], buf[end + 1]
-                end += 2 + blen
-                # canonical: a sign of 0 or 1, and a nonzero top magnitude
-                # byte, or else L = 0 (buf[end - 1] is then L) and sign 0
-                if sign > 1 or not buf[end - 1] and (sign or blen):
-                    raise RunFormatError(f"{path}: coefficient not in canonical form")
-        except IndexError:
-            raise RunFormatError(f"{path}: truncated record") from None
-        # the graph6 length byte, then a member of the one valid length
-        stop = end + 1 + width
-        if stop > len(buf):
-            raise RunFormatError(f"{path}: truncated record")
-        member = buf[end + 1:stop]
-        if (buf[end] != width or member[0] != first or member.translate(None, _GRAPH6_BYTES)
-                or (member[-1] - 63) & padding):
+        elif stop == "canonical":
+            raise RunFormatError(f"{path}: coefficient not in canonical form")
+        elif stop == "graph6":  # at pos: a byte for n, then n(n-1)/2 bits, 6 a byte
+            member = buf[pos:pos + 1 + (n * (n - 1) // 2 + 5) // 6]
             raise RunFormatError(f"{path}: {member!r} is not a graph6 word for n={n}")
-        fp = buf[pos:end]
-        if prev is not None and fp < prev:
+        elif stop == "unsorted":
             raise UnsortedRun(f"{path}: records out of order")
-        prev = fp
-        pos = stop
-        yield fp, member.decode("ascii")
     if pos < len(buf) or read(1):
         raise RunFormatError(f"{path}: trailing bytes after {count} records")
 
 
-def merge_sorted_runs(paths):
+def merge_sorted_runs(paths, on_shard=None):
     """K-way merge of sorted run files into one globally sorted record stream.
 
-    All runs must belong to the same (n, m) shard; each is opened once.
+    All runs must belong to the same (n, m) shard; each is opened once,
+    and on_shard, when given, is called with that (n, m) once every
+    header is read, before the first record.
     """
     paths = list(paths)
     if not paths:
@@ -280,6 +213,8 @@ def merge_sorted_runs(paths):
             elif shard != (n, m):
                 raise RunFormatError(f"run {p} is shard {(n, m)}, expected {shard}")
             streams.append(_iter_run(fh, p, n, m, count))
+        if on_shard is not None:
+            on_shard(shard)
         yield from heapq.merge(*streams)
 
 

@@ -19,9 +19,20 @@ from coperm import backend
 from coperm.backend import available_backends
 from coperm.enumerate import enumerate_graphs
 from coperm.errors import TooLarge
-from coperm.graphs import Graph
+from coperm.graphs import Graph, to_graph6
+from coperm.pipeline import shard_records
 
-from oracles import char_matrix, from_values, mul, perm_poly_symbolic, random_graph
+from oracles import (
+    READER_CHUNKS,
+    char_matrix,
+    fingerprint_bytes,
+    from_values,
+    graph_from_edges,
+    mul,
+    perm_poly_symbolic,
+    random_graph,
+    text,
+)
 
 BACKENDS = available_backends()
 needs_both = pytest.mark.skipif(
@@ -143,6 +154,58 @@ def test_enumeration_identical_across_backends():
         assert levels(a, n) == levels(b, n)
 
 
+def scans(impl, raw: bytes, n: int, m: int, count: int):
+    """scan_records over the records of a run file read a chunk at a time,
+    for each READER_CHUNKS size, as far as it stops for a reason other
+    than more bytes: the records, that reason and the file offset it gives,
+    which must not depend on the chunk size."""
+    out = set()
+    for chunk in READER_CHUNKS:
+        records, buf, base, pos, rest, stop = [], b"", 0, 0, raw, "more"
+        while stop == "more":
+            buf, base, pos, rest = buf[pos:] + rest[:chunk], base + pos, 0, rest[chunk:]
+            prev = records[-1][0] if records else None
+            got, pos, stop = impl.scan_records(buf, pos, count - len(records), n, m, prev,
+                                               not rest)
+            records += got
+        out.add((tuple(records), stop, base + pos))
+    assert len(out) == 1, out
+    return out.pop()
+
+
+@needs_both
+def test_scan_records_agrees_on_every_run_up_to_8():
+    a = BACKENDS["compiled"]
+    b = BACKENDS["pure-python"]
+    for n in range(9):
+        for m in range(n * (n - 1) // 2 + 1):
+            for kind, records in shard_records(n, m, ("perm", "char")).items():
+                records.sort()
+                raw = b"".join(fp + bytes([len(g6)]) + g6.encode() for fp, g6 in records)
+                got = scans(a, raw, n, m, len(records))
+                assert got == scans(b, raw, n, m, len(records)) == (tuple(records), None, len(raw))
+                fps = sorted({fp for fp, _ in records})
+                assert [a.render(fp, n) for fp in fps] == [b.render(fp, n) for fp in fps]
+
+
+@needs_both
+def test_render_agrees_on_random_coefficients():
+    # magnitudes of 0 to 255 bytes, past 2**64 included, at every n
+    a = BACKENDS["compiled"]
+    b = BACKENDS["pure-python"]
+    rng = random.Random(19)
+    edges = [0, 1, 2, 9, 10, 255, 256, 65535, 2**32, 2**63, 2**64 - 1, 2**64, 10**19,
+             10**27, 10**36 - 1, 10**36, 2**2040 - 1]
+    for n in range(33):
+        for _ in range(30):
+            body = [rng.choice((1, -1)) * (rng.choice(edges) if rng.random() < 0.7
+                                           else rng.getrandbits(rng.randint(1, 2040)))
+                    for _ in range(max(n - 1, 0))]
+            p = tuple(body) + ((0,) if n >= 1 else ()) + (1,)
+            fp = fingerprint_bytes(p, n)
+            assert a.render(fp, n) == b.render(fp, n) == text(p), p
+
+
 @needs_both
 @pytest.mark.parametrize("name, args", [
     ("permanent", ([0] * 17 * 17, 17)),
@@ -192,6 +255,20 @@ BAD_INPUT = [
     ("canonical_children", ([0], 1, 1 << 40, 1), OverflowError),
     ("canonical_children", ([0], 1, 0, 1.0), TypeError),
     ("canonical_children", ([0], 1, 0), TypeError),
+    ("scan_records", ("?", 0, 1, 1, 0, None, True), TypeError),  # a str buffer
+    ("scan_records", (b"", 1, 1, 3, 2, None, True), ValueError),  # pos past the buffer
+    ("scan_records", (b"", 0, -1, 3, 2, None, True), ValueError),
+    ("scan_records", (b"", 0, 1, 33, 0, None, True), ValueError),  # n past 32
+    ("scan_records", (b"", 0, 1, 3, 1 << 16, None, True), ValueError),  # m past u16
+    ("scan_records", (b"", 0, 1, 3, 2, "", True), TypeError),  # prev neither bytes nor None
+    ("scan_records", (b"", 0, 1, 3, 2, None), TypeError),
+    ("render", (b"\0\1\2", 3), ValueError),  # one coefficient short
+    ("render", (b"\0\1\2\0\0\0", 3), ValueError),  # a byte past the last one
+    ("render", (b"\0\5\1", 2), ValueError),  # a magnitude past the end
+    ("render", (b"\0", 2), ValueError),  # a length byte past the end
+    ("render", (b"", -1), ValueError),
+    ("render", (b"", 33), ValueError),
+    ("render", ("", 0), TypeError),
 ]
 
 
@@ -210,12 +287,23 @@ def leak_cases():
     """Per entry point: arguments that succeed and arguments that fail,
     holding ints above 256, which no interpreter caches."""
     big = [int(f"{1 << 20 | v}") for v in (6, 5, 3)]  # high bits past n are ignored
+    # three records at (30, 300), two sharing a fingerprint, then a cut one:
+    # a scan that saturates the count, shares a fingerprint object and stops
+    # at "truncated"
+    words = [to_graph6(graph_from_edges(30, [(0, k)])) for k in (1, 2, 3)]
+    run = b"".join(fingerprint_bytes(p, 30) + bytes([len(w)]) + w.encode()
+                   for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
+                                   words))
+    wide = fingerprint_bytes([-(2**2039 + 5), 2**64] + [0] * 26 + [300, 0, 1], 30)
     return {
         "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
         "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
         "graph_poly": (((*big,), 3, "perm"), (big[:2], 3, "char")),
         "canonical_form": ((big, 3), ([*big[:2], -big[2]], 3)),
         "canonical_children": (((*big,), 3, 0, 3), (big, 3, big[0], 1 << 40)),
+        "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58], True),
+                         (run, big[1], 1, 30, 300, None, True)),
+        "render": ((wide, 30), (wide[:-1], 30)),
     }
 
 

@@ -192,6 +192,23 @@ def test_merge_renders_coefficients_past_eight_bytes(tmp_path, capsys):
                                         for fp in sorted(text_of)]
 
 
+def test_merge_reads_a_run_through_a_pipe(tmp_path, capsys):
+    # as `coperm merge <(cat m7.run)`: a pipe can be read once only, so the
+    # merge takes its shard from the header it reads with the records
+    run_file = tmp_path / "m7.run"
+    raw = fingerprint_run(capsys, run_file, 6, 7, "char")
+    code, want, err = run(capsys, "merge", str(run_file))
+    assert code == 0, err
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(raw)  # 0.5 KB, within any pipe's buffer
+        code, out, err = run(capsys, "merge", f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert (code, out, err) == (0, want, "")
+
+
 def test_repeated_main_calls_stay_independent(tmp_path, capsys):
     # one process, one parser: a usage error and every earlier command
     # leave nothing behind that a later command sees

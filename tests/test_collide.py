@@ -233,6 +233,17 @@ def test_truncated_run_detected_at_every_cut(tmp_path, reader_chunks):
                 list(merge_sorted_runs([path]))
 
 
+def test_sign_byte_checked_before_the_magnitude_it_claims(tmp_path, reader_chunks):
+    # c_1 with sign byte 2 and 255 magnitude bytes, of which the file holds
+    # only the graph6 length byte and word: not canonical, though truncated
+    fp = fingerprint((1, 0, 2, 0, 1), 4, 2)
+    path = tmp_path / "cut.run"
+    path.write_bytes(raw_run(4, 2, [(fp[:3] + bytes([2, 255]), "C?")]))
+    for _ in reader_chunks():
+        with pytest.raises(RunFormatError, match="coefficient not in canonical form"):
+            list(merge_sorted_runs([path]))
+
+
 def test_round_trip_of_runs_larger_than_a_chunk(tmp_path):
     # 3,000 records of about 60 bytes at (n, m) = (12, 30), over two runs
     # that each span more than one default-size chunk

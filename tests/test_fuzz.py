@@ -1,6 +1,7 @@
 """Property-based fuzzing of the input boundaries: run files, graph6
 words and graph6 files."""
 
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,13 +9,14 @@ from unittest import mock
 import networkx as nx
 import pytest
 
-from coperm import collide
+from coperm import backend, collide
+from coperm.backend import available_backends
 from coperm.cli import main
-from coperm.collide import fingerprint, persist_fingerprints
+from coperm.collide import fingerprint, merge_sorted_runs, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
-from coperm.errors import Graph6Error, TooLarge
+from coperm.errors import CopermError, Graph6Error, TooLarge
 from coperm.graphs import MAX_VERTICES, parse_graph6, perm_poly, to_graph6
-from oracles import READER_CHUNKS, edges, graph6_bits, graph_from_edges
+from oracles import READER_CHUNKS, edges, graph6_bits, graph_from_edges, raw_run
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -33,6 +35,24 @@ def _valid_run() -> bytes:
 
 
 VALID_RUN = _valid_run()
+
+
+def _wide_run() -> bytes:
+    # n=10, m=20: coefficients of 1 to 40 magnitude bytes, two records per
+    # polynomial
+    rng = random.Random(10)
+    pairs = [(i, j) for j in range(10) for i in range(j)]
+    words = sorted({to_graph6(graph_from_edges(10, rng.sample(pairs, 20))) for _ in range(8)})
+    records = []
+    for k in range(4):
+        body = [rng.choice((1, -1)) * rng.getrandbits(rng.choice((3, 64, 72, 320)))
+                for _ in range(8)]
+        fp = fingerprint((*body, 20, 0, 1), 10, 20)
+        records += [(fp, words[2 * k]), (fp, words[2 * k + 1])]
+    return raw_run(10, 20, sorted(records))
+
+
+WIDE_RUN = _wide_run()
 
 
 def merge_exit_codes(raw: bytes) -> set[int]:
@@ -70,6 +90,44 @@ def test_merge_of_a_flipped_byte_exits_0_or_3(pos, byte):
 @given(size=st.integers(0, len(VALID_RUN) - 1))
 def test_merge_of_a_truncated_run_exits_3(size):
     assert merge_exit_codes(VALID_RUN[:size]) == {3}
+
+
+def reader_outcomes(raw: bytes) -> set:
+    """What the run reader makes of raw with each backend's scan_records and
+    each READER_CHUNKS size: the records, or the exception's type and
+    message."""
+    outcomes = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.run"
+        path.write_bytes(raw)
+        for impl in available_backends().values():
+            for chunk in READER_CHUNKS:
+                with mock.patch.object(backend, "scan_records", impl.scan_records), \
+                        mock.patch.object(collide, "_CHUNK", chunk):
+                    try:
+                        outcomes.add(tuple(merge_sorted_runs([path])))
+                    except CopermError as exc:
+                        outcomes.add((type(exc), str(exc)))
+    return outcomes
+
+
+@FUZZ
+@given(base=st.sampled_from([VALID_RUN, WIDE_RUN]),
+       edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 1 << 16))
+def test_readers_agree_on_mutated_and_truncated_runs(base, edits, cut):
+    raw = bytearray(base)
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    if cut is not None:
+        raw = raw[:cut % len(raw)]
+    assert len(reader_outcomes(bytes(raw))) == 1
+
+
+def test_readers_agree_on_the_unmutated_runs():
+    for raw in (VALID_RUN, WIDE_RUN):
+        [records] = reader_outcomes(raw)
+        assert len(records) == collide._HEADER.unpack(raw[:collide._HEADER.size])[-1]
 
 
 def ingest_exit_code(raw: bytes, dedup: bool) -> int:
