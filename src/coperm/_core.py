@@ -20,8 +20,9 @@ backend.py then falls back to _purepy.
 
 permanent and determinant accumulate in 128 bits and are exact only
 under the caller's contract stated in _kernels.c; the census calls
-graph_poly, canonical_form and canonical_children alone, and merge
-scan_records and render alone.
+graph_poly, canonical_form, canonical_children and group_sorted alone,
+merge scan_records, merge_records, group_sorted and family_rows alone,
+and poly render.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ def _load():
 _ext, REASON = _load()
 
 MAXK = _ext.MAXK  # the fixed array size in _kernels.c
+MAX_VERTICES = _ext.MAX_VERTICES
 permanent = _ext.permanent
 determinant = _ext.determinant
 graph_poly = _ext.graph_poly
@@ -123,3 +125,6 @@ canonical_form = _ext.canonical_form
 canonical_children = _ext.canonical_children
 scan_records = _ext.scan_records
 render = _ext.render
+merge_records = _ext.merge_records
+group_sorted = _ext.group_sorted
+family_rows = _ext.family_rows

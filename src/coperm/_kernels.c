@@ -3,17 +3,21 @@
  * for per(xI - A), Berkowitz for det(xI - A)), the minimum-lex
  * canonical-order search and the canonical children it yields, scalar
  * Ryser permanents and Bareiss determinants of integer matrices, and the
- * two byte-level steps of a run-file merge: scan_records, which cuts and
- * checks the records a buffer holds, and render, which writes a
- * fingerprint as report text. _core.py builds this file on first use
+ * steps of a run-file merge: scan_records, which cuts and checks the
+ * records a buffer holds, render, which writes a fingerprint as report
+ * text, and three iterators, merge_records (the k-way merge of record
+ * streams), group_sorted (their families) and family_rows (the report
+ * rows of families, as text). _core.py builds this file on first use
  * against the running interpreter's headers and loads it as an extension
- * module. Each of the seven entry points converts its arguments itself:
+ * module. Each of the ten entry points converts its arguments itself:
  * a size past MAXK raises TooLarge, a negative size or too few items
  * ValueError, an item outside its C type OverflowError, and a
- * non-integer TypeError; scan_records and render raise ValueError for an
- * n, m or offset out of range or a fingerprint of the wrong length, and
- * TypeError for a buffer that is not bytes, so malformed bytes are never
- * read past their end.
+ * non-integer TypeError; scan_records, render and family_rows raise
+ * ValueError for an n, m, offset or count out of range or a fingerprint
+ * of the wrong length, and TypeError for a buffer or fingerprint that is
+ * not bytes, so malformed bytes are never read past their end. The three
+ * iterators take any Python objects, and call, compare and raise as the
+ * generators of their pure-Python twins do.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). The
@@ -816,46 +820,40 @@ static int is_one(const unsigned char *mag, int len)
     return mag[0] == 1;
 }
 
-/* render(fp, n): the text of the monic degree-n polynomial whose
- * fingerprint is fp, highest power first, e.g. "x^3 + 3x - 2": a
- * coefficient of magnitude 1 shows no digits unless it is the constant,
- * and a zero one no term. ValueError unless fp is exactly n - 1
- * coefficients, each a sign byte, a length L and L magnitude bytes. */
-static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* ValueError unless b[0..size) is exactly n - 1 coefficients, each a
+ * sign byte, a length L and L magnitude bytes */
+static int fingerprint_check(const unsigned char *b, Py_ssize_t size, long long n)
 {
-    char small[1024], *text;
-    const unsigned char *b;
-    Py_ssize_t size, pos = 0, k = 0, cap;
-    long long n, j;
-    PyObject *out;
+    Py_ssize_t pos = 0;
+    long long j;
 
-    if (!nargs_ok("render", nargs, 2))
-        return NULL;
-    if (!PyBytes_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "render() takes fingerprint bytes");
-        return NULL;
-    }
-    if (bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0)
-        return NULL;
-    b = (const unsigned char *)PyBytes_AS_STRING(args[0]);
-    size = PyBytes_GET_SIZE(args[0]);
     for (j = n - 2; j >= 0 && size - pos >= 2 && size - pos - 2 >= b[pos + 1]; j--)
         pos += 2 + b[pos + 1];
     if (j >= 0 || pos != size) {
         PyErr_Format(PyExc_ValueError, "not the fingerprint of a degree-%lld polynomial", n);
-        return NULL;
+        return -1;
     }
-    /* "x^n", then per coefficient of L bytes at most " - ", 3L digits
-     * (256**L < 1000**L) and "x^j" */
-    cap = 4 + 7 * n + 3 * size;
-    text = cap <= (Py_ssize_t)sizeof small ? small : PyMem_Malloc(cap);
-    if (text == NULL)
-        return PyErr_NoMemory();
+    return 0;
+}
+
+/* room for the text of a checked fingerprint of size bytes: "x^n", then
+ * per coefficient of L bytes at most " - ", 3L digits (256**L < 1000**L)
+ * and "x^j" */
+static Py_ssize_t render_cap(long long n, Py_ssize_t size)
+{
+    return 4 + 7 * (Py_ssize_t)n + 3 * size;
+}
+
+/* the text of the checked fingerprint b, written at text; returns its
+ * length */
+static Py_ssize_t render_into(const unsigned char *b, long long n, char *text)
+{
+    Py_ssize_t pos = 0, k = 0;
+
     if (n == 0)
         text[k++] = '1';
     k += write_power((int)n, text + k);
-    pos = 0;
-    for (j = n - 2; j >= 0; j--) {
+    for (long long j = n - 2; j >= 0; j--) {
         int sign = b[pos], blen = b[pos + 1];
         const unsigned char *mag = b + pos + 2;
 
@@ -868,10 +866,914 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
             k += write_decimal(mag, blen, text + k);
         k += write_power((int)j, text + k);
     }
+    return k;
+}
+
+/* fp as checked fingerprint bytes of a degree-n polynomial: TypeError
+ * unless bytes, ValueError unless well formed */
+static int fingerprint_arg(PyObject *fp, long long n, const unsigned char **b, Py_ssize_t *size)
+{
+    if (!PyBytes_Check(fp)) {
+        PyErr_SetString(PyExc_TypeError, "render() takes fingerprint bytes");
+        return -1;
+    }
+    *b = (const unsigned char *)PyBytes_AS_STRING(fp);
+    *size = PyBytes_GET_SIZE(fp);
+    return fingerprint_check(*b, *size, n);
+}
+
+/* render(fp, n): the text of the monic degree-n polynomial whose
+ * fingerprint is fp, highest power first, e.g. "x^3 + 3x - 2": a
+ * coefficient of magnitude 1 shows no digits unless it is the constant,
+ * and a zero one no term. ValueError unless fp is exactly n - 1
+ * coefficients, each a sign byte, a length L and L magnitude bytes. */
+static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    char small[1024], *text;
+    const unsigned char *b;
+    Py_ssize_t size, cap, k;
+    long long n;
+    PyObject *out;
+
+    if (!nargs_ok("render", nargs, 2) || bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0
+        || fingerprint_arg(args[0], n, &b, &size) < 0)
+        return NULL;
+    cap = render_cap(n, size);
+    text = cap <= (Py_ssize_t)sizeof small ? small : PyMem_Malloc(cap);
+    if (text == NULL)
+        return PyErr_NoMemory();
+    k = render_into(b, n, text);
     out = PyUnicode_DecodeASCII(text, k, NULL);
     if (text != small)
         PyMem_Free(text);
     return out;
+}
+
+/* -------------------------------------------- merge, grouping and rows */
+
+static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
+static PyObject *space;                           /* " ", joining members */
+
+/* The three iterators below behave as the generators of their twins in
+ * _purepy: each takes its input's iterator at its first next(), a next()
+ * call made while one runs raises ValueError, and an error or the end
+ * finishes it, releasing its input. */
+
+static int enter(int *running)
+{
+    if (*running) {
+        PyErr_SetString(PyExc_ValueError, "generator already executing");
+        return -1;
+    }
+    *running = 1;
+    return 0;
+}
+
+/* `a <op> b` as an if statement takes it: the rich comparison, then its
+ * truth */
+static int compare(PyObject *a, PyObject *b, int op)
+{
+    PyObject *r = PyObject_RichCompare(a, b, op);
+    int t;
+
+    if (r == NULL)
+        return -1;
+    t = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return t;
+}
+
+/* the sign of a - b when both are exact bytes or both exact str, whose
+ * comparisons run no Python code and cannot fail; 2 otherwise */
+static int exact_cmp(PyObject *a, PyObject *b)
+{
+    if (PyBytes_CheckExact(a) && PyBytes_CheckExact(b)) {
+        Py_ssize_t alen = PyBytes_GET_SIZE(a), blen = PyBytes_GET_SIZE(b);
+        int c = memcmp(PyBytes_AS_STRING(a), PyBytes_AS_STRING(b), alen < blen ? alen : blen);
+
+        return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
+    }
+    if (PyUnicode_CheckExact(a) && PyUnicode_CheckExact(b)) {
+        int c = PyUnicode_Compare(a, b);
+
+        return (c > 0) - (c < 0);
+    }
+    return 2;
+}
+
+/* a, b = obj as the interpreter unpacks it, with its messages: new
+ * references at out[0] and out[1] */
+static int unpack_pair(PyObject *obj, PyObject **out)
+{
+    PyObject *it, *extra;
+    int got;
+
+    /* a tuple that iterates as one, as every record and FamilyRecord does */
+    if (PyTuple_Check(obj) && Py_TYPE(obj)->tp_iter == PyTuple_Type.tp_iter
+        && PyTuple_GET_SIZE(obj) == 2) {
+        out[0] = Py_NewRef(PyTuple_GET_ITEM(obj, 0));
+        out[1] = Py_NewRef(PyTuple_GET_ITEM(obj, 1));
+        return 0;
+    }
+    if ((it = PyObject_GetIter(obj)) == NULL) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError) && Py_TYPE(obj)->tp_iter == NULL
+            && !PySequence_Check(obj))
+            PyErr_Format(PyExc_TypeError, "cannot unpack non-iterable %.200s object",
+                         Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    for (got = 0; got < 2; got++)
+        if ((out[got] = PyIter_Next(it)) == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError,
+                             "not enough values to unpack (expected 2, got %d)", got);
+            goto fail;
+        }
+    if ((extra = PyIter_Next(it)) == NULL) {
+        if (PyErr_Occurred())
+            goto fail;
+        Py_DECREF(it);
+        return 0;
+    }
+    Py_DECREF(extra);
+    PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
+fail:
+    while (got-- > 0)
+        Py_DECREF(out[got]);
+    Py_DECREF(it);
+    return -1;
+}
+
+/* ------------------------------------------------------ merge_records */
+
+/* one stream in the heap: its current value, the stream, and its place
+ * among the streams, which breaks ties as in heapq.merge */
+struct entry {
+    PyObject *value, *it;
+    Py_ssize_t order;
+};
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *streams; /* a tuple, until the first next() */
+    struct entry *heap;
+    Py_ssize_t size;
+    int yielded; /* heap[0].value was returned, so its stream moves on next */
+    int alone;   /* one stream is left, and heapq.merge's iter() of it made */
+    int running;
+} merge_obj;
+
+/* a < b as heapq compares its [value, order, next] lists: values that are
+ * not equal by ==, by <, and equal ones by order; a pair of (bytes, str)
+ * records compares as those tuples do, without the calls */
+static int entry_lt(const struct entry *a, const struct entry *b)
+{
+    PyObject *x = a->value, *y = b->value;
+    int c = 2;
+
+    if (x == y)
+        return a->order < b->order;
+    if (PyTuple_CheckExact(x) && PyTuple_CheckExact(y) && PyTuple_GET_SIZE(x) == 2
+        && PyTuple_GET_SIZE(y) == 2) {
+        PyObject *x0 = PyTuple_GET_ITEM(x, 0), *y0 = PyTuple_GET_ITEM(y, 0);
+        PyObject *x1 = PyTuple_GET_ITEM(x, 1), *y1 = PyTuple_GET_ITEM(y, 1);
+
+        if (PyBytes_CheckExact(x0) && PyBytes_CheckExact(y0) && PyUnicode_CheckExact(x1)
+            && PyUnicode_CheckExact(y1)) {
+            c = exact_cmp(x0, y0);
+            if (c == 0)
+                c = exact_cmp(x1, y1);
+        }
+    }
+    if (c == 2) {
+        if ((c = PyObject_RichCompareBool(x, y, Py_EQ)) < 0)
+            return -1;
+        if (!c)
+            return PyObject_RichCompareBool(x, y, Py_LT);
+        c = 0;
+    }
+    return c ? c < 0 : a->order < b->order;
+}
+
+static void swap_entries(struct entry *heap, Py_ssize_t i, Py_ssize_t j)
+{
+    struct entry t = heap[i];
+
+    heap[i] = heap[j];
+    heap[j] = t;
+}
+
+/* heapq's _siftdown and _siftup, which make the same comparisons in the
+ * same order as the C ones of the _heapq module */
+static int siftdown(struct entry *heap, Py_ssize_t startpos, Py_ssize_t pos)
+{
+    while (pos > startpos) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        int lt = entry_lt(&heap[pos], &heap[parentpos]);
+
+        if (lt < 0)
+            return -1;
+        if (!lt)
+            break;
+        swap_entries(heap, parentpos, pos);
+        pos = parentpos;
+    }
+    return 0;
+}
+
+static int siftup(struct entry *heap, Py_ssize_t size, Py_ssize_t pos)
+{
+    Py_ssize_t startpos = pos, limit = size >> 1;
+
+    while (pos < limit) {
+        Py_ssize_t childpos = 2 * pos + 1;
+
+        if (childpos + 1 < size) {
+            int lt = entry_lt(&heap[childpos], &heap[childpos + 1]);
+
+            if (lt < 0)
+                return -1;
+            childpos += !lt;
+        }
+        swap_entries(heap, childpos, pos);
+        pos = childpos;
+    }
+    return siftdown(heap, startpos, pos);
+}
+
+/* heapq.heapify, which past 2,500 items sifts in a cache-friendly order */
+static int heapify(struct entry *heap, Py_ssize_t size)
+{
+    Py_ssize_t m = size >> 1, leftmost = 1, mhalf = m >> 1;
+
+    if (size <= 2500) {
+        for (Py_ssize_t i = m - 1; i >= 0; i--)
+            if (siftup(heap, size, i) < 0)
+                return -1;
+        return 0;
+    }
+    while (leftmost <= (m + 1) >> 1)
+        leftmost <<= 1;
+    leftmost--; /* the leftmost node in the row of m */
+    for (int pass = 0; pass < 2; pass++)
+        for (Py_ssize_t i = pass ? m - 1 : leftmost - 1; i >= (pass ? leftmost : mhalf); i--)
+            for (Py_ssize_t j = i;; j >>= 1) {
+                if (siftup(heap, size, j) < 0)
+                    return -1;
+                if (!(j & 1))
+                    break;
+            }
+    return 0;
+}
+
+static int merge_clear(PyObject *op)
+{
+    merge_obj *self = (merge_obj *)op;
+
+    Py_CLEAR(self->streams);
+    while (self->size > 0) {
+        struct entry *e = &self->heap[--self->size];
+
+        Py_CLEAR(e->value);
+        Py_CLEAR(e->it);
+    }
+    PyMem_Free(self->heap);
+    self->heap = NULL;
+    return 0;
+}
+
+static int merge_traverse(PyObject *op, visitproc visit, void *arg)
+{
+    merge_obj *self = (merge_obj *)op;
+
+    Py_VISIT(self->streams);
+    for (Py_ssize_t i = 0; i < self->size; i++) {
+        Py_VISIT(self->heap[i].value);
+        Py_VISIT(self->heap[i].it);
+    }
+    return 0;
+}
+
+static void merge_dealloc(PyObject *op)
+{
+    PyObject_GC_UnTrack(op);
+    merge_clear(op);
+    PyObject_GC_Del(op);
+}
+
+/* as heapq.merge starts: each stream's iterator and first value, in
+ * order, an empty stream dropped, then heapify */
+static int merge_start(merge_obj *self)
+{
+    Py_ssize_t count = PyTuple_GET_SIZE(self->streams);
+
+    if ((self->heap = PyMem_New(struct entry, count ? count : 1)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(self->streams, i)), *value;
+
+        if (it == NULL)
+            return -1;
+        if ((value = PyIter_Next(it)) == NULL) {
+            Py_DECREF(it);
+            if (PyErr_Occurred())
+                return -1;
+            continue;
+        }
+        self->heap[self->size++] = (struct entry){value, it, i};
+    }
+    Py_CLEAR(self->streams);
+    return heapify(self->heap, self->size);
+}
+
+/* the smallest value; the stream of the one returned before moves on
+ * first, and leaves the heap when it ends */
+static PyObject *merge_next(PyObject *op)
+{
+    merge_obj *self = (merge_obj *)op;
+    struct entry *top;
+    PyObject *value;
+
+    if ((self->streams == NULL && self->heap == NULL) || enter(&self->running) < 0)
+        return NULL; /* finished, or running */
+    if (self->streams != NULL) {
+        if (merge_start(self) < 0)
+            goto fail;
+    } else if (self->yielded) {
+        top = &self->heap[0];
+        /* heapq.merge ends with `yield from` the last stream, so iter() */
+        if (self->size == 1 && !self->alone) {
+            if ((value = PyObject_GetIter(top->it)) == NULL)
+                goto fail;
+            Py_SETREF(top->it, value);
+            self->alone = 1;
+        }
+        if ((value = PyIter_Next(top->it)) != NULL) {
+            Py_SETREF(top->value, value);
+            if (siftup(self->heap, self->size, 0) < 0)
+                goto fail;
+        } else if (PyErr_Occurred()) {
+            goto fail;
+        } else {
+            struct entry gone = *top;
+
+            *top = self->heap[--self->size];
+            Py_DECREF(gone.value);
+            Py_DECREF(gone.it);
+            if (siftup(self->heap, self->size, 0) < 0)
+                goto fail;
+        }
+    }
+    if (self->size == 0)
+        goto fail; /* the end: no error is set */
+    self->yielded = 1;
+    self->running = 0;
+    return Py_NewRef(self->heap[0].value);
+fail:
+    merge_clear(op);
+    self->running = 0;
+    return NULL;
+}
+
+static PyTypeObject merge_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "coperm._core.merge_records",
+    .tp_basicsize = sizeof(merge_obj),
+    .tp_dealloc = merge_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = merge_traverse,
+    .tp_clear = merge_clear,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = merge_next,
+};
+
+/* merge_records(streams): an iterator over the values of every stream, a
+ * k-way merge of sorted ones, as heapq.merge(*streams) with its calls:
+ * each stream's first next() in order, then only the stream whose value
+ * was taken */
+static PyObject *py_merge_records(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    PyObject *streams;
+    merge_obj *self;
+
+    if (!nargs_ok("merge_records", nargs, 1) || (streams = PySequence_Tuple(args[0])) == NULL)
+        return NULL;
+    if ((self = PyObject_GC_New(merge_obj, &merge_type)) == NULL) {
+        Py_DECREF(streams);
+        return NULL;
+    }
+    self->streams = streams;
+    self->heap = NULL;
+    self->size = 0;
+    self->yielded = self->alone = self->running = 0;
+    PyObject_GC_Track(self);
+    return (PyObject *)self;
+}
+
+/* ------------------------------------------------------- group_sorted */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *records; /* the iterable, until the first next() */
+    PyObject *it;
+    PyObject *family; /* the FamilyRecord class */
+    PyObject *cur;    /* the fingerprint of the open family; None before one */
+    PyObject **members;
+    Py_ssize_t count, cap;
+    int running;
+} group_obj;
+
+static int group_clear(PyObject *op)
+{
+    group_obj *self = (group_obj *)op;
+
+    Py_CLEAR(self->records);
+    Py_CLEAR(self->it);
+    Py_CLEAR(self->family);
+    Py_CLEAR(self->cur);
+    for (; self->count > 0; self->count--)
+        Py_CLEAR(self->members[self->count - 1]);
+    PyMem_Free(self->members);
+    self->members = NULL;
+    self->cap = 0;
+    return 0;
+}
+
+static int group_traverse(PyObject *op, visitproc visit, void *arg)
+{
+    group_obj *self = (group_obj *)op;
+
+    Py_VISIT(self->records);
+    Py_VISIT(self->it);
+    Py_VISIT(self->family);
+    Py_VISIT(self->cur);
+    for (Py_ssize_t i = 0; i < self->count; i++)
+        Py_VISIT(self->members[i]);
+    return 0;
+}
+
+static void group_dealloc(PyObject *op)
+{
+    PyObject_GC_UnTrack(op);
+    group_clear(op);
+    PyObject_GC_Del(op);
+}
+
+/* adds g6, a reference it takes, to the open family */
+static int add_member(group_obj *self, PyObject *g6)
+{
+    if (self->count == self->cap) {
+        Py_ssize_t cap = self->cap ? 2 * self->cap : 8;
+        PyObject **grown = PyMem_Resize(self->members, PyObject *, cap);
+
+        if (grown == NULL) {
+            Py_DECREF(g6);
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->members = grown;
+        self->cap = cap;
+    }
+    self->members[self->count++] = g6;
+    return 0;
+}
+
+/* FamilyRecord(cur, tuple(members)), made as tuple.__new__ makes it, and
+ * the open family emptied */
+static PyObject *close_family(group_obj *self)
+{
+    PyTypeObject *type = (PyTypeObject *)self->family;
+    PyObject *members = PyTuple_New(self->count), *rec;
+
+    if (members == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->count; i++)
+        PyTuple_SET_ITEM(members, i, self->members[i]);
+    self->count = 0;
+    if ((rec = type->tp_alloc(type, 2)) == NULL) {
+        Py_DECREF(members);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(rec, 0, Py_NewRef(self->cur));
+    PyTuple_SET_ITEM(rec, 1, members);
+    return rec;
+}
+
+/* fp == cur, where cur may be None, which bytes never equal */
+static int same_fingerprint(PyObject *fp, PyObject *cur)
+{
+    int c = exact_cmp(fp, cur);
+
+    if (c != 2)
+        return c == 0;
+    if (PyBytes_CheckExact(fp) && cur == Py_None)
+        return 0;
+    return compare(fp, cur, Py_EQ);
+}
+
+/* the error for the member g6 of the open family unless it sorts above
+ * the last one: DuplicateMember when equal, UnsortedRun when below */
+static int check_member(PyObject *g6, PyObject *last)
+{
+    int c = exact_cmp(g6, last), le, eq;
+
+    if (c != 2) {
+        le = c <= 0;
+        eq = c == 0;
+    } else {
+        if ((le = compare(g6, last, Py_LE)) < 0)
+            return -1;
+        if (le && (eq = compare(g6, last, Py_EQ)) < 0)
+            return -1;
+    }
+    if (!le)
+        return 0;
+    if (eq)
+        PyErr_Format(duplicate_member, "graph %R appears twice within one shard", g6);
+    else
+        PyErr_SetString(unsorted_run, "record stream is not sorted");
+    return -1;
+}
+
+/* the next family: the records of one fingerprint, each member above the
+ * one before; a repeated pair raises DuplicateMember, any other step down
+ * UnsortedRun */
+static PyObject *group_next(PyObject *op)
+{
+    group_obj *self = (group_obj *)op;
+    PyObject *rec, *pair[2], *out = NULL;
+    int c;
+
+    if (self->family == NULL || enter(&self->running) < 0)
+        return NULL; /* finished, or running */
+    if (self->it == NULL) {
+        self->it = PyObject_GetIter(self->records);
+        Py_CLEAR(self->records);
+        if (self->it == NULL)
+            goto fail;
+    }
+    while ((rec = PyIter_Next(self->it)) != NULL) {
+        c = unpack_pair(rec, pair);
+        Py_DECREF(rec);
+        if (c < 0)
+            goto fail;
+        if ((c = same_fingerprint(pair[0], self->cur)) < 0)
+            goto fail_pair;
+        if (c) {
+            if (self->count == 0) {
+                PyErr_SetString(PyExc_IndexError, "list index out of range");
+                goto fail_pair;
+            }
+            if (check_member(pair[1], self->members[self->count - 1]) < 0)
+                goto fail_pair;
+            Py_DECREF(pair[0]);
+            if (add_member(self, pair[1]) < 0)
+                goto fail;
+            continue;
+        }
+        if (self->cur != Py_None) {
+            c = exact_cmp(pair[0], self->cur);
+            c = c != 2 ? c < 0 : compare(pair[0], self->cur, Py_LT);
+            if (c) {
+                if (c > 0)
+                    PyErr_SetString(unsorted_run, "record stream is not sorted");
+                goto fail_pair;
+            }
+            if ((out = close_family(self)) == NULL)
+                goto fail_pair;
+        }
+        Py_SETREF(self->cur, pair[0]);
+        if (add_member(self, pair[1]) < 0)
+            goto fail;
+        if (out != NULL) {
+            self->running = 0;
+            return out;
+        }
+    }
+    if (!PyErr_Occurred() && self->cur != Py_None)
+        out = close_family(self);
+    group_clear(op);
+    self->running = 0;
+    return out;
+fail_pair:
+    Py_DECREF(pair[0]);
+    Py_DECREF(pair[1]);
+fail:
+    Py_XDECREF(out);
+    group_clear(op);
+    self->running = 0;
+    return NULL;
+}
+
+static PyTypeObject group_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "coperm._core.group_sorted",
+    .tp_basicsize = sizeof(group_obj),
+    .tp_dealloc = group_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = group_traverse,
+    .tp_clear = group_clear,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = group_next,
+};
+
+/* group_sorted(records): an iterator over the FamilyRecords of a sorted
+ * stream of (fingerprint, graph6) records, as collide.FamilyRecord
+ * instances made without a call of that class. TypeError unless that
+ * class is a tuple subclass of no fields of its own. */
+static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    PyObject *collide, *family;
+    group_obj *self;
+
+    if (!nargs_ok("group_sorted", nargs, 1))
+        return NULL;
+    /* looked up here: collide imports the kernels */
+    if ((collide = PyImport_ImportModule("coperm.collide")) == NULL)
+        return NULL;
+    family = PyObject_GetAttrString(collide, "FamilyRecord");
+    Py_DECREF(collide);
+    if (family == NULL)
+        return NULL;
+    if (!PyType_Check(family) || !PyType_IsSubtype((PyTypeObject *)family, &PyTuple_Type)
+        || ((PyTypeObject *)family)->tp_basicsize != PyTuple_Type.tp_basicsize) {
+        PyErr_SetString(PyExc_TypeError, "collide.FamilyRecord is not a plain tuple subclass");
+        Py_DECREF(family);
+        return NULL;
+    }
+    if ((self = PyObject_GC_New(group_obj, &group_type)) == NULL) {
+        Py_DECREF(family);
+        return NULL;
+    }
+    self->records = Py_NewRef(args[0]);
+    self->it = NULL;
+    self->family = family;
+    self->cur = Py_NewRef(Py_None);
+    self->members = NULL;
+    self->count = self->cap = 0;
+    self->running = 0;
+    PyObject_GC_Track(self);
+    return (PyObject *)self;
+}
+
+/* -------------------------------------------------------- family_rows */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *families; /* the iterable, until the first next() */
+    PyObject *it;
+    PyObject *pieces; /* the chunk's text before buf, once a row is not ASCII */
+    char *buf;        /* the chunk's ASCII text since pieces */
+    Py_ssize_t len, cap;
+    long long n, rows;
+    char head[24]; /* "n\tm\t" */
+    int finished, running;
+} rows_obj;
+
+static int rows_clear(PyObject *op)
+{
+    rows_obj *self = (rows_obj *)op;
+
+    Py_CLEAR(self->families);
+    Py_CLEAR(self->it);
+    Py_CLEAR(self->pieces);
+    PyMem_Free(self->buf);
+    self->buf = NULL;
+    self->len = self->cap = 0;
+    return 0;
+}
+
+static int rows_traverse(PyObject *op, visitproc visit, void *arg)
+{
+    rows_obj *self = (rows_obj *)op;
+
+    Py_VISIT(self->families);
+    Py_VISIT(self->it);
+    Py_VISIT(self->pieces);
+    return 0;
+}
+
+static void rows_dealloc(PyObject *op)
+{
+    PyObject_GC_UnTrack(op);
+    rows_clear(op);
+    PyObject_GC_Del(op);
+}
+
+/* room for extra more bytes in buf */
+static int reserve(rows_obj *self, Py_ssize_t extra)
+{
+    Py_ssize_t cap = self->cap ? self->cap : 1 << 14;
+    char *grown;
+
+    if (extra > PY_SSIZE_T_MAX / 2 - self->len) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (self->len + extra <= self->cap)
+        return 0;
+    while (cap < self->len + extra)
+        cap *= 2;
+    if ((grown = PyMem_Realloc(self->buf, cap)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->buf = grown;
+    self->cap = cap;
+    return 0;
+}
+
+/* the text of buf as a str at the end of pieces */
+static int flush_buf(rows_obj *self)
+{
+    PyObject *text;
+    int failed;
+
+    if (self->pieces == NULL && (self->pieces = PyList_New(0)) == NULL)
+        return -1;
+    if ((text = PyUnicode_DecodeASCII(self->buf, self->len, NULL)) == NULL)
+        return -1;
+    failed = PyList_Append(self->pieces, text);
+    Py_DECREF(text);
+    self->len = 0;
+    return failed;
+}
+
+/* whether the str s is ASCII, and so its data the bytes of its text */
+static int ascii_str(PyObject *s)
+{
+#if PY_VERSION_HEX < 0x030C0000
+    if (PyUnicode_READY(s) < 0) {
+        PyErr_Clear(); /* not ready: taken as a str that is not ASCII */
+        return 0;
+    }
+#endif
+    return PyUnicode_IS_ASCII(s);
+}
+
+/* " ".join(members), written at the end of the chunk */
+static int add_members(rows_obj *self, PyObject *members)
+{
+    Py_ssize_t size, total = 0;
+    PyObject *joined;
+    int failed;
+
+    if (PyTuple_CheckExact(members) && (size = PyTuple_GET_SIZE(members)) > 0) {
+        for (Py_ssize_t i = 0; i < size && total >= 0; i++) {
+            PyObject *g6 = PyTuple_GET_ITEM(members, i);
+
+            total = PyUnicode_CheckExact(g6) && ascii_str(g6)
+                  ? total + PyUnicode_GET_LENGTH(g6) + 1 : -1;
+        }
+        if (total > 0) {
+            if (reserve(self, total) < 0)
+                return -1;
+            for (Py_ssize_t i = 0; i < size; i++) {
+                PyObject *g6 = PyTuple_GET_ITEM(members, i);
+
+                if (i)
+                    self->buf[self->len++] = ' ';
+                memcpy(self->buf + self->len, PyUnicode_DATA(g6), PyUnicode_GET_LENGTH(g6));
+                self->len += PyUnicode_GET_LENGTH(g6);
+            }
+            return 0;
+        }
+    }
+    /* str.join itself, with its checks and messages */
+    if ((joined = PyUnicode_Join(space, members)) == NULL)
+        return -1;
+    if (ascii_str(joined)) {
+        failed = reserve(self, PyUnicode_GET_LENGTH(joined));
+        if (!failed) {
+            memcpy(self->buf + self->len, PyUnicode_DATA(joined), PyUnicode_GET_LENGTH(joined));
+            self->len += PyUnicode_GET_LENGTH(joined);
+        }
+    } else {
+        failed = flush_buf(self) < 0 || PyList_Append(self->pieces, joined) < 0;
+    }
+    Py_DECREF(joined);
+    return failed ? -1 : 0;
+}
+
+/* the row of one family: head, size, polynomial and members, checked as
+ * the twin's f-string evaluates them: len(members), then render(fp, n),
+ * then the join */
+static int add_row(rows_obj *self, PyObject *family)
+{
+    PyObject *pair[2];
+    const unsigned char *b;
+    Py_ssize_t count, size, head = (Py_ssize_t)strlen(self->head);
+    int failed = -1;
+
+    if (unpack_pair(family, pair) < 0)
+        return -1;
+    if ((count = PyObject_Size(pair[1])) < 0 || fingerprint_arg(pair[0], self->n, &b, &size) < 0
+        || reserve(self, head + 22 + render_cap(self->n, size)) < 0)
+        goto done;
+    memcpy(self->buf + self->len, self->head, head);
+    self->len += head;
+    self->len += PyOS_snprintf(self->buf + self->len, 21, "%zd", count);
+    self->buf[self->len++] = '\t';
+    self->len += render_into(b, self->n, self->buf + self->len);
+    self->buf[self->len++] = '\t';
+    if (add_members(self, pair[1]) < 0 || reserve(self, 1) < 0)
+        goto done;
+    self->buf[self->len++] = '\n';
+    failed = 0;
+done:
+    Py_DECREF(pair[0]);
+    Py_DECREF(pair[1]);
+    return failed;
+}
+
+/* the next chunk: the rows of the next `rows` families, or of as many as
+ * are left */
+static PyObject *rows_next(PyObject *op)
+{
+    rows_obj *self = (rows_obj *)op;
+    PyObject *family, *out = NULL, *empty;
+    long long count = 0;
+
+    if (self->finished || enter(&self->running) < 0)
+        return NULL;
+    if (self->it == NULL) {
+        self->it = PyObject_GetIter(self->families);
+        Py_CLEAR(self->families);
+        if (self->it == NULL)
+            goto done;
+    }
+    while (count < self->rows && (family = PyIter_Next(self->it)) != NULL) {
+        int failed = add_row(self, family);
+
+        Py_DECREF(family);
+        if (failed)
+            goto done;
+        count++;
+    }
+    if (PyErr_Occurred() || count == 0)
+        goto done;
+    if (self->pieces == NULL) {
+        out = PyUnicode_DecodeASCII(self->buf, self->len, NULL);
+    } else if (flush_buf(self) == 0 && (empty = PyUnicode_New(0, 0)) != NULL) {
+        out = PyUnicode_Join(empty, self->pieces);
+        Py_DECREF(empty);
+    }
+    Py_CLEAR(self->pieces);
+    self->len = 0;
+    if (out != NULL && count == self->rows) {
+        self->running = 0;
+        return out;
+    }
+done: /* an error, or no family left after this chunk */
+    rows_clear(op);
+    self->finished = 1;
+    self->running = 0;
+    return out;
+}
+
+static PyTypeObject rows_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "coperm._core.family_rows",
+    .tp_basicsize = sizeof(rows_obj),
+    .tp_dealloc = rows_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = rows_traverse,
+    .tp_clear = rows_clear,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = rows_next,
+};
+
+/* family_rows(families, n, m, rows): an iterator over the text of the
+ * mates or merge report rows of the (fingerprint, members) families of
+ * shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, joined in
+ * chunks of rows rows. ValueError for an n, m or rows out of range. */
+static PyObject *py_family_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    long long n, m, rows;
+    rows_obj *self;
+
+    if (!nargs_ok("family_rows", nargs, 4)
+        || bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0
+        || bounded_arg(args[2], 0, 0xffff, 0, "m", &m) < 0
+        || bounded_arg(args[3], 1, LLONG_MAX, 1, "rows", &rows) < 0)
+        return NULL;
+    if ((self = PyObject_GC_New(rows_obj, &rows_type)) == NULL)
+        return NULL;
+    self->families = Py_NewRef(args[0]);
+    self->it = self->pieces = NULL;
+    self->buf = NULL;
+    self->len = self->cap = 0;
+    self->n = n;
+    self->rows = rows;
+    PyOS_snprintf(self->head, sizeof self->head, "%lld\t%lld\t", n, m);
+    self->finished = self->running = 0;
+    PyObject_GC_Track(self);
+    return (PyObject *)self;
 }
 
 #define ENTRY(name, doc) \
@@ -889,6 +1791,14 @@ static PyMethodDef methods[] = {
           "The checked (fingerprint, graph6) records of a run of shard (n, m) that buf\n"
           "holds whole from pos, at most count: (records, pos, stop)."),
     ENTRY(render, "The text of the monic degree-n polynomial whose fingerprint is fp."),
+    ENTRY(merge_records,
+          "K-way merge of sorted record iterators, as heapq.merge(*streams)."),
+    ENTRY(group_sorted,
+          "The FamilyRecords of a stream of (fingerprint, graph6) records of one shard,\n"
+          "each greater than the one before."),
+    ENTRY(family_rows,
+          "The mates or merge report rows of families of shard (n, m), as text in\n"
+          "chunks of rows rows."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -899,16 +1809,24 @@ static int exec_module(PyObject *module)
     if (errors == NULL)
         return -1;
     Py_XSETREF(too_large, PyObject_GetAttrString(errors, "TooLarge"));
+    Py_XSETREF(duplicate_member, PyObject_GetAttrString(errors, "DuplicateMember"));
+    Py_XSETREF(unsorted_run, PyObject_GetAttrString(errors, "UnsortedRun"));
     Py_DECREF(errors);
-    if (too_large == NULL)
+    if (too_large == NULL || duplicate_member == NULL || unsorted_run == NULL)
         return -1;
-    return PyModule_AddIntConstant(module, "MAXK", MAXK);
+    Py_XSETREF(space, PyUnicode_FromString(" "));
+    if (space == NULL || PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0
+        || PyType_Ready(&rows_type) < 0)
+        return -1;
+    if (PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)
+        return -1;
+    return PyModule_AddIntConstant(module, "MAX_VERTICES", MAX_VERTICES);
 }
 
 static PyModuleDef_Slot slots[] = {
     {Py_mod_exec, (void *)exec_module},
 #if PY_VERSION_HEX >= 0x030C0000
-    /* too_large is one static for the whole process */
+    /* the exceptions and types are statics of the whole process */
     {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
 #endif
     {0, NULL},

@@ -5,15 +5,23 @@ semantics: graph-polynomial coefficients computed directly (Ryser's sum
 with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
 for isomorph rejection, Gray-code Ryser permanents and fraction-free
-Bareiss determinants of integer matrices, and the run-file record scanner
-and fingerprint renderer of merge. Python integers never wrap, so
+Bareiss determinants of integer matrices, and the steps of a run-file
+merge: the record scanner, the k-way merge, the grouper and the
+fingerprint renderer and report rows. Python integers never wrap, so
 the scalar kernels here are exact for any input; they agree with the
 compiled ones within the caller contract stated in _kernels.c. The run-file
 twins agree with them on every buffer and on every fingerprint a run
-reader accepts; only the compiled ones check their other arguments.
+reader accepts; merge_records and group_sorted on every input, and
+family_rows on every family of such fingerprints; only the compiled ones
+check their other arguments.
 """
 
 from __future__ import annotations
+
+import heapq
+from itertools import islice
+
+from .errors import DuplicateMember, UnsortedRun
 
 BACKEND_NAME = "pure-python"
 
@@ -230,7 +238,7 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:
 
 # ------------------------------------------------------------- run files
 
-MAX_VERTICES = 32  # graphs.MAX_VERTICES, the largest n of a run
+MAX_VERTICES = 32  # the most vertices of a graph or run
 _GRAPH6_BYTES = bytes(range(63, 127))
 
 
@@ -325,3 +333,47 @@ def render(fp: bytes, n: int) -> str:
             out += _term(fp[pos], int.from_bytes(fp[pos + 2:pos + 2 + blen], "little"), j)
         pos += 2 + blen
     return out
+
+
+# ------------------------------------------------ merge, grouping and rows
+
+def merge_records(streams):
+    """K-way merge of sorted record iterators, as heapq.merge(*streams)."""
+    return heapq.merge(*streams)
+
+
+def group_sorted(records):
+    """Streaming grouper over the records of one (n, m) shard, each greater
+    than the one before as a (fingerprint, graph6) pair: yields its
+    FamilyRecords in fingerprint order. An equal pair raises DuplicateMember,
+    a smaller one UnsortedRun."""
+    from .collide import FamilyRecord  # here: collide imports the kernels
+    cur = None
+    members: list[str] = []
+    for fp, g6 in records:
+        if fp == cur:
+            if g6 <= members[-1]:
+                if g6 == members[-1]:
+                    raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
+                raise UnsortedRun("record stream is not sorted")
+            members.append(g6)
+            continue
+        if cur is not None:
+            if fp < cur:
+                raise UnsortedRun("record stream is not sorted")
+            yield FamilyRecord(cur, tuple(members))
+        cur = fp
+        members = [g6]
+    if cur is not None:
+        yield FamilyRecord(cur, tuple(members))
+
+
+def family_rows(families, n: int, m: int, rows: int):
+    """The mates or merge report rows of the (fingerprint, members) families
+    of shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, as text in
+    chunks of rows rows."""
+    head = f"{n}\t{m}\t"
+    lines = (f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members) + "\n"
+             for fp, members in families)
+    while chunk := "".join(islice(lines, rows)):
+        yield chunk

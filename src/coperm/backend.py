@@ -26,12 +26,16 @@ else:
               "using the pure-Python kernels", file=sys.stderr)
 
 BACKEND = _impl.BACKEND_NAME
+MAX_VERTICES = _impl.MAX_VERTICES  # the most vertices of a graph or run
 
 graph_poly = _impl.graph_poly
 canonical_form = _impl.canonical_form
 canonical_children = _impl.canonical_children
 scan_records = _impl.scan_records
 render = _impl.render
+merge_records = _impl.merge_records
+group_sorted = _impl.group_sorted
+family_rows = _impl.family_rows
 
 
 def available_backends():

@@ -4,7 +4,9 @@ Verbs: enumerate, poly, table, mates, compare, fingerprint, merge.
 Exit codes: 0 success, 2 usage (including an --out that names an input
 file), 3 any other package error or OSError, 5 InvariantViolation.
 The argument parser is built once per process and reused by every main()
-call, so a process that runs several commands pays for it once.
+call, so a process that runs several commands pays for it once. Each verb
+imports the modules only it uses when it runs: merge and poly load
+neither the census pipeline nor the enumerator.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from contextlib import nullcontext
 from itertools import chain, islice
 
 from . import backend, collide
-from .enumerate import enumerate_by_edges, enumerate_graphs
 from .errors import CopermError, InvariantViolation
-from .graphs import MAX_VERTICES, char_poly, edge_count, parse_graph6, perm_poly, to_graph6
-from .pipeline import aggregate, ingest_shards, run_census, run_ingest_census, shard_records
 
 EXIT_DATA = 3
 EXIT_INVARIANT = 5
@@ -66,15 +65,33 @@ def _positive_int(text: str) -> int:
 _EMIT_LINES = 4096  # report lines joined into one write
 
 
-def _emit(lines, out_path) -> None:
-    """Write report lines, a chunk at a time, to out_path or stdout. Any
-    failure, also one raised while the lines are produced, removes the
+def _write(texts, out_path) -> None:
+    """Write report text, a piece at a time, to out_path or stdout. Any
+    failure, also one raised while the text is produced, removes the
     partial out_path (see collide.output_file)."""
-    lines = iter(lines)
     with (collide.output_file(out_path, "w", encoding="ascii") if out_path
           else nullcontext(sys.stdout)) as fh:
-        while chunk := list(islice(lines, _EMIT_LINES)):
-            fh.write("".join(line + "\n" for line in chunk))
+        for text in texts:
+            fh.write(text)
+
+
+def _emit(lines, out_path) -> None:
+    """Write report lines, _EMIT_LINES of them to a write, as _write does."""
+    lines = iter(lines)
+    chunks = iter(lambda: list(islice(lines, _EMIT_LINES)), [])
+    _write(("".join(line + "\n" for line in chunk) for chunk in chunks), out_path)
+
+
+def run_census(ns, kinds, workers: int = 1):
+    """pipeline.run_census, imported by its first call."""
+    from .pipeline import run_census
+    return run_census(ns, kinds, workers=workers)
+
+
+def run_ingest_census(path, kinds, dedup: bool = False, workers: int = 1):
+    """pipeline.run_ingest_census, imported by its first call."""
+    from .pipeline import run_ingest_census
+    return run_ingest_census(path, kinds, dedup=dedup, workers=workers)
 
 
 def _census_by_n(args, kinds):
@@ -86,6 +103,9 @@ def _census_by_n(args, kinds):
 
 
 def cmd_enumerate(args) -> None:
+    from .enumerate import enumerate_by_edges, enumerate_graphs
+    from .graphs import to_graph6
+
     if args.edges is not None:
         stream = enumerate_by_edges(args.n_single, args.edges)
     else:
@@ -94,6 +114,8 @@ def cmd_enumerate(args) -> None:
 
 
 def cmd_poly(args) -> None:
+    from .graphs import char_poly, edge_count, parse_graph6, perm_poly, to_graph6
+
     g = parse_graph6(args.graph6)
     m = edge_count(g)
     lines = [f"graph\t{to_graph6(g)}\tn={g.n}\tm={m}"]
@@ -112,6 +134,8 @@ def _aggregate_columns(s) -> str:
 
 
 def cmd_table(args) -> None:
+    from .pipeline import aggregate
+
     censuses = _census_by_n(args, (args.kind,))
     lines = [PER_EDGE_HEADER if args.per_edges else AGGREGATE_HEADER]
     for n in sorted(censuses):
@@ -124,21 +148,17 @@ def cmd_table(args) -> None:
     _emit(lines, args.out)
 
 
-def _family_rows(n: int, m: int, families):
-    """The mates or merge report rows of families of shard (n, m)."""
-    head, render = f"{n}\t{m}\t", collide.render
-    for fp, members in families:
-        yield f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members)
-
-
 def cmd_mates(args) -> None:
     censuses = _census_by_n(args, (args.kind,))
-    rows = (row for n in sorted(censuses) for shard in censuses[n]
-            for row in _family_rows(n, shard.m, shard.families[args.kind]))
-    _emit(chain([MATES_HEADER], rows), args.out)
+    rows = (text for n in sorted(censuses) for shard in censuses[n]
+            for text in backend.family_rows(shard.families[args.kind], n, shard.m,
+                                             _EMIT_LINES))
+    _write(chain([MATES_HEADER + "\n"], rows), args.out)
 
 
 def _compare_rows(censuses):
+    from .pipeline import aggregate
+
     yield COMPARE_HEADER
     for n in sorted(censuses):
         perm, char = (aggregate(censuses[n], kind) for kind in ("perm", "char"))
@@ -160,6 +180,8 @@ def cmd_compare(args) -> None:
 
 
 def cmd_fingerprint(args) -> None:
+    from .pipeline import ingest_shards, shard_records
+
     n, m = args.n_single, args.edges
     graphs = (ingest_shards(args.infile, args.dedup, only=(n, m)).get((n, m), [])
               if args.infile else None)
@@ -168,17 +190,22 @@ def cmd_fingerprint(args) -> None:
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
 
 
-def _merge_rows(runs):
-    yield MATES_HEADER.replace("members", "members (all family sizes)")
+def _merge_text(runs):
+    """The merge report, its header in the first write with the first rows,
+    so that a merge failing before they are made writes nothing."""
     shard = []  # (n, m), which the merge reads from the run headers before any record
     families = collide.group_sorted(collide.merge_sorted_runs(runs, shard.append))
     first = next(families, None)
+    chunks = iter(())
     if first is not None:
-        yield from _family_rows(*shard[0], chain([first], families))
+        chunks = backend.family_rows(chain([first], families), *shard[0], _EMIT_LINES)
+    header = MATES_HEADER.replace("members", "members (all family sizes)")
+    yield header + "\n" + next(chunks, "")
+    yield from chunks
 
 
 def cmd_merge(args) -> None:
-    _emit(_merge_rows(args.runs), args.out)
+    _write(_merge_text(args.runs), args.out)
 
 
 def _add_common(sub, n_range=False, n_single=False, edges=False, kind=None,
@@ -265,8 +292,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fn", None) is cmd_fingerprint and not args.out:
         parser.error("fingerprint requires --out")
-    if hasattr(args, "n_single") and not 0 <= args.n_single <= MAX_VERTICES:
-        parser.error(f"--n must lie in 0..{MAX_VERTICES}")
+    if hasattr(args, "n_single") and not 0 <= args.n_single <= backend.MAX_VERTICES:
+        parser.error(f"--n must lie in 0..{backend.MAX_VERTICES}")
     if getattr(args, "edges", None) is not None:
         pairs = args.n_single * (args.n_single - 1) // 2
         if not 0 <= args.edges <= pairs:

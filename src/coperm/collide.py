@@ -15,13 +15,13 @@ Fingerprint layout (bit-exact): the coefficients c_(n-2) down to c_0
 (c_n and c_(n-1) are omitted, always 1 and 0), each as a sign byte
 (0x00 nonnegative, 0x01 negative), a u8 magnitude length L, and L
 little-endian magnitude bytes, minimal L (0 is sign 0, L = 0). render()
-turns one back into report text without decoding it to integers; it and
-the run reader's record scanner are kernels of the backend.
+turns one back into report text without decoding it to integers; it, the
+run reader's record scanner, the k-way merge and the grouper are kernels
+of the backend.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import stat
 import struct
@@ -29,8 +29,8 @@ from collections import namedtuple
 from contextlib import ExitStack, contextmanager
 
 from . import backend
-from .errors import DegreeMismatch, DuplicateMember, RunFormatError, UnsortedRun
-from .graphs import MAX_VERTICES
+from .backend import MAX_VERTICES
+from .errors import DegreeMismatch, RunFormatError, UnsortedRun
 
 RUN_MAGIC = b"CPRM"
 RUN_VERSION = 2
@@ -77,6 +77,12 @@ render = backend.render
 # all graphs sharing one polynomial: fingerprint bytes, and a tuple of
 # graph6 members, sorted
 FamilyRecord = namedtuple("FamilyRecord", "fingerprint members")
+
+# group_sorted(records): the FamilyRecords, in fingerprint order, of the
+# records of one (n, m) shard, each greater than the one before as a
+# (fingerprint, graph6) pair; an equal pair raises DuplicateMember, a
+# smaller one UnsortedRun
+group_sorted = backend.group_sorted
 
 
 # the counting columns of one shard, or of one n summed over its shards
@@ -154,21 +160,23 @@ def _check_header(raw: bytes, path) -> tuple[int, int, int]:
 
 
 _CHUNK = 1 << 16  # bytes a run reader asks for per read
+_SCAN = 256  # records a run reader cuts per scan, and so holds at once
 
 
 def _iter_run(fh, path, n: int, m: int, count: int):
     """Check and yield the records of a run file whose header has been read.
 
     The backend's scan_records cuts and checks as many whole records as
-    the buffer holds, and says why it stopped; a record that runs past the
-    buffer is scanned again once a read has added to it, or found
-    truncated when the file ends inside it.
+    the buffer holds, at most _SCAN, and says why it stopped; a record
+    that runs past the buffer is scanned again once a read has added to
+    it, or found truncated when the file ends inside it.
     """
     read = fh.read
     buf, pos, prev, final = b"", 0, None, False
     left = count
     while left:
-        records, pos, stop = backend.scan_records(buf, pos, left, n, m, prev, final)
+        records, pos, stop = backend.scan_records(buf, pos, min(left, _SCAN), n, m, prev,
+                                                  final)
         if records:
             left -= len(records)
             prev = records[-1][0]
@@ -215,29 +223,4 @@ def merge_sorted_runs(paths, on_shard=None):
             streams.append(_iter_run(fh, p, n, m, count))
         if on_shard is not None:
             on_shard(shard)
-        yield from heapq.merge(*streams)
-
-
-def group_sorted(records):
-    """Streaming grouper over the records of one (n, m) shard, each greater
-    than the one before as a (fingerprint, graph6) pair: yields its
-    FamilyRecords in fingerprint order. An equal pair raises DuplicateMember,
-    a smaller one UnsortedRun."""
-    cur = None
-    members: list[str] = []
-    for fp, g6 in records:
-        if fp == cur:
-            if g6 <= members[-1]:
-                if g6 == members[-1]:
-                    raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
-                raise UnsortedRun("record stream is not sorted")
-            members.append(g6)
-            continue
-        if cur is not None:
-            if fp < cur:
-                raise UnsortedRun("record stream is not sorted")
-            yield FamilyRecord(cur, tuple(members))
-        cur = fp
-        members = [g6]
-    if cur is not None:
-        yield FamilyRecord(cur, tuple(members))
+        yield from backend.merge_records(streams)

@@ -27,7 +27,7 @@ from collections import namedtuple
 from . import backend
 from .errors import InvalidChar, TooLarge, TrailingGarbage, TruncatedBody
 
-MAX_VERTICES = 32
+MAX_VERTICES = backend.MAX_VERTICES  # 32
 CANONICAL_MAX = 10  # backtracking canonical search is exponential past this
 POLY_MAX = 12
 

@@ -3,14 +3,16 @@ internals they check (among them the polynomial text and fingerprint
 decoder that the report renderer is checked against, the fingerprint
 encoder and graph6 bit loop that the table-driven ones are checked
 against, and the stack walk that fixes the enumeration order), a graph
-builder from edge lists, and the run-reader chunk sizes and raw run-file
-writer the run-file tests use."""
+builder from edge lists, and the run-reader chunk sizes, raw run-file
+writer and kernel switch the run-file tests use."""
 
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from itertools import combinations, permutations
 from math import factorial, gcd, lcm
+from unittest import mock
 
-from coperm import collide
+from coperm import backend, collide
 from coperm.errors import TooLarge
 from coperm.graphs import MAX_VERTICES, Graph
 
@@ -18,6 +20,17 @@ from coperm.graphs import MAX_VERTICES, Graph
 # that every record is read over several refills
 READER_CHUNKS = (collide._CHUNK, 3)
 SYMBOLIC_MAX = 7
+
+
+@contextmanager
+def merge_kernels_of(impl):
+    """The run reader and the merge verb running on the kernels of impl, a
+    backend module."""
+    with ExitStack() as stack:
+        for name in ("scan_records", "merge_records", "family_rows"):
+            stack.enter_context(mock.patch.object(backend, name, getattr(impl, name)))
+        stack.enter_context(mock.patch.object(collide, "group_sorted", impl.group_sorted))
+        yield
 
 
 def raw_run(n: int, m: int, records) -> bytes:

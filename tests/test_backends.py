@@ -2,6 +2,7 @@
 the compiled ones must guard their fixed-size arrays, and backend
 selection must say why it chose what it did."""
 
+import itertools
 import json
 import math
 import os
@@ -11,12 +12,15 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import coperm
-from coperm import backend
+from coperm import backend, cli, collide
 from coperm.backend import available_backends
+from coperm.cli import main
+from coperm.collide import persist_fingerprints
 from coperm.enumerate import enumerate_graphs
 from coperm.errors import TooLarge
 from coperm.graphs import Graph, to_graph6
@@ -28,8 +32,10 @@ from oracles import (
     fingerprint_bytes,
     from_values,
     graph_from_edges,
+    merge_kernels_of,
     mul,
     perm_poly_symbolic,
+    poly_from_fingerprint,
     random_graph,
     text,
 )
@@ -206,6 +212,111 @@ def test_render_agrees_on_random_coefficients():
             assert a.render(fp, n) == b.render(fp, n) == text(p), p
 
 
+class Logged:
+    """A value, tagged with where it came from, that logs each comparison
+    made on it."""
+
+    def __init__(self, value, tag, log):
+        self.value, self.tag, self.log = value, tag, log
+
+    def __eq__(self, other):
+        self.log.append(("==", self.value, other.value))
+        return self.value == other.value
+
+    def __lt__(self, other):
+        self.log.append(("<", self.value, other.value))
+        return self.value < other.value
+
+
+class LoggedStream:
+    """An iterator over values that logs each iter() and next() call on it."""
+
+    def __init__(self, name, values, log):
+        self.name, self.values, self.log = name, iter(values), log
+
+    def __iter__(self):
+        self.log.append(("iter", self.name))
+        return self
+
+    def __next__(self):
+        self.log.append(("next", self.name))
+        return next(self.values)
+
+
+@needs_both
+@pytest.mark.parametrize("streams", [0, 1, 2, 3, 7, 64, 4000])
+def test_merge_records_makes_the_calls_of_heapq_merge(streams):
+    # the same iter(), next() and comparison calls, in the same order, and
+    # ties taken in stream order; past 2,500 streams heapify sifts in
+    # another order
+    rng = random.Random(streams)
+    values = [sorted(rng.randint(0, 9) for _ in range(rng.randint(0, 4)))
+              for _ in range(streams)]
+    runs = []
+    for impl in BACKENDS.values():
+        log = []
+        merged = impl.merge_records([LoggedStream(i, [Logged(v, (i, j), log)
+                                                      for j, v in enumerate(vs)], log)
+                                     for i, vs in enumerate(values)])
+        runs.append(([(x.value, x.tag) for x in merged], log))
+    assert runs[0] == runs[1]
+    assert [v for v, _ in runs[0][0]] == sorted(v for vs in values for v in vs)
+
+
+@needs_both
+@pytest.mark.parametrize("name", ["merge_records", "group_sorted", "family_rows"])
+def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
+    # a next() of the kernel's iterator made from within its own next(),
+    # here by the input's, fails as a running generator's does
+    for impl in BACKENDS.values():
+        kernel = getattr(impl, name)
+        seen = []
+
+        def reenter():
+            try:
+                next(it)
+            except ValueError as exc:
+                seen.append(str(exc))
+            yield (b"\0\0", ("A_",)) if name == "family_rows" else (b"\0\0", "A_")
+
+        args = {"merge_records": ([reenter()],), "group_sorted": (reenter(),),
+                "family_rows": (reenter(), 2, 0, 1)}[name]
+        it = kernel(*args)
+        assert len(list(it)) == 1
+        assert seen == ["generator already executing"], impl.BACKEND_NAME
+
+
+def oracle_merge_report(n, m, records) -> str:
+    """The merge report of records, from the oracle renderer."""
+    lines = ["n\tm\tsize\tpolynomial\tmembers (all family sizes)"]
+    for fp, family in itertools.groupby(sorted(records), key=lambda r: r[0]):
+        members = [g6 for _, g6 in family]
+        lines.append(f"{n}\t{m}\t{len(members)}\t{text(poly_from_fingerprint(fp, n))}\t"
+                     + " ".join(members))
+    return "".join(line + "\n" for line in lines)
+
+
+@needs_both
+def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path):
+    # every shard with n <= 8, of both kinds, split across 1 to 6 runs, one
+    # chunk of rows per family for one shard in three
+    rng = random.Random(21)
+    report = tmp_path / "report.txt"
+    for n in range(9):
+        for m in range(n * (n - 1) // 2 + 1):
+            for kind, records in shard_records(n, m, ("perm", "char")).items():
+                k = rng.randint(1, 6)
+                runs = [str(tmp_path / f"{kind}{i}.run") for i in range(k)]
+                for i, path in enumerate(runs):
+                    persist_fingerprints(records[i::k], path, n, m)
+                want = oracle_merge_report(n, m, records)
+                for impl in BACKENDS.values():
+                    with merge_kernels_of(impl), \
+                            mock.patch.object(cli, "_EMIT_LINES", rng.choice((1, 4096))):
+                        assert main(["merge", *runs, "--out", str(report)]) == 0
+                    assert report.read_text() == want, (n, m, kind, impl.BACKEND_NAME)
+
+
 @needs_both
 @pytest.mark.parametrize("name, args", [
     ("permanent", ([0] * 17 * 17, 17)),
@@ -269,6 +380,14 @@ BAD_INPUT = [
     ("render", (b"", -1), ValueError),
     ("render", (b"", 33), ValueError),
     ("render", ("", 0), TypeError),
+    ("merge_records", (5,), TypeError),  # streams not iterable
+    ("merge_records", ([], []), TypeError),
+    ("group_sorted", (), TypeError),
+    ("family_rows", ([], 33, 0, 1), ValueError),  # n past 32
+    ("family_rows", ([], 3, 1 << 16, 1), ValueError),  # m past u16
+    ("family_rows", ([], 3, 2, 0), ValueError),  # no rows to a chunk
+    ("family_rows", ([], 3, 2, 1.0), TypeError),
+    ("family_rows", ([], 3, 2), TypeError),
 ]
 
 
@@ -295,6 +414,13 @@ def leak_cases():
                    for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
                                    words))
     wide = fingerprint_bytes([-(2**2039 + 5), 2**64] + [0] * 26 + [300, 0, 1], 30)
+    # sorted (bytes, str) records over two streams, two sharing a fingerprint;
+    # then int records, compared by Python code, that fail: a merge at a
+    # tuple below an int, a grouping at a record short of a graph6 member
+    narrow = fingerprint_bytes([0] * 28 + [300, 0, 1], 30)
+    records = sorted([(narrow, words[0]), (narrow, words[1]), (wide, words[2]),
+                      (wide, words[2] + "\xe9")])
+    numbers = [(big[2], big[0]), (big[0], big[2]), (big[0], big[1]), (big[1],)]
     return {
         "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
         "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
@@ -304,41 +430,61 @@ def leak_cases():
         "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58], True),
                          (run, big[1], 1, 30, 300, None, True)),
         "render": ((wide, 30), (wide[:-1], 30)),
+        "merge_records": (([records[::2], records[1::2], []],),
+                          ([[big[2], big[0]], [big[1], (big[0],)]],)),
+        "group_sorted": ((records,), (numbers,)),
+        # two chunks of one row, the second not ASCII
+        "family_rows": (([(wide, tuple(words)), (wide, ("C\xe9", words[0]))], 30, 300, 1),
+                        ([(wide, tuple(words)), (wide[:-1], tuple(words))], 30, 300, 2)),
     }
 
 
 def held_objects(args):
-    """The arguments and their items, but for the small ints every
-    interpreter shares, whose counts other code moves."""
-    objects = [*args, *(x for a in args if isinstance(a, (list, tuple)) for x in a)]
+    """The arguments and, within lists and tuples, their items at every
+    depth, but for the small ints every interpreter shares, whose counts
+    other code moves."""
+    objects = []
+    for x in args:
+        objects.append(x)
+        if isinstance(x, (list, tuple)):
+            objects += held_objects(x)
     return [x for x in objects if not (type(x) is int and -5 <= x <= 256)]
+
+
+def call(fn, args):
+    """fn(*args), and each item of the iterator it returns, if it does."""
+    out = fn(*args)
+    if hasattr(out, "__next__"):
+        for _ in out:
+            pass
 
 
 @needs_both
 @pytest.mark.parametrize("name", sorted(leak_cases()))
 def test_compiled_entry_points_hold_no_references(name):
-    """10**5 calls that succeed and 10**4 that fail leave the refcount of
-    every input unchanged and the traced memory flat."""
+    """10**5 calls that succeed and 10**4 that fail, an iterator returned
+    run to its end or its error, leave the refcount of every input
+    unchanged and the traced memory flat."""
     fn = getattr(BACKENDS["compiled"], name)
     good, bad = leak_cases()[name]
 
     def failing():
         try:
-            fn(*bad)
-        except (ValueError, OverflowError):
+            call(fn, bad)
+        except (ValueError, OverflowError, TypeError):
             return
         raise AssertionError("the bad arguments were accepted")
 
     objects = held_objects(good) + held_objects(bad)
     before = [sys.getrefcount(x) for x in objects]
     for _ in range(1000):  # warm up any lazily made objects
-        fn(*good)
+        call(fn, good)
         failing()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for _ in range(LEAK_CALLS):
-            fn(*good)
+            call(fn, good)
         for _ in range(LEAK_CALLS // 10):
             failing()
         grown = tracemalloc.get_traced_memory()[0] - start

@@ -584,21 +584,44 @@ def test_mate_fraction_matches_decimal_rounding():
             assert mate_fraction(with_mate, graphs) == str(want)
 
 
-def test_cold_poly_skips_modules_it_does_not_use():
-    # builds the compiled kernels first if need be, so that the child times
-    # a cold start and not a build (whose subprocess import loads signal)
-    backends = available_backends()
+def cold_imports(*argv) -> set[str]:
+    """The modules a cold `coperm argv` process imports."""
     env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
     env.pop("COPERM_PURE_PYTHON", None)
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "coperm.cli", "poly", "A_"],
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "coperm.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert "coperm.pipeline" in imported
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+# the census modules, which only the census verbs import
+CENSUS_MODULES = {"coperm.pipeline", "coperm.enumerate"}
+
+
+def unused_modules() -> set[str]:
+    """Modules neither a cold poly nor a cold merge imports. Builds the
+    compiled kernels first if need be, so that the child makes a cold
+    start and not a build (whose subprocess import loads signal)."""
     unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib", "multiprocessing",
               "pickle", "select", "signal"}
-    if "compiled" in backends:
+    if "compiled" in available_backends():
         unused.add("coperm._purepy")  # loaded only as the fallback
+    return unused | CENSUS_MODULES
+
+
+def test_cold_poly_skips_modules_it_does_not_use():
+    unused = unused_modules()
+    imported = cold_imports("poly", "A_")
+    assert "coperm.graphs" in imported
+    assert not imported & unused
+
+
+def test_cold_merge_skips_the_census_and_graph_modules(tmp_path):
+    unused = unused_modules() | {"coperm.graphs"}
+    run_file = tmp_path / "n6m4.run"
+    persist_fingerprints(pipeline.shard_records(6, 4, ("char",))["char"], run_file, 6, 4)
+    imported = cold_imports("merge", str(run_file), "--out", str(tmp_path / "report.txt"))
+    assert "coperm.collide" in imported
     assert not imported & unused
 
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from coperm import collide
+from coperm import backend, collide
+from coperm.backend import available_backends
 from coperm.cli import main
 from coperm.collide import (
     FamilyRecord,
@@ -21,6 +22,7 @@ from oracles import (
     fingerprint_bytes,
     graph_from_edges,
     members_out_of_order,
+    merge_kernels_of,
     poly_from_fingerprint,
     raw_run,
 )
@@ -273,6 +275,81 @@ def test_merge_equals_in_memory_grouping(tmp_path, reader_chunks):
     for _ in reader_chunks():
         fams = list(group_sorted(merge_sorted_runs(paths)))
         assert fams == group_families(records)
+
+
+def test_run_reader_holds_at_most_one_scan_of_records(tmp_path, reader_chunks, monkeypatch):
+    # the 1,646 records of the largest n=8 shard: no scan cuts more than
+    # _SCAN of them, so a reader holds no more as Python objects
+    records = shard_records(8, 14, ("char",))["char"]
+    assert len(records) == 1646 > collide._SCAN
+    path = tmp_path / "n8m14.run"
+    persist_fingerprints(records, path, 8, 14)
+    cut = []
+    real = backend.scan_records
+
+    def scan_records(*args):
+        out = real(*args)
+        cut.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(backend, "scan_records", scan_records)
+    for size in reader_chunks():
+        cut.clear()
+        assert list(merge_sorted_runs([path])) == sorted(records)
+        assert max(cut) <= collide._SCAN and sum(cut) == len(records)
+        if size > path.stat().st_size:  # one read holds every record: the cap cuts
+            assert max(cut) == collide._SCAN
+
+
+def _bad_coefficient(record):
+    """record with the sign byte of its c_(n-3) set to 2, not canonical."""
+    fp, g6 = record
+    return fp[:3] + b"\2" + fp[4:], g6
+
+
+# two malformed runs of the n=6, m=4 shard, whose sorted records are r[0]
+# to r[8], and the error of their merge: the one that the reader meets
+# first, reading each run's first record in turn, and then the run of the
+# record just taken
+TWO_BAD_RUNS = [
+    # a's second record is bad, and is read when its first is taken
+    (lambda r: (raw_run(6, 4, [r[0], _bad_coefficient(r[2]), r[4]]),
+                raw_run(6, 4, [r[1], r[3], r[5]])[:-3]),
+     "a.run: coefficient not in canonical form"),
+    # b's second record is bad, and is read before a's third
+    (lambda r: (raw_run(6, 4, [r[0], r[7], _bad_coefficient(r[8])]),
+                raw_run(6, 4, [r[1], r[6], r[2]])),
+     "b.run: records out of order"),
+    # both first records are bad: a's is read first
+    (lambda r: (raw_run(6, 4, [_bad_coefficient(r[0])]), raw_run(6, 4, [r[1]])[:-1]),
+     "a.run: coefficient not in canonical form"),
+    # a's trailing byte is found once its last record is taken, before
+    # b's truncated last record is read
+    (lambda r: (raw_run(6, 4, [r[0], r[1]]) + b"\0", raw_run(6, 4, [r[4], r[5], r[6]])[:-2]),
+     "a.run: trailing bytes after 2 records"),
+    # r[2] in both runs: grouping stops at the second, before b's cut
+    (lambda r: (raw_run(6, 4, r[0:3]), raw_run(6, 4, [r[2], r[3], r[4]])[:-1]),
+     "graph {r[2][1]!r} appears twice within one shard"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TWO_BAD_RUNS)))
+def test_merge_of_two_malformed_runs_raises_the_first_error(tmp_path, capsys, reader_chunks,
+                                                            case):
+    records = sorted(_records_n6_m4())
+    make, message = TWO_BAD_RUNS[case]
+    paths = [tmp_path / "a.run", tmp_path / "b.run"]
+    for path, raw in zip(paths, make(records)):
+        path.write_bytes(raw)
+    want = message.format(r=records)
+    for impl in available_backends().values():
+        for _ in reader_chunks():
+            with merge_kernels_of(impl):
+                assert main(["merge", *map(str, paths)]) == 3
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.removeprefix("coperm: ").removeprefix(str(tmp_path) + "/") \
+                == want + "\n", impl.BACKEND_NAME
 
 
 def test_merge_empty_and_single(tmp_path):

@@ -1,6 +1,7 @@
 """Property-based fuzzing of the input boundaries: run files, graph6
 words and graph6 files."""
 
+import heapq
 import random
 import tempfile
 from pathlib import Path
@@ -193,3 +194,93 @@ def test_parse_graph6_rejects_with_package_errors_only(text):
     except (Graph6Error, TooLarge):
         return
     assert to_graph6(g) == text.rstrip("\n")
+
+
+# ------------------------------------ the merge, grouping and row kernels
+
+# fingerprints of (n, m) = (4, 2), the last with a two-byte coefficient
+KERNEL_FPS = [fingerprint((c0, c1, 2, 0, 1), 4, 2) for c0, c1 in
+              ((0, 0), (1, 0), (-1, 3), (0, 300), (2, -1))]
+# members: graph6 words, and str that are not ASCII
+KERNEL_WORDS = ["C?", "C@", "CA", "Cw", "C\xe9", "C€"]
+# items of the wrong type among the records
+ODD_RECORDS = [5, None, (KERNEL_FPS[0],), (KERNEL_FPS[0], "C?", 1), ("C?", "C?"),
+               (KERNEL_FPS[1], b"C?"), [KERNEL_FPS[1], "CA"], (KERNEL_FPS[0], 7)]
+ODD_MEMBERS = [5, ("C?", 7), "CA", ["C?", "C\xe9"], (b"C?",), ()]
+ODD_FAMILIES = [5, (KERNEL_FPS[0],), (KERNEL_FPS[0], ("C?",), 1), [KERNEL_FPS[1], ("CA",)]]
+
+kernel_records = st.tuples(st.sampled_from(KERNEL_FPS), st.sampled_from(KERNEL_WORDS))
+
+
+@st.composite
+def record_streams(draw):
+    """Up to five streams of records, most of them sorted, sharing
+    fingerprints and records across streams; now and then an item of the
+    wrong type."""
+    streams = []
+    for _ in range(draw(st.integers(0, 5))):
+        records = draw(st.lists(kernel_records, max_size=8))
+        if draw(st.integers(0, 3)):
+            records.sort()
+        if not draw(st.integers(0, 5)):
+            at = draw(st.integers(0, len(records)))
+            records.insert(at, draw(st.sampled_from(ODD_RECORDS)))
+        streams.append(records)
+    return streams
+
+
+@st.composite
+def families(draw):
+    """(fingerprint, members) families, some members or families of the
+    wrong type."""
+    out = []
+    for _ in range(draw(st.integers(0, 9))):
+        members = tuple(draw(st.lists(st.sampled_from(KERNEL_WORDS), min_size=1, max_size=4)))
+        if not draw(st.integers(0, 7)):
+            members = draw(st.sampled_from(ODD_MEMBERS))
+        out.append((draw(st.sampled_from(KERNEL_FPS)), members))
+    if draw(st.integers(0, 4)) == 0:
+        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(ODD_FAMILIES)))
+    return out
+
+
+def consumed(kernel, args, same_objects):
+    """Everything kernel(*args) yields, with the type of each item, and
+    with its identity when the items are the input's own objects; or the
+    type and message of what it raised."""
+    try:
+        items = list(kernel(*args))
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc)
+    return items, [type(x) for x in items], same_objects and [id(x) for x in items]
+
+
+def kernels_agree(name, make_args, same_objects=False):
+    """The outcome of each backend's kernel name on fresh arguments from
+    make_args: one for every backend."""
+    outcomes = [consumed(getattr(impl, name), make_args(), same_objects)
+                for impl in available_backends().values()]
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    return outcomes[0]
+
+
+@FUZZ
+@given(record_streams())
+def test_merge_and_group_kernels_agree_on_any_records(streams):
+    # ties leave in stream order: the same objects in the same order
+    kernels_agree("merge_records", lambda: ([iter(s) for s in streams],), same_objects=True)
+    # grouped: the merged streams when they merge, else all of them in turn
+    try:
+        records = list(heapq.merge(*streams))
+    except TypeError:
+        records = [r for s in streams for r in s]
+    kernels_agree("group_sorted", lambda: (iter(records),))
+
+
+@FUZZ
+@given(families(), st.integers(1, 4))
+def test_family_rows_kernels_agree(fams, rows):
+    out = kernels_agree("family_rows", lambda: (iter(fams), 4, 2, rows))
+    if isinstance(out[0], list):
+        assert len("".join(out[0]).splitlines()) == len(fams)
+        assert [len(chunk.splitlines()) for chunk in out[0]][:-1] == [rows] * (len(out[0]) - 1)
