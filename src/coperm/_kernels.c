@@ -16,8 +16,11 @@
  * ValueError for an n, m, offset or count out of range or a fingerprint
  * of the wrong length, and TypeError for a buffer or fingerprint that is
  * not bytes, so malformed bytes are never read past their end. The three
- * iterators take any Python objects, and call, compare and raise as the
- * generators of their pure-Python twins do.
+ * iterators take only what the program passes them: records that are
+ * 2-tuples of exact bytes and exact str, and families that are tuples (or
+ * FamilyRecords) of bytes and a tuple of ASCII str. On those they yield
+ * what the generators of their pure-Python twins yield, and they raise
+ * TypeError at any other item.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). The
@@ -869,19 +872,6 @@ static Py_ssize_t render_into(const unsigned char *b, long long n, char *text)
     return k;
 }
 
-/* fp as checked fingerprint bytes of a degree-n polynomial: TypeError
- * unless bytes, ValueError unless well formed */
-static int fingerprint_arg(PyObject *fp, long long n, const unsigned char **b, Py_ssize_t *size)
-{
-    if (!PyBytes_Check(fp)) {
-        PyErr_SetString(PyExc_TypeError, "render() takes fingerprint bytes");
-        return -1;
-    }
-    *b = (const unsigned char *)PyBytes_AS_STRING(fp);
-    *size = PyBytes_GET_SIZE(fp);
-    return fingerprint_check(*b, *size, n);
-}
-
 /* render(fp, n): the text of the monic degree-n polynomial whose
  * fingerprint is fp, highest power first, e.g. "x^3 + 3x - 2": a
  * coefficient of magnitude 1 shows no digits unless it is the constant,
@@ -895,8 +885,15 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
     long long n;
     PyObject *out;
 
-    if (!nargs_ok("render", nargs, 2) || bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0
-        || fingerprint_arg(args[0], n, &b, &size) < 0)
+    if (!nargs_ok("render", nargs, 2) || bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0)
+        return NULL;
+    if (!PyBytes_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "render() takes fingerprint bytes");
+        return NULL;
+    }
+    b = (const unsigned char *)PyBytes_AS_STRING(args[0]);
+    size = PyBytes_GET_SIZE(args[0]);
+    if (fingerprint_check(b, size, n) < 0)
         return NULL;
     cap = render_cap(n, size);
     text = cap <= (Py_ssize_t)sizeof small ? small : PyMem_Malloc(cap);
@@ -912,12 +909,14 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
 /* -------------------------------------------- merge, grouping and rows */
 
 static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
-static PyObject *space;                           /* " ", joining members */
 
-/* The three iterators below behave as the generators of their twins in
- * _purepy: each takes its input's iterator at its first next(), a next()
- * call made while one runs raises ValueError, and an error or the end
- * finishes it, releasing its input. */
+/* The three iterators below yield what the generators of their twins in
+ * _purepy yield, on the records and families the program makes: records
+ * are 2-tuples of exact bytes and exact str, and families tuples (or
+ * FamilyRecords) of bytes and a tuple of ASCII str. Any other item raises
+ * TypeError. Each takes its input's iterator at its first next(), a
+ * next() call made while one runs raises ValueError, and an error or the
+ * end finishes it, releasing its input. */
 
 static int enter(int *running)
 {
@@ -929,84 +928,36 @@ static int enter(int *running)
     return 0;
 }
 
-/* `a <op> b` as an if statement takes it: the rich comparison, then its
- * truth */
-static int compare(PyObject *a, PyObject *b, int op)
+/* the sign of a - b for the exact bytes a and b */
+static int bytes_cmp(PyObject *a, PyObject *b)
 {
-    PyObject *r = PyObject_RichCompare(a, b, op);
-    int t;
+    Py_ssize_t alen = PyBytes_GET_SIZE(a), blen = PyBytes_GET_SIZE(b);
+    int c;
 
-    if (r == NULL)
-        return -1;
-    t = PyObject_IsTrue(r);
-    Py_DECREF(r);
-    return t;
+    if (a == b) /* records of one fingerprint share its bytes */
+        return 0;
+    c = memcmp(PyBytes_AS_STRING(a), PyBytes_AS_STRING(b), alen < blen ? alen : blen);
+    return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
 }
 
-/* the sign of a - b when both are exact bytes or both exact str, whose
- * comparisons run no Python code and cannot fail; 2 otherwise */
-static int exact_cmp(PyObject *a, PyObject *b)
+/* the next item of it, a new reference: NULL at its end, and NULL with
+ * TypeError for an item that is not a record */
+static PyObject *next_record(PyObject *it, const char *name)
 {
-    if (PyBytes_CheckExact(a) && PyBytes_CheckExact(b)) {
-        Py_ssize_t alen = PyBytes_GET_SIZE(a), blen = PyBytes_GET_SIZE(b);
-        int c = memcmp(PyBytes_AS_STRING(a), PyBytes_AS_STRING(b), alen < blen ? alen : blen);
+    PyObject *rec = PyIter_Next(it);
 
-        return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
+    if (rec != NULL && !(PyTuple_CheckExact(rec) && PyTuple_GET_SIZE(rec) == 2
+                         && PyBytes_CheckExact(PyTuple_GET_ITEM(rec, 0))
+                         && PyUnicode_CheckExact(PyTuple_GET_ITEM(rec, 1)))) {
+        PyErr_Format(PyExc_TypeError, "%s() takes records that are (bytes, str) tuples", name);
+        Py_CLEAR(rec);
     }
-    if (PyUnicode_CheckExact(a) && PyUnicode_CheckExact(b)) {
-        int c = PyUnicode_Compare(a, b);
-
-        return (c > 0) - (c < 0);
-    }
-    return 2;
-}
-
-/* a, b = obj as the interpreter unpacks it, with its messages: new
- * references at out[0] and out[1] */
-static int unpack_pair(PyObject *obj, PyObject **out)
-{
-    PyObject *it, *extra;
-    int got;
-
-    /* a tuple that iterates as one, as every record and FamilyRecord does */
-    if (PyTuple_Check(obj) && Py_TYPE(obj)->tp_iter == PyTuple_Type.tp_iter
-        && PyTuple_GET_SIZE(obj) == 2) {
-        out[0] = Py_NewRef(PyTuple_GET_ITEM(obj, 0));
-        out[1] = Py_NewRef(PyTuple_GET_ITEM(obj, 1));
-        return 0;
-    }
-    if ((it = PyObject_GetIter(obj)) == NULL) {
-        if (PyErr_ExceptionMatches(PyExc_TypeError) && Py_TYPE(obj)->tp_iter == NULL
-            && !PySequence_Check(obj))
-            PyErr_Format(PyExc_TypeError, "cannot unpack non-iterable %.200s object",
-                         Py_TYPE(obj)->tp_name);
-        return -1;
-    }
-    for (got = 0; got < 2; got++)
-        if ((out[got] = PyIter_Next(it)) == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_ValueError,
-                             "not enough values to unpack (expected 2, got %d)", got);
-            goto fail;
-        }
-    if ((extra = PyIter_Next(it)) == NULL) {
-        if (PyErr_Occurred())
-            goto fail;
-        Py_DECREF(it);
-        return 0;
-    }
-    Py_DECREF(extra);
-    PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
-fail:
-    while (got-- > 0)
-        Py_DECREF(out[got]);
-    Py_DECREF(it);
-    return -1;
+    return rec;
 }
 
 /* ------------------------------------------------------ merge_records */
 
-/* one stream in the heap: its current value, the stream, and its place
+/* one stream in the heap: its current record, the stream, and its place
  * among the streams, which breaks ties as in heapq.merge */
 struct entry {
     PyObject *value, *it;
@@ -1018,112 +969,36 @@ typedef struct {
     PyObject *streams; /* a tuple, until the first next() */
     struct entry *heap;
     Py_ssize_t size;
-    int yielded; /* heap[0].value was returned, so its stream moves on next */
-    int alone;   /* one stream is left, and heapq.merge's iter() of it made */
     int running;
 } merge_obj;
 
-/* a < b as heapq compares its [value, order, next] lists: values that are
- * not equal by ==, by <, and equal ones by order; a pair of (bytes, str)
- * records compares as those tuples do, without the calls */
+/* a < b in the total order of (record, place): by fingerprint, then by
+ * graph6 word, then by place */
 static int entry_lt(const struct entry *a, const struct entry *b)
 {
     PyObject *x = a->value, *y = b->value;
-    int c = 2;
+    int c = bytes_cmp(PyTuple_GET_ITEM(x, 0), PyTuple_GET_ITEM(y, 0));
 
-    if (x == y)
-        return a->order < b->order;
-    if (PyTuple_CheckExact(x) && PyTuple_CheckExact(y) && PyTuple_GET_SIZE(x) == 2
-        && PyTuple_GET_SIZE(y) == 2) {
-        PyObject *x0 = PyTuple_GET_ITEM(x, 0), *y0 = PyTuple_GET_ITEM(y, 0);
-        PyObject *x1 = PyTuple_GET_ITEM(x, 1), *y1 = PyTuple_GET_ITEM(y, 1);
-
-        if (PyBytes_CheckExact(x0) && PyBytes_CheckExact(y0) && PyUnicode_CheckExact(x1)
-            && PyUnicode_CheckExact(y1)) {
-            c = exact_cmp(x0, y0);
-            if (c == 0)
-                c = exact_cmp(x1, y1);
-        }
-    }
-    if (c == 2) {
-        if ((c = PyObject_RichCompareBool(x, y, Py_EQ)) < 0)
-            return -1;
-        if (!c)
-            return PyObject_RichCompareBool(x, y, Py_LT);
-        c = 0;
-    }
+    if (c == 0)
+        c = PyUnicode_Compare(PyTuple_GET_ITEM(x, 1), PyTuple_GET_ITEM(y, 1));
     return c ? c < 0 : a->order < b->order;
 }
 
-static void swap_entries(struct entry *heap, Py_ssize_t i, Py_ssize_t j)
+/* heap[pos] moved down below pos until no child of it is smaller */
+static void sift(struct entry *heap, Py_ssize_t size, Py_ssize_t pos)
 {
-    struct entry t = heap[i];
+    struct entry item = heap[pos];
+    Py_ssize_t child;
 
-    heap[i] = heap[j];
-    heap[j] = t;
-}
-
-/* heapq's _siftdown and _siftup, which make the same comparisons in the
- * same order as the C ones of the _heapq module */
-static int siftdown(struct entry *heap, Py_ssize_t startpos, Py_ssize_t pos)
-{
-    while (pos > startpos) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        int lt = entry_lt(&heap[pos], &heap[parentpos]);
-
-        if (lt < 0)
-            return -1;
-        if (!lt)
+    while ((child = 2 * pos + 1) < size) {
+        if (child + 1 < size && entry_lt(&heap[child + 1], &heap[child]))
+            child++;
+        if (!entry_lt(&heap[child], &item))
             break;
-        swap_entries(heap, parentpos, pos);
-        pos = parentpos;
+        heap[pos] = heap[child];
+        pos = child;
     }
-    return 0;
-}
-
-static int siftup(struct entry *heap, Py_ssize_t size, Py_ssize_t pos)
-{
-    Py_ssize_t startpos = pos, limit = size >> 1;
-
-    while (pos < limit) {
-        Py_ssize_t childpos = 2 * pos + 1;
-
-        if (childpos + 1 < size) {
-            int lt = entry_lt(&heap[childpos], &heap[childpos + 1]);
-
-            if (lt < 0)
-                return -1;
-            childpos += !lt;
-        }
-        swap_entries(heap, childpos, pos);
-        pos = childpos;
-    }
-    return siftdown(heap, startpos, pos);
-}
-
-/* heapq.heapify, which past 2,500 items sifts in a cache-friendly order */
-static int heapify(struct entry *heap, Py_ssize_t size)
-{
-    Py_ssize_t m = size >> 1, leftmost = 1, mhalf = m >> 1;
-
-    if (size <= 2500) {
-        for (Py_ssize_t i = m - 1; i >= 0; i--)
-            if (siftup(heap, size, i) < 0)
-                return -1;
-        return 0;
-    }
-    while (leftmost <= (m + 1) >> 1)
-        leftmost <<= 1;
-    leftmost--; /* the leftmost node in the row of m */
-    for (int pass = 0; pass < 2; pass++)
-        for (Py_ssize_t i = pass ? m - 1 : leftmost - 1; i >= (pass ? leftmost : mhalf); i--)
-            for (Py_ssize_t j = i;; j >>= 1) {
-                if (siftup(heap, size, j) < 0)
-                    return -1;
-                if (!(j & 1))
-                    break;
-            }
-    return 0;
+    heap[pos] = item;
 }
 
 static int merge_clear(PyObject *op)
@@ -1161,8 +1036,8 @@ static void merge_dealloc(PyObject *op)
     PyObject_GC_Del(op);
 }
 
-/* as heapq.merge starts: each stream's iterator and first value, in
- * order, an empty stream dropped, then heapify */
+/* each stream's iterator and first record, in order, an empty stream
+ * dropped, then the heap made bottom-up */
 static int merge_start(merge_obj *self)
 {
     Py_ssize_t count = PyTuple_GET_SIZE(self->streams);
@@ -1176,7 +1051,7 @@ static int merge_start(merge_obj *self)
 
         if (it == NULL)
             return -1;
-        if ((value = PyIter_Next(it)) == NULL) {
+        if ((value = next_record(it, "merge_records")) == NULL) {
             Py_DECREF(it);
             if (PyErr_Occurred())
                 return -1;
@@ -1185,35 +1060,28 @@ static int merge_start(merge_obj *self)
         self->heap[self->size++] = (struct entry){value, it, i};
     }
     Py_CLEAR(self->streams);
-    return heapify(self->heap, self->size);
+    for (Py_ssize_t i = self->size / 2; i-- > 0;)
+        sift(self->heap, self->size, i);
+    return 0;
 }
 
-/* the smallest value; the stream of the one returned before moves on
+/* the smallest record; the stream of the one returned before moves on
  * first, and leaves the heap when it ends */
 static PyObject *merge_next(PyObject *op)
 {
     merge_obj *self = (merge_obj *)op;
-    struct entry *top;
-    PyObject *value;
 
     if ((self->streams == NULL && self->heap == NULL) || enter(&self->running) < 0)
         return NULL; /* finished, or running */
     if (self->streams != NULL) {
         if (merge_start(self) < 0)
             goto fail;
-    } else if (self->yielded) {
-        top = &self->heap[0];
-        /* heapq.merge ends with `yield from` the last stream, so iter() */
-        if (self->size == 1 && !self->alone) {
-            if ((value = PyObject_GetIter(top->it)) == NULL)
-                goto fail;
-            Py_SETREF(top->it, value);
-            self->alone = 1;
-        }
-        if ((value = PyIter_Next(top->it)) != NULL) {
+    } else {
+        struct entry *top = &self->heap[0];
+        PyObject *value = next_record(top->it, "merge_records");
+
+        if (value != NULL) {
             Py_SETREF(top->value, value);
-            if (siftup(self->heap, self->size, 0) < 0)
-                goto fail;
         } else if (PyErr_Occurred()) {
             goto fail;
         } else {
@@ -1222,13 +1090,11 @@ static PyObject *merge_next(PyObject *op)
             *top = self->heap[--self->size];
             Py_DECREF(gone.value);
             Py_DECREF(gone.it);
-            if (siftup(self->heap, self->size, 0) < 0)
-                goto fail;
         }
+        sift(self->heap, self->size, 0);
     }
     if (self->size == 0)
         goto fail; /* the end: no error is set */
-    self->yielded = 1;
     self->running = 0;
     return Py_NewRef(self->heap[0].value);
 fail:
@@ -1249,10 +1115,9 @@ static PyTypeObject merge_type = {
     .tp_iternext = merge_next,
 };
 
-/* merge_records(streams): an iterator over the values of every stream, a
- * k-way merge of sorted ones, as heapq.merge(*streams) with its calls:
- * each stream's first next() in order, then only the stream whose value
- * was taken */
+/* merge_records(streams): an iterator over the records of every stream, a
+ * k-way merge of sorted ones, as heapq.merge(*streams): the same records,
+ * ties in stream order */
 static PyObject *py_merge_records(PyObject *Py_UNUSED(module), PyObject *const *args,
                                   Py_ssize_t nargs)
 {
@@ -1268,7 +1133,7 @@ static PyObject *py_merge_records(PyObject *Py_UNUSED(module), PyObject *const *
     self->streams = streams;
     self->heap = NULL;
     self->size = 0;
-    self->yielded = self->alone = self->running = 0;
+    self->running = 0;
     PyObject_GC_Track(self);
     return (PyObject *)self;
 }
@@ -1280,7 +1145,7 @@ typedef struct {
     PyObject *records; /* the iterable, until the first next() */
     PyObject *it;
     PyObject *family; /* the FamilyRecord class */
-    PyObject *cur;    /* the fingerprint of the open family; None before one */
+    PyObject *cur;    /* the fingerprint of the open family; NULL before one */
     PyObject **members;
     Py_ssize_t count, cap;
     int running;
@@ -1362,36 +1227,15 @@ static PyObject *close_family(group_obj *self)
     return rec;
 }
 
-/* fp == cur, where cur may be None, which bytes never equal */
-static int same_fingerprint(PyObject *fp, PyObject *cur)
-{
-    int c = exact_cmp(fp, cur);
-
-    if (c != 2)
-        return c == 0;
-    if (PyBytes_CheckExact(fp) && cur == Py_None)
-        return 0;
-    return compare(fp, cur, Py_EQ);
-}
-
 /* the error for the member g6 of the open family unless it sorts above
  * the last one: DuplicateMember when equal, UnsortedRun when below */
 static int check_member(PyObject *g6, PyObject *last)
 {
-    int c = exact_cmp(g6, last), le, eq;
+    int c = PyUnicode_Compare(g6, last);
 
-    if (c != 2) {
-        le = c <= 0;
-        eq = c == 0;
-    } else {
-        if ((le = compare(g6, last, Py_LE)) < 0)
-            return -1;
-        if (le && (eq = compare(g6, last, Py_EQ)) < 0)
-            return -1;
-    }
-    if (!le)
+    if (c > 0)
         return 0;
-    if (eq)
+    if (c == 0)
         PyErr_Format(duplicate_member, "graph %R appears twice within one shard", g6);
     else
         PyErr_SetString(unsorted_run, "record stream is not sorted");
@@ -1404,7 +1248,7 @@ static int check_member(PyObject *g6, PyObject *last)
 static PyObject *group_next(PyObject *op)
 {
     group_obj *self = (group_obj *)op;
-    PyObject *rec, *pair[2], *out = NULL;
+    PyObject *rec, *out = NULL;
     int c;
 
     if (self->family == NULL || enter(&self->running) < 0)
@@ -1415,52 +1259,37 @@ static PyObject *group_next(PyObject *op)
         if (self->it == NULL)
             goto fail;
     }
-    while ((rec = PyIter_Next(self->it)) != NULL) {
-        c = unpack_pair(rec, pair);
+    while ((rec = next_record(self->it, "group_sorted")) != NULL) {
+        PyObject *fp = PyTuple_GET_ITEM(rec, 0), *g6 = PyTuple_GET_ITEM(rec, 1);
+
+        if (self->cur != NULL && (c = bytes_cmp(fp, self->cur)) <= 0) {
+            if (c < 0) {
+                PyErr_SetString(unsorted_run, "record stream is not sorted");
+                goto fail_rec;
+            }
+            if (check_member(g6, self->members[self->count - 1]) < 0)
+                goto fail_rec;
+        } else {
+            if (self->cur != NULL && (out = close_family(self)) == NULL)
+                goto fail_rec;
+            Py_XSETREF(self->cur, Py_NewRef(fp));
+        }
+        c = add_member(self, Py_NewRef(g6));
         Py_DECREF(rec);
         if (c < 0)
-            goto fail;
-        if ((c = same_fingerprint(pair[0], self->cur)) < 0)
-            goto fail_pair;
-        if (c) {
-            if (self->count == 0) {
-                PyErr_SetString(PyExc_IndexError, "list index out of range");
-                goto fail_pair;
-            }
-            if (check_member(pair[1], self->members[self->count - 1]) < 0)
-                goto fail_pair;
-            Py_DECREF(pair[0]);
-            if (add_member(self, pair[1]) < 0)
-                goto fail;
-            continue;
-        }
-        if (self->cur != Py_None) {
-            c = exact_cmp(pair[0], self->cur);
-            c = c != 2 ? c < 0 : compare(pair[0], self->cur, Py_LT);
-            if (c) {
-                if (c > 0)
-                    PyErr_SetString(unsorted_run, "record stream is not sorted");
-                goto fail_pair;
-            }
-            if ((out = close_family(self)) == NULL)
-                goto fail_pair;
-        }
-        Py_SETREF(self->cur, pair[0]);
-        if (add_member(self, pair[1]) < 0)
             goto fail;
         if (out != NULL) {
             self->running = 0;
             return out;
         }
     }
-    if (!PyErr_Occurred() && self->cur != Py_None)
+    if (!PyErr_Occurred() && self->cur != NULL)
         out = close_family(self);
     group_clear(op);
     self->running = 0;
     return out;
-fail_pair:
-    Py_DECREF(pair[0]);
-    Py_DECREF(pair[1]);
+fail_rec:
+    Py_DECREF(rec);
 fail:
     Py_XDECREF(out);
     group_clear(op);
@@ -1512,7 +1341,7 @@ static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *a
     self->records = Py_NewRef(args[0]);
     self->it = NULL;
     self->family = family;
-    self->cur = Py_NewRef(Py_None);
+    self->cur = NULL;
     self->members = NULL;
     self->count = self->cap = 0;
     self->running = 0;
@@ -1526,12 +1355,11 @@ typedef struct {
     PyObject_HEAD
     PyObject *families; /* the iterable, until the first next() */
     PyObject *it;
-    PyObject *pieces; /* the chunk's text before buf, once a row is not ASCII */
-    char *buf;        /* the chunk's ASCII text since pieces */
+    char *buf; /* the chunk's text */
     Py_ssize_t len, cap;
     long long n, rows;
     char head[24]; /* "n\tm\t" */
-    int finished, running;
+    int running;
 } rows_obj;
 
 static int rows_clear(PyObject *op)
@@ -1540,7 +1368,6 @@ static int rows_clear(PyObject *op)
 
     Py_CLEAR(self->families);
     Py_CLEAR(self->it);
-    Py_CLEAR(self->pieces);
     PyMem_Free(self->buf);
     self->buf = NULL;
     self->len = self->cap = 0;
@@ -1553,7 +1380,6 @@ static int rows_traverse(PyObject *op, visitproc visit, void *arg)
 
     Py_VISIT(self->families);
     Py_VISIT(self->it);
-    Py_VISIT(self->pieces);
     return 0;
 }
 
@@ -1587,107 +1413,51 @@ static int reserve(rows_obj *self, Py_ssize_t extra)
     return 0;
 }
 
-/* the text of buf as a str at the end of pieces */
-static int flush_buf(rows_obj *self)
-{
-    PyObject *text;
-    int failed;
-
-    if (self->pieces == NULL && (self->pieces = PyList_New(0)) == NULL)
-        return -1;
-    if ((text = PyUnicode_DecodeASCII(self->buf, self->len, NULL)) == NULL)
-        return -1;
-    failed = PyList_Append(self->pieces, text);
-    Py_DECREF(text);
-    self->len = 0;
-    return failed;
-}
-
-/* whether the str s is ASCII, and so its data the bytes of its text */
-static int ascii_str(PyObject *s)
-{
-#if PY_VERSION_HEX < 0x030C0000
-    if (PyUnicode_READY(s) < 0) {
-        PyErr_Clear(); /* not ready: taken as a str that is not ASCII */
-        return 0;
-    }
-#endif
-    return PyUnicode_IS_ASCII(s);
-}
-
-/* " ".join(members), written at the end of the chunk */
-static int add_members(rows_obj *self, PyObject *members)
-{
-    Py_ssize_t size, total = 0;
-    PyObject *joined;
-    int failed;
-
-    if (PyTuple_CheckExact(members) && (size = PyTuple_GET_SIZE(members)) > 0) {
-        for (Py_ssize_t i = 0; i < size && total >= 0; i++) {
-            PyObject *g6 = PyTuple_GET_ITEM(members, i);
-
-            total = PyUnicode_CheckExact(g6) && ascii_str(g6)
-                  ? total + PyUnicode_GET_LENGTH(g6) + 1 : -1;
-        }
-        if (total > 0) {
-            if (reserve(self, total) < 0)
-                return -1;
-            for (Py_ssize_t i = 0; i < size; i++) {
-                PyObject *g6 = PyTuple_GET_ITEM(members, i);
-
-                if (i)
-                    self->buf[self->len++] = ' ';
-                memcpy(self->buf + self->len, PyUnicode_DATA(g6), PyUnicode_GET_LENGTH(g6));
-                self->len += PyUnicode_GET_LENGTH(g6);
-            }
-            return 0;
-        }
-    }
-    /* str.join itself, with its checks and messages */
-    if ((joined = PyUnicode_Join(space, members)) == NULL)
-        return -1;
-    if (ascii_str(joined)) {
-        failed = reserve(self, PyUnicode_GET_LENGTH(joined));
-        if (!failed) {
-            memcpy(self->buf + self->len, PyUnicode_DATA(joined), PyUnicode_GET_LENGTH(joined));
-            self->len += PyUnicode_GET_LENGTH(joined);
-        }
-    } else {
-        failed = flush_buf(self) < 0 || PyList_Append(self->pieces, joined) < 0;
-    }
-    Py_DECREF(joined);
-    return failed ? -1 : 0;
-}
-
-/* the row of one family: head, size, polynomial and members, checked as
- * the twin's f-string evaluates them: len(members), then render(fp, n),
- * then the join */
+/* the row of one family, written at the end of the chunk: head, size,
+ * polynomial and members. TypeError unless the family is a tuple of bytes
+ * and a tuple of ASCII str, ValueError unless the bytes are a fingerprint
+ * of degree n. */
 static int add_row(rows_obj *self, PyObject *family)
 {
-    PyObject *pair[2];
+    PyObject *fp, *members, *g6;
+    Py_ssize_t count, size, total = 0, head = (Py_ssize_t)strlen(self->head);
     const unsigned char *b;
-    Py_ssize_t count, size, head = (Py_ssize_t)strlen(self->head);
-    int failed = -1;
 
-    if (unpack_pair(family, pair) < 0)
+    if (!PyTuple_Check(family) || PyTuple_GET_SIZE(family) != 2
+        || !PyBytes_Check(fp = PyTuple_GET_ITEM(family, 0))
+        || !PyTuple_CheckExact(members = PyTuple_GET_ITEM(family, 1)))
+        goto wrong;
+    count = PyTuple_GET_SIZE(members);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        g6 = PyTuple_GET_ITEM(members, i);
+        if (!PyUnicode_CheckExact(g6) || !PyUnicode_IS_ASCII(g6))
+            goto wrong;
+        total += PyUnicode_GET_LENGTH(g6) + 1; /* and a space or the newline */
+    }
+    b = (const unsigned char *)PyBytes_AS_STRING(fp);
+    size = PyBytes_GET_SIZE(fp);
+    if (fingerprint_check(b, size, self->n) < 0
+        || reserve(self, head + 22 + render_cap(self->n, size) + total + 1) < 0)
         return -1;
-    if ((count = PyObject_Size(pair[1])) < 0 || fingerprint_arg(pair[0], self->n, &b, &size) < 0
-        || reserve(self, head + 22 + render_cap(self->n, size)) < 0)
-        goto done;
     memcpy(self->buf + self->len, self->head, head);
     self->len += head;
     self->len += PyOS_snprintf(self->buf + self->len, 21, "%zd", count);
     self->buf[self->len++] = '\t';
     self->len += render_into(b, self->n, self->buf + self->len);
     self->buf[self->len++] = '\t';
-    if (add_members(self, pair[1]) < 0 || reserve(self, 1) < 0)
-        goto done;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        g6 = PyTuple_GET_ITEM(members, i);
+        if (i)
+            self->buf[self->len++] = ' ';
+        memcpy(self->buf + self->len, PyUnicode_DATA(g6), PyUnicode_GET_LENGTH(g6));
+        self->len += PyUnicode_GET_LENGTH(g6);
+    }
     self->buf[self->len++] = '\n';
-    failed = 0;
-done:
-    Py_DECREF(pair[0]);
-    Py_DECREF(pair[1]);
-    return failed;
+    return 0;
+wrong:
+    PyErr_SetString(PyExc_TypeError,
+                    "family_rows() takes families that are (bytes, tuple of ASCII str) tuples");
+    return -1;
 }
 
 /* the next chunk: the rows of the next `rows` families, or of as many as
@@ -1695,11 +1465,11 @@ done:
 static PyObject *rows_next(PyObject *op)
 {
     rows_obj *self = (rows_obj *)op;
-    PyObject *family, *out = NULL, *empty;
+    PyObject *family, *out = NULL;
     long long count = 0;
 
-    if (self->finished || enter(&self->running) < 0)
-        return NULL;
+    if ((self->families == NULL && self->it == NULL) || enter(&self->running) < 0)
+        return NULL; /* finished, or running */
     if (self->it == NULL) {
         self->it = PyObject_GetIter(self->families);
         Py_CLEAR(self->families);
@@ -1716,13 +1486,7 @@ static PyObject *rows_next(PyObject *op)
     }
     if (PyErr_Occurred() || count == 0)
         goto done;
-    if (self->pieces == NULL) {
-        out = PyUnicode_DecodeASCII(self->buf, self->len, NULL);
-    } else if (flush_buf(self) == 0 && (empty = PyUnicode_New(0, 0)) != NULL) {
-        out = PyUnicode_Join(empty, self->pieces);
-        Py_DECREF(empty);
-    }
-    Py_CLEAR(self->pieces);
+    out = PyUnicode_DecodeASCII(self->buf, self->len, NULL);
     self->len = 0;
     if (out != NULL && count == self->rows) {
         self->running = 0;
@@ -1730,7 +1494,6 @@ static PyObject *rows_next(PyObject *op)
     }
 done: /* an error, or no family left after this chunk */
     rows_clear(op);
-    self->finished = 1;
     self->running = 0;
     return out;
 }
@@ -1765,13 +1528,13 @@ static PyObject *py_family_rows(PyObject *Py_UNUSED(module), PyObject *const *ar
     if ((self = PyObject_GC_New(rows_obj, &rows_type)) == NULL)
         return NULL;
     self->families = Py_NewRef(args[0]);
-    self->it = self->pieces = NULL;
+    self->it = NULL;
     self->buf = NULL;
     self->len = self->cap = 0;
     self->n = n;
     self->rows = rows;
     PyOS_snprintf(self->head, sizeof self->head, "%lld\t%lld\t", n, m);
-    self->finished = self->running = 0;
+    self->running = 0;
     PyObject_GC_Track(self);
     return (PyObject *)self;
 }
@@ -1814,8 +1577,7 @@ static int exec_module(PyObject *module)
     Py_DECREF(errors);
     if (too_large == NULL || duplicate_member == NULL || unsorted_run == NULL)
         return -1;
-    Py_XSETREF(space, PyUnicode_FromString(" "));
-    if (space == NULL || PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0
+    if (PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0
         || PyType_Ready(&rows_type) < 0)
         return -1;
     if (PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)

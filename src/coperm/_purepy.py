@@ -11,9 +11,10 @@ fingerprint renderer and report rows. Python integers never wrap, so
 the scalar kernels here are exact for any input; they agree with the
 compiled ones within the caller contract stated in _kernels.c. The run-file
 twins agree with them on every buffer and on every fingerprint a run
-reader accepts; merge_records and group_sorted on every input, and
-family_rows on every family of such fingerprints; only the compiled ones
-check their other arguments.
+reader accepts; merge_records and group_sorted on every stream of
+(bytes, str) records, and family_rows on every (bytes, tuple of ASCII
+str) family of such fingerprints. Only the compiled ones check their
+other arguments, and reject other records and families with TypeError.
 """
 
 from __future__ import annotations

@@ -79,9 +79,9 @@ render = backend.render
 FamilyRecord = namedtuple("FamilyRecord", "fingerprint members")
 
 # group_sorted(records): the FamilyRecords, in fingerprint order, of the
-# records of one (n, m) shard, each greater than the one before as a
-# (fingerprint, graph6) pair; an equal pair raises DuplicateMember, a
-# smaller one UnsortedRun
+# (fingerprint bytes, graph6 str) tuples of one (n, m) shard, each greater
+# than the one before; an equal pair raises DuplicateMember, a smaller one
+# UnsortedRun, and any other item TypeError on the compiled kernels
 group_sorted = backend.group_sorted
 
 

@@ -4,7 +4,8 @@ decoder that the report renderer is checked against, the fingerprint
 encoder and graph6 bit loop that the table-driven ones are checked
 against, and the stack walk that fixes the enumeration order), a graph
 builder from edge lists, and the run-reader chunk sizes, raw run-file
-writer and kernel switch the run-file tests use."""
+writer and kernel switch the run-file tests use, and the fingerprints
+and out-of-contract items the tests of the compiled iterators use."""
 
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -38,6 +39,19 @@ def raw_run(n: int, m: int, records) -> bytes:
     persist_fingerprints, it neither sorts nor checks them."""
     header = collide._HEADER.pack(collide.RUN_MAGIC, collide.RUN_VERSION, n, m, len(records))
     return header + b"".join(fp + bytes([len(g6)]) + g6.encode() for fp, g6 in records)
+
+
+# fingerprints of (n, m) = (4, 2), the last with a two-byte coefficient
+KERNEL_FPS = [collide.fingerprint((c0, c1, 2, 0, 1), 4, 2) for c0, c1 in
+              ((0, 0), (1, 0), (-1, 3), (0, 300), (2, -1))]
+# items that are not records, 2-tuples of exact bytes and exact str
+ODD_RECORDS = [5, None, (KERNEL_FPS[0],), (KERNEL_FPS[0], "C?", 1), ("C?", "C?"),
+               (KERNEL_FPS[1], b"C?"), [KERNEL_FPS[1], "CA"], (KERNEL_FPS[0], 7)]
+# items that are not families, tuples of bytes and a tuple of ASCII str:
+# a family of the wrong shape or type, then members of one
+ODD_FAMILIES = [5, (KERNEL_FPS[0],), (KERNEL_FPS[0], ("C?",), 1), [KERNEL_FPS[1], ("CA",)],
+                ("C?", ("C?",)), *((KERNEL_FPS[0], members) for members in
+                                   (5, "CA", ["C?"], ("C?", 7), (b"C?",), ("C?", "C\xe9")))]
 
 
 def members_out_of_order(records) -> list:

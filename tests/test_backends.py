@@ -2,6 +2,7 @@
 the compiled ones must guard their fixed-size arrays, and backend
 selection must say why it chose what it did."""
 
+import heapq
 import itertools
 import json
 import math
@@ -20,13 +21,16 @@ import coperm
 from coperm import backend, cli, collide
 from coperm.backend import available_backends
 from coperm.cli import main
-from coperm.collide import persist_fingerprints
+from coperm.collide import FamilyRecord, persist_fingerprints
 from coperm.enumerate import enumerate_graphs
 from coperm.errors import TooLarge
 from coperm.graphs import Graph, to_graph6
 from coperm.pipeline import shard_records
 
 from oracles import (
+    KERNEL_FPS,
+    ODD_FAMILIES,
+    ODD_RECORDS,
     READER_CHUNKS,
     char_matrix,
     fingerprint_bytes,
@@ -212,55 +216,18 @@ def test_render_agrees_on_random_coefficients():
             assert a.render(fp, n) == b.render(fp, n) == text(p), p
 
 
-class Logged:
-    """A value, tagged with where it came from, that logs each comparison
-    made on it."""
-
-    def __init__(self, value, tag, log):
-        self.value, self.tag, self.log = value, tag, log
-
-    def __eq__(self, other):
-        self.log.append(("==", self.value, other.value))
-        return self.value == other.value
-
-    def __lt__(self, other):
-        self.log.append(("<", self.value, other.value))
-        return self.value < other.value
-
-
-class LoggedStream:
-    """An iterator over values that logs each iter() and next() call on it."""
-
-    def __init__(self, name, values, log):
-        self.name, self.values, self.log = name, iter(values), log
-
-    def __iter__(self):
-        self.log.append(("iter", self.name))
-        return self
-
-    def __next__(self):
-        self.log.append(("next", self.name))
-        return next(self.values)
-
-
-@needs_both
 @pytest.mark.parametrize("streams", [0, 1, 2, 3, 7, 64, 4000])
-def test_merge_records_makes_the_calls_of_heapq_merge(streams):
-    # the same iter(), next() and comparison calls, in the same order, and
-    # ties taken in stream order; past 2,500 streams heapify sifts in
-    # another order
+def test_merge_records_yields_the_records_of_heapq_merge(streams):
+    # the same record objects in the same order: equal records, distinct
+    # objects in several streams, leave in stream order; past 2,500 streams
+    # heapq.heapify sifts in another order than the compiled heapify
     rng = random.Random(streams)
-    values = [sorted(rng.randint(0, 9) for _ in range(rng.randint(0, 4)))
-              for _ in range(streams)]
-    runs = []
+    values = [sorted((rng.choice(KERNEL_FPS[:2]), rng.choice(("C?", "C@")))
+                     for _ in range(rng.randint(0, 4))) for _ in range(streams)]
+    want = [id(r) for r in heapq.merge(*values)]
+    assert len(want) == sum(map(len, values))
     for impl in BACKENDS.values():
-        log = []
-        merged = impl.merge_records([LoggedStream(i, [Logged(v, (i, j), log)
-                                                      for j, v in enumerate(vs)], log)
-                                     for i, vs in enumerate(values)])
-        runs.append(([(x.value, x.tag) for x in merged], log))
-    assert runs[0] == runs[1]
-    assert [v for v, _ in runs[0][0]] == sorted(v for vs in values for v in vs)
+        assert [id(r) for r in impl.merge_records([iter(v) for v in values])] == want
 
 
 @needs_both
@@ -284,6 +251,37 @@ def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
         it = kernel(*args)
         assert len(list(it)) == 1
         assert seen == ["generator already executing"], impl.BACKEND_NAME
+
+
+OUTSIDE_THE_CONTRACT = ([("merge_records", r) for r in ODD_RECORDS]
+                        + [("group_sorted", r) for r in ODD_RECORDS]
+                        + [("family_rows", f) for f in ODD_FAMILIES])
+
+
+@needs_both
+@pytest.mark.parametrize("name, odd", OUTSIDE_THE_CONTRACT,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(OUTSIDE_THE_CONTRACT)])
+def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
+    # the items before the odd one, then TypeError, then nothing more
+    core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
+    records = [(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"), (KERNEL_FPS[1], "CA")]
+    after = [(KERNEL_FPS[2], "Cw")]
+    families = list(twin.group_sorted(records))
+    if name == "merge_records":
+        it, want = core.merge_records([[*records, odd, *after]]), records
+    elif name == "group_sorted":
+        # a family leaves once the next one's first record is read, so the
+        # one open at the odd record is not yielded
+        it, want = core.group_sorted([*records, odd, *after]), families[:-1]
+    else:
+        it = core.family_rows([*families, odd, *twin.group_sorted(after)], 4, 2, 1)
+        want = list(twin.family_rows(families, 4, 2, 1))
+    got = []
+    with pytest.raises(TypeError):
+        for item in it:
+            got.append(item)
+    assert got == want
+    assert list(it) == []
 
 
 def oracle_merge_report(n, m, records) -> str:
@@ -415,12 +413,11 @@ def leak_cases():
                                    words))
     wide = fingerprint_bytes([-(2**2039 + 5), 2**64] + [0] * 26 + [300, 0, 1], 30)
     # sorted (bytes, str) records over two streams, two sharing a fingerprint;
-    # then int records, compared by Python code, that fail: a merge at a
-    # tuple below an int, a grouping at a record short of a graph6 member
+    # a merge and a grouping that fail at a record that is a list
     narrow = fingerprint_bytes([0] * 28 + [300, 0, 1], 30)
     records = sorted([(narrow, words[0]), (narrow, words[1]), (wide, words[2]),
                       (wide, words[2] + "\xe9")])
-    numbers = [(big[2], big[0]), (big[0], big[2]), (big[0], big[1]), (big[1],)]
+    listed = [narrow, words[2]]
     return {
         "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
         "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
@@ -431,11 +428,13 @@ def leak_cases():
                          (run, big[1], 1, 30, 300, None, True)),
         "render": ((wide, 30), (wide[:-1], 30)),
         "merge_records": (([records[::2], records[1::2], []],),
-                          ([[big[2], big[0]], [big[1], (big[0],)]],)),
-        "group_sorted": ((records,), (numbers,)),
-        # two chunks of one row, the second not ASCII
-        "family_rows": (([(wide, tuple(words)), (wide, ("C\xe9", words[0]))], 30, 300, 1),
-                        ([(wide, tuple(words)), (wide[:-1], tuple(words))], 30, 300, 2)),
+                          ([records[::2], [*records[1::2], listed]],)),
+        "group_sorted": ((records,), ([*records, listed],)),
+        # two chunks of one row, the second of a FamilyRecord; a chunk that
+        # fails at a member that is not ASCII
+        "family_rows": (([(wide, tuple(words)), FamilyRecord(narrow, tuple(words[:2]))],
+                         30, 300, 1),
+                        ([(wide, tuple(words)), (narrow, (words[0], "C\xe9"))], 30, 300, 2)),
     }
 
 

@@ -13,11 +13,11 @@ import pytest
 from coperm import backend, collide
 from coperm.backend import available_backends
 from coperm.cli import main
-from coperm.collide import fingerprint, merge_sorted_runs, persist_fingerprints
+from coperm.collide import FamilyRecord, fingerprint, merge_sorted_runs, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
 from coperm.errors import CopermError, Graph6Error, TooLarge
 from coperm.graphs import MAX_VERTICES, parse_graph6, perm_poly, to_graph6
-from oracles import READER_CHUNKS, edges, graph6_bits, graph_from_edges, raw_run
+from oracles import KERNEL_FPS, READER_CHUNKS, edges, graph6_bits, graph_from_edges, raw_run
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -198,49 +198,33 @@ def test_parse_graph6_rejects_with_package_errors_only(text):
 
 # ------------------------------------ the merge, grouping and row kernels
 
-# fingerprints of (n, m) = (4, 2), the last with a two-byte coefficient
-KERNEL_FPS = [fingerprint((c0, c1, 2, 0, 1), 4, 2) for c0, c1 in
-              ((0, 0), (1, 0), (-1, 3), (0, 300), (2, -1))]
-# members: graph6 words, and str that are not ASCII
-KERNEL_WORDS = ["C?", "C@", "CA", "Cw", "C\xe9", "C€"]
-# items of the wrong type among the records
-ODD_RECORDS = [5, None, (KERNEL_FPS[0],), (KERNEL_FPS[0], "C?", 1), ("C?", "C?"),
-               (KERNEL_FPS[1], b"C?"), [KERNEL_FPS[1], "CA"], (KERNEL_FPS[0], 7)]
-ODD_MEMBERS = [5, ("C?", 7), "CA", ["C?", "C\xe9"], (b"C?",), ()]
-ODD_FAMILIES = [5, (KERNEL_FPS[0],), (KERNEL_FPS[0], ("C?",), 1), [KERNEL_FPS[1], ("CA",)]]
-
-kernel_records = st.tuples(st.sampled_from(KERNEL_FPS), st.sampled_from(KERNEL_WORDS))
+# members: graph6 words; a record may also hold a str that is not ASCII
+KERNEL_WORDS = ["C?", "C@", "CA", "Cw"]
+kernel_records = st.tuples(st.sampled_from(KERNEL_FPS),
+                           st.sampled_from(KERNEL_WORDS + ["C\xe9", "C€"]))
 
 
 @st.composite
 def record_streams(draw):
     """Up to five streams of records, most of them sorted, sharing
-    fingerprints and records across streams; now and then an item of the
-    wrong type."""
+    fingerprints and records across streams."""
     streams = []
     for _ in range(draw(st.integers(0, 5))):
         records = draw(st.lists(kernel_records, max_size=8))
         if draw(st.integers(0, 3)):
             records.sort()
-        if not draw(st.integers(0, 5)):
-            at = draw(st.integers(0, len(records)))
-            records.insert(at, draw(st.sampled_from(ODD_RECORDS)))
         streams.append(records)
     return streams
 
 
 @st.composite
 def families(draw):
-    """(fingerprint, members) families, some members or families of the
-    wrong type."""
+    """(fingerprint, members) families, as tuples or FamilyRecords."""
     out = []
     for _ in range(draw(st.integers(0, 9))):
         members = tuple(draw(st.lists(st.sampled_from(KERNEL_WORDS), min_size=1, max_size=4)))
-        if not draw(st.integers(0, 7)):
-            members = draw(st.sampled_from(ODD_MEMBERS))
-        out.append((draw(st.sampled_from(KERNEL_FPS)), members))
-    if draw(st.integers(0, 4)) == 0:
-        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(ODD_FAMILIES)))
+        make = draw(st.sampled_from([tuple, FamilyRecord._make]))
+        out.append(make((draw(st.sampled_from(KERNEL_FPS)), members)))
     return out
 
 
@@ -269,18 +253,14 @@ def kernels_agree(name, make_args, same_objects=False):
 def test_merge_and_group_kernels_agree_on_any_records(streams):
     # ties leave in stream order: the same objects in the same order
     kernels_agree("merge_records", lambda: ([iter(s) for s in streams],), same_objects=True)
-    # grouped: the merged streams when they merge, else all of them in turn
-    try:
-        records = list(heapq.merge(*streams))
-    except TypeError:
-        records = [r for s in streams for r in s]
+    # grouped: the merged streams, sorted or not
+    records = list(heapq.merge(*streams))
     kernels_agree("group_sorted", lambda: (iter(records),))
 
 
 @FUZZ
 @given(families(), st.integers(1, 4))
 def test_family_rows_kernels_agree(fams, rows):
-    out = kernels_agree("family_rows", lambda: (iter(fams), 4, 2, rows))
-    if isinstance(out[0], list):
-        assert len("".join(out[0]).splitlines()) == len(fams)
-        assert [len(chunk.splitlines()) for chunk in out[0]][:-1] == [rows] * (len(out[0]) - 1)
+    chunks = kernels_agree("family_rows", lambda: (iter(fams), 4, 2, rows))[0]
+    assert len("".join(chunks).splitlines()) == len(fams)
+    assert [len(chunk.splitlines()) for chunk in chunks][:-1] == [rows] * (len(chunks) - 1)
