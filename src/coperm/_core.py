@@ -22,9 +22,12 @@ permanent and determinant accumulate in 128 bits and are exact only
 under the caller's contract stated in _kernels.c; the census calls
 graph_poly, canonical_form, canonical_children and group_sorted alone,
 merge scan_records, merge_records, group_sorted and family_rows alone,
-and poly render. merge_records and group_sorted take only records that
-are (bytes, str) tuples, and family_rows only families that are tuples
-of bytes and a tuple of ASCII str; any other item raises TypeError.
+mates family_rows, and poly render. merge_records and group_sorted are
+iterators that take only records that are (bytes, str) tuples;
+family_rows returns the rows of a list of families, each a tuple of
+bytes and a tuple of ASCII str, as one str. Any other item raises
+TypeError: in an iterator once the items before it are yielded, in
+family_rows before any row is written.
 """
 
 from __future__ import annotations

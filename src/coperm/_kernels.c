@@ -5,22 +5,23 @@
  * Ryser permanents and Bareiss determinants of integer matrices, and the
  * steps of a run-file merge: scan_records, which cuts and checks the
  * records a buffer holds, render, which writes a fingerprint as report
- * text, and three iterators, merge_records (the k-way merge of record
- * streams), group_sorted (their families) and family_rows (the report
- * rows of families, as text). _core.py builds this file on first use
- * against the running interpreter's headers and loads it as an extension
- * module. Each of the ten entry points converts its arguments itself:
- * a size past MAXK raises TooLarge, a negative size or too few items
- * ValueError, an item outside its C type OverflowError, and a
- * non-integer TypeError; scan_records, render and family_rows raise
+ * text, two iterators, merge_records (the k-way merge of record streams)
+ * and group_sorted (their families), and family_rows, which writes the
+ * report rows of a list of families as one str. _core.py builds this file
+ * on first use against the running interpreter's headers and loads it as
+ * an extension module. Each of the ten entry points converts its
+ * arguments itself: a size past MAXK raises TooLarge, a negative size or
+ * too few items ValueError, an item outside its C type OverflowError, and
+ * a non-integer TypeError; scan_records, render and family_rows raise
  * ValueError for an n, m, offset or count out of range or a fingerprint
  * of the wrong length, and TypeError for a buffer or fingerprint that is
- * not bytes, so malformed bytes are never read past their end. The three
- * iterators take only what the program passes them: records that are
- * 2-tuples of exact bytes and exact str, and families that are tuples (or
- * FamilyRecords) of bytes and a tuple of ASCII str. On those they yield
- * what the generators of their pure-Python twins yield, and they raise
- * TypeError at any other item.
+ * not bytes, so malformed bytes are never read past their end. The
+ * iterators and family_rows take only what the program passes them:
+ * records that are 2-tuples of exact bytes and exact str, and families
+ * that are tuples (or FamilyRecords) of bytes and a tuple of ASCII str.
+ * On those they give what their pure-Python twins give, and they raise
+ * TypeError at any other item: an iterator after yielding the items
+ * before it, family_rows before writing any row.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). The
@@ -563,9 +564,9 @@ fail:
 
 /* An int argument as a C long long in lo..hi: ValueError outside, where
  * a value past the range of long long is past hi too, and TypeError for
- * a non-integer. With saturate set, a value past hi reads as hi. */
-static int bounded_arg(PyObject *obj, long long lo, long long hi, int saturate,
-                       const char *name, long long *out)
+ * a non-integer. */
+static int bounded_arg(PyObject *obj, long long lo, long long hi, const char *name,
+                       long long *out)
 {
     int overflow;
     long long v;
@@ -577,10 +578,6 @@ static int bounded_arg(PyObject *obj, long long lo, long long hi, int saturate,
     Py_DECREF(index);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (saturate && (overflow > 0 || v > hi)) {
-        *out = hi;
-        return 0;
-    }
     if (overflow || v < lo || v > hi) {
         PyErr_Format(PyExc_ValueError, "%s must lie in %lld..%lld, got %S", name, lo, hi, obj);
         return -1;
@@ -600,7 +597,7 @@ static int bytes_before(const unsigned char *a, Py_ssize_t alen, const unsigned 
     return c < 0 || (c == 0 && alen < blen);
 }
 
-/* scan_records(buf, pos, count, n, m, prev, final): the records of a run
+/* scan_records(buf, pos, count, n, m, prev): the records of a run
  * of shard (n, m) that start at buf[pos], checked and cut as far as the
  * buffer holds whole ones, at most count of them. Each record is the
  * fingerprint (c_(n-2) first, which must be +-m, encoded; then n - 2
@@ -609,10 +606,9 @@ static int bytes_before(const unsigned char *a, Py_ssize_t alen, const unsigned 
  * (bytes, or None). Returns (records, pos, stop): the (fingerprint bytes,
  * graph6 str) pairs, the offset after the last of them (on a "graph6"
  * stop, where the rejected word starts), and why the scan stopped: None
- * when it read count records; "more" when the next record runs past buf
- * and final is false; when that record fails a check, "truncated" (it
- * runs past buf, which holds the rest of the file), "lead", "canonical",
- * "graph6" or "unsorted", checked in the order of the record's bytes.
+ * when it read count records; "more" when the next record runs past buf;
+ * when that record fails a check, "lead", "canonical", "graph6" or
+ * "unsorted", checked in the order of the record's bytes.
  * Consecutive records of one fingerprint share one bytes object. */
 static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *args,
                                  Py_ssize_t nargs)
@@ -622,10 +618,10 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
     unsigned char lead[4];
     long long pos, count, n, m, read = 0;
     Py_ssize_t size, lastlen, start, end, stop = 0, nbits, width, lead_len = 0;
-    int final, padding, bad, equal;
+    int padding, bad, equal;
     const char *why = NULL;
 
-    if (!nargs_ok("scan_records", nargs, 7))
+    if (!nargs_ok("scan_records", nargs, 6))
         return NULL;
     buf = args[0];
     prev = args[5];
@@ -635,11 +631,10 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
         return NULL;
     }
     size = PyBytes_GET_SIZE(buf);
-    if (bounded_arg(args[1], 0, size, 0, "pos", &pos) < 0
-        || bounded_arg(args[2], 0, LLONG_MAX, 1, "count", &count) < 0
-        || bounded_arg(args[3], 0, MAX_VERTICES, 0, "n", &n) < 0
-        || bounded_arg(args[4], 0, 0xffff, 0, "m", &m) < 0
-        || (final = PyObject_IsTrue(args[6])) < 0)
+    if (bounded_arg(args[1], 0, size, "pos", &pos) < 0
+        || bounded_arg(args[2], 0, LLONG_MAX, "count", &count) < 0
+        || bounded_arg(args[3], 0, MAX_VERTICES, "n", &n) < 0
+        || bounded_arg(args[4], 0, 0xffff, "m", &m) < 0)
         return NULL;
     b = (const unsigned char *)PyBytes_AS_STRING(buf);
     /* c_(n-2) as its sign byte, which may be 1 only when m > 0, then m's
@@ -732,7 +727,7 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
     }
     goto done;
 cut:
-    why = final ? "truncated" : "more";
+    why = "more";
 done:
     out = why ? Py_BuildValue("(Ons)", records, start, why)
               : Py_BuildValue("(OnO)", records, start, Py_None);
@@ -885,7 +880,7 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
     long long n;
     PyObject *out;
 
-    if (!nargs_ok("render", nargs, 2) || bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0)
+    if (!nargs_ok("render", nargs, 2) || bounded_arg(args[1], 0, MAX_VERTICES, "n", &n) < 0)
         return NULL;
     if (!PyBytes_Check(args[0])) {
         PyErr_SetString(PyExc_TypeError, "render() takes fingerprint bytes");
@@ -910,13 +905,11 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
 
 static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
 
-/* The three iterators below yield what the generators of their twins in
- * _purepy yield, on the records and families the program makes: records
- * are 2-tuples of exact bytes and exact str, and families tuples (or
- * FamilyRecords) of bytes and a tuple of ASCII str. Any other item raises
- * TypeError. Each takes its input's iterator at its first next(), a
- * next() call made while one runs raises ValueError, and an error or the
- * end finishes it, releasing its input. */
+/* The two iterators below yield what the generators of their twins in
+ * _purepy yield, on the records the program makes: 2-tuples of exact bytes
+ * and exact str. Any other item raises TypeError. Each takes its input's
+ * iterator at its first next(), a next() call made while one runs raises
+ * ValueError, and an error or the end finishes it, releasing its input. */
 
 static int enter(int *running)
 {
@@ -1351,192 +1344,82 @@ static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *a
 
 /* -------------------------------------------------------- family_rows */
 
-typedef struct {
-    PyObject_HEAD
-    PyObject *families; /* the iterable, until the first next() */
-    PyObject *it;
-    char *buf; /* the chunk's text */
-    Py_ssize_t len, cap;
-    long long n, rows;
-    char head[24]; /* "n\tm\t" */
-    int running;
-} rows_obj;
-
-static int rows_clear(PyObject *op)
-{
-    rows_obj *self = (rows_obj *)op;
-
-    Py_CLEAR(self->families);
-    Py_CLEAR(self->it);
-    PyMem_Free(self->buf);
-    self->buf = NULL;
-    self->len = self->cap = 0;
-    return 0;
-}
-
-static int rows_traverse(PyObject *op, visitproc visit, void *arg)
-{
-    rows_obj *self = (rows_obj *)op;
-
-    Py_VISIT(self->families);
-    Py_VISIT(self->it);
-    return 0;
-}
-
-static void rows_dealloc(PyObject *op)
-{
-    PyObject_GC_UnTrack(op);
-    rows_clear(op);
-    PyObject_GC_Del(op);
-}
-
-/* room for extra more bytes in buf */
-static int reserve(rows_obj *self, Py_ssize_t extra)
-{
-    Py_ssize_t cap = self->cap ? self->cap : 1 << 14;
-    char *grown;
-
-    if (extra > PY_SSIZE_T_MAX / 2 - self->len) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if (self->len + extra <= self->cap)
-        return 0;
-    while (cap < self->len + extra)
-        cap *= 2;
-    if ((grown = PyMem_Realloc(self->buf, cap)) == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->buf = grown;
-    self->cap = cap;
-    return 0;
-}
-
-/* the row of one family, written at the end of the chunk: head, size,
- * polynomial and members. TypeError unless the family is a tuple of bytes
- * and a tuple of ASCII str, ValueError unless the bytes are a fingerprint
- * of degree n. */
-static int add_row(rows_obj *self, PyObject *family)
-{
-    PyObject *fp, *members, *g6;
-    Py_ssize_t count, size, total = 0, head = (Py_ssize_t)strlen(self->head);
-    const unsigned char *b;
-
-    if (!PyTuple_Check(family) || PyTuple_GET_SIZE(family) != 2
-        || !PyBytes_Check(fp = PyTuple_GET_ITEM(family, 0))
-        || !PyTuple_CheckExact(members = PyTuple_GET_ITEM(family, 1)))
-        goto wrong;
-    count = PyTuple_GET_SIZE(members);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        g6 = PyTuple_GET_ITEM(members, i);
-        if (!PyUnicode_CheckExact(g6) || !PyUnicode_IS_ASCII(g6))
-            goto wrong;
-        total += PyUnicode_GET_LENGTH(g6) + 1; /* and a space or the newline */
-    }
-    b = (const unsigned char *)PyBytes_AS_STRING(fp);
-    size = PyBytes_GET_SIZE(fp);
-    if (fingerprint_check(b, size, self->n) < 0
-        || reserve(self, head + 22 + render_cap(self->n, size) + total + 1) < 0)
-        return -1;
-    memcpy(self->buf + self->len, self->head, head);
-    self->len += head;
-    self->len += PyOS_snprintf(self->buf + self->len, 21, "%zd", count);
-    self->buf[self->len++] = '\t';
-    self->len += render_into(b, self->n, self->buf + self->len);
-    self->buf[self->len++] = '\t';
-    for (Py_ssize_t i = 0; i < count; i++) {
-        g6 = PyTuple_GET_ITEM(members, i);
-        if (i)
-            self->buf[self->len++] = ' ';
-        memcpy(self->buf + self->len, PyUnicode_DATA(g6), PyUnicode_GET_LENGTH(g6));
-        self->len += PyUnicode_GET_LENGTH(g6);
-    }
-    self->buf[self->len++] = '\n';
-    return 0;
-wrong:
-    PyErr_SetString(PyExc_TypeError,
-                    "family_rows() takes families that are (bytes, tuple of ASCII str) tuples");
-    return -1;
-}
-
-/* the next chunk: the rows of the next `rows` families, or of as many as
- * are left */
-static PyObject *rows_next(PyObject *op)
-{
-    rows_obj *self = (rows_obj *)op;
-    PyObject *family, *out = NULL;
-    long long count = 0;
-
-    if ((self->families == NULL && self->it == NULL) || enter(&self->running) < 0)
-        return NULL; /* finished, or running */
-    if (self->it == NULL) {
-        self->it = PyObject_GetIter(self->families);
-        Py_CLEAR(self->families);
-        if (self->it == NULL)
-            goto done;
-    }
-    while (count < self->rows && (family = PyIter_Next(self->it)) != NULL) {
-        int failed = add_row(self, family);
-
-        Py_DECREF(family);
-        if (failed)
-            goto done;
-        count++;
-    }
-    if (PyErr_Occurred() || count == 0)
-        goto done;
-    out = PyUnicode_DecodeASCII(self->buf, self->len, NULL);
-    self->len = 0;
-    if (out != NULL && count == self->rows) {
-        self->running = 0;
-        return out;
-    }
-done: /* an error, or no family left after this chunk */
-    rows_clear(op);
-    self->running = 0;
-    return out;
-}
-
-static PyTypeObject rows_type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "coperm._core.family_rows",
-    .tp_basicsize = sizeof(rows_obj),
-    .tp_dealloc = rows_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = rows_traverse,
-    .tp_clear = rows_clear,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = rows_next,
-};
-
-/* family_rows(families, n, m, rows): an iterator over the text of the
- * mates or merge report rows of the (fingerprint, members) families of
- * shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, joined in
- * chunks of rows rows. ValueError for an n, m or rows out of range. */
+/* family_rows(families, n, m): the text of the mates or merge report rows
+ * of the (fingerprint, members) families of shard (n, m), one
+ * "n\tm\tsize\tpolynomial\tmembers\n" each. Every family is checked
+ * before any row is written: TypeError unless it is a tuple (or a
+ * FamilyRecord) of bytes and a tuple of ASCII str, ValueError unless its
+ * bytes are a fingerprint of degree n. ValueError for an n or m out of
+ * range. */
 static PyObject *py_family_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
-    long long n, m, rows;
-    rows_obj *self;
+    PyObject *seq, *fp, *members, *g6, *out, **families;
+    Py_ssize_t count, head, cap = 0, len = 0;
+    long long n, m;
+    char prefix[24], *text; /* prefix: "n\tm\t" */
 
-    if (!nargs_ok("family_rows", nargs, 4)
-        || bounded_arg(args[1], 0, MAX_VERTICES, 0, "n", &n) < 0
-        || bounded_arg(args[2], 0, 0xffff, 0, "m", &m) < 0
-        || bounded_arg(args[3], 1, LLONG_MAX, 1, "rows", &rows) < 0)
+    if (!nargs_ok("family_rows", nargs, 3)
+        || bounded_arg(args[1], 0, MAX_VERTICES, "n", &n) < 0
+        || bounded_arg(args[2], 0, 0xffff, "m", &m) < 0
+        || (seq = PySequence_Fast(args[0], "family_rows() takes a list of families")) == NULL)
         return NULL;
-    if ((self = PyObject_GC_New(rows_obj, &rows_type)) == NULL)
-        return NULL;
-    self->families = Py_NewRef(args[0]);
-    self->it = NULL;
-    self->buf = NULL;
-    self->len = self->cap = 0;
-    self->n = n;
-    self->rows = rows;
-    PyOS_snprintf(self->head, sizeof self->head, "%lld\t%lld\t", n, m);
-    self->running = 0;
-    PyObject_GC_Track(self);
-    return (PyObject *)self;
+    families = PySequence_Fast_ITEMS(seq);
+    count = PySequence_Fast_GET_SIZE(seq);
+    head = PyOS_snprintf(prefix, sizeof prefix, "%lld\t%lld\t", n, m);
+    /* room for each row: prefix, size and a tab, polynomial and a tab, and
+     * each member with a space or the newline, or the newline alone */
+    for (Py_ssize_t f = 0; f < count; f++) {
+        if (!PyTuple_Check(families[f]) || PyTuple_GET_SIZE(families[f]) != 2
+            || !PyBytes_Check(fp = PyTuple_GET_ITEM(families[f], 0))
+            || !PyTuple_CheckExact(members = PyTuple_GET_ITEM(families[f], 1)))
+            goto wrong;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(members); i++) {
+            g6 = PyTuple_GET_ITEM(members, i);
+            if (!PyUnicode_CheckExact(g6) || !PyUnicode_IS_ASCII(g6))
+                goto wrong;
+            if ((cap += PyUnicode_GET_LENGTH(g6) + 1) > PY_SSIZE_T_MAX / 2) {
+                PyErr_NoMemory();
+                goto fail;
+            }
+        }
+        if (fingerprint_check((const unsigned char *)PyBytes_AS_STRING(fp),
+                              PyBytes_GET_SIZE(fp), n) < 0)
+            goto fail;
+        cap += head + 22 + render_cap(n, PyBytes_GET_SIZE(fp)) + 1;
+    }
+    if ((text = PyMem_Malloc(cap)) == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t f = 0; f < count; f++) {
+        fp = PyTuple_GET_ITEM(families[f], 0);
+        members = PyTuple_GET_ITEM(families[f], 1);
+        memcpy(text + len, prefix, head);
+        len += head;
+        len += PyOS_snprintf(text + len, 21, "%zd", PyTuple_GET_SIZE(members));
+        text[len++] = '\t';
+        len += render_into((const unsigned char *)PyBytes_AS_STRING(fp), n, text + len);
+        text[len++] = '\t';
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(members); i++) {
+            g6 = PyTuple_GET_ITEM(members, i);
+            if (i)
+                text[len++] = ' ';
+            memcpy(text + len, PyUnicode_DATA(g6), PyUnicode_GET_LENGTH(g6));
+            len += PyUnicode_GET_LENGTH(g6);
+        }
+        text[len++] = '\n';
+    }
+    out = PyUnicode_DecodeASCII(text, len, NULL);
+    PyMem_Free(text);
+    Py_DECREF(seq);
+    return out;
+wrong:
+    PyErr_SetString(PyExc_TypeError,
+                    "family_rows() takes families that are (bytes, tuple of ASCII str) tuples");
+fail:
+    Py_DECREF(seq);
+    return NULL;
 }
 
 #define ENTRY(name, doc) \
@@ -1559,9 +1442,7 @@ static PyMethodDef methods[] = {
     ENTRY(group_sorted,
           "The FamilyRecords of a stream of (fingerprint, graph6) records of one shard,\n"
           "each greater than the one before."),
-    ENTRY(family_rows,
-          "The mates or merge report rows of families of shard (n, m), as text in\n"
-          "chunks of rows rows."),
+    ENTRY(family_rows, "The mates or merge report rows of families of shard (n, m), as text."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -1577,8 +1458,7 @@ static int exec_module(PyObject *module)
     Py_DECREF(errors);
     if (too_large == NULL || duplicate_member == NULL || unsorted_run == NULL)
         return -1;
-    if (PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0
-        || PyType_Ready(&rows_type) < 0)
+    if (PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0)
         return -1;
     if (PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)
         return -1;

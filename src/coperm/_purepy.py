@@ -6,8 +6,8 @@ with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
 for isomorph rejection, Gray-code Ryser permanents and fraction-free
 Bareiss determinants of integer matrices, and the steps of a run-file
-merge: the record scanner, the k-way merge, the grouper and the
-fingerprint renderer and report rows. Python integers never wrap, so
+merge: the record scanner, the k-way merge, the grouper, the
+fingerprint renderer and the report rows. Python integers never wrap, so
 the scalar kernels here are exact for any input; they agree with the
 compiled ones within the caller contract stated in _kernels.c. The run-file
 twins agree with them on every buffer and on every fingerprint a run
@@ -20,7 +20,6 @@ other arguments, and reject other records and families with TypeError.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
 
 from .errors import DuplicateMember, UnsortedRun
 
@@ -243,15 +242,14 @@ MAX_VERTICES = 32  # the most vertices of a graph or run
 _GRAPH6_BYTES = bytes(range(63, 127))
 
 
-def scan_records(buf: bytes, pos: int, count: int, n: int, m: int, prev, final):
+def scan_records(buf: bytes, pos: int, count: int, n: int, m: int, prev):
     """The checked (fingerprint, graph6) records of a run of shard (n, m)
     that buf holds whole from pos, at most count: (records, pos, stop).
     pos is the offset after the last record (on a "graph6" stop, where the
     rejected word starts); stop is None once count are read, "more" when
-    the next record runs past buf and final is false, and otherwise the
-    check that record fails: "truncated" (buf holds the rest of the file),
-    "lead", "canonical", "graph6" or "unsorted" (its fingerprint sorts
-    below the one before, or below prev for the first)."""
+    the next record runs past buf, and otherwise the check that record
+    fails: "lead", "canonical", "graph6" or "unsorted" (its fingerprint
+    sorts below the one before, or below prev for the first)."""
     # byte checks of each graph6 member for n vertices, cheaper than a
     # full decode: its length, first byte, range and zero padding bits
     nbits = n * (n - 1) // 2
@@ -265,12 +263,11 @@ def scan_records(buf: bytes, pos: int, count: int, n: int, m: int, prev, final):
             if n >= 2 else (b"",))
     lead_len = len(lead[0])
     rest = range(n - 2)
-    cut = "truncated" if final else "more"
     records = []
     while len(records) < count:
         if not buf.startswith(lead, pos):
             if len(buf) - pos < lead_len:
-                return records, pos, cut
+                return records, pos, "more"
             return records, pos, "lead"
         end = pos + lead_len
         try:
@@ -282,11 +279,11 @@ def scan_records(buf: bytes, pos: int, count: int, n: int, m: int, prev, final):
                 if sign > 1 or not buf[end - 1] and (sign or blen):
                     return records, pos, "canonical"
         except IndexError:
-            return records, pos, cut
+            return records, pos, "more"
         # the graph6 length byte, then a member of the one valid length
         stop = end + 1 + width
         if stop > len(buf):
-            return records, pos, cut
+            return records, pos, "more"
         member = buf[end + 1:stop]
         if (buf[end] != width or member[0] != first or member.translate(None, _GRAPH6_BYTES)
                 or (member[-1] - 63) & padding):
@@ -369,12 +366,9 @@ def group_sorted(records):
         yield FamilyRecord(cur, tuple(members))
 
 
-def family_rows(families, n: int, m: int, rows: int):
+def family_rows(families, n: int, m: int) -> str:
     """The mates or merge report rows of the (fingerprint, members) families
-    of shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, as text in
-    chunks of rows rows."""
+    of shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, as one str."""
     head = f"{n}\t{m}\t"
-    lines = (f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members) + "\n"
-             for fp, members in families)
-    while chunk := "".join(islice(lines, rows)):
-        yield chunk
+    return "".join([f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members) + "\n"
+                    for fp, members in families])

@@ -75,11 +75,15 @@ def _write(texts, out_path) -> None:
             fh.write(text)
 
 
+def _chunks(items):
+    """items in lists of _EMIT_LINES; the last list may be shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _EMIT_LINES)), [])
+
+
 def _emit(lines, out_path) -> None:
     """Write report lines, _EMIT_LINES of them to a write, as _write does."""
-    lines = iter(lines)
-    chunks = iter(lambda: list(islice(lines, _EMIT_LINES)), [])
-    _write(("".join(line + "\n" for line in chunk) for chunk in chunks), out_path)
+    _write(("".join(line + "\n" for line in chunk) for chunk in _chunks(lines)), out_path)
 
 
 def run_census(ns, kinds, workers: int = 1):
@@ -150,9 +154,8 @@ def cmd_table(args) -> None:
 
 def cmd_mates(args) -> None:
     censuses = _census_by_n(args, (args.kind,))
-    rows = (text for n in sorted(censuses) for shard in censuses[n]
-            for text in backend.family_rows(shard.families[args.kind], n, shard.m,
-                                             _EMIT_LINES))
+    rows = (backend.family_rows(chunk, n, shard.m) for n in sorted(censuses)
+            for shard in censuses[n] for chunk in _chunks(shard.families[args.kind]))
     _write(chain([MATES_HEADER + "\n"], rows), args.out)
 
 
@@ -195,10 +198,7 @@ def _merge_text(runs):
     so that a merge failing before they are made writes nothing."""
     shard = []  # (n, m), which the merge reads from the run headers before any record
     families = collide.group_sorted(collide.merge_sorted_runs(runs, shard.append))
-    first = next(families, None)
-    chunks = iter(())
-    if first is not None:
-        chunks = backend.family_rows(chain([first], families), *shard[0], _EMIT_LINES)
+    chunks = (backend.family_rows(chunk, *shard[0]) for chunk in _chunks(families))
     header = MATES_HEADER.replace("members", "members (all family sizes)")
     yield header + "\n" + next(chunks, "")
     yield from chunks

@@ -169,23 +169,22 @@ def _iter_run(fh, path, n: int, m: int, count: int):
     The backend's scan_records cuts and checks as many whole records as
     the buffer holds, at most _SCAN, and says why it stopped; a record
     that runs past the buffer is scanned again once a read has added to
-    it, or found truncated when the file ends inside it.
+    it, or found truncated when the read finds the file's end.
     """
     read = fh.read
-    buf, pos, prev, final = b"", 0, None, False
+    buf, pos, prev = b"", 0, None
     left = count
     while left:
-        records, pos, stop = backend.scan_records(buf, pos, min(left, _SCAN), n, m, prev,
-                                                  final)
+        records, pos, stop = backend.scan_records(buf, pos, min(left, _SCAN), n, m, prev)
         if records:
             left -= len(records)
             prev = records[-1][0]
             yield from records
         if stop == "more":
             more = read(_CHUNK)
-            buf, pos, final = buf[pos:] + more, 0, not more
-        elif stop == "truncated":
-            raise RunFormatError(f"{path}: truncated record")
+            if not more:
+                raise RunFormatError(f"{path}: truncated record")
+            buf, pos = buf[pos:] + more, 0
         elif stop == "lead":
             raise RunFormatError(f"{path}: record whose x^(n-2) coefficient is not "
                                  f"+-m in run (n={n}, m={m})")

@@ -167,16 +167,16 @@ def test_enumeration_identical_across_backends():
 def scans(impl, raw: bytes, n: int, m: int, count: int):
     """scan_records over the records of a run file read a chunk at a time,
     for each READER_CHUNKS size, as far as it stops for a reason other
-    than more bytes: the records, that reason and the file offset it gives,
-    which must not depend on the chunk size."""
+    than more bytes, or asks for more at the file's end: the records, that
+    reason and the file offset it gives, which must not depend on the
+    chunk size."""
     out = set()
     for chunk in READER_CHUNKS:
         records, buf, base, pos, rest, stop = [], b"", 0, 0, raw, "more"
-        while stop == "more":
+        while stop == "more" and rest:
             buf, base, pos, rest = buf[pos:] + rest[:chunk], base + pos, 0, rest[chunk:]
             prev = records[-1][0] if records else None
-            got, pos, stop = impl.scan_records(buf, pos, count - len(records), n, m, prev,
-                                               not rest)
+            got, pos, stop = impl.scan_records(buf, pos, count - len(records), n, m, prev)
             records += got
         out.add((tuple(records), stop, base + pos))
     assert len(out) == 1, out
@@ -231,7 +231,7 @@ def test_merge_records_yields_the_records_of_heapq_merge(streams):
 
 
 @needs_both
-@pytest.mark.parametrize("name", ["merge_records", "group_sorted", "family_rows"])
+@pytest.mark.parametrize("name", ["merge_records", "group_sorted"])
 def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
     # a next() of the kernel's iterator made from within its own next(),
     # here by the input's, fails as a running generator's does
@@ -244,11 +244,9 @@ def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
                 next(it)
             except ValueError as exc:
                 seen.append(str(exc))
-            yield (b"\0\0", ("A_",)) if name == "family_rows" else (b"\0\0", "A_")
+            yield b"\0\0", "A_"
 
-        args = {"merge_records": ([reenter()],), "group_sorted": (reenter(),),
-                "family_rows": (reenter(), 2, 0, 1)}[name]
-        it = kernel(*args)
+        it = kernel([reenter()] if name == "merge_records" else reenter())
         assert len(list(it)) == 1
         assert seen == ["generator already executing"], impl.BACKEND_NAME
 
@@ -262,10 +260,18 @@ OUTSIDE_THE_CONTRACT = ([("merge_records", r) for r in ODD_RECORDS]
 @pytest.mark.parametrize("name, odd", OUTSIDE_THE_CONTRACT,
                          ids=[f"{name}-{i}" for i, (name, _) in enumerate(OUTSIDE_THE_CONTRACT)])
 def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
-    # the items before the odd one, then TypeError, then nothing more
+    # the iterators: the items before the odd one, then TypeError, then
+    # nothing more; family_rows, a function: TypeError, wherever the odd
+    # family is
     core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
     records = [(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"), (KERNEL_FPS[1], "CA")]
     after = [(KERNEL_FPS[2], "Cw")]
+    if name == "family_rows":
+        families = list(twin.group_sorted(records + after))
+        for at in range(len(families) + 1):
+            with pytest.raises(TypeError):
+                core.family_rows([*families[:at], odd, *families[at:]], 4, 2)
+        return
     families = list(twin.group_sorted(records))
     if name == "merge_records":
         it, want = core.merge_records([[*records, odd, *after]]), records
@@ -273,9 +279,6 @@ def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
         # a family leaves once the next one's first record is read, so the
         # one open at the odd record is not yielded
         it, want = core.group_sorted([*records, odd, *after]), families[:-1]
-    else:
-        it = core.family_rows([*families, odd, *twin.group_sorted(after)], 4, 2, 1)
-        want = list(twin.family_rows(families, 4, 2, 1))
     got = []
     with pytest.raises(TypeError):
         for item in it:
@@ -364,13 +367,13 @@ BAD_INPUT = [
     ("canonical_children", ([0], 1, 1 << 40, 1), OverflowError),
     ("canonical_children", ([0], 1, 0, 1.0), TypeError),
     ("canonical_children", ([0], 1, 0), TypeError),
-    ("scan_records", ("?", 0, 1, 1, 0, None, True), TypeError),  # a str buffer
-    ("scan_records", (b"", 1, 1, 3, 2, None, True), ValueError),  # pos past the buffer
-    ("scan_records", (b"", 0, -1, 3, 2, None, True), ValueError),
-    ("scan_records", (b"", 0, 1, 33, 0, None, True), ValueError),  # n past 32
-    ("scan_records", (b"", 0, 1, 3, 1 << 16, None, True), ValueError),  # m past u16
-    ("scan_records", (b"", 0, 1, 3, 2, "", True), TypeError),  # prev neither bytes nor None
-    ("scan_records", (b"", 0, 1, 3, 2, None), TypeError),
+    ("scan_records", ("?", 0, 1, 1, 0, None), TypeError),  # a str buffer
+    ("scan_records", (b"", 1, 1, 3, 2, None), ValueError),  # pos past the buffer
+    ("scan_records", (b"", 0, -1, 3, 2, None), ValueError),
+    ("scan_records", (b"", 0, 1, 33, 0, None), ValueError),  # n past 32
+    ("scan_records", (b"", 0, 1, 3, 1 << 16, None), ValueError),  # m past u16
+    ("scan_records", (b"", 0, 1, 3, 2, ""), TypeError),  # prev neither bytes nor None
+    ("scan_records", (b"", 0, 1, 3, 2, None, True), TypeError),
     ("render", (b"\0\1\2", 3), ValueError),  # one coefficient short
     ("render", (b"\0\1\2\0\0\0", 3), ValueError),  # a byte past the last one
     ("render", (b"\0\5\1", 2), ValueError),  # a magnitude past the end
@@ -381,11 +384,13 @@ BAD_INPUT = [
     ("merge_records", (5,), TypeError),  # streams not iterable
     ("merge_records", ([], []), TypeError),
     ("group_sorted", (), TypeError),
-    ("family_rows", ([], 33, 0, 1), ValueError),  # n past 32
-    ("family_rows", ([], 3, 1 << 16, 1), ValueError),  # m past u16
-    ("family_rows", ([], 3, 2, 0), ValueError),  # no rows to a chunk
-    ("family_rows", ([], 3, 2, 1.0), TypeError),
-    ("family_rows", ([], 3, 2), TypeError),
+    ("family_rows", ([], 33, 0), ValueError),  # n past 32
+    ("family_rows", ([], 3, 1 << 16), ValueError),  # m past u16
+    ("family_rows", ([(KERNEL_FPS[0], ("C?",))], 3, 2), ValueError),  # a degree-4 fingerprint
+    ("family_rows", ([], 3, 2.0), TypeError),
+    ("family_rows", ([], 3, 2, 1), TypeError),
+    ("scan_records", (b"", 0, 1 << 63, 3, 2, None), ValueError),  # count past a long long
+    ("family_rows", (5, 3, 2), TypeError),  # families not iterable
 ]
 
 
@@ -405,8 +410,8 @@ def leak_cases():
     holding ints above 256, which no interpreter caches."""
     big = [int(f"{1 << 20 | v}") for v in (6, 5, 3)]  # high bits past n are ignored
     # three records at (30, 300), two sharing a fingerprint, then a cut one:
-    # a scan that saturates the count, shares a fingerprint object and stops
-    # at "truncated"
+    # a scan with a count past its records that shares a fingerprint object
+    # and stops at "more"
     words = [to_graph6(graph_from_edges(30, [(0, k)])) for k in (1, 2, 3)]
     run = b"".join(fingerprint_bytes(p, 30) + bytes([len(w)]) + w.encode()
                    for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
@@ -424,17 +429,17 @@ def leak_cases():
         "graph_poly": (((*big,), 3, "perm"), (big[:2], 3, "char")),
         "canonical_form": ((big, 3), ([*big[:2], -big[2]], 3)),
         "canonical_children": (((*big,), 3, 0, 3), (big, 3, big[0], 1 << 40)),
-        "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58], True),
-                         (run, big[1], 1, 30, 300, None, True)),
+        "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58]),
+                         (run, big[1], 1, 30, 300, None)),
         "render": ((wide, 30), (wide[:-1], 30)),
         "merge_records": (([records[::2], records[1::2], []],),
                           ([records[::2], [*records[1::2], listed]],)),
         "group_sorted": ((records,), ([*records, listed],)),
-        # two chunks of one row, the second of a FamilyRecord; a chunk that
-        # fails at a member that is not ASCII
+        # two rows, the second of a FamilyRecord; rows that fail at a member
+        # that is not ASCII, after a family that passed its checks
         "family_rows": (([(wide, tuple(words)), FamilyRecord(narrow, tuple(words[:2]))],
-                         30, 300, 1),
-                        ([(wide, tuple(words)), (narrow, (words[0], "C\xe9"))], 30, 300, 2)),
+                         30, 300),
+                        ([(wide, tuple(words)), (narrow, (words[0], "C\xe9"))], 30, 300)),
     }
 
 
