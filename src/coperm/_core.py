@@ -8,9 +8,11 @@ extension's own functions, which check and convert their arguments in C
 <cache>/coperm/<place>/<key>.<tag>.so, where <cache> is $XDG_CACHE_HOME
 or ~/.cache, <place> is the CRC-32 of the package directory, <tag> is
 the interpreter's ABI tag (sys.implementation.cache_tag), and the key is
-the CRC-32, Adler-32 and length of the compile command, the tag and the
-C source. So an edited source builds afresh, an unchanged one loads at
-once, and each interpreter loads only a library built for its own ABI.
+the CRC-32, Adler-32 and length of the compile command, the tag, the
+interpreter's version, base prefix and ABI flags, and the C source. So
+an edited source builds afresh, an unchanged one loads at once without
+looking up the include directory, which only a build needs, and each
+interpreter loads only a library built for its own ABI and headers.
 A build removes the libraries of earlier sources built for the same tag
 in its own <place> only, so checkouts of different sources, and
 interpreters of different versions, can share one cache. Import raises
@@ -20,10 +22,14 @@ backend.py then falls back to _purepy.
 
 permanent and determinant accumulate in 128 bits and are exact only
 under the caller's contract stated in _kernels.c; the census calls
-graph_poly, canonical_form, canonical_children and group_sorted alone,
-merge scan_records, merge_records, group_sorted and family_rows alone,
-mates family_rows, and poly render. merge_records and group_sorted are
-iterators that take only records that are (bytes, str) tuples;
+canonical_children, encode_graph6, graph_poly, fingerprint and
+group_sorted alone, an ingested census decode_graph6 and canonical_form
+besides, merge scan_records, merge_records, group_sorted and family_rows
+alone, mates family_rows besides the census, and poly decode_graph6,
+encode_graph6, graph_poly, fingerprint and render. decode_graph6,
+encode_graph6 and fingerprint raise the package's errors with the
+twin's messages. merge_records and group_sorted are iterators that take
+only records that are (bytes, str) tuples;
 family_rows returns the rows of a list of families, each a tuple of
 bytes and a tuple of ASCII str, as one str. Any other item raises
 TypeError: in an iterator once the items before it are yielded, in
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import os
 import sys
-import sysconfig
 import zlib
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
 from pathlib import Path
@@ -42,8 +47,7 @@ from pathlib import Path
 BACKEND_NAME = "compiled"
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
-_INCLUDE = sysconfig.get_path("include")
-_COMPILE = ("cc", "-O3", "-shared", "-fPIC", f"-I{_INCLUDE}")
+_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 
 
 def _build(target: Path, tag: str) -> None:
@@ -54,12 +58,14 @@ def _build(target: Path, tag: str) -> None:
     # imported here: only a cache miss needs them, and every start would pay
     import shutil
     import subprocess
+    import sysconfig
     import tempfile
 
     if shutil.which(_COMPILE[0]) is None:
         raise ImportError(f"{_COMPILE[0]} not found")
-    if not os.path.isfile(os.path.join(_INCLUDE, "Python.h")):
-        raise ImportError(f"Python.h not found in {_INCLUDE}")
+    include = sysconfig.get_path("include")
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise ImportError(f"Python.h not found in {include}")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=target.parent)
@@ -67,7 +73,7 @@ def _build(target: Path, tag: str) -> None:
         raise ImportError(f"cache directory unusable: {exc}") from None
     os.close(fd)
     try:
-        proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
+        proc = subprocess.run([*_COMPILE, f"-I{include}", "-o", tmp, str(_SOURCE)],
                               capture_output=True, text=True, errors="replace")
         if proc.returncode:
             lines = proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"]
@@ -88,8 +94,11 @@ def _build(target: Path, tag: str) -> None:
 def _library(source: bytes, tag: str) -> Path:
     """The cache path of the library built from source for ABI tag."""
     # a cache key, not a security check: zlib is loaded at interpreter start,
-    # where hashlib would load OpenSSL on every run
-    key = " ".join(_COMPILE).encode() + b"\0" + tag.encode() + b"\0" + source
+    # where hashlib would load OpenSSL on every run. The interpreter's
+    # version, prefix and ABI flags stand for its headers, whose directory
+    # sysconfig finds only at a cost every start would pay
+    interpreter = (sys.version, sys.base_prefix, getattr(sys, "abiflags", ""), tag)
+    key = "\0".join((" ".join(_COMPILE), *interpreter)).encode() + b"\0" + source
     digest = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}{len(key):x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     place = f"{zlib.crc32(os.fsencode(_SOURCE.parent.resolve())):08x}"
@@ -128,6 +137,9 @@ determinant = _ext.determinant
 graph_poly = _ext.graph_poly
 canonical_form = _ext.canonical_form
 canonical_children = _ext.canonical_children
+decode_graph6 = _ext.decode_graph6
+encode_graph6 = _ext.encode_graph6
+fingerprint = _ext.fingerprint
 scan_records = _ext.scan_records
 render = _ext.render
 merge_records = _ext.merge_records

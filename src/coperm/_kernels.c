@@ -2,20 +2,30 @@
  * coperm._core: graph-polynomial coefficients computed directly (Ryser
  * for per(xI - A), Berkowitz for det(xI - A)), the minimum-lex
  * canonical-order search and the canonical children it yields, scalar
- * Ryser permanents and Bareiss determinants of integer matrices, and the
- * steps of a run-file merge: scan_records, which cuts and checks the
- * records a buffer holds, render, which writes a fingerprint as report
- * text, two iterators, merge_records (the k-way merge of record streams)
- * and group_sorted (their families), and family_rows, which writes the
- * report rows of a list of families as one str. _core.py builds this file
- * on first use against the running interpreter's headers and loads it as
- * an extension module. Each of the ten entry points converts its
- * arguments itself: a size past MAXK raises TooLarge, a negative size or
- * too few items ValueError, an item outside its C type OverflowError, and
- * a non-integer TypeError; scan_records, render and family_rows raise
- * ValueError for an n, m, offset or count out of range or a fingerprint
- * of the wrong length, and TypeError for a buffer or fingerprint that is
- * not bytes, so malformed bytes are never read past their end. The
+ * Ryser permanents and Bareiss determinants of integer matrices, the
+ * per-graph codecs: decode_graph6 and encode_graph6, the graph6 word of
+ * a graph's rows and back, and fingerprint, the canonical bytes of a
+ * graph polynomial; and the steps of a run-file merge: scan_records,
+ * which cuts and checks the records a buffer holds, render, which writes
+ * a fingerprint as report text, two iterators, merge_records (the k-way
+ * merge of record streams) and group_sorted (their families), and
+ * family_rows, which writes the report rows of a list of families as one
+ * str. _core.py builds this file on first use against the running
+ * interpreter's headers and loads it as an extension module. Each of the
+ * thirteen entry points converts its arguments itself: a size past MAXK
+ * raises TooLarge, a negative size or too few items ValueError, an item
+ * outside its C type OverflowError, and a non-integer TypeError;
+ * scan_records, render and family_rows raise ValueError for an n, m,
+ * offset or count out of range or a fingerprint of the wrong length, and
+ * TypeError for a buffer or fingerprint that is not bytes, so malformed
+ * bytes are never read past their end. The codecs check what their
+ * pure-Python twins check, in the same order, and raise the same errors
+ * of coperm.errors with the same messages: decode_graph6 reads any str,
+ * of any kind, only up to its length and raises InvalidChar,
+ * TruncatedBody, TrailingGarbage or TooLarge; encode_graph6 raises
+ * TooLarge past MAX_VERTICES vertices; fingerprint compares the leading
+ * coefficients as Python objects and raises DegreeMismatch, and takes
+ * magnitudes past 64 bits through int.to_bytes. The
  * iterators and family_rows take only what the program passes them:
  * records that are 2-tuples of exact bytes and exact str, and families
  * that are tuples (or FamilyRecords) of bytes and a tuple of ASCII str.
@@ -901,6 +911,295 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
     return out;
 }
 
+/* ---------------------------------------------- graph6 and fingerprints */
+
+/* coperm.errors */
+static PyObject *invalid_char, *truncated_body, *trailing_garbage, *degree_mismatch;
+static PyObject *zero, *one; /* the ints the leading coefficients must equal */
+
+/* decode_graph6(text): the adjacency rows, one int per vertex, of one
+ * short-form graph6 word (n <= MAX_VERTICES, no header), trailing
+ * newlines dropped. The checks and messages of the twin, in its order:
+ * a ">>graph6<<" header or nonzero padding bits raise TrailingGarbage, as
+ * does a body past the n(n-1)/2 bits; an empty word or a short body
+ * TruncatedBody; a character outside 63..126 InvalidChar, naming the
+ * first; n = 63 or n > MAX_VERTICES TooLarge. TypeError unless text is
+ * a str. */
+static PyObject *py_decode_graph6(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    static const char header[] = ">>graph6<<";
+    unsigned int rows[MAX_VERTICES] = {0};
+    PyObject *text, *out, *x;
+    Py_ssize_t len, i, nbits, need;
+    const void *data;
+    int kind, n, j, u;
+
+    if (!nargs_ok("decode_graph6", nargs, 1))
+        return NULL;
+    text = args[0];
+    if (!PyUnicode_Check(text)) {
+        PyErr_SetString(PyExc_TypeError, "decode_graph6() takes a str");
+        return NULL;
+    }
+    kind = PyUnicode_KIND(text);
+    data = PyUnicode_DATA(text);
+    len = PyUnicode_GET_LENGTH(text);
+    for (i = 0; i < len && header[i] && PyUnicode_READ(kind, data, i) == (Py_UCS4)header[i];)
+        i++;
+    if (!header[i]) {
+        PyErr_SetString(trailing_garbage, "graph6 format headers are not supported");
+        return NULL;
+    }
+    while (len && PyUnicode_READ(kind, data, len - 1) == '\n')
+        len--;
+    if (!len) {
+        PyErr_SetString(truncated_body, "empty graph6 word");
+        return NULL;
+    }
+    for (i = 0; i < len; i++) {
+        Py_UCS4 o = PyUnicode_READ(kind, data, i);
+
+        if (o < 63 || o > 126) {
+            PyErr_Format(invalid_char, "byte %u outside the graph6 range 63..126", (unsigned)o);
+            return NULL;
+        }
+    }
+    n = (int)PyUnicode_READ(kind, data, 0) - 63;
+    if (n == 63) {
+        PyErr_SetString(too_large, "multi-byte vertex counts (n > 62) are not supported");
+        return NULL;
+    }
+    if (n > MAX_VERTICES) {
+        PyErr_Format(too_large, "n=%d exceeds the %d-vertex cap", n, MAX_VERTICES);
+        return NULL;
+    }
+    nbits = n * (n - 1) / 2;
+    need = (nbits + 5) / 6;
+    if (len - 1 < need) {
+        PyErr_Format(truncated_body, "need %zd bit characters for n=%d, got %zd", need, n,
+                     len - 1);
+        return NULL;
+    }
+    if (len - 1 > need) {
+        PyErr_Format(trailing_garbage, "%zd extra characters after the adjacency bits",
+                     len - 1 - need);
+        return NULL;
+    }
+    if (need && (PyUnicode_READ(kind, data, need) - 63) & ((1u << (6 * need - nbits)) - 1)) {
+        PyErr_SetString(trailing_garbage, "nonzero padding bits");
+        return NULL;
+    }
+    /* bit k of the body, most significant first in each character, is the
+     * pair (u, j), u < j, of column-order index k = j(j-1)/2 + u */
+    u = 0;
+    j = 1;
+    for (i = 0; i < nbits; i++) {
+        if ((PyUnicode_READ(kind, data, 1 + i / 6) - 63) >> (5 - i % 6) & 1) {
+            rows[u] |= 1u << j;
+            rows[j] |= 1u << u;
+        }
+        if (++u == j) {
+            u = 0;
+            j++;
+        }
+    }
+    if ((out = PyTuple_New(n)) == NULL)
+        return NULL;
+    for (u = 0; u < n; u++) {
+        if ((x = PyLong_FromUnsignedLong(rows[u])) == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, u, x);
+    }
+    return out;
+}
+
+/* encode_graph6(rows, n): the short-form graph6 word of the graph with
+ * adjacency rows rows[0..n), canonical zero padding bits included; bit i
+ * of rows[j], i < j, is the pair (i, j). TooLarge for n > MAX_VERTICES,
+ * as the twin raises it; ValueError for a negative n or fewer than n
+ * rows, OverflowError for a row outside a C unsigned int. */
+static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    unsigned int rows[MAX_VERTICES];
+    char word[1 + (MAX_VERTICES * (MAX_VERTICES - 1) / 2 + 5) / 6];
+    int overflow, n, k = 0, bits = 0, acc = 0;
+    long long v;
+    PyObject *index;
+
+    if (!nargs_ok("encode_graph6", nargs, 2) || (index = PyNumber_Index(args[1])) == NULL)
+        return NULL;
+    v = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (v == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow > 0 || v > MAX_VERTICES) {
+        PyErr_Format(too_large, "n=%S exceeds the %d-vertex cap", args[1], MAX_VERTICES);
+        return NULL;
+    }
+    if (overflow < 0 || v < 0) {
+        PyErr_Format(PyExc_ValueError, "negative size %S", args[1]);
+        return NULL;
+    }
+    n = (int)v;
+    if (items_arg(args[0], n, 0, rows) < 0)
+        return NULL;
+    word[k++] = (char)(n + 63);
+    for (int j = 1; j < n; j++)
+        for (int i = 0; i < j; i++) {
+            acc = acc << 1 | (rows[j] >> i & 1);
+            if (++bits == 6) {
+                word[k++] = (char)(acc + 63);
+                acc = bits = 0;
+            }
+        }
+    if (bits)
+        word[k++] = (char)((acc << (6 - bits)) + 63);
+    return PyUnicode_DecodeASCII(word, k, NULL);
+}
+
+/* The magnitude bytes of the int c, whose magnitude is past 64 bits, as
+ * abs(c).to_bytes(L, "little") with the least L: a new reference, and
+ * ValueError when L > 255, as bytes((sign, L)) raises it in the twin. */
+static PyObject *wide_magnitude(PyObject *c)
+{
+    PyObject *mag = PyNumber_Absolute(c), *bits, *out = NULL;
+    Py_ssize_t blen;
+
+    if (mag == NULL)
+        return NULL;
+    if ((bits = PyObject_CallMethod(mag, "bit_length", NULL)) == NULL)
+        goto done;
+    blen = (PyLong_AsSsize_t(bits) + 7) / 8;
+    Py_DECREF(bits);
+    if (PyErr_Occurred())
+        goto done;
+    if (blen > 255)
+        PyErr_SetString(PyExc_ValueError, "bytes must be in range(0, 256)");
+    else
+        out = PyObject_CallMethod(mag, "to_bytes", "ns", blen, "little");
+done:
+    Py_DECREF(mag);
+    return out;
+}
+
+/* the sign and length bytes, then the least little-endian bytes, of the
+ * magnitude of v, at out (NULL: nothing written); returns how many */
+static Py_ssize_t put_coefficient(long long v, unsigned char *out)
+{
+    u64 mag = v < 0 ? 0 - (u64)v : (u64)v;
+    int blen = 0;
+
+    for (u64 rest = mag; rest; rest >>= 8)
+        blen++;
+    if (out != NULL) {
+        out[0] = v < 0;
+        out[1] = (unsigned char)blen;
+        for (int i = 0; i < blen; i++)
+            out[2 + i] = (unsigned char)(mag >> (8 * i));
+    }
+    return 2 + blen;
+}
+
+/* fingerprint(p, n, m, kind): the canonical bytes of the monic degree-n
+ * graph polynomial p (coefficients constant first), as the twin makes
+ * them for any ints: per coefficient c_(n-2) down to c_0, a sign byte, a
+ * length L and L little-endian magnitude bytes, the least L. Its checks
+ * and messages, in its order: DegreeMismatch unless p has n + 1
+ * coefficients and p[n] == 1, unless p[n-1] == 0, and unless p[n-2] is m
+ * for kind "perm" and -m otherwise. ValueError for a negative n, or a
+ * magnitude of more than 255 bytes; TypeError for p not a sequence, or a
+ * coefficient c_(n-2)..c_0 that is not an int. */
+static PyObject *py_fingerprint(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    PyObject *seq, **p, *want, *wide, *out = NULL;
+    Py_ssize_t len, size = 0;
+    long long n, v;
+    unsigned char *b = NULL;
+    int overflow, differs = 1;
+
+    if (!nargs_ok("fingerprint", nargs, 4)
+        || bounded_arg(args[1], 0, LLONG_MAX, "n", &n) < 0
+        || (seq = PySequence_Tuple(args[0])) == NULL) /* no comparison can resize it */
+        return NULL;
+    p = &PyTuple_GET_ITEM(seq, 0);
+    len = PyTuple_GET_SIZE(seq);
+    if (len - 1 == n && (differs = PyObject_RichCompareBool(p[n], one, Py_NE)) < 0)
+        goto fail;
+    if (differs) {
+        PyErr_Format(degree_mismatch, "expected a monic polynomial of degree %lld", n);
+        goto fail;
+    }
+    if (n >= 1 && (differs = PyObject_RichCompareBool(p[n - 1], zero, Py_NE))) {
+        if (differs > 0)
+            PyErr_SetString(degree_mismatch,
+                            "x^(n-1) coefficient must vanish for a graph polynomial");
+        goto fail;
+    }
+    if (n >= 2) {
+        if (PyUnicode_Check(args[3]) && PyUnicode_CompareWithASCIIString(args[3], "perm") == 0)
+            want = Py_NewRef(args[2]);
+        else if ((want = PyNumber_Negative(args[2])) == NULL)
+            goto fail;
+        differs = PyObject_RichCompareBool(p[n - 2], want, Py_NE);
+        Py_DECREF(want);
+        if (differs) {
+            if (differs > 0)
+                PyErr_Format(degree_mismatch, "x^(n-2) coefficient %S disagrees with m=%S (%S)",
+                             p[n - 2], args[2], args[3]);
+            goto fail;
+        }
+    }
+    /* twice over c_(n-2)..c_0: first the size and the checks, then the
+     * bytes */
+    for (int pass = 0; pass < 2; pass++) {
+        if (pass) {
+            if ((out = PyBytes_FromStringAndSize(NULL, size)) == NULL)
+                goto fail;
+            b = (unsigned char *)PyBytes_AS_STRING(out);
+        }
+        for (long long j = n - 2; j >= 0; j--) {
+            if (!PyLong_Check(p[j])) {
+                PyErr_SetString(PyExc_TypeError, "fingerprint() takes a sequence of ints");
+                goto fail;
+            }
+            v = PyLong_AsLongLongAndOverflow(p[j], &overflow);
+            if (v == -1 && PyErr_Occurred())
+                goto fail;
+            if (!overflow) {
+                Py_ssize_t k = put_coefficient(v, b);
+
+                if (b == NULL)
+                    size += k;
+                else
+                    b += k;
+                continue;
+            }
+            if ((wide = wide_magnitude(p[j])) == NULL)
+                goto fail;
+            if (b == NULL) {
+                size += 2 + PyBytes_GET_SIZE(wide);
+            } else {
+                *b++ = overflow < 0;
+                *b++ = (unsigned char)PyBytes_GET_SIZE(wide);
+                memcpy(b, PyBytes_AS_STRING(wide), PyBytes_GET_SIZE(wide));
+                b += PyBytes_GET_SIZE(wide);
+            }
+            Py_DECREF(wide);
+        }
+    }
+    Py_DECREF(seq);
+    return out;
+fail:
+    Py_XDECREF(out);
+    Py_DECREF(seq);
+    return NULL;
+}
+
 /* -------------------------------------------- merge, grouping and rows */
 
 static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
@@ -1437,6 +1736,9 @@ static PyMethodDef methods[] = {
           "The checked (fingerprint, graph6) records of a run of shard (n, m) that buf\n"
           "holds whole from pos, at most count: (records, pos, stop)."),
     ENTRY(render, "The text of the monic degree-n polynomial whose fingerprint is fp."),
+    ENTRY(decode_graph6, "The adjacency rows of one short-form graph6 word, as a tuple."),
+    ENTRY(encode_graph6, "The short-form graph6 word of adjacency rows of n vertices."),
+    ENTRY(fingerprint, "Canonical bytes for a monic degree-n graph polynomial."),
     ENTRY(merge_records,
           "K-way merge of sorted record iterators, as heapq.merge(*streams)."),
     ENTRY(group_sorted,
@@ -1455,8 +1757,18 @@ static int exec_module(PyObject *module)
     Py_XSETREF(too_large, PyObject_GetAttrString(errors, "TooLarge"));
     Py_XSETREF(duplicate_member, PyObject_GetAttrString(errors, "DuplicateMember"));
     Py_XSETREF(unsorted_run, PyObject_GetAttrString(errors, "UnsortedRun"));
+    Py_XSETREF(invalid_char, PyObject_GetAttrString(errors, "InvalidChar"));
+    Py_XSETREF(truncated_body, PyObject_GetAttrString(errors, "TruncatedBody"));
+    Py_XSETREF(trailing_garbage, PyObject_GetAttrString(errors, "TrailingGarbage"));
+    Py_XSETREF(degree_mismatch, PyObject_GetAttrString(errors, "DegreeMismatch"));
     Py_DECREF(errors);
-    if (too_large == NULL || duplicate_member == NULL || unsorted_run == NULL)
+    if (too_large == NULL || duplicate_member == NULL || unsorted_run == NULL
+        || invalid_char == NULL || truncated_body == NULL || trailing_garbage == NULL
+        || degree_mismatch == NULL)
+        return -1;
+    Py_XSETREF(zero, PyLong_FromLong(0));
+    Py_XSETREF(one, PyLong_FromLong(1));
+    if (zero == NULL || one == NULL)
         return -1;
     if (PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0)
         return -1;

@@ -5,12 +5,14 @@ semantics: graph-polynomial coefficients computed directly (Ryser's sum
 with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
 for isomorph rejection, Gray-code Ryser permanents and fraction-free
-Bareiss determinants of integer matrices, and the steps of a run-file
-merge: the record scanner, the k-way merge, the grouper, the
-fingerprint renderer and the report rows. Python integers never wrap, so
-the scalar kernels here are exact for any input; they agree with the
-compiled ones within the caller contract stated in _kernels.c. The run-file
-twins agree with them on every buffer and on every fingerprint a run
+Bareiss determinants of integer matrices, the graph6 decoder and encoder
+and the fingerprint encoder, and the steps of a run-file merge: the
+record scanner, the k-way merge, the grouper, the fingerprint renderer
+and the report rows. Python integers never wrap, so the scalar kernels
+here are exact for any input; they agree with the compiled ones within
+the caller contract stated in _kernels.c. The codecs agree with them on
+any str, on the rows of every graph of at most 32 vertices and on any
+sequence of ints, errors and messages included. The run-file twins agree with them on every buffer and on every fingerprint a run
 reader accepts; merge_records and group_sorted on every stream of
 (bytes, str) records, and family_rows on every (bytes, tuple of ASCII
 str) family of such fingerprints. Only the compiled ones check their
@@ -21,9 +23,18 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import DuplicateMember, UnsortedRun
+from .errors import (
+    DegreeMismatch,
+    DuplicateMember,
+    InvalidChar,
+    TooLarge,
+    TrailingGarbage,
+    TruncatedBody,
+    UnsortedRun,
+)
 
 BACKEND_NAME = "pure-python"
+MAX_VERTICES = 32  # the most vertices of a graph or run
 
 
 def permanent(entries, k: int) -> int:
@@ -236,9 +247,109 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     return out
 
 
+# ------------------------------------------------ graph6 and fingerprints
+
+def decode_graph6(text: str) -> tuple[int, ...]:
+    """The adjacency rows of one short-form graph6 word (n <= 32, no
+    format header)."""
+    if text.startswith(">>graph6<<"):
+        raise TrailingGarbage("graph6 format headers are not supported")
+    data = text.rstrip("\n")
+    if not data:
+        raise TruncatedBody("empty graph6 word")
+    for ch in data:
+        o = ord(ch)
+        if o < 63 or o > 126:
+            raise InvalidChar(f"byte {o} outside the graph6 range 63..126")
+    n = ord(data[0]) - 63
+    if n == 63:
+        raise TooLarge("multi-byte vertex counts (n > 62) are not supported")
+    if n > MAX_VERTICES:
+        raise TooLarge(f"n={n} exceeds the {MAX_VERTICES}-vertex cap")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    body = data[1:]
+    if len(body) < need:
+        raise TruncatedBody(f"need {need} bit characters for n={n}, got {len(body)}")
+    if len(body) > need:
+        raise TrailingGarbage(f"{len(body) - need} extra characters after the adjacency bits")
+
+    rows = [0] * n
+    i, j = 0, 1
+    idx = 0
+    for ch in body:
+        v = ord(ch) - 63
+        for shift in range(5, -1, -1):
+            bit = (v >> shift) & 1
+            if idx >= nbits:
+                if bit:
+                    raise TrailingGarbage("nonzero padding bits")
+                continue
+            if bit:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            idx += 1
+            i += 1
+            if i == j:
+                i = 0
+                j += 1
+    return tuple(rows)
+
+
+# the graph6 character of each 6-bit group, indexed by the group with its
+# first bit lowest
+_G6_CHARS = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
+_G6_GROUPS = [range(0, n * (n - 1) // 2, 6) for n in range(MAX_VERTICES + 1)]
+
+
+def encode_graph6(rows, n: int) -> str:
+    """The short graph6 form of adjacency rows of n vertices, with
+    canonical zero padding."""
+    if n > MAX_VERTICES:
+        raise TooLarge(f"n={n} exceeds the {MAX_VERTICES}-vertex cap")
+    # bit (i, j), i < j, of the upper triangle at position j(j-1)/2 + i
+    bits = 0
+    j = 0
+    for r in rows:
+        bits |= (r & ((1 << j) - 1)) << (j * (j - 1) >> 1)
+        j += 1
+    chars = _G6_CHARS
+    return chr(n + 63) + "".join([chars[bits >> s & 63] for s in _G6_GROUPS[n]])
+
+
+def _coefficient(c: int) -> bytes:
+    """The bytes of one fingerprint coefficient: sign, length, magnitude."""
+    mag = -c if c < 0 else c
+    blen = (mag.bit_length() + 7) // 8
+    return bytes((c < 0, blen)) + mag.to_bytes(blen, "little")
+
+
+# the bytes of each coefficient c with |c| < 256, at index c: a negative c
+# indexes from the end, so slot 256 is never read
+_SMALL = [*map(_coefficient, range(256)), b"", *map(_coefficient, range(-255, 0))]
+
+
+def fingerprint(p, n: int, m: int, kind: str) -> bytes:
+    """Canonical bytes for a monic degree-n graph polynomial.
+
+    Its x^(n-2) coefficient must be m for kind "perm" and -m for "char".
+    """
+    if len(p) != n + 1 or p[n] != 1:
+        raise DegreeMismatch(f"expected a monic polynomial of degree {n}")
+    if n >= 1 and p[n - 1] != 0:
+        raise DegreeMismatch("x^(n-1) coefficient must vanish for a graph polynomial")
+    if n >= 2:
+        want = m if kind == "perm" else -m
+        if p[n - 2] != want:
+            raise DegreeMismatch(
+                f"x^(n-2) coefficient {p[n - 2]} disagrees with m={m} ({kind})")
+    small = _SMALL
+    body = p[n - 2::-1] if n >= 2 else ()
+    return b"".join([small[c] if -256 < c < 256 else _coefficient(c) for c in body])
+
+
 # ------------------------------------------------------------- run files
 
-MAX_VERTICES = 32  # the most vertices of a graph or run
 _GRAPH6_BYTES = bytes(range(63, 127))
 
 

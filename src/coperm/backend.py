@@ -31,6 +31,9 @@ MAX_VERTICES = _impl.MAX_VERTICES  # the most vertices of a graph or run
 graph_poly = _impl.graph_poly
 canonical_form = _impl.canonical_form
 canonical_children = _impl.canonical_children
+decode_graph6 = _impl.decode_graph6
+encode_graph6 = _impl.encode_graph6
+fingerprint = _impl.fingerprint
 scan_records = _impl.scan_records
 render = _impl.render
 merge_records = _impl.merge_records

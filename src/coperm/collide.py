@@ -30,42 +30,19 @@ from contextlib import ExitStack, contextmanager
 
 from . import backend
 from .backend import MAX_VERTICES
-from .errors import DegreeMismatch, RunFormatError, UnsortedRun
+from .errors import RunFormatError, UnsortedRun
 
 RUN_MAGIC = b"CPRM"
 RUN_VERSION = 2
 _HEADER = struct.Struct("<4sHBHQ")  # magic, version, n, m, record count
 
 
-def _coefficient(c: int) -> bytes:
-    """The bytes of one fingerprint coefficient: sign, length, magnitude."""
-    mag = -c if c < 0 else c
-    blen = (mag.bit_length() + 7) // 8
-    return bytes((c < 0, blen)) + mag.to_bytes(blen, "little")
-
-
-# the bytes of each coefficient c with |c| < 256, at index c: a negative c
-# indexes from the end, so slot 256 is never read
-_SMALL = [*map(_coefficient, range(256)), b"", *map(_coefficient, range(-255, 0))]
-
-
 def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
-    """Canonical bytes for a monic degree-n graph polynomial.
-
-    Its x^(n-2) coefficient must be m for kind "perm" and -m for "char".
-    """
-    if len(p) != n + 1 or p[n] != 1:
-        raise DegreeMismatch(f"expected a monic polynomial of degree {n}")
-    if n >= 1 and p[n - 1] != 0:
-        raise DegreeMismatch("x^(n-1) coefficient must vanish for a graph polynomial")
-    if n >= 2:
-        want = m if kind == "perm" else -m
-        if p[n - 2] != want:
-            raise DegreeMismatch(
-                f"x^(n-2) coefficient {p[n - 2]} disagrees with m={m} ({kind})")
-    small = _SMALL
-    body = p[n - 2::-1] if n >= 2 else ()
-    return b"".join([small[c] if -256 < c < 256 else _coefficient(c) for c in body])
+    """Canonical bytes for a monic degree-n graph polynomial, from the
+    backend's encoder. DegreeMismatch unless p has n + 1 coefficients,
+    the top two 1 and 0, and its x^(n-2) one is m for kind "perm" and -m
+    for "char"."""
+    return backend.fingerprint(p, n, m, kind)
 
 
 # render(fp, n): the polynomial of a fingerprint as built by fingerprint()

@@ -1,5 +1,5 @@
-"""Simple-graph representation, graph6 codec, and the kernel calls on a
-graph: canonical labeling and the two graph polynomials.
+"""Simple-graph representation and the kernel calls on a graph: the
+graph6 codec, canonical labeling and the two graph polynomials.
 
 A graph is one adjacency bitmask per vertex: bit j of ``rows[i]`` is set
 when {i, j} is an edge. Vertex counts are capped at 32 so one row fits a
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import backend
-from .errors import InvalidChar, TooLarge, TrailingGarbage, TruncatedBody
+from .errors import TooLarge
 
 MAX_VERTICES = backend.MAX_VERTICES  # 32
 CANONICAL_MAX = 10  # backtracking canonical search is exponential past this
@@ -38,73 +38,19 @@ Graph = namedtuple("Graph", "n rows")
 
 def edge_count(g: Graph) -> int:
     """Number of edges: half the total adjacency popcount."""
-    return sum(r.bit_count() for r in g.rows) // 2
+    return sum(map(int.bit_count, g.rows)) >> 1
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 word (n <= 32, no format header)."""
-    if text.startswith(">>graph6<<"):
-        raise TrailingGarbage("graph6 format headers are not supported")
-    data = text.rstrip("\n")
-    if not data:
-        raise TruncatedBody("empty graph6 word")
-    for ch in data:
-        o = ord(ch)
-        if o < 63 or o > 126:
-            raise InvalidChar(f"byte {o} outside the graph6 range 63..126")
-    n = ord(data[0]) - 63
-    if n == 63:
-        raise TooLarge("multi-byte vertex counts (n > 62) are not supported")
-    if n > MAX_VERTICES:
-        raise TooLarge(f"n={n} exceeds the {MAX_VERTICES}-vertex cap")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    body = data[1:]
-    if len(body) < need:
-        raise TruncatedBody(f"need {need} bit characters for n={n}, got {len(body)}")
-    if len(body) > need:
-        raise TrailingGarbage(f"{len(body) - need} extra characters after the adjacency bits")
-
-    rows = [0] * n
-    i, j = 0, 1
-    idx = 0
-    for ch in body:
-        v = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            bit = (v >> shift) & 1
-            if idx >= nbits:
-                if bit:
-                    raise TrailingGarbage("nonzero padding bits")
-                continue
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-            i += 1
-            if i == j:
-                i = 0
-                j += 1
-    return Graph(n, tuple(rows))
-
-
-# the graph6 character of each 6-bit group, indexed by the group with its
-# first bit lowest
-_G6_CHARS = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
-_G6_GROUPS = [range(0, n * (n - 1) // 2, 6) for n in range(MAX_VERTICES + 1)]
+    """Decode one short-form graph6 word (n <= 32, no format header); a
+    trailing newline is dropped."""
+    rows = backend.decode_graph6(text)
+    return Graph(len(rows), rows)
 
 
 def to_graph6(g: Graph) -> str:
     """Encode to the short graph6 form with canonical zero padding."""
-    if g.n > MAX_VERTICES:
-        raise TooLarge(f"n={g.n} exceeds the {MAX_VERTICES}-vertex cap")
-    # bit (i, j), i < j, of the upper triangle at position j(j-1)/2 + i
-    bits = 0
-    j = 0
-    for r in g.rows:
-        bits |= (r & ((1 << j) - 1)) << (j * (j - 1) >> 1)
-        j += 1
-    chars = _G6_CHARS
-    return chr(g.n + 63) + "".join([chars[bits >> s & 63] for s in _G6_GROUPS[g.n]])
+    return backend.encode_graph6(g.rows, g.n)
 
 
 def canonical_form(g: Graph) -> Graph:

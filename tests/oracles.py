@@ -1,7 +1,7 @@
 """Test-side reference implementations, kept independent of the package
 internals they check (among them the polynomial text and fingerprint
 decoder that the report renderer is checked against, the fingerprint
-encoder and graph6 bit loop that the table-driven ones are checked
+encoder and graph6 bit loop that both backends' encoders are checked
 against, and the stack walk that fixes the enumeration order), a graph
 builder from edge lists, and the run-reader chunk sizes, raw run-file
 writer and kernel switch the run-file tests use, and the fingerprints

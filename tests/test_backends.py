@@ -23,7 +23,14 @@ from coperm.backend import available_backends
 from coperm.cli import main
 from coperm.collide import FamilyRecord, persist_fingerprints
 from coperm.enumerate import enumerate_graphs
-from coperm.errors import TooLarge
+from coperm.errors import (
+    CopermError,
+    DegreeMismatch,
+    InvalidChar,
+    TooLarge,
+    TrailingGarbage,
+    TruncatedBody,
+)
 from coperm.graphs import Graph, to_graph6
 from coperm.pipeline import shard_records
 
@@ -35,6 +42,7 @@ from oracles import (
     char_matrix,
     fingerprint_bytes,
     from_values,
+    graph6_bits,
     graph_from_edges,
     merge_kernels_of,
     mul,
@@ -216,6 +224,111 @@ def test_render_agrees_on_random_coefficients():
             assert a.render(fp, n) == b.render(fp, n) == text(p), p
 
 
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc)
+
+
+def graph6_texts(rng):
+    """Text at every check of a graph6 decoder: headers, newlines,
+    characters outside 63..126 (non-ASCII ones too), n = 32, 33, 62 and
+    63, bodies short, long and of the one valid length, with random
+    padding bits, and random short strings."""
+    texts = ["", "\n", "\n\n", ">>graph6<<", ">>graph6<<A_", ">>graph6<<\n", ">>graph6",
+             "A_\n", "A_\n\n", "\nA_", "A\n_", "A_\r", " A_", "A_ ", "A\xe9", "\xe9", "A_\u20ac",
+             "\U0001f600A_", "A" + chr(62), "A" + chr(127), "~", "~??", "}", "?", "?\n", "@"]
+    for n in (*range(10), 31, 32, 33, 62, 63, 64):
+        need = (n * (n - 1) // 2 + 5) // 6
+        for k in range(max(need - 2, 0), need + 3):
+            for _ in range(4):
+                body = "".join(chr(rng.randint(63, 126)) for _ in range(k))
+                texts += [chr(63 + n) + body, chr(63 + n) + body + "\n"]
+    for _ in range(3000):
+        texts.append("".join(chr(rng.choice((rng.randint(0, 130), rng.randint(63, 126), 10, 0x20ac)))
+                             for _ in range(rng.randint(0, 12))))
+    return texts
+
+
+@needs_both
+def test_graph6_decoders_agree_on_any_text():
+    a = BACKENDS["compiled"]
+    b = BACKENDS["pure-python"]
+    seen = set()
+    for text in graph6_texts(random.Random(24)):
+        got = outcome(a.decode_graph6, text)
+        assert got == outcome(b.decode_graph6, text), text
+        seen.add(got[0] if got and isinstance(got[0], type) else tuple)
+    assert seen == {tuple, InvalidChar, TruncatedBody, TrailingGarbage, TooLarge}
+
+
+@needs_both
+def test_graph6_encoders_agree_up_to_32():
+    a = BACKENDS["compiled"]
+    b = BACKENDS["pure-python"]
+    rng = random.Random(25)
+    for n in range(33):
+        for _ in range(20):
+            g = graph_from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                     if rng.random() < rng.random()])
+            word = a.encode_graph6(g.rows, n)
+            assert word == b.encode_graph6(g.rows, n) == graph6_bits(g)
+            assert a.decode_graph6(word) == b.decode_graph6(word) == g.rows
+    assert outcome(a.encode_graph6, [0] * 33, 33) == outcome(b.encode_graph6, [0] * 33, 33) \
+        == (TooLarge, "n=33 exceeds the 32-vertex cap")
+
+
+def fingerprint_cases(rng):
+    """(p, n, m, kind): graph polynomials of every n <= 12 with
+    coefficients to 2**70 in magnitude, as tuples and lists, and each way
+    one fails a check: of the wrong degree, not monic, a nonzero x^(n-1)
+    coefficient, an x^(n-2) coefficient that is not m (perm) or -m (char),
+    or a magnitude past 255 bytes."""
+    edges = [0, 1, 2, 255, 256, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70]
+    cases = []
+    for _ in range(3000):
+        n, m, kind = rng.randint(0, 12), rng.randint(0, 66), rng.choice(("perm", "char"))
+        p = [rng.choice((1, -1)) * (rng.choice(edges) if rng.random() < 0.5
+                                    else rng.getrandbits(rng.randint(1, 70))) for _ in range(n + 1)]
+        p[n] = 1
+        if n >= 1:
+            p[n - 1] = 0
+        if n >= 2:
+            p[n - 2] = m if kind == "perm" else -m
+        fault = rng.randrange(8)
+        if fault == 0:
+            p = p[:-1] if rng.random() < 0.5 else p + [1]
+        elif fault == 1:
+            p[n] = rng.choice((0, -1, 2, 2**70))
+        elif fault == 2 and n >= 1:
+            p[n - 1] = rng.choice((1, -1, 2**70))
+        elif fault == 3 and n >= 2:
+            p[n - 2] += rng.choice((1, -1, 2**70))
+        elif fault == 4 and n >= 2:
+            p[rng.randrange(n - 1)] = rng.choice((1, -1)) * 2**2040
+        cases.append((tuple(p) if rng.random() < 0.5 else p, n, m, kind))
+    return cases
+
+
+@needs_both
+def test_fingerprints_agree_on_random_coefficients():
+    a = BACKENDS["compiled"]
+    b = BACKENDS["pure-python"]
+    seen = set()
+    for p, n, m, kind in fingerprint_cases(random.Random(26)):
+        got = outcome(a.fingerprint, p, n, m, kind)
+        assert got == outcome(b.fingerprint, p, n, m, kind), (p, n, m, kind)
+        if type(got) is bytes:
+            assert got == fingerprint_bytes(p, n)
+            seen.add("bytes")
+        else:
+            seen.add(got[1].split(" ")[0] if got[0] is DegreeMismatch else got)
+    assert seen == {"bytes", "expected", "x^(n-1)", "x^(n-2)",
+                    (ValueError, "bytes must be in range(0, 256)")}
+
+
 @pytest.mark.parametrize("streams", [0, 1, 2, 3, 7, 64, 4000])
 def test_merge_records_yields_the_records_of_heapq_merge(streams):
     # the same record objects in the same order: equal records, distinct
@@ -391,6 +504,18 @@ BAD_INPUT = [
     ("family_rows", ([], 3, 2, 1), TypeError),
     ("scan_records", (b"", 0, 1 << 63, 3, 2, None), ValueError),  # count past a long long
     ("family_rows", (5, 3, 2), TypeError),  # families not iterable
+    ("decode_graph6", (b"A_",), TypeError),  # bytes, not str
+    ("decode_graph6", (), TypeError),
+    ("encode_graph6", ([0] * 33, 33), TooLarge),
+    ("encode_graph6", ([0], -1), ValueError),
+    ("encode_graph6", ([0, 0], 3), ValueError),  # fewer rows than n
+    ("encode_graph6", ([1 << 32], 1), OverflowError),
+    ("encode_graph6", ([0], 1.0), TypeError),
+    ("fingerprint", ((1,), -1, 0, "perm"), ValueError),
+    ("fingerprint", (5, 0, 0, "perm"), TypeError),  # p not a sequence
+    ("fingerprint", ((1.0, 0, 1), 2, 1.0, "perm"), TypeError),  # c_0 not an int
+    ("fingerprint", ((2**2040, 0, 0, 1), 3, 0, "perm"), ValueError),  # c_0 past 255 bytes
+    ("fingerprint", ((1,), 0, 0), TypeError),
 ]
 
 
@@ -423,6 +548,9 @@ def leak_cases():
     records = sorted([(narrow, words[0]), (narrow, words[1]), (wide, words[2]),
                       (wide, words[2] + "\xe9")])
     listed = [narrow, words[2]]
+    # a degree-30 char polynomial with magnitudes past 64 bits, and one with
+    # a magnitude past 255 bytes
+    poly = [-(2**2039 + 5), 2**64, big[0], *[0] * 25, -300, 0, 1]
     return {
         "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
         "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
@@ -440,6 +568,10 @@ def leak_cases():
         "family_rows": (([(wide, tuple(words)), FamilyRecord(narrow, tuple(words[:2]))],
                          30, 300),
                         ([(wide, tuple(words)), (narrow, (words[0], "C\xe9"))], 30, 300)),
+        # a word that is not ASCII fails at its first such character
+        "decode_graph6": ((words[0],), (words[2] + "\xe9",)),
+        "encode_graph6": (((*big,), 3), ([*big[:2], -big[2]], 3)),
+        "fingerprint": ((poly, 30, 300, "char"), ([2**2040, *poly[1:]], 30, 300, "char")),
     }
 
 
@@ -475,7 +607,7 @@ def test_compiled_entry_points_hold_no_references(name):
     def failing():
         try:
             call(fn, bad)
-        except (ValueError, OverflowError, TypeError):
+        except (ValueError, OverflowError, TypeError, CopermError):
             return
         raise AssertionError("the bad arguments were accepted")
 

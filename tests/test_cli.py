@@ -623,7 +623,8 @@ def unused_modules() -> set[str]:
     unused = {"concurrent.futures", "dataclasses", "decimal", "hashlib", "multiprocessing",
               "pickle", "select", "signal"}
     if "compiled" in available_backends():
-        unused.add("coperm._purepy")  # loaded only as the fallback
+        # loaded only as the fallback, and only a build looks up the headers
+        unused |= {"coperm._purepy", "sysconfig"}
     return unused | CENSUS_MODULES
 
 

@@ -184,6 +184,8 @@ def test_to_graph6_equals_the_bit_loop(case):
     pairs = [(i, j) for j in range(n) for i in range(j)]
     g = graph_from_edges(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
     assert to_graph6(g) == graph6_bits(g)
+    # every backend's encoder, as a str of the same characters
+    assert "".join(kernels_agree("encode_graph6", lambda: (g.rows, n))[0]) == graph6_bits(g)
 
 
 @FUZZ
@@ -194,6 +196,59 @@ def test_parse_graph6_rejects_with_package_errors_only(text):
     except (Graph6Error, TooLarge):
         return
     assert to_graph6(g) == text.rstrip("\n")
+
+
+# -------------------------------------- the graph6 and fingerprint kernels
+
+@st.composite
+def graph6_texts(draw):
+    """Text near a graph6 word: a vertex-count character of n <= 64, a
+    body of about the length n needs, most characters in 63..126, maybe a
+    newline or a header around it; or any text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=90))
+    n = draw(st.integers(0, 64))
+    need = (n * (n - 1) // 2 + 5) // 6
+    size = max(need + draw(st.integers(-2, 2)), 0)
+    body = draw(st.lists(st.integers(63, 126) | st.integers(0, 0x10FFFF).filter(
+        lambda c: not 0xD800 <= c < 0xE000), min_size=size, max_size=size))
+    text = chr(63 + n) + "".join(map(chr, body))
+    return draw(st.sampled_from(["", ">>graph6<<", "\n"])) + text + draw(
+        st.sampled_from(["", "\n", "\n\n", " "]))
+
+
+@FUZZ
+@given(graph6_texts())
+def test_graph6_decoders_agree_on_any_text(text):
+    # the rows, or the exception's type and message
+    kernels_agree("decode_graph6", lambda: (text,))
+
+
+@st.composite
+def polynomials(draw):
+    """(p, n, m, kind): a graph polynomial of n <= 12 vertices with
+    coefficients to 2**70 in magnitude, maybe with one leading coefficient
+    changed, one more or one fewer."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 66))
+    kind = draw(st.sampled_from(["perm", "char"]))
+    p = draw(st.lists(st.integers(-(2**70), 2**70), min_size=n + 1, max_size=n + 1))
+    p[n] = 1
+    if n >= 1:
+        p[n - 1] = 0
+    if n >= 2:
+        p[n - 2] = m if kind == "perm" else -m
+    if draw(st.booleans()):
+        at = draw(st.integers(max(n - 2, 0), n))
+        p[at] += draw(st.sampled_from([1, -1, 2**70]))
+    p += draw(st.sampled_from([[], [1], [0]]))
+    return p if draw(st.booleans()) else tuple(p), n, m, kind
+
+
+@FUZZ
+@given(polynomials())
+def test_fingerprint_kernels_agree(case):
+    # the bytes, or DegreeMismatch with the same message
+    kernels_agree("fingerprint", lambda: case)
 
 
 # ------------------------------------ the merge, grouping and row kernels
