@@ -28,12 +28,12 @@ besides, merge scan_records, merge_records, group_sorted and family_rows
 alone, mates family_rows besides the census, and poly decode_graph6,
 encode_graph6, graph_poly, fingerprint and render. decode_graph6,
 encode_graph6 and fingerprint raise the package's errors with the
-twin's messages. merge_records and group_sorted are iterators that take
-only records that are (bytes, str) tuples;
-family_rows returns the rows of a list of families, each a tuple of
-bytes and a tuple of ASCII str, as one str. Any other item raises
-TypeError: in an iterator once the items before it are yielded, in
-family_rows before any row is written.
+twin's messages. merge_records, an iterator, and group_sorted, which
+returns a list of (fingerprint, members) tuples, take only records that
+are (bytes, str) tuples; family_rows returns the rows of a list of
+families, each a tuple of bytes and a tuple of ASCII str, as one str.
+Any other item raises TypeError: in merge_records once the items before
+it are yielded, in group_sorted and family_rows before they return.
 """
 
 from __future__ import annotations

@@ -7,14 +7,15 @@
  * a graph's rows and back, and fingerprint, the canonical bytes of a
  * graph polynomial; and the steps of a run-file merge: scan_records,
  * which cuts and checks the records a buffer holds, render, which writes
- * a fingerprint as report text, two iterators, merge_records (the k-way
- * merge of record streams) and group_sorted (their families), and
- * family_rows, which writes the report rows of a list of families as one
- * str. _core.py builds this file on first use against the running
- * interpreter's headers and loads it as an extension module. Each of the
- * thirteen entry points converts its arguments itself: a size past MAXK
- * raises TooLarge, a negative size or too few items ValueError, an item
- * outside its C type OverflowError, and a non-integer TypeError;
+ * a fingerprint as report text, merge_records, an iterator over the k-way
+ * merge of record streams, group_sorted, which returns the families of
+ * sorted records as a list, and family_rows, which writes the report rows
+ * of a list of families as one str. _core.py builds this file on first
+ * use against the running interpreter's headers and loads it as an
+ * extension module. Each of the thirteen entry points converts its
+ * arguments itself: a size past MAXK raises TooLarge, a negative size or
+ * too few items ValueError, an item outside its C type OverflowError, and
+ * a non-integer TypeError;
  * scan_records, render and family_rows raise ValueError for an n, m,
  * offset or count out of range or a fingerprint of the wrong length, and
  * TypeError for a buffer or fingerprint that is not bytes, so malformed
@@ -25,13 +26,13 @@
  * TruncatedBody, TrailingGarbage or TooLarge; encode_graph6 raises
  * TooLarge past MAX_VERTICES vertices; fingerprint compares the leading
  * coefficients as Python objects and raises DegreeMismatch, and takes
- * magnitudes past 64 bits through int.to_bytes. The
- * iterators and family_rows take only what the program passes them:
+ * magnitudes past 64 bits through int.to_bytes. merge_records,
+ * group_sorted and family_rows take only what the program passes them:
  * records that are 2-tuples of exact bytes and exact str, and families
- * that are tuples (or FamilyRecords) of bytes and a tuple of ASCII str.
- * On those they give what their pure-Python twins give, and they raise
- * TypeError at any other item: an iterator after yielding the items
- * before it, family_rows before writing any row.
+ * that are 2-tuples of bytes and a tuple of ASCII str. On those they give
+ * what their pure-Python twins give, and they raise TypeError at any
+ * other item: merge_records after yielding the items before it,
+ * group_sorted and family_rows before returning anything.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). The
@@ -596,15 +597,17 @@ static int bounded_arg(PyObject *obj, long long lo, long long hi, const char *na
     return 0;
 }
 
-/* whether the bytes a[0..alen) sort before b[0..blen); *equal is set when
- * they are the same bytes */
-static int bytes_before(const unsigned char *a, Py_ssize_t alen, const unsigned char *b,
-                        Py_ssize_t blen, int *equal)
+/* the sign of a - b for the bytes a[0..alen) and b[0..blen); the same
+ * bytes are equal at once, as are records of one fingerprint, which share
+ * its bytes object */
+static int bytes_cmp(const void *a, Py_ssize_t alen, const void *b, Py_ssize_t blen)
 {
-    int c = memcmp(a, b, alen < blen ? alen : blen);
+    int c;
 
-    *equal = c == 0 && alen == blen;
-    return c < 0 || (c == 0 && alen < blen);
+    if (a == b && alen == blen)
+        return 0;
+    c = memcmp(a, b, alen < blen ? alen : blen);
+    return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
 }
 
 /* scan_records(buf, pos, count, n, m, prev): the records of a run
@@ -624,11 +627,11 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
                                  Py_ssize_t nargs)
 {
     PyObject *buf, *prev, *last, *records, *fp, *g6, *rec, *out;
-    const unsigned char *b, *member, *lastb;
+    const unsigned char *b, *member;
     unsigned char lead[4];
     long long pos, count, n, m, read = 0;
-    Py_ssize_t size, lastlen, start, end, stop = 0, nbits, width, lead_len = 0;
-    int padding, bad, equal;
+    Py_ssize_t size, start, end, stop = 0, nbits, width, lead_len = 0;
+    int padding, bad, c;
     const char *why = NULL;
 
     if (!nargs_ok("scan_records", nargs, 6))
@@ -703,16 +706,13 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
             start = end + 1;
             break;
         }
-        equal = 0;
-        if (last != NULL) {
-            lastb = (const unsigned char *)PyBytes_AS_STRING(last);
-            lastlen = PyBytes_GET_SIZE(last);
-            if (bytes_before(b + start, end - start, lastb, lastlen, &equal)) {
-                why = "unsorted";
-                break;
-            }
+        c = last == NULL ? 1 : bytes_cmp(b + start, end - start, PyBytes_AS_STRING(last),
+                                         PyBytes_GET_SIZE(last));
+        if (c < 0) {
+            why = "unsorted";
+            break;
         }
-        if (equal) {
+        if (c == 0) {
             fp = last;
             Py_INCREF(fp);
         } else if ((fp = PyBytes_FromStringAndSize((const char *)b + start, end - start)) == NULL)
@@ -1204,33 +1204,9 @@ fail:
 
 static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
 
-/* The two iterators below yield what the generators of their twins in
- * _purepy yield, on the records the program makes: 2-tuples of exact bytes
- * and exact str. Any other item raises TypeError. Each takes its input's
- * iterator at its first next(), a next() call made while one runs raises
- * ValueError, and an error or the end finishes it, releasing its input. */
-
-static int enter(int *running)
-{
-    if (*running) {
-        PyErr_SetString(PyExc_ValueError, "generator already executing");
-        return -1;
-    }
-    *running = 1;
-    return 0;
-}
-
-/* the sign of a - b for the exact bytes a and b */
-static int bytes_cmp(PyObject *a, PyObject *b)
-{
-    Py_ssize_t alen = PyBytes_GET_SIZE(a), blen = PyBytes_GET_SIZE(b);
-    int c;
-
-    if (a == b) /* records of one fingerprint share its bytes */
-        return 0;
-    c = memcmp(PyBytes_AS_STRING(a), PyBytes_AS_STRING(b), alen < blen ? alen : blen);
-    return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
-}
+/* merge_records and group_sorted give what their twins in _purepy give, on
+ * the records the program makes: 2-tuples of exact bytes and exact str.
+ * Any other item raises TypeError. */
 
 /* the next item of it, a new reference: NULL at its end, and NULL with
  * TypeError for an item that is not a record */
@@ -1248,6 +1224,20 @@ static PyObject *next_record(PyObject *it, const char *name)
 }
 
 /* ------------------------------------------------------ merge_records */
+
+/* The iterator takes its streams' iterators at its first next(), a next()
+ * call made while one runs raises ValueError, and an error or the end
+ * finishes it, releasing its streams. */
+
+static int enter(int *running)
+{
+    if (*running) {
+        PyErr_SetString(PyExc_ValueError, "generator already executing");
+        return -1;
+    }
+    *running = 1;
+    return 0;
+}
 
 /* one stream in the heap: its current record, the stream, and its place
  * among the streams, which breaks ties as in heapq.merge */
@@ -1268,11 +1258,12 @@ typedef struct {
  * graph6 word, then by place */
 static int entry_lt(const struct entry *a, const struct entry *b)
 {
-    PyObject *x = a->value, *y = b->value;
-    int c = bytes_cmp(PyTuple_GET_ITEM(x, 0), PyTuple_GET_ITEM(y, 0));
+    PyObject *x = PyTuple_GET_ITEM(a->value, 0), *y = PyTuple_GET_ITEM(b->value, 0);
+    int c = bytes_cmp(PyBytes_AS_STRING(x), PyBytes_GET_SIZE(x), PyBytes_AS_STRING(y),
+                      PyBytes_GET_SIZE(y));
 
     if (c == 0)
-        c = PyUnicode_Compare(PyTuple_GET_ITEM(x, 1), PyTuple_GET_ITEM(y, 1));
+        c = PyUnicode_Compare(PyTuple_GET_ITEM(a->value, 1), PyTuple_GET_ITEM(b->value, 1));
     return c ? c < 0 : a->order < b->order;
 }
 
@@ -1432,213 +1423,96 @@ static PyObject *py_merge_records(PyObject *Py_UNUSED(module), PyObject *const *
 
 /* ------------------------------------------------------- group_sorted */
 
-typedef struct {
-    PyObject_HEAD
-    PyObject *records; /* the iterable, until the first next() */
-    PyObject *it;
-    PyObject *family; /* the FamilyRecord class */
-    PyObject *cur;    /* the fingerprint of the open family; NULL before one */
-    PyObject **members;
+/* the graph6 words of the open family, each a reference it holds */
+struct members {
+    PyObject **items;
     Py_ssize_t count, cap;
-    int running;
-} group_obj;
-
-static int group_clear(PyObject *op)
-{
-    group_obj *self = (group_obj *)op;
-
-    Py_CLEAR(self->records);
-    Py_CLEAR(self->it);
-    Py_CLEAR(self->family);
-    Py_CLEAR(self->cur);
-    for (; self->count > 0; self->count--)
-        Py_CLEAR(self->members[self->count - 1]);
-    PyMem_Free(self->members);
-    self->members = NULL;
-    self->cap = 0;
-    return 0;
-}
-
-static int group_traverse(PyObject *op, visitproc visit, void *arg)
-{
-    group_obj *self = (group_obj *)op;
-
-    Py_VISIT(self->records);
-    Py_VISIT(self->it);
-    Py_VISIT(self->family);
-    Py_VISIT(self->cur);
-    for (Py_ssize_t i = 0; i < self->count; i++)
-        Py_VISIT(self->members[i]);
-    return 0;
-}
-
-static void group_dealloc(PyObject *op)
-{
-    PyObject_GC_UnTrack(op);
-    group_clear(op);
-    PyObject_GC_Del(op);
-}
+};
 
 /* adds g6, a reference it takes, to the open family */
-static int add_member(group_obj *self, PyObject *g6)
+static int add_member(struct members *open, PyObject *g6)
 {
-    if (self->count == self->cap) {
-        Py_ssize_t cap = self->cap ? 2 * self->cap : 8;
-        PyObject **grown = PyMem_Resize(self->members, PyObject *, cap);
+    if (open->count == open->cap) {
+        Py_ssize_t cap = open->cap ? 2 * open->cap : 8;
+        PyObject **grown = PyMem_Resize(open->items, PyObject *, cap);
 
         if (grown == NULL) {
             Py_DECREF(g6);
             PyErr_NoMemory();
             return -1;
         }
-        self->members = grown;
-        self->cap = cap;
+        open->items = grown;
+        open->cap = cap;
     }
-    self->members[self->count++] = g6;
+    open->items[open->count++] = g6;
     return 0;
 }
 
-/* FamilyRecord(cur, tuple(members)), made as tuple.__new__ makes it, and
- * the open family emptied */
-static PyObject *close_family(group_obj *self)
+/* appends the family (fp, tuple(members)) to families, and empties the
+ * open family */
+static int close_family(PyObject *families, PyObject *fp, struct members *open)
 {
-    PyTypeObject *type = (PyTypeObject *)self->family;
-    PyObject *members = PyTuple_New(self->count), *rec;
+    PyObject *members = PyTuple_New(open->count), *family;
+    int err;
 
     if (members == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < self->count; i++)
-        PyTuple_SET_ITEM(members, i, self->members[i]);
-    self->count = 0;
-    if ((rec = type->tp_alloc(type, 2)) == NULL) {
-        Py_DECREF(members);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(rec, 0, Py_NewRef(self->cur));
-    PyTuple_SET_ITEM(rec, 1, members);
-    return rec;
+        return -1;
+    for (Py_ssize_t i = 0; i < open->count; i++)
+        PyTuple_SET_ITEM(members, i, open->items[i]);
+    open->count = 0;
+    family = PyTuple_Pack(2, fp, members);
+    Py_DECREF(members);
+    if (family == NULL)
+        return -1;
+    err = PyList_Append(families, family);
+    Py_DECREF(family);
+    return err;
 }
 
-/* the error for the member g6 of the open family unless it sorts above
- * the last one: DuplicateMember when equal, UnsortedRun when below */
-static int check_member(PyObject *g6, PyObject *last)
-{
-    int c = PyUnicode_Compare(g6, last);
-
-    if (c > 0)
-        return 0;
-    if (c == 0)
-        PyErr_Format(duplicate_member, "graph %R appears twice within one shard", g6);
-    else
-        PyErr_SetString(unsorted_run, "record stream is not sorted");
-    return -1;
-}
-
-/* the next family: the records of one fingerprint, each member above the
- * one before; a repeated pair raises DuplicateMember, any other step down
- * UnsortedRun */
-static PyObject *group_next(PyObject *op)
-{
-    group_obj *self = (group_obj *)op;
-    PyObject *rec, *out = NULL;
-    int c;
-
-    if (self->family == NULL || enter(&self->running) < 0)
-        return NULL; /* finished, or running */
-    if (self->it == NULL) {
-        self->it = PyObject_GetIter(self->records);
-        Py_CLEAR(self->records);
-        if (self->it == NULL)
-            goto fail;
-    }
-    while ((rec = next_record(self->it, "group_sorted")) != NULL) {
-        PyObject *fp = PyTuple_GET_ITEM(rec, 0), *g6 = PyTuple_GET_ITEM(rec, 1);
-
-        if (self->cur != NULL && (c = bytes_cmp(fp, self->cur)) <= 0) {
-            if (c < 0) {
-                PyErr_SetString(unsorted_run, "record stream is not sorted");
-                goto fail_rec;
-            }
-            if (check_member(g6, self->members[self->count - 1]) < 0)
-                goto fail_rec;
-        } else {
-            if (self->cur != NULL && (out = close_family(self)) == NULL)
-                goto fail_rec;
-            Py_XSETREF(self->cur, Py_NewRef(fp));
-        }
-        c = add_member(self, Py_NewRef(g6));
-        Py_DECREF(rec);
-        if (c < 0)
-            goto fail;
-        if (out != NULL) {
-            self->running = 0;
-            return out;
-        }
-    }
-    if (!PyErr_Occurred() && self->cur != NULL)
-        out = close_family(self);
-    group_clear(op);
-    self->running = 0;
-    return out;
-fail_rec:
-    Py_DECREF(rec);
-fail:
-    Py_XDECREF(out);
-    group_clear(op);
-    self->running = 0;
-    return NULL;
-}
-
-static PyTypeObject group_type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "coperm._core.group_sorted",
-    .tp_basicsize = sizeof(group_obj),
-    .tp_dealloc = group_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = group_traverse,
-    .tp_clear = group_clear,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = group_next,
-};
-
-/* group_sorted(records): an iterator over the FamilyRecords of a sorted
- * stream of (fingerprint, graph6) records, as collide.FamilyRecord
- * instances made without a call of that class. TypeError unless that
- * class is a tuple subclass of no fields of its own. */
+/* group_sorted(records): the families of an iterable of (fingerprint,
+ * graph6) records of one shard, each greater than the one before, as a
+ * list of (fingerprint, members) tuples in fingerprint order, members a
+ * tuple of the fingerprint's graph6 words. A repeated pair raises
+ * DuplicateMember and any other step down UnsortedRun. */
 static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *args,
                                  Py_ssize_t nargs)
 {
-    PyObject *collide, *family;
-    group_obj *self;
+    PyObject *it, *rec, *fp, *g6, *cur = NULL, *families;
+    struct members open = {NULL, 0, 0};
+    int c;
 
-    if (!nargs_ok("group_sorted", nargs, 1))
+    if (!nargs_ok("group_sorted", nargs, 1) || (it = PyObject_GetIter(args[0])) == NULL)
         return NULL;
-    /* looked up here: collide imports the kernels */
-    if ((collide = PyImport_ImportModule("coperm.collide")) == NULL)
-        return NULL;
-    family = PyObject_GetAttrString(collide, "FamilyRecord");
-    Py_DECREF(collide);
-    if (family == NULL)
-        return NULL;
-    if (!PyType_Check(family) || !PyType_IsSubtype((PyTypeObject *)family, &PyTuple_Type)
-        || ((PyTypeObject *)family)->tp_basicsize != PyTuple_Type.tp_basicsize) {
-        PyErr_SetString(PyExc_TypeError, "collide.FamilyRecord is not a plain tuple subclass");
-        Py_DECREF(family);
-        return NULL;
+    families = PyList_New(0);
+    while (families != NULL && (rec = next_record(it, "group_sorted")) != NULL) {
+        fp = PyTuple_GET_ITEM(rec, 0);
+        g6 = PyTuple_GET_ITEM(rec, 1);
+        c = cur == NULL ? 1 : bytes_cmp(PyBytes_AS_STRING(fp), PyBytes_GET_SIZE(fp),
+                                        PyBytes_AS_STRING(cur), PyBytes_GET_SIZE(cur));
+        if (c > 0) { /* the first record of a family */
+            c = cur == NULL ? 0 : close_family(families, cur, &open);
+            Py_XSETREF(cur, Py_NewRef(fp));
+        } else if (c < 0 || (c = PyUnicode_Compare(g6, open.items[open.count - 1])) <= 0) {
+            if (c == 0)
+                PyErr_Format(duplicate_member, "graph %R appears twice within one shard", g6);
+            else
+                PyErr_SetString(unsorted_run, "record stream is not sorted");
+            c = -1;
+        }
+        if (c >= 0)
+            c = add_member(&open, Py_NewRef(g6));
+        Py_DECREF(rec);
+        if (c < 0)
+            Py_CLEAR(families);
     }
-    if ((self = PyObject_GC_New(group_obj, &group_type)) == NULL) {
-        Py_DECREF(family);
-        return NULL;
-    }
-    self->records = Py_NewRef(args[0]);
-    self->it = NULL;
-    self->family = family;
-    self->cur = NULL;
-    self->members = NULL;
-    self->count = self->cap = 0;
-    self->running = 0;
-    PyObject_GC_Track(self);
-    return (PyObject *)self;
+    if (PyErr_Occurred() || (cur != NULL && close_family(families, cur, &open) < 0))
+        Py_CLEAR(families);
+    while (open.count > 0)
+        Py_DECREF(open.items[--open.count]);
+    PyMem_Free(open.items);
+    Py_XDECREF(cur);
+    Py_DECREF(it);
+    return families;
 }
 
 /* -------------------------------------------------------- family_rows */
@@ -1646,8 +1520,8 @@ static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *a
 /* family_rows(families, n, m): the text of the mates or merge report rows
  * of the (fingerprint, members) families of shard (n, m), one
  * "n\tm\tsize\tpolynomial\tmembers\n" each. Every family is checked
- * before any row is written: TypeError unless it is a tuple (or a
- * FamilyRecord) of bytes and a tuple of ASCII str, ValueError unless its
+ * before any row is written: TypeError unless it is a tuple of bytes
+ * and a tuple of ASCII str, ValueError unless its
  * bytes are a fingerprint of degree n. ValueError for an n or m out of
  * range. */
 static PyObject *py_family_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
@@ -1669,7 +1543,7 @@ static PyObject *py_family_rows(PyObject *Py_UNUSED(module), PyObject *const *ar
     /* room for each row: prefix, size and a tab, polynomial and a tab, and
      * each member with a space or the newline, or the newline alone */
     for (Py_ssize_t f = 0; f < count; f++) {
-        if (!PyTuple_Check(families[f]) || PyTuple_GET_SIZE(families[f]) != 2
+        if (!PyTuple_CheckExact(families[f]) || PyTuple_GET_SIZE(families[f]) != 2
             || !PyBytes_Check(fp = PyTuple_GET_ITEM(families[f], 0))
             || !PyTuple_CheckExact(members = PyTuple_GET_ITEM(families[f], 1)))
             goto wrong;
@@ -1742,8 +1616,8 @@ static PyMethodDef methods[] = {
     ENTRY(merge_records,
           "K-way merge of sorted record iterators, as heapq.merge(*streams)."),
     ENTRY(group_sorted,
-          "The FamilyRecords of a stream of (fingerprint, graph6) records of one shard,\n"
-          "each greater than the one before."),
+          "The (fingerprint, members) families, as a list, of the (fingerprint, graph6)\n"
+          "records of one shard, each greater than the one before."),
     ENTRY(family_rows, "The mates or merge report rows of families of shard (n, m), as text."),
     {NULL, NULL, 0, NULL},
 };
@@ -1770,7 +1644,7 @@ static int exec_module(PyObject *module)
     Py_XSETREF(one, PyLong_FromLong(1));
     if (zero == NULL || one == NULL)
         return -1;
-    if (PyType_Ready(&merge_type) < 0 || PyType_Ready(&group_type) < 0)
+    if (PyType_Ready(&merge_type) < 0)
         return -1;
     if (PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)
         return -1;

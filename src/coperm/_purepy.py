@@ -12,11 +12,13 @@ and the report rows. Python integers never wrap, so the scalar kernels
 here are exact for any input; they agree with the compiled ones within
 the caller contract stated in _kernels.c. The codecs agree with them on
 any str, on the rows of every graph of at most 32 vertices and on any
-sequence of ints, errors and messages included. The run-file twins agree with them on every buffer and on every fingerprint a run
-reader accepts; merge_records and group_sorted on every stream of
-(bytes, str) records, and family_rows on every (bytes, tuple of ASCII
-str) family of such fingerprints. Only the compiled ones check their
-other arguments, and reject other records and families with TypeError.
+sequence of ints, errors and messages included. The run-file twins agree
+with them on every buffer and on every fingerprint a run reader accepts;
+merge_records and group_sorted on every stream of (bytes, str) records,
+and family_rows on every (bytes, tuple of ASCII str) family of such
+fingerprints; each group_sorted returns a list of plain (fingerprint,
+members) tuples. Only the compiled ones check their other arguments, and
+reject other records and families with TypeError.
 """
 
 from __future__ import annotations
@@ -452,11 +454,12 @@ def merge_records(streams):
 
 
 def group_sorted(records):
-    """Streaming grouper over the records of one (n, m) shard, each greater
-    than the one before as a (fingerprint, graph6) pair: yields its
-    FamilyRecords in fingerprint order. An equal pair raises DuplicateMember,
-    a smaller one UnsortedRun."""
-    from .collide import FamilyRecord  # here: collide imports the kernels
+    """The families of the records of one (n, m) shard, each greater than
+    the one before as a (fingerprint, graph6) pair: a list of
+    (fingerprint, members) tuples in fingerprint order, members a tuple of
+    graph6 words. An equal pair raises DuplicateMember, a smaller one
+    UnsortedRun."""
+    families = []
     cur = None
     members: list[str] = []
     for fp, g6 in records:
@@ -470,11 +473,12 @@ def group_sorted(records):
         if cur is not None:
             if fp < cur:
                 raise UnsortedRun("record stream is not sorted")
-            yield FamilyRecord(cur, tuple(members))
+            families.append((cur, tuple(members)))
         cur = fp
         members = [g6]
     if cur is not None:
-        yield FamilyRecord(cur, tuple(members))
+        families.append((cur, tuple(members)))
+    return families
 
 
 def family_rows(families, n: int, m: int) -> str:

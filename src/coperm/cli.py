@@ -171,9 +171,9 @@ def _compare_rows(censuses):
         for shard in censuses[n]:
             # every graph of a shard lies in one perm family, so a graph
             # outside the perm families with a mate is a perm singleton
-            perm_mated = {g6 for fam in shard.families["perm"] for g6 in fam.members}
-            for fam in shard.families["char"]:
-                for g6 in fam.members:
+            perm_mated = {g6 for _, members in shard.families["perm"] for g6 in members}
+            for _, members in shard.families["char"]:
+                for g6 in members:
                     if g6 not in perm_mated:
                         yield f"{n}\t{shard.m}\t{g6}"
 
@@ -193,15 +193,42 @@ def cmd_fingerprint(args) -> None:
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
 
 
+def _until_error(records, failed):
+    """records, ended by the first package error or OSError, which is put
+    in failed."""
+    try:
+        yield from records
+    except (CopermError, OSError) as exc:
+        failed.append(exc)
+
+
 def _merge_text(runs):
     """The merge report, its header in the first write with the first rows,
-    so that a merge failing before they are made writes nothing."""
+    so that a merge failing before they are made writes nothing.
+
+    The merged records are grouped _EMIT_LINES at a time. The records of a
+    chunk's last fingerprint are carried into the next chunk, since their
+    family may go on there; the merge keeps fingerprints ascending, so they
+    need no check against the family before them. A read error is raised
+    only once the records read before it are grouped, so that a fault among
+    those, which the merge met first, is the one reported."""
     shard = []  # (n, m), which the merge reads from the run headers before any record
-    families = collide.group_sorted(collide.merge_sorted_runs(runs, shard.append))
-    chunks = (backend.family_rows(chunk, *shard[0]) for chunk in _chunks(families))
-    header = MATES_HEADER.replace("members", "members (all family sizes)")
-    yield header + "\n" + next(chunks, "")
-    yield from chunks
+    failed = []
+    records = _until_error(collide.merge_sorted_runs(runs, shard.append), failed)
+    head = MATES_HEADER.replace("members", "members (all family sizes)") + "\n"
+    held = []
+    while chunk := list(islice(records, _EMIT_LINES)):
+        held += chunk
+        last, cut = held[-1][0], len(held) - 1
+        while cut and held[cut - 1][0] == last:
+            cut -= 1
+        if cut and not failed:
+            yield head + backend.family_rows(collide.group_sorted(held[:cut]), *shard[0])
+            head, held = "", held[cut:]
+    families = collide.group_sorted(held)
+    if failed:
+        raise failed[0]
+    yield head + backend.family_rows(families, *shard[0])
 
 
 def cmd_merge(args) -> None:

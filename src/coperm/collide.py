@@ -51,14 +51,13 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
 render = backend.render
 
 
-# all graphs sharing one polynomial: fingerprint bytes, and a tuple of
-# graph6 members, sorted
-FamilyRecord = namedtuple("FamilyRecord", "fingerprint members")
-
-# group_sorted(records): the FamilyRecords, in fingerprint order, of the
+# group_sorted(records): the families, in fingerprint order, of the
 # (fingerprint bytes, graph6 str) tuples of one (n, m) shard, each greater
-# than the one before; an equal pair raises DuplicateMember, a smaller one
-# UnsortedRun, and any other item TypeError on the compiled kernels
+# than the one before, as a list. A family is all graphs sharing one
+# polynomial: a plain (fingerprint bytes, members) tuple, members the
+# tuple of their graph6 words, sorted. An equal pair raises
+# DuplicateMember, a smaller one UnsortedRun, and any other item
+# TypeError on the compiled kernels
 group_sorted = backend.group_sorted
 
 
@@ -66,18 +65,19 @@ group_sorted = backend.group_sorted
 ShardStats = namedtuple("ShardStats", "graphs distinct_polys with_mate max_family")
 
 
-def group_families(records) -> list[FamilyRecord]:
+def group_families(records) -> list[tuple[bytes, tuple[str, ...]]]:
     """Group (fingerprint, graph6) records of one shard into families.
 
     Order-insensitive: the same input multiset yields the same output,
     sorted by fingerprint bytes.
     """
+    # list(): perfbench's tracer hands group_sorted's families back one at a time
     return list(group_sorted(sorted(records)))
 
 
 def shard_stats(families) -> ShardStats:
     """Counting columns of one census row from all of its families."""
-    sizes = [len(f.members) for f in families]
+    sizes = [len(members) for _, members in families]
     with_mate = sum(s for s in sizes if s >= 2)
     return ShardStats(sum(sizes), len(sizes), with_mate, max(sizes, default=0))
 

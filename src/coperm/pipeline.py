@@ -33,7 +33,8 @@ from .graphs import Graph, canonical_form, char_poly, edge_count, perm_poly, to_
 
 
 # One shard's outcome: stats maps kind -> ShardStats, and families maps
-# kind -> the shard's FamilyRecords of two or more graphs.
+# kind -> the shard's families of two or more graphs, as group_sorted
+# makes them: (fingerprint, members) tuples.
 ShardResult = namedtuple("ShardResult", "n m stats families")
 
 
@@ -59,7 +60,7 @@ def compute_shard(n: int, m: int, kinds, graphs=None) -> ShardResult:
     for k in kinds:
         fams = group_families(recs.pop(k))
         stats[k] = shard_stats(fams)
-        families[k] = [f for f in fams if len(f.members) >= 2]
+        families[k] = [fam for fam in fams if len(fam[1]) >= 2]
     return ShardResult(n, m, stats, families)
 
 

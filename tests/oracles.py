@@ -51,7 +51,9 @@ ODD_RECORDS = [5, None, (KERNEL_FPS[0],), (KERNEL_FPS[0], "C?", 1), ("C?", "C?")
 # a family of the wrong shape or type, then members of one
 ODD_FAMILIES = [5, (KERNEL_FPS[0],), (KERNEL_FPS[0], ("C?",), 1), [KERNEL_FPS[1], ("CA",)],
                 ("C?", ("C?",)), *((KERNEL_FPS[0], members) for members in
-                                   (5, "CA", ["C?"], ("C?", 7), (b"C?",), ("C?", "C\xe9")))]
+                                   (5, "CA", ["C?"], ("C?", 7), (b"C?",), ("C?", "C\xe9"))),
+                # a tuple subclass
+                type("Family", (tuple,), {})((KERNEL_FPS[0], ("C?",)))]
 
 
 def members_out_of_order(records) -> list:
@@ -60,6 +62,20 @@ def members_out_of_order(records) -> list:
     records = sorted(records)
     i = next(i for i, (a, b) in enumerate(zip(records, records[1:])) if a[0] == b[0])
     records[i:i + 2] = records[i + 1], records[i]
+    return records
+
+
+def fault_at_a_chunk_edge(records, fault: str, lines: int) -> list:
+    """records sorted, with a fault between records i and i + 1 of one
+    family, where a merge that groups lines records at a time ends a chunk
+    after its first: "repeat" repeats record i, and "swap" swaps the two."""
+    records = sorted(records)
+    i = next(i for i in range(2 * lines - 1, len(records) - 1, lines)
+             if records[i][0] == records[i + 1][0])
+    if fault == "repeat":
+        records.insert(i + 1, records[i])
+    else:
+        records[i:i + 2] = records[i + 1], records[i]
     return records
 
 

@@ -88,7 +88,7 @@ def test_characteristic_comparison_n9(census9):
 def test_smallest_mates(census):
     fams = [(s.m, fam) for s in census[6] for fam in s.families["perm"]]
     ok = len(fams) == 3
-    ok &= all(len(fam.members) == 2 for _, fam in fams)
+    ok &= all(len(members) == 2 for _, (_, members) in fams)
     ok &= sorted(m for m, _ in fams) == [4, 4, 7]
     _report("smallest copermanental families at n = 6", ok)
 
@@ -202,7 +202,7 @@ def test_external_memory_equivalence(census, tmp_path):
             merged = list(group_sorted(merge_sorted_runs(paths)))
             ok &= merged == group_families(records)
             ok &= shard_stats(merged) == shard.stats["perm"]
-            ok &= [f for f in merged if len(f.members) >= 2] == shard.families["perm"]
+            ok &= [f for f in merged if len(f[1]) >= 2] == shard.families["perm"]
     _report("external merge equals in-memory grouping", ok)
 
 

@@ -21,7 +21,7 @@ import coperm
 from coperm import backend, cli, collide
 from coperm.backend import available_backends
 from coperm.cli import main
-from coperm.collide import FamilyRecord, persist_fingerprints
+from coperm.collide import persist_fingerprints
 from coperm.enumerate import enumerate_graphs
 from coperm.errors import (
     CopermError,
@@ -40,6 +40,7 @@ from oracles import (
     ODD_RECORDS,
     READER_CHUNKS,
     char_matrix,
+    fault_at_a_chunk_edge,
     fingerprint_bytes,
     from_values,
     graph6_bits,
@@ -49,6 +50,7 @@ from oracles import (
     perm_poly_symbolic,
     poly_from_fingerprint,
     random_graph,
+    raw_run,
     text,
 )
 
@@ -344,7 +346,7 @@ def test_merge_records_yields_the_records_of_heapq_merge(streams):
 
 
 @needs_both
-@pytest.mark.parametrize("name", ["merge_records", "group_sorted"])
+@pytest.mark.parametrize("name", ["merge_records"])
 def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
     # a next() of the kernel's iterator made from within its own next(),
     # here by the input's, fails as a running generator's does
@@ -359,7 +361,7 @@ def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
                 seen.append(str(exc))
             yield b"\0\0", "A_"
 
-        it = kernel([reenter()] if name == "merge_records" else reenter())
+        it = kernel([reenter()])
         assert len(list(it)) == 1
         assert seen == ["generator already executing"], impl.BACKEND_NAME
 
@@ -373,30 +375,30 @@ OUTSIDE_THE_CONTRACT = ([("merge_records", r) for r in ODD_RECORDS]
 @pytest.mark.parametrize("name, odd", OUTSIDE_THE_CONTRACT,
                          ids=[f"{name}-{i}" for i, (name, _) in enumerate(OUTSIDE_THE_CONTRACT)])
 def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
-    # the iterators: the items before the odd one, then TypeError, then
-    # nothing more; family_rows, a function: TypeError, wherever the odd
-    # family is
+    # the iterator merge_records: the items before the odd one, then
+    # TypeError, then nothing more; the functions group_sorted and
+    # family_rows: TypeError, wherever the odd item is
     core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
     records = [(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"), (KERNEL_FPS[1], "CA")]
     after = [(KERNEL_FPS[2], "Cw")]
-    if name == "family_rows":
-        families = list(twin.group_sorted(records + after))
-        for at in range(len(families) + 1):
+    if name != "merge_records":
+        items = records + after
+        if name == "family_rows":
+            items = twin.group_sorted(items)
+        for at in range(len(items) + 1):
+            spliced = [*items[:at], odd, *items[at:]]
             with pytest.raises(TypeError):
-                core.family_rows([*families[:at], odd, *families[at:]], 4, 2)
+                if name == "group_sorted":
+                    core.group_sorted(iter(spliced))
+                else:
+                    core.family_rows(spliced, 4, 2)
         return
-    families = list(twin.group_sorted(records))
-    if name == "merge_records":
-        it, want = core.merge_records([[*records, odd, *after]]), records
-    elif name == "group_sorted":
-        # a family leaves once the next one's first record is read, so the
-        # one open at the odd record is not yielded
-        it, want = core.group_sorted([*records, odd, *after]), families[:-1]
+    it = core.merge_records([[*records, odd, *after]])
     got = []
     with pytest.raises(TypeError):
         for item in it:
             got.append(item)
-    assert got == want
+    assert got == records
     assert list(it) == []
 
 
@@ -411,9 +413,9 @@ def oracle_merge_report(n, m, records) -> str:
 
 
 @needs_both
-def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path):
-    # every shard with n <= 8, of both kinds, split across 1 to 6 runs, one
-    # chunk of rows per family for one shard in three
+def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
+    # every shard with n <= 8, of both kinds, split across 1 to 6 runs,
+    # grouped 1, 2, 3 or 4096 records at a time
     rng = random.Random(21)
     report = tmp_path / "report.txt"
     for n in range(9):
@@ -426,9 +428,23 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path):
                 want = oracle_merge_report(n, m, records)
                 for impl in BACKENDS.values():
                     with merge_kernels_of(impl), \
-                            mock.patch.object(cli, "_EMIT_LINES", rng.choice((1, 4096))):
+                            mock.patch.object(cli, "_EMIT_LINES", rng.choice((1, 2, 3, 4096))):
                         assert main(["merge", *runs, "--out", str(report)]) == 0
                     assert report.read_text() == want, (n, m, kind, impl.BACKEND_NAME)
+    # a repeated pair, and two members out of order, across a chunk edge
+    records = shard_records(6, 6, ("char",))["char"]
+    run = tmp_path / "faulty.run"
+    for fault, lines in itertools.product(("repeat", "swap"), (1, 2, 3)):
+        faulty = fault_at_a_chunk_edge(records, fault, lines)
+        run.write_bytes(raw_run(6, 6, faulty))
+        i = next(i for i, (a, b) in enumerate(zip(faulty, faulty[1:])) if a >= b)
+        want = (f"graph {faulty[i][1]!r} appears twice within one shard" if fault == "repeat"
+                else "record stream is not sorted")
+        for impl in BACKENDS.values():
+            with merge_kernels_of(impl), mock.patch.object(cli, "_EMIT_LINES", lines):
+                assert main(["merge", str(run), "--out", str(report)]) == 3
+            assert capsys.readouterr().err == f"coperm: {want}\n", (fault, lines)
+            assert not report.exists()
 
 
 @needs_both
@@ -563,10 +579,9 @@ def leak_cases():
         "merge_records": (([records[::2], records[1::2], []],),
                           ([records[::2], [*records[1::2], listed]],)),
         "group_sorted": ((records,), ([*records, listed],)),
-        # two rows, the second of a FamilyRecord; rows that fail at a member
-        # that is not ASCII, after a family that passed its checks
-        "family_rows": (([(wide, tuple(words)), FamilyRecord(narrow, tuple(words[:2]))],
-                         30, 300),
+        # two rows; rows that fail at a member that is not ASCII, after a
+        # family that passed its checks
+        "family_rows": (([(wide, tuple(words)), (narrow, tuple(words[:2]))], 30, 300),
                         ([(wide, tuple(words)), (narrow, (words[0], "C\xe9"))], 30, 300)),
         # a word that is not ASCII fails at its first such character
         "decode_graph6": ((words[0],), (words[2] + "\xe9",)),

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -15,7 +16,15 @@ from coperm.cli import main, mate_fraction
 from coperm.collide import _HEADER, fingerprint, persist_fingerprints
 from coperm.enumerate import BUILTIN_MAX
 from coperm.graphs import char_poly, edge_count, parse_graph6, perm_poly, to_graph6
-from oracles import graph_from_edges, members_out_of_order, permute, raw_run, text
+from oracles import (
+    fault_at_a_chunk_edge,
+    graph_from_edges,
+    members_out_of_order,
+    merge_kernels_of,
+    permute,
+    raw_run,
+    text,
+)
 from tables import GRAPH_COUNTS
 
 
@@ -262,6 +271,21 @@ def test_merge_failing_after_rows_leaves_no_out_file(tmp_path, capsys, monkeypat
     assert code == 3 and "appears twice" in err
     assert sizes and sizes[0] > 0
     assert not out.exists()
+    # a repeated pair, or two members out of order, across the edge of a
+    # chunk after the first, whose rows were written
+    records = pipeline.shard_records(6, 6, ("char",))["char"]
+    faulty = tmp_path / "faulty.run"
+    for impl in available_backends().values():
+        with merge_kernels_of(impl):
+            for fault, lines in itertools.product(("repeat", "swap"), (1, 2, 3)):
+                faulty.write_bytes(raw_run(6, 6, fault_at_a_chunk_edge(records, fault, lines)))
+                monkeypatch.setattr(cli, "_EMIT_LINES", lines)
+                sizes.clear()
+                code, _, err = run(capsys, "merge", str(faulty), "--out", str(out))
+                assert code == 3
+                assert ("appears twice" if fault == "repeat" else "not sorted") in err
+                assert sizes and sizes[0] > 0, (fault, lines, impl.BACKEND_NAME)
+                assert not out.exists()
 
 
 def test_failing_merge_keeps_a_symlink_out(tmp_path, capsys):

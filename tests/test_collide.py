@@ -6,7 +6,6 @@ from coperm import backend, collide
 from coperm.backend import available_backends
 from coperm.cli import main
 from coperm.collide import (
-    FamilyRecord,
     ShardStats,
     fingerprint,
     group_families,
@@ -115,8 +114,8 @@ THREE_RECORDS = [
 def test_group_families_basic():
     records = _shard(THREE_RECORDS)
     fams = group_families(records)
-    assert [len(f.members) for f in fams] == [2, 1]
-    assert fams[0].members == ("BW", "Bg")  # lexicographically sorted
+    assert [len(members) for _, members in fams] == [2, 1]
+    assert fams[0][1] == ("BW", "Bg")  # lexicographically sorted
 
 
 def test_group_families_order_insensitive():
@@ -139,20 +138,25 @@ def test_shard_stats():
     s = shard_stats(group_families(_shard(THREE_RECORDS)))
     assert s == ShardStats(graphs=3, distinct_polys=2, with_mate=2, max_family=2)
 
-    fam3 = [FamilyRecord(fingerprint((1, 0, 1), 2, 1), ("A", "B", "C"))]
+    fam3 = [(fingerprint((1, 0, 1), 2, 1), ("A", "B", "C"))]
     assert shard_stats(fam3) == ShardStats(3, 1, 3, 3)
     assert shard_stats([]) == ShardStats(0, 0, 0, 0)
 
 
 def test_shard_accounting_identity(census):
-    for shards in census.values():
+    # and the families, as a worker sends them too: plain tuples of bytes
+    # and a tuple of str
+    forked = run_census(range(8), ("perm", "char"), workers=2)
+    for shards in [*census.values(), *forked.values()]:
         for shard in shards:
             for kind in ("perm", "char"):
                 st = shard.stats[kind]
                 held = shard.families[kind]
+                assert all(type(f) is tuple and type(f[0]) is bytes and type(f[1]) is tuple
+                           for f in held)
                 # a shard holds only its families with a mate
-                assert all(len(f.members) >= 2 for f in held)
-                assert st.with_mate == sum(len(f.members) for f in held)
+                assert all(len(members) >= 2 for _, members in held)
+                assert st.with_mate == sum(len(members) for _, members in held)
                 assert st.with_mate == st.graphs - st.distinct_polys + len(held)
 
 
@@ -181,7 +185,7 @@ def _records_n6_m4():
 def test_group_families_matches_published_n6_m4():
     fams = group_families(_records_n6_m4())
     assert len(fams) == 7
-    assert sorted(len(f.members) for f in fams) == [1, 1, 1, 1, 1, 2, 2]
+    assert sorted(len(members) for _, members in fams) == [1, 1, 1, 1, 1, 2, 2]
 
 
 def test_run_file_round_trip(tmp_path, reader_chunks):

@@ -13,7 +13,7 @@ import pytest
 from coperm import backend, collide
 from coperm.backend import available_backends
 from coperm.cli import main
-from coperm.collide import FamilyRecord, fingerprint, merge_sorted_runs, persist_fingerprints
+from coperm.collide import fingerprint, merge_sorted_runs, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
 from coperm.errors import CopermError, Graph6Error, TooLarge
 from coperm.graphs import MAX_VERTICES, parse_graph6, perm_poly, to_graph6
@@ -274,12 +274,11 @@ def record_streams(draw):
 
 @st.composite
 def families(draw):
-    """(fingerprint, members) families, as tuples or FamilyRecords."""
+    """(fingerprint, members) families, as plain tuples."""
     out = []
     for _ in range(draw(st.integers(0, 9))):
         members = tuple(draw(st.lists(st.sampled_from(KERNEL_WORDS), min_size=1, max_size=4)))
-        make = draw(st.sampled_from([tuple, FamilyRecord._make]))
-        out.append(make((draw(st.sampled_from(KERNEL_FPS)), members)))
+        out.append((draw(st.sampled_from(KERNEL_FPS)), members))
     return out
 
 
