@@ -12,10 +12,12 @@
  * sorted records as a list, and family_rows, which writes the report rows
  * of a list of families as one str. _core.py builds this file on first
  * use against the running interpreter's headers and loads it as an
- * extension module. Each of the thirteen entry points converts its
- * arguments itself: a size past MAXK raises TooLarge, a negative size or
- * too few items ValueError, an item outside its C type OverflowError, and
- * a non-integer TypeError;
+ * extension module. A graph is its rows tuple, a tuple of n ints (see
+ * rows_tuple): canonical_form and decode_graph6 return one, and
+ * canonical_children a list of them. Each of the thirteen entry points
+ * converts its arguments itself: a size past MAXK raises TooLarge, a
+ * negative size or too few items ValueError, an item outside its C type
+ * OverflowError, and a non-integer TypeError;
  * scan_records, render and family_rows raise ValueError for an n, m,
  * offset or count out of range or a fingerprint of the wrong length, and
  * TypeError for a buffer or fingerprint that is not bytes, so malformed
@@ -324,10 +326,9 @@ static int size_arg(PyObject *obj, int extra, int *out)
 
     if (index == NULL)
         return -1;
+    /* sets no error on an exact int, which PyNumber_Index returns */
     v = PyLong_AsLongLongAndOverflow(index, &overflow);
     Py_DECREF(index);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
     if (overflow > 0 || v > MAXK - extra) {
         PyErr_Format(too_large, "compiled kernels support sizes <= %d, got %S%s",
                      MAXK, obj, extra ? " + 1" : "");
@@ -459,22 +460,36 @@ static PyObject *py_determinant(PyObject *Py_UNUSED(module), PyObject *const *ar
     return matrix_kernel("determinant", args, nargs, 0);
 }
 
-/* A new list of the n ints v[0..n), read as C unsigned ints (wide = 0) or
- * as signed 64-bit residues (wide = 1). */
-static PyObject *int_list(const void *v, int n, int wide)
+/* A new list of the n ints v[0..n), read as signed 64-bit residues. */
+static PyObject *int_list(const u64 *v, int n)
 {
     PyObject *out = PyList_New(n), *x;
 
     if (out == NULL)
         return NULL;
     for (int i = 0; i < n; i++) {
-        x = wide ? PyLong_FromLongLong((long long)((const u64 *)v)[i])
-                 : PyLong_FromUnsignedLong(((const unsigned int *)v)[i]);
-        if (x == NULL) {
+        if ((x = PyLong_FromLongLong((long long)v[i])) == NULL) {
             Py_DECREF(out);
             return NULL;
         }
         PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+/* The rows tuple of a graph: a new tuple of the n ints rows[0..n). */
+static PyObject *rows_tuple(const unsigned int *rows, int n)
+{
+    PyObject *out = PyTuple_New(n), *x;
+
+    if (out == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        if ((x = PyLong_FromUnsignedLong(rows[i])) == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, i, x);
     }
     return out;
 }
@@ -498,10 +513,10 @@ static PyObject *py_graph_poly(PyObject *Py_UNUSED(module), PyObject *const *arg
         perm_poly(rows, n, acc);
     else
         char_poly(rows, n, acc);
-    return int_list(acc, n + 1, 1);
+    return int_list(acc, n + 1);
 }
 
-/* canonical_form(rows, n): adjacency rows of the minimum-lex relabeling */
+/* canonical_form(rows, n): the rows tuple of the minimum-lex relabeling */
 static PyObject *py_canonical_form(PyObject *Py_UNUSED(module), PyObject *const *args,
                                    Py_ssize_t nargs)
 {
@@ -519,7 +534,7 @@ static PyObject *py_canonical_form(PyObject *Py_UNUSED(module), PyObject *const 
                 out[i] |= 1u << j;
                 out[j] |= 1u << i;
             }
-    return int_list(out, n, 0);
+    return rows_tuple(out, n);
 }
 
 /* canonical_children(rows, k, lo, hi): the rows of every canonical
@@ -530,7 +545,7 @@ static PyObject *py_canonical_children(PyObject *Py_UNUSED(module), PyObject *co
 {
     unsigned int rows[MAXK], child[MAXK], targets[MAXK];
     int perm[MAXK], size, k, lo, hi;
-    PyObject *out, *tuple, *x;
+    PyObject *out, *tuple;
 
     if (!nargs_ok("canonical_children", nargs, 4) || size_arg(args[1], 1, &size) < 0
         || int_arg(args[2], &lo) < 0 || int_arg(args[3], &hi) < 0)
@@ -548,15 +563,8 @@ static PyObject *py_canonical_children(PyObject *Py_UNUSED(module), PyObject *co
         targets_of(child, k + 1, targets);
         if (smaller_exists(child, k + 1, targets, perm, 0, 0))
             continue;
-        if ((tuple = PyTuple_New(k + 1)) == NULL)
+        if ((tuple = rows_tuple(child, k + 1)) == NULL)
             goto fail;
-        for (int i = 0; i <= k; i++) {
-            if ((x = PyLong_FromUnsignedLong(child[i])) == NULL) {
-                Py_DECREF(tuple);
-                goto fail;
-            }
-            PyTuple_SET_ITEM(tuple, i, x);
-        }
         if (PyList_Append(out, tuple) < 0) {
             Py_DECREF(tuple);
             goto fail;
@@ -585,10 +593,8 @@ static int bounded_arg(PyObject *obj, long long lo, long long hi, const char *na
 
     if (index == NULL)
         return -1;
-    v = PyLong_AsLongLongAndOverflow(index, &overflow);
+    v = PyLong_AsLongLongAndOverflow(index, &overflow); /* sets no error: see size_arg */
     Py_DECREF(index);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
     if (overflow || v < lo || v > hi) {
         PyErr_Format(PyExc_ValueError, "%s must lie in %lld..%lld, got %S", name, lo, hi, obj);
         return -1;
@@ -930,7 +936,7 @@ static PyObject *py_decode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
 {
     static const char header[] = ">>graph6<<";
     unsigned int rows[MAX_VERTICES] = {0};
-    PyObject *text, *out, *x;
+    PyObject *text;
     Py_ssize_t len, i, nbits, need;
     const void *data;
     int kind, n, j, u;
@@ -1004,16 +1010,7 @@ static PyObject *py_decode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
             j++;
         }
     }
-    if ((out = PyTuple_New(n)) == NULL)
-        return NULL;
-    for (u = 0; u < n; u++) {
-        if ((x = PyLong_FromUnsignedLong(rows[u])) == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(out, u, x);
-    }
-    return out;
+    return rows_tuple(rows, n);
 }
 
 /* encode_graph6(rows, n): the short-form graph6 word of the graph with
@@ -1602,7 +1599,7 @@ static PyMethodDef methods[] = {
     ENTRY(permanent, "Permanent of a k x k matrix given as a flat row-major list."),
     ENTRY(determinant, "Determinant by fraction-free elimination; every division is exact."),
     ENTRY(graph_poly, "Coefficients (constant first) of per/det(xI - A) for adjacency rows."),
-    ENTRY(canonical_form, "Adjacency rows of the minimum-lex relabeling of the graph."),
+    ENTRY(canonical_form, "The rows tuple of the minimum-lex relabeling of the graph."),
     ENTRY(canonical_children,
           "Rows of each canonical extension by a new vertex k with neighbour set S,\n"
           "lo <= |S| <= hi: one tuple per child, in decreasing order of S."),

@@ -17,8 +17,9 @@ with them on every buffer and on every fingerprint a run reader accepts;
 merge_records and group_sorted on every stream of (bytes, str) records,
 and family_rows on every (bytes, tuple of ASCII str) family of such
 fingerprints; each group_sorted returns a list of plain (fingerprint,
-members) tuples. Only the compiled ones check their other arguments, and
-reject other records and families with TypeError.
+members) tuples, and canonical_form and decode_graph6 a rows tuple.
+Only the compiled ones check their other arguments, and reject other
+records and families with TypeError.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def _is_canonical(rows, n: int) -> bool:
     return not smaller(0, 0)
 
 
-def canonical_form(rows, n: int) -> list[int]:
-    """Adjacency rows of the minimum-lex relabeling of the graph."""
+def canonical_form(rows, n: int) -> tuple[int, ...]:
+    """The rows tuple of the minimum-lex relabeling of the graph."""
     best = _targets(rows, n)
     perm = [0] * n
     cur = [0] * n
@@ -228,7 +229,7 @@ def canonical_form(rows, n: int) -> list[int]:
             if (c >> (j - 1 - i)) & 1:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
-    return out
+    return tuple(out)
 
 
 def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:

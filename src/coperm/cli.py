@@ -120,13 +120,13 @@ def cmd_enumerate(args) -> None:
 def cmd_poly(args) -> None:
     from .graphs import char_poly, edge_count, parse_graph6, perm_poly, to_graph6
 
-    g = parse_graph6(args.graph6)
-    m = edge_count(g)
-    lines = [f"graph\t{to_graph6(g)}\tn={g.n}\tm={m}"]
+    rows = parse_graph6(args.graph6)
+    n, m = len(rows), edge_count(rows)
+    lines = [f"graph\t{to_graph6(rows)}\tn={n}\tm={m}"]
     kinds = ("perm", "char") if args.kind == "both" else (args.kind,)
     for kind in kinds:
-        p = perm_poly(g) if kind == "perm" else char_poly(g)
-        text = collide.render(collide.fingerprint(p, g.n, m, kind), g.n)
+        p = perm_poly(rows) if kind == "perm" else char_poly(rows)
+        text = collide.render(collide.fingerprint(p, n, m, kind), n)
         lines.append(f"{kind}\t{list(p)}\t{text}")
     _emit(lines, args.out)
 

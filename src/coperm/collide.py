@@ -110,15 +110,11 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
     removes it (see output_file).
     """
     recs = sorted(records)
-    for _ in group_sorted(recs):  # checked before the file is opened
-        pass
+    group_sorted(recs)  # checked before the file is opened
+    data = b"".join([_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)),
+                     *(fp + bytes([len(g6)]) + g6.encode("ascii") for fp, g6 in recs)])
     with output_file(path, "wb") as fh:
-        fh.write(_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)))
-        for fp, g6 in recs:
-            raw = g6.encode("ascii")
-            fh.write(fp)
-            fh.write(bytes([len(raw)]))
-            fh.write(raw)
+        fh.write(data)
     return len(recs)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import backend
 from .errors import DecodeError, Graph6Error, TooLarge
-from .graphs import Graph, parse_graph6
+from .graphs import parse_graph6
 
 BUILTIN_MAX = 9
 
@@ -38,18 +38,17 @@ def _level(k: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _walk(n: int, m: int | None):
-    """The canonical n-vertex graphs, with exactly m edges unless m is
-    None, in walk order."""
+    """The rows of the canonical n-vertex graphs, with exactly m edges
+    unless m is None, in walk order."""
     if n == 0:
-        yield Graph(0, ())
+        yield ()
         return
     k = n - 1
     children = backend.canonical_children
     for rows, e in _level(k):
         lo, hi = (0, k) if m is None else (m - e, m - e)
         if 0 <= hi and lo <= k:
-            for child in children(rows, k, lo, hi):
-                yield Graph(n, child)
+            yield from children(rows, k, lo, hi)
 
 
 def check_builtin(n: int) -> None:
@@ -59,13 +58,13 @@ def check_builtin(n: int) -> None:
 
 
 def enumerate_graphs(n: int):
-    """One representative per isomorphism class on n vertices."""
+    """The rows of one representative per isomorphism class on n vertices."""
     check_builtin(n)
     return _walk(n, None)
 
 
 def enumerate_by_edges(n: int, m: int):
-    """One representative per isomorphism class with exactly m edges."""
+    """The rows of one representative per class with exactly m edges."""
     check_builtin(n)
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"m={m} outside 0..{n * (n - 1) // 2} for n={n}")
@@ -73,7 +72,7 @@ def enumerate_by_edges(n: int, m: int):
 
 
 def ingest_graph6(path):
-    """Decode a graph6 file, one graph per line, in file order.
+    """The rows of a graph6 file's graphs, one graph per line, in file order.
 
     Blank lines are skipped; no deduplication happens here. Malformed
     lines, non-ASCII bytes included, raise DecodeError carrying the line

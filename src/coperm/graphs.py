@@ -1,7 +1,8 @@
 """Simple-graph representation and the kernel calls on a graph: the
 graph6 codec, canonical labeling and the two graph polynomials.
 
-A graph is one adjacency bitmask per vertex: bit j of ``rows[i]`` is set
+A graph is its rows, the tuple the kernels make and take: one adjacency
+bitmask per vertex, so n is len(rows), and bit j of ``rows[i]`` is set
 when {i, j} is an edge. Vertex counts are capped at 32 so one row fits a
 machine word in the compiled kernels.
 
@@ -22,8 +23,6 @@ adds +-x^k or 0), and 16! < 2**63.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from . import backend
 from .errors import TooLarge
 
@@ -32,43 +31,40 @@ CANONICAL_MAX = 10  # backtracking canonical search is exponential past this
 POLY_MAX = 12
 
 
-# n vertices; rows is a tuple of n adjacency bitmasks
-Graph = namedtuple("Graph", "n rows")
-
-
-def edge_count(g: Graph) -> int:
+def edge_count(rows: tuple[int, ...]) -> int:
     """Number of edges: half the total adjacency popcount."""
-    return sum(map(int.bit_count, g.rows)) >> 1
+    return sum(map(int.bit_count, rows)) >> 1
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 word (n <= 32, no format header); a
-    trailing newline is dropped."""
-    rows = backend.decode_graph6(text)
-    return Graph(len(rows), rows)
+# parse_graph6(text): the rows tuple of one short-form graph6 word
+# (n <= 32, no format header); a trailing newline is dropped
+parse_graph6 = backend.decode_graph6
 
 
-def to_graph6(g: Graph) -> str:
+def to_graph6(rows: tuple[int, ...]) -> str:
     """Encode to the short graph6 form with canonical zero padding."""
-    return backend.encode_graph6(g.rows, g.n)
+    return backend.encode_graph6(rows, len(rows))
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The minimum-lex representative of g's isomorphism class."""
-    if g.n > CANONICAL_MAX:
+def canonical_form(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimum-lex representative of the graph's isomorphism class."""
+    n = len(rows)
+    if n > CANONICAL_MAX:
         raise TooLarge(f"canonical labeling supports n <= {CANONICAL_MAX}")
-    return Graph(g.n, tuple(backend.canonical_form(g.rows, g.n)))
+    return backend.canonical_form(rows, n)
 
 
-def perm_poly(g: Graph) -> tuple[int, ...]:
-    """Monic permanental polynomial of g, coefficients constant-term first."""
-    if g.n > POLY_MAX:
+def perm_poly(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Monic permanental polynomial, coefficients constant-term first."""
+    n = len(rows)
+    if n > POLY_MAX:
         raise TooLarge(f"permanental polynomial supports n <= {POLY_MAX}")
-    return tuple(backend.graph_poly(g.rows, g.n, "perm"))
+    return tuple(backend.graph_poly(rows, n, "perm"))
 
 
-def char_poly(g: Graph) -> tuple[int, ...]:
-    """Monic characteristic polynomial of g, coefficients constant-term first."""
-    if g.n > POLY_MAX:
+def char_poly(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Monic characteristic polynomial, coefficients constant-term first."""
+    n = len(rows)
+    if n > POLY_MAX:
         raise TooLarge(f"characteristic polynomial supports n <= {POLY_MAX}")
-    return tuple(backend.graph_poly(g.rows, g.n, "char"))
+    return tuple(backend.graph_poly(rows, n, "char"))

@@ -29,7 +29,7 @@ from collections import namedtuple
 from .collide import ShardStats, fingerprint, group_families, shard_stats
 from .enumerate import check_builtin, enumerate_by_edges, ingest_graph6
 from .errors import InvariantViolation
-from .graphs import Graph, canonical_form, char_poly, edge_count, perm_poly, to_graph6
+from .graphs import canonical_form, char_poly, edge_count, perm_poly, to_graph6
 
 
 # One shard's outcome: stats maps kind -> ShardStats, and families maps
@@ -44,10 +44,10 @@ def shard_records(n: int, m: int, kinds, graphs=None):
     if graphs is None:
         graphs = enumerate_by_edges(n, m)
     recs = {k: [] for k in kinds}
-    for g in graphs:
-        g6 = to_graph6(g)
+    for rows in graphs:
+        g6 = to_graph6(rows)
         for k in kinds:
-            p = perm_poly(g) if k == "perm" else char_poly(g)
+            p = perm_poly(rows) if k == "perm" else char_poly(rows)
             recs[k].append((fingerprint(p, n, m, k), g6))
     return recs
 
@@ -69,8 +69,8 @@ def _shard_worker(job) -> ShardResult:
     return compute_shard(*job)
 
 
-def ingest_shards(path, dedup: bool = False,
-                  only: tuple[int, int] | None = None) -> dict[tuple[int, int], list[Graph]]:
+def ingest_shards(path, dedup: bool = False, only: tuple[int, int] | None = None
+                  ) -> dict[tuple[int, int], list[tuple[int, ...]]]:
     """The graphs of a graph6 file bucketed by (n, m), in file order.
 
     With dedup=True, graphs are canonicalized first and isomorphic
@@ -79,18 +79,18 @@ def ingest_shards(path, dedup: bool = False,
     graph of another bucket is dropped as soon as it is decoded, before
     canonicalization, which preserves (n, m).
     """
-    buckets: dict[tuple[int, int], list[Graph]] = {}
-    seen: set[Graph] = set()
-    for g in ingest_graph6(path):
-        key = (g.n, edge_count(g))
+    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    seen: set[tuple[int, ...]] = set()
+    for rows in ingest_graph6(path):
+        key = (len(rows), edge_count(rows))
         if only is not None and key != only:
             continue
         if dedup:
-            g = canonical_form(g)
-            if g in seen:
+            rows = canonical_form(rows)
+            if rows in seen:
                 continue
-            seen.add(g)
-        buckets.setdefault(key, []).append(g)
+            seen.add(rows)
+        buckets.setdefault(key, []).append(rows)
     return buckets
 
 

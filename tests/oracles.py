@@ -3,9 +3,10 @@ internals they check (among them the polynomial text and fingerprint
 decoder that the report renderer is checked against, the fingerprint
 encoder and graph6 bit loop that both backends' encoders are checked
 against, and the stack walk that fixes the enumeration order), a graph
-builder from edge lists, and the run-reader chunk sizes, raw run-file
-writer and kernel switch the run-file tests use, and the fingerprints
-and out-of-contract items the tests of the compiled iterators use."""
+builder from edge lists and the check that a graph is an exact rows
+tuple, and the run-reader chunk sizes, raw run-file writer and kernel
+switch the run-file tests use, and the fingerprints and out-of-contract
+items the tests of the compiled iterators use."""
 
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -15,7 +16,7 @@ from unittest import mock
 
 from coperm import backend, collide
 from coperm.errors import TooLarge
-from coperm.graphs import MAX_VERTICES, Graph
+from coperm.graphs import MAX_VERTICES
 
 # chunk sizes of the run reader to test with: the default, and one so small
 # that every record is read over several refills
@@ -79,7 +80,8 @@ def fault_at_a_chunk_edge(records, fault: str, lines: int) -> list:
     return records
 
 
-def graph_from_edges(n: int, edges) -> Graph:
+def graph_from_edges(n: int, edges) -> tuple[int, ...]:
+    """The rows tuple of the n-vertex graph with the given edges."""
     if not 0 <= n <= MAX_VERTICES:
         raise TooLarge(f"n={n} outside 0..{MAX_VERTICES}")
     rows = [0] * n
@@ -88,7 +90,13 @@ def graph_from_edges(n: int, edges) -> Graph:
             raise ValueError(f"bad edge ({i}, {j}) for n={n}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return tuple(rows)
+
+
+def is_rows(g, n: int) -> bool:
+    """Whether g is a graph as the package passes one: an exact tuple of
+    n exact ints."""
+    return type(g) is tuple and len(g) == n and all(type(r) is int for r in g)
 
 
 def perm_poly_symbolic(g) -> tuple[int, ...]:
@@ -96,7 +104,7 @@ def perm_poly_symbolic(g) -> tuple[int, ...]:
     column i (a factor x) or to an unused neighbour (a factor -1); any
     other choice contributes 0, so only those permutations are walked.
     Factorial time in the worst case (K_n), so n is capped low."""
-    n = g.n
+    n = len(g)
     if n > SYMBOLIC_MAX:
         raise TooLarge(f"symbolic expansion supports n <= {SYMBOLIC_MAX}")
     total = [0] * (n + 1)
@@ -107,7 +115,7 @@ def perm_poly_symbolic(g) -> tuple[int, ...]:
             return
         if not (used >> i) & 1:
             expand(i + 1, used | (1 << i), fixed + 1)
-        free = g.rows[i] & ~used
+        free = g[i] & ~used
         while free:
             low = free & -free
             free ^= low
@@ -218,12 +226,12 @@ def fingerprint_bytes(p, n: int) -> bytes:
 
 def graph6_bits(g) -> str:
     """The graph6 word of g, bit by bit in column order."""
-    out = [chr(g.n + 63)]
+    out = [chr(len(g) + 63)]
     acc = 0
     nbits = 0
-    for j in range(1, g.n):
+    for j in range(1, len(g)):
         for i in range(j):
-            acc = (acc << 1) | ((g.rows[j] >> i) & 1)
+            acc = (acc << 1) | ((g[j] >> i) & 1)
             nbits += 1
             if nbits == 6:
                 out.append(chr(acc + 63))
@@ -291,7 +299,7 @@ def from_values(values) -> tuple:
 def char_poly_leibniz(g) -> tuple:
     """det(xI - A) expanded permutation by permutation with polynomial
     entries: x on the diagonal, -1 on edges, 0 elsewhere."""
-    n = g.n
+    n = len(g)
     if n == 0:
         return (1,)
     total = [0] * (n + 1)
@@ -300,7 +308,7 @@ def char_poly_leibniz(g) -> tuple:
         for i, j in enumerate(sigma):
             if i == j:
                 term = mul(term, [0, 1])
-            elif (g.rows[i] >> j) & 1:
+            elif (g[i] >> j) & 1:
                 term = mul(term, [-1])
             else:
                 term = None
@@ -313,8 +321,7 @@ def char_poly_leibniz(g) -> tuple:
 
 def disjoint_union(g, h):
     """Block-diagonal union of two graphs (test helper)."""
-    rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(g.n + h.n, tuple(rows))
+    return g + tuple(r << len(g) for r in h)
 
 
 def random_graph(rng, n):
@@ -325,22 +332,22 @@ def random_graph(rng, n):
 
 def edges(g):
     """The edges (i, j), i < j, of g, in row order."""
-    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.rows[i] >> j & 1]
+    return [(i, j) for i in range(len(g)) for j in range(i + 1, len(g)) if g[i] >> j & 1]
 
 
 def permute(g, sigma):
     """Relabel g: edge (i, j) maps to (sigma[i], sigma[j])."""
-    rows = [0] * g.n
+    rows = [0] * len(g)
     for i, j in edges(g):
         rows[sigma[i]] |= 1 << sigma[j]
         rows[sigma[j]] |= 1 << sigma[i]
-    return Graph(g.n, tuple(rows))
+    return tuple(rows)
 
 
 def char_matrix(g, t):
     """The integer matrix tI - A(g)."""
-    return [[t if i == j else -((g.rows[i] >> j) & 1) for j in range(g.n)]
-            for i in range(g.n)]
+    return [[t if i == j else -((g[i] >> j) & 1) for j in range(len(g))]
+            for i in range(len(g))]
 
 
 def _partitions(n: int, largest: int):

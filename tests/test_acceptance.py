@@ -173,7 +173,7 @@ def test_oracle_union_multiplicativity():
     ok = True
     for _ in range(200):
         a = random_graph(rng, rng.randint(0, 5))
-        b = random_graph(rng, rng.randint(0, 9 - a.n))
+        b = random_graph(rng, rng.randint(0, 9 - len(a)))
         ok &= perm_poly(disjoint_union(a, b)) == mul(perm_poly(a), perm_poly(b))
     _report("oracle: multiplicativity over disjoint unions", ok)
 

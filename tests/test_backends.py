@@ -31,7 +31,7 @@ from coperm.errors import (
     TrailingGarbage,
     TruncatedBody,
 )
-from coperm.graphs import Graph, to_graph6
+from coperm.graphs import to_graph6
 from coperm.pipeline import shard_records
 
 from oracles import (
@@ -45,6 +45,7 @@ from oracles import (
     from_values,
     graph6_bits,
     graph_from_edges,
+    is_rows,
     merge_kernels_of,
     mul,
     perm_poly_symbolic,
@@ -105,7 +106,7 @@ def children_from_subsets(impl, rows, k):
     out = []
     for s in range((1 << k) - 1, -1, -1):
         child = tuple(r | (s >> i & 1) << k for i, r in enumerate(rows)) + (s,)
-        if tuple(impl.canonical_form(child, k + 1)) == child:
+        if impl.canonical_form(child, k + 1) == child:
             out.append(child)
     return out
 
@@ -132,6 +133,7 @@ def test_canonical_machinery_agrees():
         n = rng.randint(0, 7)
         rows = random_rows(rng, n)
         assert a.canonical_form(rows, n) == b.canonical_form(rows, n)
+        assert is_rows(a.canonical_form(rows, n), n) and is_rows(b.canonical_form(rows, n), n)
         if n:
             k = n - 1
             lo = rng.randint(0, k)
@@ -275,9 +277,9 @@ def test_graph6_encoders_agree_up_to_32():
         for _ in range(20):
             g = graph_from_edges(n, [(i, j) for j in range(n) for i in range(j)
                                      if rng.random() < rng.random()])
-            word = a.encode_graph6(g.rows, n)
-            assert word == b.encode_graph6(g.rows, n) == graph6_bits(g)
-            assert a.decode_graph6(word) == b.decode_graph6(word) == g.rows
+            word = a.encode_graph6(g, n)
+            assert word == b.encode_graph6(g, n) == graph6_bits(g)
+            assert a.decode_graph6(word) == b.decode_graph6(word) == g
     assert outcome(a.encode_graph6, [0] * 33, 33) == outcome(b.encode_graph6, [0] * 33, 33) \
         == (TooLarge, "n=33 exceeds the 32-vertex cap")
 
@@ -648,7 +650,7 @@ def test_compiled_entry_points_hold_no_references(name):
 # ------------------------------------- exactness of the polynomial kernels
 
 def complete(n):
-    return Graph(n, tuple(((1 << n) - 1) ^ (1 << i) for i in range(n)))
+    return tuple(((1 << n) - 1) ^ (1 << i) for i in range(n))
 
 
 def interpolated(g, kind):
@@ -657,18 +659,18 @@ def interpolated(g, kind):
     impl = BACKENDS[backend.BACKEND]
     fn = impl.permanent if kind == "perm" else impl.determinant
     values = []
-    for t in range(g.n + 1):
+    for t in range(len(g) + 1):
         mat = char_matrix(g, t)
         # a row's sum of squared entries bounds its sum of absolute entries,
         # so this keeps both 128-bit kernels within their caller contracts
         assert math.prod(max(1, sum(e * e for e in row)) for row in mat) < 1 << 120
-        values.append(fn([e for row in mat for e in row], g.n))
+        values.append(fn([e for row in mat for e in row], len(g)))
     return list(from_values(values))
 
 
 def assert_exact(g, kind, want):
     for impl in BACKENDS.values():
-        assert impl.graph_poly(list(g.rows), g.n, kind) == want, (impl.BACKEND_NAME, g, kind)
+        assert impl.graph_poly(list(g), len(g), kind) == want, (impl.BACKEND_NAME, g, kind)
 
 
 @needs_both
@@ -707,7 +709,7 @@ def complete_and_empty_cases(n):
         char = list(mul(char, (-root, 1)))
     assert max(map(abs, perm + char)) <= math.factorial(n)
     x_to_n = [0] * n + [1]
-    empty = Graph(n, (0,) * n)
+    empty = (0,) * n
     return [(complete(n), "perm", perm), (complete(n), "char", char),
             (empty, "perm", x_to_n), (empty, "char", x_to_n)]
 
@@ -725,7 +727,7 @@ def test_complete_and_empty_graphs_exact_13_to_maxk_compiled():
     assert core.MAXK == 16
     for n in range(13, core.MAXK + 1):
         for g, kind, want in complete_and_empty_cases(n):
-            assert core.graph_poly(list(g.rows), n, kind) == want, (n, kind)
+            assert core.graph_poly(list(g), n, kind) == want, (n, kind)
 
 
 def test_random_graphs_exact_8_to_12():
@@ -734,7 +736,7 @@ def test_random_graphs_exact_8_to_12():
         g = random_graph(rng, rng.randint(8, 12))
         for kind in ("perm", "char"):
             want = interpolated(g, kind)
-            assert max(map(abs, want)) <= math.factorial(g.n)
+            assert max(map(abs, want)) <= math.factorial(len(g))
             assert_exact(g, kind, want)
 
 

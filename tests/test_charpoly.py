@@ -68,7 +68,7 @@ def test_coefficient_invariants(graphs_by_n, graphs_n8):
     everything += graphs_n8
     for g in everything:
         p = char_poly(g)
-        n = g.n
+        n = len(g)
         assert p[n] == 1
         if n >= 1:
             assert p[n - 1] == 0

@@ -19,6 +19,7 @@ from coperm.graphs import char_poly, edge_count, parse_graph6, perm_poly, to_gra
 from oracles import (
     fault_at_a_chunk_edge,
     graph_from_edges,
+    is_rows,
     members_out_of_order,
     merge_kernels_of,
     permute,
@@ -545,10 +546,11 @@ def test_fingerprint_in_computes_only_the_requested_shard(tmp_path, capsys, monk
     enumerate_file(capsys, src, 6)
     calls = []
     real = pipeline.perm_poly
-    monkeypatch.setattr(pipeline, "perm_poly", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(pipeline, "perm_poly", lambda rows: calls.append(rows) or real(rows))
     fingerprint_run(capsys, tmp_path / "a.run", 6, 4, "perm", "--in", str(src))
     assert len(calls) == 9  # the 9 classes with n=6, m=4, of 156 in the file
-    assert {(g.n, edge_count(g)) for g in calls} == {(6, 4)}
+    assert {(len(rows), edge_count(rows)) for rows in calls} == {(6, 4)}
+    assert all(is_rows(rows, 6) for rows in calls)
 
 
 def test_fingerprint_in_dedup_canonicalizes_only_the_requested_shard(tmp_path, capsys,
@@ -557,10 +559,11 @@ def test_fingerprint_in_dedup_canonicalizes_only_the_requested_shard(tmp_path, c
     enumerate_file(capsys, src, 6)
     calls = []
     real = pipeline.canonical_form
-    monkeypatch.setattr(pipeline, "canonical_form", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(pipeline, "canonical_form", lambda rows: calls.append(rows) or real(rows))
     fingerprint_run(capsys, tmp_path / "a.run", 6, 4, "perm", "--in", str(src), "--dedup")
     assert len(calls) == 9  # the 9 lines with n=6, m=4, of 156 in the file
-    assert {(g.n, edge_count(g)) for g in calls} == {(6, 4)}
+    assert {(len(rows), edge_count(rows)) for rows in calls} == {(6, 4)}
+    assert all(is_rows(rows, 6) for rows in calls)
 
 
 def test_fingerprint_in_repeat_fails_only_in_its_shard(tmp_path, capsys):

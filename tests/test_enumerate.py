@@ -9,7 +9,7 @@ from coperm.backend import available_backends
 from coperm.enumerate import enumerate_by_edges, enumerate_graphs, ingest_graph6
 from coperm.errors import DecodeError, TooLarge
 from coperm.graphs import canonical_form, edge_count, to_graph6
-from oracles import orderly_reference
+from oracles import is_rows, orderly_reference
 from tables import GRAPH_COUNTS, PERM_BY_EDGES
 
 BACKENDS = available_backends()
@@ -103,11 +103,13 @@ def test_walk_order_is_the_stack_walk(monkeypatch, name, n):
     canonical_children building the levels from scratch."""
     monkeypatch.setattr(backend, "canonical_children", BACKENDS[name].canonical_children)
     monkeypatch.setattr(walk, "_levels", [[((), 0)]])
-    assert [g.rows for g in enumerate_graphs(n)] == reference_walk(n, None)
+    got = list(enumerate_graphs(n))
+    assert got == reference_walk(n, None)
+    assert all(is_rows(g, n) for g in got)
     for m in range(n * (n - 1) // 2 + 1):
         got = list(enumerate_by_edges(n, m))
-        assert [g.rows for g in got] == reference_walk(n, m), m
-        assert all(g.n == n for g in got)
+        assert got == reference_walk(n, m), m
+        assert all(is_rows(g, n) for g in got)
 
 
 def test_levels_are_built_once(monkeypatch):
@@ -136,7 +138,8 @@ def test_ingest_round_trip(tmp_path):
     path = tmp_path / "three.g6"
     path.write_text("@\nA_\nBg\n")
     got = list(ingest_graph6(path))
-    assert [g.n for g in got] == [1, 2, 3]
+    assert got == [(0,), (2, 1), (2, 5, 2)]
+    assert all(is_rows(g, n) for g, n in zip(got, (1, 2, 3)))
 
 
 def test_ingest_skips_blank_lines_keeps_duplicates(tmp_path):

@@ -4,12 +4,12 @@ import networkx as nx
 import pytest
 
 from coperm.errors import InvalidChar, TooLarge, TrailingGarbage, TruncatedBody
-from coperm.graphs import Graph, parse_graph6, to_graph6
-from oracles import edges, graph_from_edges
+from coperm.graphs import parse_graph6, to_graph6
+from oracles import edges, graph_from_edges, is_rows
 
 
 def test_known_words():
-    assert parse_graph6("?") == Graph(0, ())
+    assert parse_graph6("?") == ()
     assert parse_graph6("@") == graph_from_edges(1, [])
     assert parse_graph6("A_") == graph_from_edges(2, [(0, 1)])
     assert parse_graph6("Bg") == graph_from_edges(3, [(0, 1), (1, 2)])
@@ -54,7 +54,8 @@ def test_round_trip_random():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.4]
         g = graph_from_edges(n, edges)
-        assert parse_graph6(to_graph6(g)) == g
+        rows = parse_graph6(to_graph6(g))
+        assert rows == g and is_rows(rows, n)
 
 
 def test_against_reference_decoder():
@@ -77,5 +78,5 @@ def test_parse_matches_reference_on_reference_output():
     g = nx.petersen_graph()
     word = nx.to_graph6_bytes(g, header=False).decode().strip()
     ours = parse_graph6(word)
-    assert ours.n == 10
+    assert len(ours) == 10
     assert set(edges(ours)) == {tuple(sorted(e)) for e in g.edges()}
