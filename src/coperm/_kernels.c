@@ -21,14 +21,19 @@
  * scan_records, render and family_rows raise ValueError for an n, m,
  * offset or count out of range or a fingerprint of the wrong length, and
  * TypeError for a buffer or fingerprint that is not bytes, so malformed
- * bytes are never read past their end. The codecs check what their
- * pure-Python twins check, in the same order, and raise the same errors
- * of coperm.errors with the same messages: decode_graph6 reads any str,
- * of any kind, only up to its length and raises InvalidChar,
- * TruncatedBody, TrailingGarbage or TooLarge; encode_graph6 raises
- * TooLarge past MAX_VERTICES vertices; fingerprint compares the leading
- * coefficients as Python objects and raises DegreeMismatch, and takes
- * magnitudes past 64 bits through int.to_bytes. merge_records,
+ * bytes are never read past their end. A fingerprint coefficient is a
+ * C long long, so its magnitude takes at most 8 bytes: the coefficients
+ * of a graph polynomial on n <= MAXK vertices are signed sums over
+ * permutations, at most n! < 2**63 in magnitude. fingerprint raises
+ * OverflowError for any other int, scan_records stops at a longer
+ * magnitude as not canonical, and render and family_rows reject one with
+ * ValueError. The codecs check what their pure-Python twins check, in
+ * the same order, and raise the same errors with the same messages:
+ * decode_graph6 reads any str, of any kind, only up to its length and
+ * raises InvalidChar, TruncatedBody, TrailingGarbage or TooLarge;
+ * encode_graph6 raises TooLarge past MAX_VERTICES vertices; fingerprint
+ * compares the leading coefficients as Python objects and raises
+ * DegreeMismatch. merge_records,
  * group_sorted and family_rows take only what the program passes them:
  * records that are 2-tuples of exact bytes and exact str, and families
  * that are 2-tuples of bytes and a tuple of ASCII str. On those they give
@@ -620,14 +625,15 @@ static int bytes_cmp(const void *a, Py_ssize_t alen, const void *b, Py_ssize_t b
  * of shard (n, m) that start at buf[pos], checked and cut as far as the
  * buffer holds whole ones, at most count of them. Each record is the
  * fingerprint (c_(n-2) first, which must be +-m, encoded; then n - 2
- * canonical coefficients), a length byte and a graph6 word for n
- * vertices; the fingerprints must not decrease, the first not below prev
- * (bytes, or None). Returns (records, pos, stop): the (fingerprint bytes,
- * graph6 str) pairs, the offset after the last of them (on a "graph6"
- * stop, where the rejected word starts), and why the scan stopped: None
- * when it read count records; "more" when the next record runs past buf;
- * when that record fails a check, "lead", "canonical", "graph6" or
- * "unsorted", checked in the order of the record's bytes.
+ * canonical coefficients of at most 8 magnitude bytes), a length byte
+ * and a graph6 word for n vertices; the fingerprints must not decrease,
+ * the first not below prev (bytes, or None). Returns (records, pos,
+ * stop): the (fingerprint bytes, graph6 str) pairs, the offset after the
+ * last of them (on a "graph6" stop, where the rejected word starts), and
+ * why the scan stopped: None when it read count records; "more" when the
+ * next record runs past buf; when that record fails a check, "lead",
+ * "canonical", "graph6" or "unsorted", checked in the order of the
+ * record's bytes.
  * Consecutive records of one fingerprint share one bytes object. */
 static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *args,
                                  Py_ssize_t nargs)
@@ -688,9 +694,10 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
             sign = b[end];
             blen = b[end + 1];
             end += 2 + blen;
-            /* canonical: a sign of 0 or 1, and a nonzero top magnitude
-             * byte, or else L = 0 (b[end - 1] is then L) and sign 0 */
-            if (sign > 1)
+            /* canonical: a sign of 0 or 1, at most 8 magnitude bytes, the
+             * top one nonzero, or else L = 0 (b[end - 1] is then L) and
+             * sign 0 */
+            if (sign > 1 || blen > 8)
                 why = "canonical";
             else if (end > size)
                 goto cut;
@@ -755,55 +762,20 @@ fail:
 }
 
 /* the decimal digits of the little-endian magnitude mag[0..len), len
- * <= 255, written at out; returns how many */
+ * <= 8, written at out; returns how many */
 static Py_ssize_t write_decimal(const unsigned char *mag, int len, char *out)
 {
-    unsigned int limbs[64], groups[70]; /* 255 bytes < 10**615 < 10**(9 * 70) */
     char tmp[20];
-    int nlimbs = (len + 3) / 4, ngroups = 0;
     Py_ssize_t k = 0, t = 0;
     u64 v = 0;
 
-    if (len <= 8) {
-        for (int i = len; i-- > 0;)
-            v = v << 8 | mag[i];
-        do
-            tmp[t++] = (char)('0' + v % 10);
-        while (v /= 10);
-        while (t)
-            out[k++] = tmp[--t];
-        return k;
-    }
-    memset(limbs, 0, sizeof limbs);
-    for (int i = 0; i < len; i++)
-        limbs[i / 4] |= (unsigned int)mag[i] << (8 * (i % 4));
-    /* base 10**9 groups, lowest first, by long division */
-    for (;;) {
-        while (nlimbs && !limbs[nlimbs - 1])
-            nlimbs--;
-        if (!nlimbs)
-            break;
-        v = 0;
-        for (int i = nlimbs; i-- > 0;) {
-            v = v << 32 | limbs[i];
-            limbs[i] = (unsigned int)(v / 1000000000u);
-            v %= 1000000000u;
-        }
-        groups[ngroups++] = (unsigned int)v;
-    }
-    if (!ngroups)
-        groups[ngroups++] = 0;
-    for (int g = ngroups; g-- > 0;) {
-        v = groups[g];
-        t = 0;
-        do
-            tmp[t++] = (char)('0' + v % 10);
-        while (v /= 10);
-        for (; g < ngroups - 1 && t < 9; t++) /* zero-padded below the top */
-            tmp[t] = '0';
-        while (t)
-            out[k++] = tmp[--t];
-    }
+    for (int i = len; i-- > 0;)
+        v = v << 8 | mag[i];
+    do
+        tmp[t++] = (char)('0' + v % 10);
+    while (v /= 10);
+    while (t)
+        out[k++] = tmp[--t];
     return k;
 }
 
@@ -835,13 +807,14 @@ static int is_one(const unsigned char *mag, int len)
 }
 
 /* ValueError unless b[0..size) is exactly n - 1 coefficients, each a
- * sign byte, a length L and L magnitude bytes */
+ * sign byte, a length L <= 8 and L magnitude bytes */
 static int fingerprint_check(const unsigned char *b, Py_ssize_t size, long long n)
 {
     Py_ssize_t pos = 0;
     long long j;
 
-    for (j = n - 2; j >= 0 && size - pos >= 2 && size - pos - 2 >= b[pos + 1]; j--)
+    for (j = n - 2; j >= 0 && size - pos >= 2 && b[pos + 1] <= 8 && size - pos - 2 >= b[pos + 1];
+         j--)
         pos += 2 + b[pos + 1];
     if (j >= 0 || pos != size) {
         PyErr_Format(PyExc_ValueError, "not the fingerprint of a degree-%lld polynomial", n);
@@ -887,14 +860,15 @@ static Py_ssize_t render_into(const unsigned char *b, long long n, char *text)
  * fingerprint is fp, highest power first, e.g. "x^3 + 3x - 2": a
  * coefficient of magnitude 1 shows no digits unless it is the constant,
  * and a zero one no term. ValueError unless fp is exactly n - 1
- * coefficients, each a sign byte, a length L and L magnitude bytes. */
+ * coefficients, each a sign byte, a length L <= 8 and L magnitude bytes. */
 static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    char small[1024], *text;
+    /* room for any checked fingerprint of n <= MAX_VERTICES: "x^n", then
+     * per coefficient " - ", the 20 digits of 2**64 - 1 and "x^j" */
+    char text[4 + 27 * MAX_VERTICES];
     const unsigned char *b;
-    Py_ssize_t size, cap, k;
+    Py_ssize_t size;
     long long n;
-    PyObject *out;
 
     if (!nargs_ok("render", nargs, 2) || bounded_arg(args[1], 0, MAX_VERTICES, "n", &n) < 0)
         return NULL;
@@ -906,15 +880,7 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
     size = PyBytes_GET_SIZE(args[0]);
     if (fingerprint_check(b, size, n) < 0)
         return NULL;
-    cap = render_cap(n, size);
-    text = cap <= (Py_ssize_t)sizeof small ? small : PyMem_Malloc(cap);
-    if (text == NULL)
-        return PyErr_NoMemory();
-    k = render_into(b, n, text);
-    out = PyUnicode_DecodeASCII(text, k, NULL);
-    if (text != small)
-        PyMem_Free(text);
-    return out;
+    return PyUnicode_DecodeASCII(text, render_into(b, n, text), NULL);
 }
 
 /* ---------------------------------------------- graph6 and fingerprints */
@@ -1031,8 +997,6 @@ static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
         return NULL;
     v = PyLong_AsLongLongAndOverflow(index, &overflow);
     Py_DECREF(index);
-    if (v == -1 && PyErr_Occurred())
-        return NULL;
     if (overflow > 0 || v > MAX_VERTICES) {
         PyErr_Format(too_large, "n=%S exceeds the %d-vertex cap", args[1], MAX_VERTICES);
         return NULL;
@@ -1058,65 +1022,38 @@ static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
     return PyUnicode_DecodeASCII(word, k, NULL);
 }
 
-/* The magnitude bytes of the int c, whose magnitude is past 64 bits, as
- * abs(c).to_bytes(L, "little") with the least L: a new reference, and
- * ValueError when L > 255, as bytes((sign, L)) raises it in the twin. */
-static PyObject *wide_magnitude(PyObject *c)
-{
-    PyObject *mag = PyNumber_Absolute(c), *bits, *out = NULL;
-    Py_ssize_t blen;
-
-    if (mag == NULL)
-        return NULL;
-    if ((bits = PyObject_CallMethod(mag, "bit_length", NULL)) == NULL)
-        goto done;
-    blen = (PyLong_AsSsize_t(bits) + 7) / 8;
-    Py_DECREF(bits);
-    if (PyErr_Occurred())
-        goto done;
-    if (blen > 255)
-        PyErr_SetString(PyExc_ValueError, "bytes must be in range(0, 256)");
-    else
-        out = PyObject_CallMethod(mag, "to_bytes", "ns", blen, "little");
-done:
-    Py_DECREF(mag);
-    return out;
-}
-
 /* the sign and length bytes, then the least little-endian bytes, of the
- * magnitude of v, at out (NULL: nothing written); returns how many */
+ * magnitude of v, at out; returns how many */
 static Py_ssize_t put_coefficient(long long v, unsigned char *out)
 {
     u64 mag = v < 0 ? 0 - (u64)v : (u64)v;
     int blen = 0;
 
     for (u64 rest = mag; rest; rest >>= 8)
-        blen++;
-    if (out != NULL) {
-        out[0] = v < 0;
-        out[1] = (unsigned char)blen;
-        for (int i = 0; i < blen; i++)
-            out[2 + i] = (unsigned char)(mag >> (8 * i));
-    }
+        out[2 + blen++] = (unsigned char)rest;
+    out[0] = v < 0;
+    out[1] = (unsigned char)blen;
     return 2 + blen;
 }
 
 /* fingerprint(p, n, m, kind): the canonical bytes of the monic degree-n
  * graph polynomial p (coefficients constant first), as the twin makes
- * them for any ints: per coefficient c_(n-2) down to c_0, a sign byte, a
- * length L and L little-endian magnitude bytes, the least L. Its checks
- * and messages, in its order: DegreeMismatch unless p has n + 1
+ * them: per coefficient c_(n-2) down to c_0, a sign byte, a length L and
+ * L little-endian magnitude bytes, the least L, which is at most 8. Its
+ * checks and messages, in its order: DegreeMismatch unless p has n + 1
  * coefficients and p[n] == 1, unless p[n-1] == 0, and unless p[n-2] is m
- * for kind "perm" and -m otherwise. ValueError for a negative n, or a
- * magnitude of more than 255 bytes; TypeError for p not a sequence, or a
- * coefficient c_(n-2)..c_0 that is not an int. */
+ * for kind "perm" and -m otherwise. ValueError for a negative n;
+ * TypeError for p not a sequence, or a coefficient c_(n-2)..c_0 that is
+ * not an int, and OverflowError for one outside a C long long, which no
+ * graph polynomial of at most MAXK vertices needs: its coefficients are
+ * at most n! < 2**63 in magnitude. */
 static PyObject *py_fingerprint(PyObject *Py_UNUSED(module), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
-    PyObject *seq, **p, *want, *wide, *out = NULL;
+    PyObject *seq, **p, *want, *out = NULL;
     Py_ssize_t len, size = 0;
     long long n, v;
-    unsigned char *b = NULL;
+    unsigned char *b;
     int overflow, differs = 1;
 
     if (!nargs_ok("fingerprint", nargs, 4)
@@ -1151,45 +1088,28 @@ static PyObject *py_fingerprint(PyObject *Py_UNUSED(module), PyObject *const *ar
             goto fail;
         }
     }
-    /* twice over c_(n-2)..c_0: first the size and the checks, then the
-     * bytes */
-    for (int pass = 0; pass < 2; pass++) {
-        if (pass) {
-            if ((out = PyBytes_FromStringAndSize(NULL, size)) == NULL)
-                goto fail;
-            b = (unsigned char *)PyBytes_AS_STRING(out);
+    /* room for the n - 1 coefficients at their longest, cut to what they
+     * take once written */
+    if ((out = PyBytes_FromStringAndSize(NULL, n >= 2 ? 10 * (n - 1) : 0)) == NULL)
+        goto fail;
+    b = (unsigned char *)PyBytes_AS_STRING(out);
+    for (long long j = n - 2; j >= 0; j--) {
+        if (!PyLong_Check(p[j])) {
+            PyErr_SetString(PyExc_TypeError, "fingerprint() takes a sequence of ints");
+            goto fail;
         }
-        for (long long j = n - 2; j >= 0; j--) {
-            if (!PyLong_Check(p[j])) {
-                PyErr_SetString(PyExc_TypeError, "fingerprint() takes a sequence of ints");
-                goto fail;
-            }
-            v = PyLong_AsLongLongAndOverflow(p[j], &overflow);
-            if (v == -1 && PyErr_Occurred())
-                goto fail;
-            if (!overflow) {
-                Py_ssize_t k = put_coefficient(v, b);
-
-                if (b == NULL)
-                    size += k;
-                else
-                    b += k;
-                continue;
-            }
-            if ((wide = wide_magnitude(p[j])) == NULL)
-                goto fail;
-            if (b == NULL) {
-                size += 2 + PyBytes_GET_SIZE(wide);
-            } else {
-                *b++ = overflow < 0;
-                *b++ = (unsigned char)PyBytes_GET_SIZE(wide);
-                memcpy(b, PyBytes_AS_STRING(wide), PyBytes_GET_SIZE(wide));
-                b += PyBytes_GET_SIZE(wide);
-            }
-            Py_DECREF(wide);
+        /* on an int, it reports a value out of range through overflow only */
+        v = PyLong_AsLongLongAndOverflow(p[j], &overflow);
+        if (overflow) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "fingerprint coefficient outside the signed 64-bit range");
+            goto fail;
         }
+        size += put_coefficient(v, b + size);
     }
     Py_DECREF(seq);
+    if (_PyBytes_Resize(&out, size) < 0)
+        return NULL;
     return out;
 fail:
     Py_XDECREF(out);

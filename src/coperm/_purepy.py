@@ -12,8 +12,11 @@ and the report rows. Python integers never wrap, so the scalar kernels
 here are exact for any input; they agree with the compiled ones within
 the caller contract stated in _kernels.c. The codecs agree with them on
 any str, on the rows of every graph of at most 32 vertices and on any
-sequence of ints, errors and messages included. The run-file twins agree
-with them on every buffer and on every fingerprint a run reader accepts;
+sequence of ints, errors and messages included: a fingerprint coefficient
+is a C long long in both, so fingerprint raises OverflowError for any
+other int, and scan_records stops at a magnitude of more than 8 bytes as
+not canonical. The run-file twins agree with them on every buffer and on
+every fingerprint a run reader accepts;
 merge_records and group_sorted on every stream of (bytes, str) records,
 and family_rows on every (bytes, tuple of ASCII str) family of such
 fingerprints; each group_sorted returns a list of plain (fingerprint,
@@ -321,7 +324,10 @@ def encode_graph6(rows, n: int) -> str:
 
 
 def _coefficient(c: int) -> bytes:
-    """The bytes of one fingerprint coefficient: sign, length, magnitude."""
+    """The bytes of one fingerprint coefficient: sign, length, magnitude.
+    OverflowError outside a C long long, as the compiled encoder raises it."""
+    if not -(1 << 63) <= c < 1 << 63:
+        raise OverflowError("fingerprint coefficient outside the signed 64-bit range")
     mag = -c if c < 0 else c
     blen = (mag.bit_length() + 7) // 8
     return bytes((c < 0, blen)) + mag.to_bytes(blen, "little")
@@ -335,7 +341,8 @@ _SMALL = [*map(_coefficient, range(256)), b"", *map(_coefficient, range(-255, 0)
 def fingerprint(p, n: int, m: int, kind: str) -> bytes:
     """Canonical bytes for a monic degree-n graph polynomial.
 
-    Its x^(n-2) coefficient must be m for kind "perm" and -m for "char".
+    Its x^(n-2) coefficient must be m for kind "perm" and -m for "char",
+    and every coefficient must fit a C long long.
     """
     if len(p) != n + 1 or p[n] != 1:
         raise DegreeMismatch(f"expected a monic polynomial of degree {n}")
@@ -388,9 +395,10 @@ def scan_records(buf: bytes, pos: int, count: int, n: int, m: int, prev):
             for _ in rest:
                 sign, blen = buf[end], buf[end + 1]
                 end += 2 + blen
-                # canonical: a sign of 0 or 1, and a nonzero top magnitude
-                # byte, or else L = 0 (buf[end - 1] is then L) and sign 0
-                if sign > 1 or not buf[end - 1] and (sign or blen):
+                # canonical: a sign of 0 or 1, at most 8 magnitude bytes,
+                # the top one nonzero, or else L = 0 (buf[end - 1] is then
+                # L) and sign 0
+                if sign > 1 or blen > 8 or not buf[end - 1] and (sign or blen):
                     return records, pos, "canonical"
         except IndexError:
             return records, pos, "more"

@@ -14,7 +14,11 @@ graph6), each pair once, which group_sorted checks for all three.
 Fingerprint layout (bit-exact): the coefficients c_(n-2) down to c_0
 (c_n and c_(n-1) are omitted, always 1 and 0), each as a sign byte
 (0x00 nonnegative, 0x01 negative), a u8 magnitude length L, and L
-little-endian magnitude bytes, minimal L (0 is sign 0, L = 0). render()
+little-endian magnitude bytes, minimal L (0 is sign 0, L = 0). L is at
+most 8: expanded over permutations, a graph polynomial's coefficient is
+at most n! in magnitude, under 2**45 at the kernels' 16 vertices, so
+fingerprint() takes only ints that fit a C long long and a run reader
+refuses a longer magnitude as not canonical. render()
 turns one back into report text without decoding it to integers; it, the
 run reader's record scanner, the k-way merge and the grouper are kernels
 of the backend.
@@ -41,7 +45,7 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
     """Canonical bytes for a monic degree-n graph polynomial, from the
     backend's encoder. DegreeMismatch unless p has n + 1 coefficients,
     the top two 1 and 0, and its x^(n-2) one is m for kind "perm" and -m
-    for "char"."""
+    for "char"; OverflowError for a coefficient outside a C long long."""
     return backend.fingerprint(p, n, m, kind)
 
 

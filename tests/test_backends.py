@@ -17,6 +17,11 @@ from unittest import mock
 
 import pytest
 
+try:
+    import _testcapi
+except ImportError:  # an interpreter built without its test modules
+    _testcapi = None
+
 import coperm
 from coperm import backend, cli, collide
 from coperm.backend import available_backends
@@ -211,21 +216,40 @@ def test_scan_records_agrees_on_every_run_up_to_8():
 
 
 @needs_both
+def test_scan_records_stops_at_a_magnitude_past_eight_bytes():
+    # after a record that passes, a coefficient of 9 or 255 magnitude bytes,
+    # whole or cut after its length byte: the length alone makes it not
+    # canonical, at every chunk size, on both backends
+    first = (fingerprint_bytes((0, 0, 2, 0, 1), 4), "C?")
+    head = first[0] + b"\2C?"
+    for c0, c1, cut in ((2**64, 0, 7), (-(2**2039 + 5), 0, 7), (1, 2**64, 5), (0, -2**70, 5)):
+        fp = fingerprint_bytes((c0, c1, 2, 0, 1), 4)
+        for raw in (head + fp + b"\2C@", head + fp[:cut]):
+            for impl in BACKENDS.values():
+                assert scans(impl, raw, 4, 2, 2) == ((first,), "canonical", len(head)), \
+                    (impl.BACKEND_NAME, raw)
+
+
+@needs_both
 def test_render_agrees_on_random_coefficients():
-    # magnitudes of 0 to 255 bytes, past 2**64 included, at every n
+    # magnitudes of 0 to 8 bytes, the most a run reader accepts, up to
+    # 2**64 - 1 and its 20 digits, at every n
     a = BACKENDS["compiled"]
     b = BACKENDS["pure-python"]
     rng = random.Random(19)
-    edges = [0, 1, 2, 9, 10, 255, 256, 65535, 2**32, 2**63, 2**64 - 1, 2**64, 10**19,
-             10**27, 10**36 - 1, 10**36, 2**2040 - 1]
+    edges = [0, 1, 2, 9, 10, 255, 256, 65535, 2**32, 2**63, 10**19 - 1, 10**19, 2**64 - 1]
     for n in range(33):
         for _ in range(30):
             body = [rng.choice((1, -1)) * (rng.choice(edges) if rng.random() < 0.7
-                                           else rng.getrandbits(rng.randint(1, 2040)))
+                                           else rng.getrandbits(rng.randint(1, 64)))
                     for _ in range(max(n - 1, 0))]
             p = tuple(body) + ((0,) if n >= 1 else ()) + (1,)
             fp = fingerprint_bytes(p, n)
             assert a.render(fp, n) == b.render(fp, n) == text(p), p
+    # the longest text of any fingerprint a run reader accepts
+    p = (-(2**64 - 1),) * 31 + (0, 1)
+    fp = fingerprint_bytes(p, 32)
+    assert a.render(fp, 32) == b.render(fp, 32) == text(p)
 
 
 def outcome(fn, *args):
@@ -286,16 +310,17 @@ def test_graph6_encoders_agree_up_to_32():
 
 def fingerprint_cases(rng):
     """(p, n, m, kind): graph polynomials of every n <= 12 with
-    coefficients to 2**70 in magnitude, as tuples and lists, and each way
-    one fails a check: of the wrong degree, not monic, a nonzero x^(n-1)
-    coefficient, an x^(n-2) coefficient that is not m (perm) or -m (char),
-    or a magnitude past 255 bytes."""
-    edges = [0, 1, 2, 255, 256, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70]
+    coefficients anywhere in the signed 64-bit range, its ends included,
+    as tuples and lists, and each way one fails a check: of the wrong
+    degree, not monic, a nonzero x^(n-1) coefficient, an x^(n-2)
+    coefficient that is not m (perm) or -m (char), or a coefficient just
+    or far past the signed 64-bit range."""
+    edges = [0, 1, -1, 2, 255, -256, 256, 2**32, 2**63 - 1, -(2**63 - 1), -2**63]
     cases = []
     for _ in range(3000):
         n, m, kind = rng.randint(0, 12), rng.randint(0, 66), rng.choice(("perm", "char"))
-        p = [rng.choice((1, -1)) * (rng.choice(edges) if rng.random() < 0.5
-                                    else rng.getrandbits(rng.randint(1, 70))) for _ in range(n + 1)]
+        p = [rng.choice(edges) if rng.random() < 0.5
+             else rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 63)) for _ in range(n + 1)]
         p[n] = 1
         if n >= 1:
             p[n - 1] = 0
@@ -311,7 +336,7 @@ def fingerprint_cases(rng):
         elif fault == 3 and n >= 2:
             p[n - 2] += rng.choice((1, -1, 2**70))
         elif fault == 4 and n >= 2:
-            p[rng.randrange(n - 1)] = rng.choice((1, -1)) * 2**2040
+            p[rng.randrange(n - 1)] = rng.choice((2**63, -2**63 - 1, 2**64, -(2**2040)))
         cases.append((tuple(p) if rng.random() < 0.5 else p, n, m, kind))
     return cases
 
@@ -330,7 +355,7 @@ def test_fingerprints_agree_on_random_coefficients():
         else:
             seen.add(got[1].split(" ")[0] if got[0] is DegreeMismatch else got)
     assert seen == {"bytes", "expected", "x^(n-1)", "x^(n-2)",
-                    (ValueError, "bytes must be in range(0, 256)")}
+                    (OverflowError, "fingerprint coefficient outside the signed 64-bit range")}
 
 
 @pytest.mark.parametrize("streams", [0, 1, 2, 3, 7, 64, 4000])
@@ -532,8 +557,12 @@ BAD_INPUT = [
     ("fingerprint", ((1,), -1, 0, "perm"), ValueError),
     ("fingerprint", (5, 0, 0, "perm"), TypeError),  # p not a sequence
     ("fingerprint", ((1.0, 0, 1), 2, 1.0, "perm"), TypeError),  # c_0 not an int
-    ("fingerprint", ((2**2040, 0, 0, 1), 3, 0, "perm"), ValueError),  # c_0 past 255 bytes
+    ("fingerprint", ((2**63, 0, 0, 1), 3, 0, "perm"), OverflowError),  # c_0 past a long long
     ("fingerprint", ((1,), 0, 0), TypeError),
+    ("fingerprint", ((-2**63 - 1, 0, 0, 1), 3, 0, "perm"), OverflowError),
+    # a magnitude of 9 bytes, past the 8 of a C long long
+    ("render", (fingerprint_bytes((2**64, 0, 0, 1), 3), 3), ValueError),
+    ("family_rows", ([(fingerprint_bytes((2**64, 0, 2, 0, 1), 4), ("C?",))], 4, 2), ValueError),
 ]
 
 
@@ -559,16 +588,16 @@ def leak_cases():
     run = b"".join(fingerprint_bytes(p, 30) + bytes([len(w)]) + w.encode()
                    for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
                                    words))
-    wide = fingerprint_bytes([-(2**2039 + 5), 2**64] + [0] * 26 + [300, 0, 1], 30)
+    wide = fingerprint_bytes([-2**63, 2**63 - 1] + [0] * 26 + [300, 0, 1], 30)
     # sorted (bytes, str) records over two streams, two sharing a fingerprint;
     # a merge and a grouping that fail at a record that is a list
     narrow = fingerprint_bytes([0] * 28 + [300, 0, 1], 30)
     records = sorted([(narrow, words[0]), (narrow, words[1]), (wide, words[2]),
                       (wide, words[2] + "\xe9")])
     listed = [narrow, words[2]]
-    # a degree-30 char polynomial with magnitudes past 64 bits, and one with
-    # a magnitude past 255 bytes
-    poly = [-(2**2039 + 5), 2**64, big[0], *[0] * 25, -300, 0, 1]
+    # a degree-30 char polynomial with coefficients at both ends of the
+    # signed 64-bit range, and one with a coefficient just past it
+    poly = [-2**63, 2**63 - 1, big[0], *[0] * 25, -300, 0, 1]
     return {
         "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
         "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
@@ -588,7 +617,7 @@ def leak_cases():
         # a word that is not ASCII fails at its first such character
         "decode_graph6": ((words[0],), (words[2] + "\xe9",)),
         "encode_graph6": (((*big,), 3), ([*big[:2], -big[2]], 3)),
-        "fingerprint": ((poly, 30, 300, "char"), ([2**2040, *poly[1:]], 30, 300, "char")),
+        "fingerprint": ((poly, 30, 300, "char"), ([2**63, *poly[1:]], 30, 300, "char")),
     }
 
 
@@ -605,11 +634,9 @@ def held_objects(args):
 
 
 def call(fn, args):
-    """fn(*args), and each item of the iterator it returns, if it does."""
+    """fn(*args), or the list of the items of the iterator it returns."""
     out = fn(*args)
-    if hasattr(out, "__next__"):
-        for _ in out:
-            pass
+    return list(out) if hasattr(out, "__next__") else out
 
 
 @needs_both
@@ -647,6 +674,33 @@ def test_compiled_entry_points_hold_no_references(name):
     assert grown < 4096, f"{grown} bytes still traced after the calls"
 
 
+@needs_both
+@pytest.mark.skipif(not hasattr(_testcapi, "set_nomemory"),
+                    reason="this interpreter's _testcapi has no set_nomemory")
+@pytest.mark.parametrize("name", sorted(leak_cases()))
+def test_compiled_entry_points_survive_each_failed_allocation(name):
+    """The call with arguments that succeed, its k-th allocation failed, for
+    k = 0..399: MemoryError or the result of the call without a failure,
+    an iterator returned run to its end, and the refcount of every input
+    unchanged."""
+    fn = getattr(BACKENDS["compiled"], name)
+    good, _ = leak_cases()[name]
+    want = call(fn, good)
+    objects = held_objects(good)
+    before = [sys.getrefcount(x) for x in objects]
+    for k in range(400):
+        _testcapi.set_nomemory(k, k + 1)
+        try:
+            got = call(fn, good)
+        except MemoryError:
+            got = MemoryError
+        finally:
+            _testcapi.remove_mem_hooks()
+        assert got is MemoryError or got == want, k
+        del got
+        assert [sys.getrefcount(x) for x in objects] == before, k
+
+
 # ------------------------------------- exactness of the polynomial kernels
 
 def complete(n):
@@ -675,13 +729,33 @@ def assert_exact(g, kind, want):
 
 @needs_both
 def test_coefficient_bound_fits_64_bits():
-    # Expanded over permutations, each permutation adds +-x^k or 0 to
-    # per/det(xI - A), so no coefficient exceeds n! in magnitude; the
-    # compiled kernels compute modulo 2**64 and read the residue signed,
-    # which is exact for every size they accept
+    # Expanded over permutations, per(xI - A) has c_k = (-1)^(n-k) times the
+    # sum of per(A[S]) over the (n-k)-sets S, and per(A[S]) counts the
+    # fixed-point-free permutations of S that use edges alone. So K_n, which
+    # has every edge, has the largest |c_k|, C(n, k) times the derangements
+    # of n - k, and these sum to n!, one for each permutation of its
+    # vertices. det(A[S]) signs the same terms, so the same bound holds for
+    # both kinds: no coefficient exceeds n! in magnitude. At MAXK, 16! <
+    # 2**45, so the compiled kernels' residues modulo 2**64, read signed, are
+    # exact, and every fingerprint magnitude takes at most 8 bytes
     maxk = BACKENDS["compiled"].MAXK
     for n in range(maxk + 1):
-        assert math.factorial(n) < 2 ** 63
+        for g, kind, want in complete_and_empty_cases(n):
+            if kind == "perm" and g == complete(n):
+                assert sum(map(abs, want)) == math.factorial(n)
+            assert max(map(abs, want)) <= math.factorial(n) < 2**63
+            m = abs(want[n - 2]) if n >= 2 else 0
+            for impl in BACKENDS.values():
+                fp = impl.fingerprint(want, n, m, kind)
+                pos, lengths = 0, []
+                while pos < len(fp):
+                    lengths.append(fp[pos + 1])
+                    pos += 2 + fp[pos + 1]
+                assert max(lengths, default=0) <= 8
+                word = impl.encode_graph6(g, n)
+                raw = fp + bytes([len(word)]) + word.encode()
+                assert impl.scan_records(raw, 0, 1, n, m, None) == ([(fp, word)], len(raw), None)
+                assert impl.render(fp, n) == text(want), (impl.BACKEND_NAME, n, kind)
 
 
 def test_graph_polys_exact_on_every_graph_up_to_7(graphs_by_n):

@@ -18,6 +18,7 @@ from coperm.enumerate import BUILTIN_MAX
 from coperm.graphs import char_poly, edge_count, parse_graph6, perm_poly, to_graph6
 from oracles import (
     fault_at_a_chunk_edge,
+    fingerprint_bytes,
     graph_from_edges,
     is_rows,
     members_out_of_order,
@@ -193,17 +194,20 @@ def test_merge_renders_each_family_as_the_oracle(tmp_path, capsys, kind):
     assert graphs == sum(GRAPH_COUNTS[n] for n in range(8))
 
 
-def test_merge_renders_coefficients_past_eight_bytes(tmp_path, capsys):
+def test_merge_renders_eight_byte_coefficients_and_rejects_longer(tmp_path, capsys):
+    # a coefficient fits a C long long, so a magnitude takes at most 8 bytes:
+    # both ends of that range render, and one magnitude byte more is not
+    # canonical on either backend's run reader
     n, m = 30, 200
     rng = random.Random(30)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     words = sorted({to_graph6(graph_from_edges(n, rng.sample(pairs, m))) for _ in range(3)})
     polys = []
-    for top in (2**64, -2**64, 2**2039 + 5):  # 9, 9 and 255 magnitude bytes
+    for top in (2**63 - 1, -2**63, 2**56):  # 8, 8 and 8 magnitude bytes
         p = [0] * (n + 1)
         p[n], p[n - 2] = 1, m
         for j in range(n - 2):
-            p[j] = rng.choice((top + j, -(top + j), 0, 1, -1, 255, -256))
+            p[j] = rng.choice((top - j if top > 0 else top + j, 0, 1, -1, 255, -256))
         polys.append(tuple(p))
     records = sorted([(fingerprint(polys[0], n, m), words[0]),
                       (fingerprint(polys[0], n, m), words[1]),
@@ -216,8 +220,17 @@ def test_merge_renders_coefficients_past_eight_bytes(tmp_path, capsys):
     text_of = {fingerprint(p, n, m): text(p) for p in polys}
     rows = [row.split("\t") for row in out.splitlines()[1:]]
     assert [row[3] for row in rows] == [text_of[fp] for fp in sorted(text_of)]
-    assert [row[2] for row in rows] == ["2" if fp == records[0][0] else "1"
+    assert [row[2] for row in rows] == ["2" if fp == fingerprint(polys[0], n, m) else "1"
                                         for fp in sorted(text_of)]
+    # 2**64 and 2**2039 + 5 as c_0, 9 and 255 magnitude bytes, after a
+    # record that passes: the length is checked before the record's order
+    for past in (2**64, -(2**2039 + 5)):
+        longer = fingerprint_bytes((past, *polys[0][1:]), n)
+        run_file.write_bytes(raw_run(n, m, [records[0], (longer, words[2])]))
+        for impl in available_backends().values():
+            with merge_kernels_of(impl):
+                assert run(capsys, "merge", str(run_file)) == (
+                    3, "", f"coperm: {run_file}: coefficient not in canonical form\n")
 
 
 def test_merge_reads_a_run_through_a_pipe(tmp_path, capsys):

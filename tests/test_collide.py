@@ -69,9 +69,10 @@ def test_fingerprint_round_trip_random():
 
 
 def test_fingerprint_equals_the_coefficient_encoder():
-    # the table covers |c| < 256; 256 and past 2**64 are encoded directly
+    # the table covers |c| < 256; 256 up to the ends of a C long long are
+    # encoded directly, in at most 8 magnitude bytes
     edges_of_table = [0, 1, -1, 2, -2, 255, -255, 256, -256, 257, 65535, -65536,
-                      2**64 - 1, 2**64, -2**64, 2**64 + 1, -(2**70) - 3]
+                      2**32, 2**56, -2**56, 2**63 - 1, -2**63 + 1, -2**63]
     rng = random.Random(1613)
     for n in range(13):
         for _ in range(40):
@@ -82,6 +83,11 @@ def test_fingerprint_equals_the_coefficient_encoder():
             assert fingerprint(p, n, m, kind) == fingerprint_bytes(p, n), p
     for c in edges_of_table:
         assert fingerprint((c, 0, 0, 1), 3, 0) == fingerprint_bytes((c, 0, 0, 1), 3)
+    # one past either end, and far past
+    for c in (2**63, -2**63 - 1, 2**64, -(2**70) - 3):
+        with pytest.raises(OverflowError,
+                           match="^fingerprint coefficient outside the signed 64-bit range$"):
+            fingerprint((c, 0, 0, 1), 3, 0)
 
 
 def test_fingerprint_validation():
