@@ -20,8 +20,8 @@ ImportError, with the reason as its message, when the library can be
 neither loaded nor built (no C compiler, no Python.h, a failed build);
 backend.py then falls back to _purepy.
 
-permanent and determinant accumulate in 128 bits and are exact only
-under the caller's contract stated in _kernels.c; the census calls
+permanent and determinant, which no verb calls, are _purepy's own,
+imported on first use so that a run never loads _purepy; the census calls
 canonical_children, encode_graph6, graph_poly, fingerprint and
 group_sorted alone, an ingested census decode_graph6 and canonical_form
 besides, merge scan_records, merge_records, group_sorted and family_rows
@@ -134,8 +134,6 @@ _ext, REASON = _load()
 
 MAXK = _ext.MAXK  # the fixed array size in _kernels.c
 MAX_VERTICES = _ext.MAX_VERTICES
-permanent = _ext.permanent
-determinant = _ext.determinant
 graph_poly = _ext.graph_poly
 canonical_form = _ext.canonical_form
 canonical_children = _ext.canonical_children
@@ -147,3 +145,11 @@ render = _ext.render
 merge_records = _ext.merge_records
 group_sorted = _ext.group_sorted
 family_rows = _ext.family_rows
+
+
+def __getattr__(name):
+    # called only for names not set above (PEP 562)
+    if name in ("permanent", "determinant"):
+        from . import _purepy
+        return getattr(_purepy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,7 @@
 /* Compiled kernels of coperm, as the CPython extension module behind
  * coperm._core: graph-polynomial coefficients computed directly (Ryser
  * for per(xI - A), Berkowitz for det(xI - A)), the minimum-lex
- * canonical-order search and the canonical children it yields, scalar
- * Ryser permanents and Bareiss determinants of integer matrices, the
+ * canonical-order search and the canonical children it yields, the
  * per-graph codecs: decode_graph6 and encode_graph6, the graph6 word of
  * a graph's rows and back, and fingerprint, the canonical bytes of a
  * graph polynomial; and the steps of a run-file merge: scan_records,
@@ -14,7 +13,7 @@
  * use against the running interpreter's headers and loads it as an
  * extension module. A graph is its rows tuple, a tuple of n ints (see
  * rows_tuple): canonical_form and decode_graph6 return one, and
- * canonical_children a list of them. Each of the thirteen entry points
+ * canonical_children a list of them. Each of the eleven entry points
  * converts its arguments itself: a size past MAXK raises TooLarge, a
  * negative size or too few items ValueError, an item outside its C type
  * OverflowError, and a non-integer TypeError;
@@ -42,102 +41,17 @@
  * group_sorted and family_rows before returning anything.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
- * and every coefficient they return fits (see py_graph_poly). The
- * scalar kernels accumulate in 128 bits, and their caller must keep them
- * in range: for permanent, the product over rows of each row's sum of
- * absolute entries (a zero row counting 1) below 2**126; for
- * determinant, the product over rows of each row's sum of squared
- * entries below 2**120, so that by Hadamard's inequality every minor,
- * and each product of two that Bareiss forms, fits. The Ryser sum alone
- * may pass 2**127 between terms, so it accumulates modulo 2**128, which
- * is exact whenever the final permanent fits. */
+ * and every coefficient they return fits (see py_graph_poly). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <stdint.h>
 #include <string.h>
 
 #define MAXK 16
 
-typedef __int128 i128;
-typedef unsigned __int128 u128;
 typedef unsigned long long u64;
-
-static i128 ryser(const i128 *a, int k)
-{
-    i128 sums[MAXK], prod;
-    u128 total = 0;
-    unsigned int gray_prev = 0, gray, diff, full = 1u << k;
-    int bits = 0;
-
-    if (k == 0)
-        return 1;
-    for (int i = 0; i < k; i++)
-        sums[i] = 0;
-    for (unsigned int s = 1; s < full; s++) {
-        gray = s ^ (s >> 1);
-        diff = gray ^ gray_prev;
-        int j = __builtin_ctz(diff);
-        if (gray & diff) {
-            bits++;
-            for (int i = 0; i < k; i++)
-                sums[i] += a[i * k + j];
-        } else {
-            bits--;
-            for (int i = 0; i < k; i++)
-                sums[i] -= a[i * k + j];
-        }
-        prod = 1;
-        for (int i = 0; i < k; i++) {
-            prod *= sums[i];
-            if (prod == 0)
-                break;
-        }
-        if ((k - bits) & 1)
-            total -= (u128)prod;
-        else
-            total += (u128)prod;
-        gray_prev = gray;
-    }
-    return (i128)total;
-}
-
-/* fraction-free elimination in place; every division is exact */
-static i128 bareiss(i128 *a, int k)
-{
-    int sign = 1;
-    i128 prev = 1, p, f, tmp;
-
-    if (k == 0)
-        return 1;
-    for (int col = 0; col < k - 1; col++) {
-        int piv = -1;
-        for (int i = col; i < k; i++)
-            if (a[i * k + col] != 0) {
-                piv = i;
-                break;
-            }
-        if (piv < 0)
-            return 0;
-        if (piv != col) {
-            for (int j = 0; j < k; j++) {
-                tmp = a[col * k + j];
-                a[col * k + j] = a[piv * k + j];
-                a[piv * k + j] = tmp;
-            }
-            sign = -sign;
-        }
-        p = a[col * k + col];
-        for (int i = col + 1; i < k; i++) {
-            f = a[i * k + col];
-            for (int j = col + 1; j < k; j++)
-                a[i * k + j] = (a[i * k + j] * p - f * a[col * k + j]) / prev;
-            a[i * k + col] = 0;
-        }
-        prev = p;
-    }
-    return sign * a[k * k - 1];
-}
 
 /* per(xI - A) by one Gray-code Ryser sweep over the column sets S:
  * per(M) = sum_S (-1)^(n-|S|) prod_i sum_(j in S) M_ij, and row i's sum is
@@ -362,10 +276,9 @@ static int int_arg(PyObject *obj, int *out)
     return 0;
 }
 
-/* Every item of values as a C unsigned int (wide = 0) or long long
- * (wide = 1), as array("I") and array("q") convert them; the first need
- * items go to out. ValueError when fewer than need. */
-static int items_arg(PyObject *values, Py_ssize_t need, int wide, void *out)
+/* Every item of values as a C unsigned int, as array("I") converts them;
+ * the first need items go to out. ValueError when fewer than need. */
+static int items_arg(PyObject *values, Py_ssize_t need, unsigned int *out)
 {
     /* a tuple, which no item's __index__ can resize under the loop; a
      * tuple argument is taken as it is */
@@ -377,28 +290,20 @@ static int items_arg(PyObject *values, Py_ssize_t need, int wide, void *out)
     len = PyTuple_GET_SIZE(seq);
     for (Py_ssize_t i = 0; i < len; i++) {
         PyObject *index = PyNumber_Index(PyTuple_GET_ITEM(seq, i));
-        long long v = 0;
-        unsigned long u = 0;
+        unsigned long u;
 
         if (index == NULL)
             goto fail;
-        if (wide)
-            v = PyLong_AsLongLong(index);
-        else
-            u = PyLong_AsUnsignedLong(index);
+        u = PyLong_AsUnsignedLong(index);
         Py_DECREF(index);
         if (PyErr_Occurred())
             goto fail;
-        if (!wide && u > UINT_MAX) {
+        if (u > UINT_MAX) {
             PyErr_SetString(PyExc_OverflowError, "unsigned int is greater than maximum");
             goto fail;
         }
-        if (i < need) {
-            if (wide)
-                ((long long *)out)[i] = v;
-            else
-                ((unsigned int *)out)[i] = (unsigned int)u;
-        }
+        if (i < need)
+            out[i] = (unsigned int)u;
     }
     Py_DECREF(seq);
     if (len < need) {
@@ -418,51 +323,6 @@ static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments, got %zd",
                  name, want, nargs);
     return 0;
-}
-
-static PyObject *from_i128(i128 v)
-{
-    PyObject *hi, *shift, *lo, *up = NULL, *sum = NULL;
-
-    if (v == (long long)v)
-        return PyLong_FromLongLong((long long)v);
-    hi = PyLong_FromLongLong((long long)(v >> 64));
-    shift = PyLong_FromLong(64);
-    lo = PyLong_FromUnsignedLongLong((u64)v);
-    if (hi && shift && lo && (up = PyNumber_Lshift(hi, shift)))
-        sum = PyNumber_Add(up, lo);
-    Py_XDECREF(hi);
-    Py_XDECREF(shift);
-    Py_XDECREF(lo);
-    Py_XDECREF(up);
-    return sum;
-}
-
-static PyObject *matrix_kernel(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                               int perm)
-{
-    long long entries[MAXK * MAXK];
-    i128 a[MAXK * MAXK];
-    int k;
-
-    if (!nargs_ok(name, nargs, 2) || size_arg(args[1], 0, &k) < 0
-        || items_arg(args[0], k * k, 1, entries) < 0)
-        return NULL;
-    for (int i = 0; i < k * k; i++)
-        a[i] = entries[i];
-    return from_i128(perm ? ryser(a, k) : bareiss(a, k));
-}
-
-static PyObject *py_permanent(PyObject *Py_UNUSED(module), PyObject *const *args,
-                              Py_ssize_t nargs)
-{
-    return matrix_kernel("permanent", args, nargs, 1);
-}
-
-static PyObject *py_determinant(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                Py_ssize_t nargs)
-{
-    return matrix_kernel("determinant", args, nargs, 0);
 }
 
 /* A new list of the n ints v[0..n), read as signed 64-bit residues. */
@@ -512,7 +372,7 @@ static PyObject *py_graph_poly(PyObject *Py_UNUSED(module), PyObject *const *arg
     int n;
 
     if (!nargs_ok("graph_poly", nargs, 3) || size_arg(args[1], 0, &n) < 0
-        || items_arg(args[0], n, 0, rows) < 0)
+        || items_arg(args[0], n, rows) < 0)
         return NULL;
     if (PyUnicode_Check(args[2]) && PyUnicode_CompareWithASCIIString(args[2], "perm") == 0)
         perm_poly(rows, n, acc);
@@ -529,7 +389,7 @@ static PyObject *py_canonical_form(PyObject *Py_UNUSED(module), PyObject *const 
     int perm[MAXK], n;
 
     if (!nargs_ok("canonical_form", nargs, 2) || size_arg(args[1], 0, &n) < 0
-        || items_arg(args[0], n, 0, rows) < 0)
+        || items_arg(args[0], n, rows) < 0)
         return NULL;
     targets_of(rows, n, best);
     canon_dfs(rows, n, best, cur, perm, 0, 0, 1);
@@ -556,7 +416,7 @@ static PyObject *py_canonical_children(PyObject *Py_UNUSED(module), PyObject *co
         || int_arg(args[2], &lo) < 0 || int_arg(args[3], &hi) < 0)
         return NULL;
     k = size - 1; /* the children have k + 1 vertices */
-    if (items_arg(args[0], k, 0, rows) < 0 || (out = PyList_New(0)) == NULL)
+    if (items_arg(args[0], k, rows) < 0 || (out = PyList_New(0)) == NULL)
         return NULL;
     for (unsigned int s = 1u << k; s-- > 0;) {
         int pc = __builtin_popcount(s);
@@ -1006,7 +866,7 @@ static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
         return NULL;
     }
     n = (int)v;
-    if (items_arg(args[0], n, 0, rows) < 0)
+    if (items_arg(args[0], n, rows) < 0)
         return NULL;
     word[k++] = (char)(n + 63);
     for (int j = 1; j < n; j++)
@@ -1516,8 +1376,6 @@ fail:
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    ENTRY(permanent, "Permanent of a k x k matrix given as a flat row-major list."),
-    ENTRY(determinant, "Determinant by fraction-free elimination; every division is exact."),
     ENTRY(graph_poly, "Coefficients (constant first) of per/det(xI - A) for adjacency rows."),
     ENTRY(canonical_form, "The rows tuple of the minimum-lex relabeling of the graph."),
     ENTRY(canonical_children,
@@ -1569,7 +1427,9 @@ static int exec_module(PyObject *module)
 }
 
 static PyModuleDef_Slot slots[] = {
-    {Py_mod_exec, (void *)exec_module},
+    /* an object pointer in the slot's type, by way of an integer, as ISO C
+     * allows no direct cast from a function pointer */
+    {Py_mod_exec, (void *)(uintptr_t)exec_module},
 #if PY_VERSION_HEX >= 0x030C0000
     /* the exceptions and types are statics of the whole process */
     {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},

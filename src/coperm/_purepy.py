@@ -4,13 +4,13 @@ Twin of the compiled kernels (_kernels.c) with identical signatures and
 semantics: graph-polynomial coefficients computed directly (Ryser's sum
 with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
-for isomorph rejection, Gray-code Ryser permanents and fraction-free
-Bareiss determinants of integer matrices, the graph6 decoder and encoder
-and the fingerprint encoder, and the steps of a run-file merge: the
-record scanner, the k-way merge, the grouper, the fingerprint renderer
-and the report rows. Python integers never wrap, so the scalar kernels
-here are exact for any input; they agree with the compiled ones within
-the caller contract stated in _kernels.c. The codecs agree with them on
+for isomorph rejection, the graph6 decoder and encoder and the
+fingerprint encoder, and the steps of a run-file merge: the record
+scanner, the k-way merge, the grouper, the fingerprint renderer and the
+report rows. Besides them, it holds the one implementation of Gray-code
+Ryser permanents and fraction-free Bareiss determinants of integer
+matrices, which _core lends out as its own; Python integers never wrap,
+so they are exact for any input. The codecs agree with the compiled ones on
 any str, on the rows of every graph of at most 32 vertices and on any
 sequence of ints, errors and messages included: a fingerprint coefficient
 is a C long long in both, so fingerprint raises OverflowError for any

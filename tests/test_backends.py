@@ -66,15 +66,15 @@ needs_both = pytest.mark.skipif(
 
 
 @needs_both
-def test_permanent_and_determinant_agree():
-    a = BACKENDS["compiled"]
-    b = BACKENDS["pure-python"]
-    rng = random.Random(12)
-    for _ in range(400):
-        k = rng.randint(0, 8)
-        flat = [rng.randint(-5, 5) for _ in range(k * k)]
-        assert a.permanent(flat, k) == b.permanent(flat, k)
-        assert a.determinant(flat, k) == b.determinant(flat, k)
+def test_scalar_kernels_have_one_implementation():
+    # the extension has no permanent or determinant; _core lends out the
+    # pure-Python ones, which no verb calls
+    core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
+    for name in ("permanent", "determinant"):
+        assert not hasattr(core._ext, name)
+        assert getattr(core, name) is getattr(twin, name)
+    with pytest.raises(AttributeError):
+        core.no_such_kernel
 
 
 @needs_both
@@ -476,12 +476,10 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
 
 @needs_both
 @pytest.mark.parametrize("name, args", [
-    ("permanent", ([0] * 17 * 17, 17)),
-    ("determinant", ([0] * 17 * 17, 17)),
     ("graph_poly", ([0] * 17, 17, "perm")),
     ("canonical_form", ([0] * 17, 17)),
     ("canonical_children", ([0] * 16, 16, 0, 16)),  # children have 17 vertices
-])
+], ids=["graph_poly-args2", "canonical_form-args3", "canonical_children-args4"])
 def test_compiled_entry_points_reject_size_17(name, args):
     with pytest.raises(TooLarge):
         getattr(BACKENDS["compiled"], name)(*args)
@@ -491,26 +489,16 @@ def test_compiled_entry_points_reject_size_17(name, args):
 def test_compiled_entry_points_reject_short_and_out_of_range_input():
     core = BACKENDS["compiled"]
     with pytest.raises(ValueError):
-        core.permanent([1, 2, 3], 2)  # the kernel would read a fourth entry
-    with pytest.raises(ValueError):
-        core.canonical_form([0, 0], 3)
-    with pytest.raises(OverflowError):
-        core.determinant([1 << 64], 1)
+        core.canonical_form([0, 0], 3)  # the kernel would read a third row
     with pytest.raises(OverflowError):
         core.canonical_form([-1], 1)
 
 
 # ----------------------------------------- the extension's entry points
 
-# beyond the size-17, short and out-of-range cases above
+# beyond the size-17, short and out-of-range cases above; numbered from 7,
+# the ids these cases had while the scalar kernels' seven cases led the list
 BAD_INPUT = [
-    ("permanent", ([], -1), ValueError),
-    ("permanent", ([1 << 63], 1), OverflowError),
-    ("permanent", ([1.0], 1), TypeError),
-    ("permanent", ([1], "1"), TypeError),
-    ("determinant", ([1, 2], 2), ValueError),
-    ("determinant", ([-(1 << 63) - 1], 1), OverflowError),
-    ("determinant", (None, 1), TypeError),
     ("graph_poly", ([0] * 17, 1 << 70, "perm"), TooLarge),
     ("graph_poly", ([0, 0], 3, "perm"), ValueError),
     ("graph_poly", ([0], -(1 << 70), "char"), ValueError),
@@ -568,7 +556,7 @@ BAD_INPUT = [
 
 @needs_both
 @pytest.mark.parametrize("name, args, error", BAD_INPUT,
-                         ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in enumerate(BAD_INPUT)])
+                         ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in enumerate(BAD_INPUT, 7)])
 def test_compiled_entry_points_reject_bad_input(name, args, error):
     with pytest.raises(error):
         getattr(BACKENDS["compiled"], name)(*args)
@@ -599,8 +587,6 @@ def leak_cases():
     # signed 64-bit range, and one with a coefficient just past it
     poly = [-2**63, 2**63 - 1, big[0], *[0] * 25, -300, 0, 1]
     return {
-        "permanent": (([big[0], 2, 3, big[1]], 2), ([big[0], big[1], big[2]], 2)),
-        "determinant": (([big[0], 2, 3, big[1]], 2), ([big[0], 1 << 64], 1)),
         "graph_poly": (((*big,), 3, "perm"), (big[:2], 3, "char")),
         "canonical_form": ((big, 3), ([*big[:2], -big[2]], 3)),
         "canonical_children": (((*big,), 3, 0, 3), (big, 3, big[0], 1 << 40)),
@@ -708,16 +694,13 @@ def complete(n):
 
 
 def interpolated(g, kind):
-    """Oracle: per/det(tI - A) at t = 0..n with the scalar kernels of the
-    backend in use, then exact interpolation."""
-    impl = BACKENDS[backend.BACKEND]
+    """Oracle: per/det(tI - A) at t = 0..n with the scalar kernels, then
+    exact interpolation."""
+    impl = BACKENDS["pure-python"]
     fn = impl.permanent if kind == "perm" else impl.determinant
     values = []
     for t in range(len(g) + 1):
         mat = char_matrix(g, t)
-        # a row's sum of squared entries bounds its sum of absolute entries,
-        # so this keeps both 128-bit kernels within their caller contracts
-        assert math.prod(max(1, sum(e * e for e in row)) for row in mat) < 1 << 120
         values.append(fn([e for row in mat for e in row], len(g)))
     return list(from_values(values))
 
@@ -812,51 +795,6 @@ def test_random_graphs_exact_8_to_12():
             want = interpolated(g, kind)
             assert max(map(abs, want)) <= math.factorial(len(g))
             assert_exact(g, kind, want)
-
-
-@needs_both
-def test_128_bit_results_cross_exactly():
-    # the caller contract of the 128-bit Ryser kernel: the rows' sums of
-    # absolute entries multiply to less than 2**126
-    big = [[120] * 12 for _ in range(12)]
-    assert (12 * 120) ** 12 < 1 << 126
-    want = math.factorial(12) * 120 ** 12  # about 2**111
-    assert want > 1 << 110
-    neg = [[-120] * 11 for _ in range(11)]
-    assert (11 * 120) ** 11 < 1 << 126
-    neg_want = -math.factorial(11) * 120 ** 11  # about -2**101
-    for impl in BACKENDS.values():
-        assert impl.permanent([e for row in big for e in row], 12) == want
-        assert impl.permanent([e for row in neg for e in row], 11) == neg_want
-
-
-def paley_hadamard_12():
-    """Order-12 Hadamard matrix I + S from the quadratic residues mod 11."""
-    squares = {x * x % 11 for x in range(1, 11)}
-
-    def chi(a):
-        return 0 if a % 11 == 0 else (1 if a % 11 in squares else -1)
-
-    s = [[0] + [1] * 11] + [[-1] + [chi(j - i) for j in range(11)] for i in range(11)]
-    return [[s[i][j] + (i == j) for j in range(12)] for i in range(12)]
-
-
-@needs_both
-def test_negative_determinant_at_the_hadamard_bound():
-    h = paley_hadamard_12()
-    assert all(sum(x * y for x, y in zip(h[i], h[j])) == 12 * (i == j)
-               for i in range(12) for j in range(12))
-    m = [[9 * e for e in row] for row in h]
-    m[0], m[1] = m[1], m[0]
-    # the caller contract of the 128-bit Bareiss kernel: the rows' sums of
-    # squared entries multiply to less than 2**120. Hadamard's inequality
-    # caps |det| at the square root of that product; 9H attains it
-    bound = math.prod(sum(e * e for e in row) for row in m)
-    assert bound == (81 * 12) ** 12 < 1 << 120
-    want = -(9 ** 12 * 12 ** 6)
-    assert want * want == bound
-    for impl in BACKENDS.values():
-        assert impl.determinant([e for row in m for e in row], 12) == want
 
 
 # ------------------------------------------------------- backend selection
