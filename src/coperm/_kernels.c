@@ -4,19 +4,19 @@
  * canonical-order search and the canonical children it yields, the
  * per-graph codecs: decode_graph6 and encode_graph6, the graph6 word of
  * a graph's rows and back, and fingerprint, the canonical bytes of a
- * graph polynomial; and the steps of a run-file merge: scan_records,
- * which cuts and checks the records a buffer holds, render, which writes
- * a fingerprint as report text, merge_records, an iterator over the k-way
- * merge of record streams, group_sorted, which returns the families of
- * sorted records as a list, and family_rows, which writes the report rows
- * of a list of families as one str. _core.py builds this file on first
- * use against the running interpreter's headers and loads it as an
- * extension module. A graph is its rows tuple, a tuple of n ints (see
- * rows_tuple): canonical_form and decode_graph6 return one, and
- * canonical_children a list of them. Each of the eleven entry points
- * converts its arguments itself: a size past MAXK raises TooLarge, a
- * negative size or too few items ValueError, an item outside its C type
- * OverflowError, and a non-integer TypeError;
+ * graph polynomial; and the compiled steps of a run-file merge, whose
+ * k-way merge is heapq.merge in collide.py: scan_records, which cuts and
+ * checks the records a buffer holds, render, which writes a fingerprint
+ * as report text, group_sorted, which returns the families of sorted
+ * records as a list, and family_rows, which writes the report rows of a
+ * list of families as one str. _core.py builds this file on first use
+ * against the running interpreter's headers and loads it as an extension
+ * module, of functions and constants only. A graph is its rows tuple, a
+ * tuple of n ints (see rows_tuple): canonical_form and decode_graph6
+ * return one, and canonical_children a list of them. Each of the ten
+ * entry points converts its arguments itself: a size past MAXK raises
+ * TooLarge, a negative size or too few items ValueError, an item outside
+ * its C type OverflowError, and a non-integer TypeError;
  * scan_records, render and family_rows raise ValueError for an n, m,
  * offset or count out of range or a fingerprint of the wrong length, and
  * TypeError for a buffer or fingerprint that is not bytes, so malformed
@@ -32,13 +32,11 @@
  * raises InvalidChar, TruncatedBody, TrailingGarbage or TooLarge;
  * encode_graph6 raises TooLarge past MAX_VERTICES vertices; fingerprint
  * compares the leading coefficients as Python objects and raises
- * DegreeMismatch. merge_records,
- * group_sorted and family_rows take only what the program passes them:
- * records that are 2-tuples of exact bytes and exact str, and families
- * that are 2-tuples of bytes and a tuple of ASCII str. On those they give
- * what their pure-Python twins give, and they raise TypeError at any
- * other item: merge_records after yielding the items before it,
- * group_sorted and family_rows before returning anything.
+ * DegreeMismatch. group_sorted and family_rows take only what the
+ * program passes them: records that are 2-tuples of exact bytes and exact
+ * str, and families that are 2-tuples of bytes and a tuple of ASCII str.
+ * On those they give what their pure-Python twins give, and at any other
+ * item they raise TypeError before returning anything.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). */
@@ -977,225 +975,25 @@ fail:
     return NULL;
 }
 
-/* -------------------------------------------- merge, grouping and rows */
+/* ------------------------------------------------- grouping and rows */
 
 static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
 
-/* merge_records and group_sorted give what their twins in _purepy give, on
- * the records the program makes: 2-tuples of exact bytes and exact str.
- * Any other item raises TypeError. */
-
 /* the next item of it, a new reference: NULL at its end, and NULL with
- * TypeError for an item that is not a record */
-static PyObject *next_record(PyObject *it, const char *name)
+ * TypeError for an item that is not one of the records the program
+ * makes, a 2-tuple of exact bytes and exact str */
+static PyObject *next_record(PyObject *it)
 {
     PyObject *rec = PyIter_Next(it);
 
     if (rec != NULL && !(PyTuple_CheckExact(rec) && PyTuple_GET_SIZE(rec) == 2
                          && PyBytes_CheckExact(PyTuple_GET_ITEM(rec, 0))
                          && PyUnicode_CheckExact(PyTuple_GET_ITEM(rec, 1)))) {
-        PyErr_Format(PyExc_TypeError, "%s() takes records that are (bytes, str) tuples", name);
+        PyErr_SetString(PyExc_TypeError,
+                        "group_sorted() takes records that are (bytes, str) tuples");
         Py_CLEAR(rec);
     }
     return rec;
-}
-
-/* ------------------------------------------------------ merge_records */
-
-/* The iterator takes its streams' iterators at its first next(), a next()
- * call made while one runs raises ValueError, and an error or the end
- * finishes it, releasing its streams. */
-
-static int enter(int *running)
-{
-    if (*running) {
-        PyErr_SetString(PyExc_ValueError, "generator already executing");
-        return -1;
-    }
-    *running = 1;
-    return 0;
-}
-
-/* one stream in the heap: its current record, the stream, and its place
- * among the streams, which breaks ties as in heapq.merge */
-struct entry {
-    PyObject *value, *it;
-    Py_ssize_t order;
-};
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *streams; /* a tuple, until the first next() */
-    struct entry *heap;
-    Py_ssize_t size;
-    int running;
-} merge_obj;
-
-/* a < b in the total order of (record, place): by fingerprint, then by
- * graph6 word, then by place */
-static int entry_lt(const struct entry *a, const struct entry *b)
-{
-    PyObject *x = PyTuple_GET_ITEM(a->value, 0), *y = PyTuple_GET_ITEM(b->value, 0);
-    int c = bytes_cmp(PyBytes_AS_STRING(x), PyBytes_GET_SIZE(x), PyBytes_AS_STRING(y),
-                      PyBytes_GET_SIZE(y));
-
-    if (c == 0)
-        c = PyUnicode_Compare(PyTuple_GET_ITEM(a->value, 1), PyTuple_GET_ITEM(b->value, 1));
-    return c ? c < 0 : a->order < b->order;
-}
-
-/* heap[pos] moved down below pos until no child of it is smaller */
-static void sift(struct entry *heap, Py_ssize_t size, Py_ssize_t pos)
-{
-    struct entry item = heap[pos];
-    Py_ssize_t child;
-
-    while ((child = 2 * pos + 1) < size) {
-        if (child + 1 < size && entry_lt(&heap[child + 1], &heap[child]))
-            child++;
-        if (!entry_lt(&heap[child], &item))
-            break;
-        heap[pos] = heap[child];
-        pos = child;
-    }
-    heap[pos] = item;
-}
-
-static int merge_clear(PyObject *op)
-{
-    merge_obj *self = (merge_obj *)op;
-
-    Py_CLEAR(self->streams);
-    while (self->size > 0) {
-        struct entry *e = &self->heap[--self->size];
-
-        Py_CLEAR(e->value);
-        Py_CLEAR(e->it);
-    }
-    PyMem_Free(self->heap);
-    self->heap = NULL;
-    return 0;
-}
-
-static int merge_traverse(PyObject *op, visitproc visit, void *arg)
-{
-    merge_obj *self = (merge_obj *)op;
-
-    Py_VISIT(self->streams);
-    for (Py_ssize_t i = 0; i < self->size; i++) {
-        Py_VISIT(self->heap[i].value);
-        Py_VISIT(self->heap[i].it);
-    }
-    return 0;
-}
-
-static void merge_dealloc(PyObject *op)
-{
-    PyObject_GC_UnTrack(op);
-    merge_clear(op);
-    PyObject_GC_Del(op);
-}
-
-/* each stream's iterator and first record, in order, an empty stream
- * dropped, then the heap made bottom-up */
-static int merge_start(merge_obj *self)
-{
-    Py_ssize_t count = PyTuple_GET_SIZE(self->streams);
-
-    if ((self->heap = PyMem_New(struct entry, count ? count : 1)) == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *it = PyObject_GetIter(PyTuple_GET_ITEM(self->streams, i)), *value;
-
-        if (it == NULL)
-            return -1;
-        if ((value = next_record(it, "merge_records")) == NULL) {
-            Py_DECREF(it);
-            if (PyErr_Occurred())
-                return -1;
-            continue;
-        }
-        self->heap[self->size++] = (struct entry){value, it, i};
-    }
-    Py_CLEAR(self->streams);
-    for (Py_ssize_t i = self->size / 2; i-- > 0;)
-        sift(self->heap, self->size, i);
-    return 0;
-}
-
-/* the smallest record; the stream of the one returned before moves on
- * first, and leaves the heap when it ends */
-static PyObject *merge_next(PyObject *op)
-{
-    merge_obj *self = (merge_obj *)op;
-
-    if ((self->streams == NULL && self->heap == NULL) || enter(&self->running) < 0)
-        return NULL; /* finished, or running */
-    if (self->streams != NULL) {
-        if (merge_start(self) < 0)
-            goto fail;
-    } else {
-        struct entry *top = &self->heap[0];
-        PyObject *value = next_record(top->it, "merge_records");
-
-        if (value != NULL) {
-            Py_SETREF(top->value, value);
-        } else if (PyErr_Occurred()) {
-            goto fail;
-        } else {
-            struct entry gone = *top;
-
-            *top = self->heap[--self->size];
-            Py_DECREF(gone.value);
-            Py_DECREF(gone.it);
-        }
-        sift(self->heap, self->size, 0);
-    }
-    if (self->size == 0)
-        goto fail; /* the end: no error is set */
-    self->running = 0;
-    return Py_NewRef(self->heap[0].value);
-fail:
-    merge_clear(op);
-    self->running = 0;
-    return NULL;
-}
-
-static PyTypeObject merge_type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "coperm._core.merge_records",
-    .tp_basicsize = sizeof(merge_obj),
-    .tp_dealloc = merge_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = merge_traverse,
-    .tp_clear = merge_clear,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = merge_next,
-};
-
-/* merge_records(streams): an iterator over the records of every stream, a
- * k-way merge of sorted ones, as heapq.merge(*streams): the same records,
- * ties in stream order */
-static PyObject *py_merge_records(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                  Py_ssize_t nargs)
-{
-    PyObject *streams;
-    merge_obj *self;
-
-    if (!nargs_ok("merge_records", nargs, 1) || (streams = PySequence_Tuple(args[0])) == NULL)
-        return NULL;
-    if ((self = PyObject_GC_New(merge_obj, &merge_type)) == NULL) {
-        Py_DECREF(streams);
-        return NULL;
-    }
-    self->streams = streams;
-    self->heap = NULL;
-    self->size = 0;
-    self->running = 0;
-    PyObject_GC_Track(self);
-    return (PyObject *)self;
 }
 
 /* ------------------------------------------------------- group_sorted */
@@ -1261,7 +1059,7 @@ static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *a
     if (!nargs_ok("group_sorted", nargs, 1) || (it = PyObject_GetIter(args[0])) == NULL)
         return NULL;
     families = PyList_New(0);
-    while (families != NULL && (rec = next_record(it, "group_sorted")) != NULL) {
+    while (families != NULL && (rec = next_record(it)) != NULL) {
         fp = PyTuple_GET_ITEM(rec, 0);
         g6 = PyTuple_GET_ITEM(rec, 1);
         c = cur == NULL ? 1 : bytes_cmp(PyBytes_AS_STRING(fp), PyBytes_GET_SIZE(fp),
@@ -1388,8 +1186,6 @@ static PyMethodDef methods[] = {
     ENTRY(decode_graph6, "The adjacency rows of one short-form graph6 word, as a tuple."),
     ENTRY(encode_graph6, "The short-form graph6 word of adjacency rows of n vertices."),
     ENTRY(fingerprint, "Canonical bytes for a monic degree-n graph polynomial."),
-    ENTRY(merge_records,
-          "K-way merge of sorted record iterators, as heapq.merge(*streams)."),
     ENTRY(group_sorted,
           "The (fingerprint, members) families, as a list, of the (fingerprint, graph6)\n"
           "records of one shard, each greater than the one before."),
@@ -1419,8 +1215,6 @@ static int exec_module(PyObject *module)
     Py_XSETREF(one, PyLong_FromLong(1));
     if (zero == NULL || one == NULL)
         return -1;
-    if (PyType_Ready(&merge_type) < 0)
-        return -1;
     if (PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)
         return -1;
     return PyModule_AddIntConstant(module, "MAX_VERTICES", MAX_VERTICES);
@@ -1431,7 +1225,7 @@ static PyModuleDef_Slot slots[] = {
      * allows no direct cast from a function pointer */
     {Py_mod_exec, (void *)(uintptr_t)exec_module},
 #if PY_VERSION_HEX >= 0x030C0000
-    /* the exceptions and types are statics of the whole process */
+    /* the exceptions and ints it holds are statics of the whole process */
     {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
 #endif
     {0, NULL},

@@ -5,9 +5,10 @@ semantics: graph-polynomial coefficients computed directly (Ryser's sum
 with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
 for isomorph rejection, the graph6 decoder and encoder and the
-fingerprint encoder, and the steps of a run-file merge: the record
-scanner, the k-way merge, the grouper, the fingerprint renderer and the
-report rows. Besides them, it holds the one implementation of Gray-code
+fingerprint encoder, and the steps of a run-file merge that are
+kernels: the record scanner, the grouper, the fingerprint renderer and
+the report rows (the k-way merge is heapq.merge, in collide, for both
+backends). Besides them, it holds the one implementation of Gray-code
 Ryser permanents and fraction-free Bareiss determinants of integer
 matrices, which _core lends out as its own; Python integers never wrap,
 so they are exact for any input. The codecs agree with the compiled ones on
@@ -16,18 +17,16 @@ sequence of ints, errors and messages included: a fingerprint coefficient
 is a C long long in both, so fingerprint raises OverflowError for any
 other int, and scan_records stops at a magnitude of more than 8 bytes as
 not canonical. The run-file twins agree with them on every buffer and on
-every fingerprint a run reader accepts;
-merge_records and group_sorted on every stream of (bytes, str) records,
-and family_rows on every (bytes, tuple of ASCII str) family of such
-fingerprints; each group_sorted returns a list of plain (fingerprint,
-members) tuples, and canonical_form and decode_graph6 a rows tuple.
+every fingerprint a run reader accepts; group_sorted on every stream of
+(bytes, str) records, and family_rows on every (bytes, tuple of ASCII
+str) family of such fingerprints; each group_sorted returns a list of
+plain (fingerprint, members) tuples, and canonical_form and
+decode_graph6 a rows tuple.
 Only the compiled ones check their other arguments, and reject other
 records and families with TypeError.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .errors import (
     DegreeMismatch,
@@ -455,12 +454,7 @@ def render(fp: bytes, n: int) -> str:
     return out
 
 
-# ------------------------------------------------ merge, grouping and rows
-
-def merge_records(streams):
-    """K-way merge of sorted record iterators, as heapq.merge(*streams)."""
-    return heapq.merge(*streams)
-
+# ------------------------------------------------------ grouping and rows
 
 def group_sorted(records):
     """The families of the records of one (n, m) shard, each greater than

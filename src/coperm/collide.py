@@ -20,8 +20,8 @@ at most n! in magnitude, under 2**45 at the kernels' 16 vertices, so
 fingerprint() takes only ints that fit a C long long and a run reader
 refuses a longer magnitude as not canonical. render()
 turns one back into report text without decoding it to integers; it, the
-run reader's record scanner, the k-way merge and the grouper are kernels
-of the backend.
+run reader's record scanner and the grouper are kernels of the backend;
+the k-way merge of run files is the standard library's heapq.merge.
 """
 
 from __future__ import annotations
@@ -181,8 +181,13 @@ def merge_sorted_runs(paths, on_shard=None):
 
     All runs must belong to the same (n, m) shard; each is opened once,
     and on_shard, when given, is called with that (n, m) once every
-    header is read, before the first record.
+    header is read, before the first record. The merge is heapq.merge:
+    ties go in run order, and each run holds at most _SCAN records as
+    objects.
     """
+    # imported here: a poly or census run, which merges nothing, never loads it
+    import heapq
+
     paths = list(paths)
     if not paths:
         return
@@ -199,4 +204,4 @@ def merge_sorted_runs(paths, on_shard=None):
             streams.append(_iter_run(fh, p, n, m, count))
         if on_shard is not None:
             on_shard(shard)
-        yield from backend.merge_records(streams)
+        yield from heapq.merge(*streams)

@@ -6,7 +6,7 @@ against, and the stack walk that fixes the enumeration order), a graph
 builder from edge lists and the check that a graph is an exact rows
 tuple, and the run-reader chunk sizes, raw run-file writer and kernel
 switch the run-file tests use, and the fingerprints and out-of-contract
-items the tests of the compiled iterators use."""
+items the tests of the compiled grouper and row writer use."""
 
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -27,9 +27,9 @@ SYMBOLIC_MAX = 7
 @contextmanager
 def merge_kernels_of(impl):
     """The run reader and the merge verb running on the kernels of impl, a
-    backend module."""
+    backend module. The k-way merge is heapq.merge on either."""
     with ExitStack() as stack:
-        for name in ("scan_records", "merge_records", "family_rows"):
+        for name in ("scan_records", "family_rows"):
             stack.enter_context(mock.patch.object(backend, name, getattr(impl, name)))
         stack.enter_context(mock.patch.object(collide, "group_sorted", impl.group_sorted))
         yield

@@ -358,75 +358,30 @@ def test_fingerprints_agree_on_random_coefficients():
                     (OverflowError, "fingerprint coefficient outside the signed 64-bit range")}
 
 
-@pytest.mark.parametrize("streams", [0, 1, 2, 3, 7, 64, 4000])
-def test_merge_records_yields_the_records_of_heapq_merge(streams):
-    # the same record objects in the same order: equal records, distinct
-    # objects in several streams, leave in stream order; past 2,500 streams
-    # heapq.heapify sifts in another order than the compiled heapify
-    rng = random.Random(streams)
-    values = [sorted((rng.choice(KERNEL_FPS[:2]), rng.choice(("C?", "C@")))
-                     for _ in range(rng.randint(0, 4))) for _ in range(streams)]
-    want = [id(r) for r in heapq.merge(*values)]
-    assert len(want) == sum(map(len, values))
-    for impl in BACKENDS.values():
-        assert [id(r) for r in impl.merge_records([iter(v) for v in values])] == want
-
-
-@needs_both
-@pytest.mark.parametrize("name", ["merge_records"])
-def test_kernel_called_again_while_it_runs_raises_as_a_generator(name):
-    # a next() of the kernel's iterator made from within its own next(),
-    # here by the input's, fails as a running generator's does
-    for impl in BACKENDS.values():
-        kernel = getattr(impl, name)
-        seen = []
-
-        def reenter():
-            try:
-                next(it)
-            except ValueError as exc:
-                seen.append(str(exc))
-            yield b"\0\0", "A_"
-
-        it = kernel([reenter()])
-        assert len(list(it)) == 1
-        assert seen == ["generator already executing"], impl.BACKEND_NAME
-
-
-OUTSIDE_THE_CONTRACT = ([("merge_records", r) for r in ODD_RECORDS]
-                        + [("group_sorted", r) for r in ODD_RECORDS]
+# items that the grouper and the row writer refuse, numbered from 8, the ids
+# these cases had while eight merge_records cases led the list
+OUTSIDE_THE_CONTRACT = ([("group_sorted", r) for r in ODD_RECORDS]
                         + [("family_rows", f) for f in ODD_FAMILIES])
 
 
 @needs_both
 @pytest.mark.parametrize("name, odd", OUTSIDE_THE_CONTRACT,
-                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(OUTSIDE_THE_CONTRACT)])
+                         ids=[f"{name}-{i}" for i, (name, _) in
+                              enumerate(OUTSIDE_THE_CONTRACT, 8)])
 def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
-    # the iterator merge_records: the items before the odd one, then
-    # TypeError, then nothing more; the functions group_sorted and
-    # family_rows: TypeError, wherever the odd item is
+    # group_sorted and family_rows raise TypeError, wherever the odd item is
     core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
-    records = [(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"), (KERNEL_FPS[1], "CA")]
-    after = [(KERNEL_FPS[2], "Cw")]
-    if name != "merge_records":
-        items = records + after
-        if name == "family_rows":
-            items = twin.group_sorted(items)
-        for at in range(len(items) + 1):
-            spliced = [*items[:at], odd, *items[at:]]
-            with pytest.raises(TypeError):
-                if name == "group_sorted":
-                    core.group_sorted(iter(spliced))
-                else:
-                    core.family_rows(spliced, 4, 2)
-        return
-    it = core.merge_records([[*records, odd, *after]])
-    got = []
-    with pytest.raises(TypeError):
-        for item in it:
-            got.append(item)
-    assert got == records
-    assert list(it) == []
+    items = [(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"), (KERNEL_FPS[1], "CA"),
+             (KERNEL_FPS[2], "Cw")]
+    if name == "family_rows":
+        items = twin.group_sorted(items)
+    for at in range(len(items) + 1):
+        spliced = [*items[:at], odd, *items[at:]]
+        with pytest.raises(TypeError):
+            if name == "group_sorted":
+                core.group_sorted(iter(spliced))
+            else:
+                core.family_rows(spliced, 4, 2)
 
 
 def oracle_merge_report(n, m, records) -> str:
@@ -442,7 +397,7 @@ def oracle_merge_report(n, m, records) -> str:
 @needs_both
 def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
     # every shard with n <= 8, of both kinds, split across 1 to 6 runs,
-    # grouped 1, 2, 3 or 4096 records at a time
+    # grouped 1, 2, 3 or 4096 records at a time, and one shard across 64
     rng = random.Random(21)
     report = tmp_path / "report.txt"
     for n in range(9):
@@ -458,6 +413,18 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
                             mock.patch.object(cli, "_EMIT_LINES", rng.choice((1, 2, 3, 4096))):
                         assert main(["merge", *runs, "--out", str(report)]) == 0
                     assert report.read_text() == want, (n, m, kind, impl.BACKEND_NAME)
+    # one n=8 shard over 64 runs, eight of them empty, in shuffled order
+    records = shard_records(8, 14, ("char",))["char"]
+    parts = [records[i::56] for i in range(56)] + [[]] * 8
+    rng.shuffle(parts)
+    runs = [str(tmp_path / f"many{i}.run") for i in range(64)]
+    for part, path in zip(parts, runs):
+        persist_fingerprints(part, path, 8, 14)
+    want = oracle_merge_report(8, 14, records)
+    for impl in BACKENDS.values():
+        with merge_kernels_of(impl):
+            assert main(["merge", *runs, "--out", str(report)]) == 0
+        assert report.read_text() == want, impl.BACKEND_NAME
     # a repeated pair, and two members out of order, across a chunk edge
     records = shard_records(6, 6, ("char",))["char"]
     run = tmp_path / "faulty.run"
@@ -472,6 +439,29 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
                 assert main(["merge", str(run), "--out", str(report)]) == 3
             assert capsys.readouterr().err == f"coperm: {want}\n", (fault, lines)
             assert not report.exists()
+
+
+@needs_both
+def test_the_merge_has_one_implementation(tmp_path):
+    # no backend has a k-way merge kernel: merge_sorted_runs is heapq.merge
+    # over its runs' records, and the extension exports functions, each
+    # returning builtin objects, and two constants, but no type
+    for module in (backend, *BACKENDS.values()):
+        assert not hasattr(module, "merge_records"), module.__name__
+    ext = BACKENDS["compiled"]._ext
+    exported = {name: value for name, value in vars(ext).items() if not name.startswith("__")}
+    assert not [name for name, value in exported.items() if isinstance(value, type)]
+    assert sorted(exported) == sorted([*leak_cases(), "MAXK", "MAX_VERTICES"])
+    for name, (good, _) in leak_cases().items():
+        assert type(getattr(ext, name)(*good)).__module__ == "builtins", name
+    records = shard_records(6, 7, ("char",))["char"]
+    runs = [tmp_path / f"{i}.run" for i in range(3)]
+    for i, path in enumerate(runs):
+        persist_fingerprints(records[i::3], path, 6, 7)
+    shards = []
+    got = list(collide.merge_sorted_runs(runs, shards.append))
+    assert got == list(heapq.merge(*(sorted(records[i::3]) for i in range(3))))
+    assert shards == [(6, 7)]
 
 
 @needs_both
@@ -497,7 +487,8 @@ def test_compiled_entry_points_reject_short_and_out_of_range_input():
 # ----------------------------------------- the extension's entry points
 
 # beyond the size-17, short and out-of-range cases above; numbered from 7,
-# the ids these cases had while the scalar kernels' seven cases led the list
+# the ids these cases had while the scalar kernels' seven cases led the list,
+# and without 33 and 34, the ids of the two merge_records cases
 BAD_INPUT = [
     ("graph_poly", ([0] * 17, 1 << 70, "perm"), TooLarge),
     ("graph_poly", ([0, 0], 3, "perm"), ValueError),
@@ -525,8 +516,6 @@ BAD_INPUT = [
     ("render", (b"", -1), ValueError),
     ("render", (b"", 33), ValueError),
     ("render", ("", 0), TypeError),
-    ("merge_records", (5,), TypeError),  # streams not iterable
-    ("merge_records", ([], []), TypeError),
     ("group_sorted", (), TypeError),
     ("family_rows", ([], 33, 0), ValueError),  # n past 32
     ("family_rows", ([], 3, 1 << 16), ValueError),  # m past u16
@@ -556,7 +545,8 @@ BAD_INPUT = [
 
 @needs_both
 @pytest.mark.parametrize("name, args, error", BAD_INPUT,
-                         ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in enumerate(BAD_INPUT, 7)])
+                         ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in
+                              zip((*range(7, 33), *range(35, 58)), BAD_INPUT, strict=True)])
 def test_compiled_entry_points_reject_bad_input(name, args, error):
     with pytest.raises(error):
         getattr(BACKENDS["compiled"], name)(*args)
@@ -577,8 +567,8 @@ def leak_cases():
                    for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
                                    words))
     wide = fingerprint_bytes([-2**63, 2**63 - 1] + [0] * 26 + [300, 0, 1], 30)
-    # sorted (bytes, str) records over two streams, two sharing a fingerprint;
-    # a merge and a grouping that fail at a record that is a list
+    # sorted (bytes, str) records, two sharing a fingerprint; a grouping that
+    # fails at a record that is a list
     narrow = fingerprint_bytes([0] * 28 + [300, 0, 1], 30)
     records = sorted([(narrow, words[0]), (narrow, words[1]), (wide, words[2]),
                       (wide, words[2] + "\xe9")])
@@ -593,8 +583,6 @@ def leak_cases():
         "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58]),
                          (run, big[1], 1, 30, 300, None)),
         "render": ((wide, 30), (wide[:-1], 30)),
-        "merge_records": (([records[::2], records[1::2], []],),
-                          ([records[::2], [*records[1::2], listed]],)),
         "group_sorted": ((records,), ([*records, listed],)),
         # two rows; rows that fail at a member that is not ASCII, after a
         # family that passed its checks
@@ -619,24 +607,17 @@ def held_objects(args):
     return [x for x in objects if not (type(x) is int and -5 <= x <= 256)]
 
 
-def call(fn, args):
-    """fn(*args), or the list of the items of the iterator it returns."""
-    out = fn(*args)
-    return list(out) if hasattr(out, "__next__") else out
-
-
 @needs_both
 @pytest.mark.parametrize("name", sorted(leak_cases()))
 def test_compiled_entry_points_hold_no_references(name):
-    """10**5 calls that succeed and 10**4 that fail, an iterator returned
-    run to its end or its error, leave the refcount of every input
-    unchanged and the traced memory flat."""
+    """10**5 calls that succeed and 10**4 that fail leave the refcount of
+    every input unchanged and the traced memory flat."""
     fn = getattr(BACKENDS["compiled"], name)
     good, bad = leak_cases()[name]
 
     def failing():
         try:
-            call(fn, bad)
+            fn(*bad)
         except (ValueError, OverflowError, TypeError, CopermError):
             return
         raise AssertionError("the bad arguments were accepted")
@@ -644,13 +625,13 @@ def test_compiled_entry_points_hold_no_references(name):
     objects = held_objects(good) + held_objects(bad)
     before = [sys.getrefcount(x) for x in objects]
     for _ in range(1000):  # warm up any lazily made objects
-        call(fn, good)
+        fn(*good)
         failing()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for _ in range(LEAK_CALLS):
-            call(fn, good)
+            fn(*good)
         for _ in range(LEAK_CALLS // 10):
             failing()
         grown = tracemalloc.get_traced_memory()[0] - start
@@ -667,17 +648,16 @@ def test_compiled_entry_points_hold_no_references(name):
 def test_compiled_entry_points_survive_each_failed_allocation(name):
     """The call with arguments that succeed, its k-th allocation failed, for
     k = 0..399: MemoryError or the result of the call without a failure,
-    an iterator returned run to its end, and the refcount of every input
-    unchanged."""
+    and the refcount of every input unchanged."""
     fn = getattr(BACKENDS["compiled"], name)
     good, _ = leak_cases()[name]
-    want = call(fn, good)
+    want = fn(*good)
     objects = held_objects(good)
     before = [sys.getrefcount(x) for x in objects]
     for k in range(400):
         _testcapi.set_nomemory(k, k + 1)
         try:
-            got = call(fn, good)
+            got = fn(*good)
         except MemoryError:
             got = MemoryError
         finally:
@@ -834,6 +814,22 @@ def test_import_coperm_loads_only_the_backend(pure):
     want = "pure-python" if pure or "compiled" not in BACKENDS else "compiled"
     assert name == want
     assert kernels == {"compiled": "coperm._core", "pure-python": "coperm._purepy"}[want]
+
+
+@needs_both
+def test_cli_cold_start_loads_neither_the_twin_nor_the_census():
+    """With the compiled kernels, `import coperm.cli`, the cold start of
+    every verb, loads neither the pure-Python twin, nor the census modules,
+    nor heapq, which only a merge imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    env.pop("COPERM_PURE_PYTHON", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, coperm.cli; print(json.dumps([coperm.BACKEND, sorted(sys.modules)]))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    name, loaded = json.loads(proc.stdout)
+    assert name == "compiled"
+    assert not {"coperm._purepy", "coperm.pipeline", "coperm.enumerate", "heapq"} & set(loaded)
 
 
 def test_import_coperm_does_not_load_ctypes():
