@@ -22,19 +22,18 @@ backend.py then falls back to _purepy.
 
 permanent and determinant, which no verb calls, are _purepy's own,
 imported on first use so that a run never loads _purepy; the census calls
-canonical_children, encode_graph6, graph_poly, fingerprint and
-group_sorted alone, an ingested census decode_graph6 and canonical_form
-besides, merge scan_records, group_sorted and family_rows alone (its
-k-way merge is heapq.merge, in collide), mates family_rows besides the
-census, and poly decode_graph6, encode_graph6, graph_poly, fingerprint
-and render. decode_graph6, encode_graph6 and fingerprint raise the
-package's errors with the twin's messages; decode_graph6 and
-canonical_form return a rows tuple, canonical_children a list of them.
-group_sorted, which returns a list of (fingerprint, members) tuples,
-takes only records that are (bytes, str) tuples; family_rows returns the
-rows of a list of families, each a tuple of bytes and a tuple of ASCII
-str, as one str. Any other item raises TypeError before either returns.
-The extension holds functions and constants only, no type.
+canonical_children, encode_graph6, graph_poly and fingerprint alone, an
+ingested census decode_graph6 and canonical_form besides, merge
+scan_records and family_rows alone (its k-way merge is heapq.merge and
+its grouper group_sorted, both in collide, for either backend), mates
+family_rows besides the census, and poly decode_graph6, encode_graph6,
+graph_poly, fingerprint and render. decode_graph6, encode_graph6 and
+fingerprint raise the package's errors with the twin's messages;
+decode_graph6 and canonical_form return a rows tuple, canonical_children
+a list of them. family_rows returns the rows of a list of families, each
+a tuple of bytes and a tuple of ASCII str, as one str; any other item
+raises TypeError before it returns. The extension holds functions and
+constants only, no type.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ encode_graph6 = _ext.encode_graph6
 fingerprint = _ext.fingerprint
 scan_records = _ext.scan_records
 render = _ext.render
-group_sorted = _ext.group_sorted
 family_rows = _ext.family_rows
 
 

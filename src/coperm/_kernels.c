@@ -5,18 +5,18 @@
  * per-graph codecs: decode_graph6 and encode_graph6, the graph6 word of
  * a graph's rows and back, and fingerprint, the canonical bytes of a
  * graph polynomial; and the compiled steps of a run-file merge, whose
- * k-way merge is heapq.merge in collide.py: scan_records, which cuts and
- * checks the records a buffer holds, render, which writes a fingerprint
- * as report text, group_sorted, which returns the families of sorted
- * records as a list, and family_rows, which writes the report rows of a
- * list of families as one str. _core.py builds this file on first use
- * against the running interpreter's headers and loads it as an extension
- * module, of functions and constants only. A graph is its rows tuple, a
- * tuple of n ints (see rows_tuple): canonical_form and decode_graph6
- * return one, and canonical_children a list of them. Each of the ten
- * entry points converts its arguments itself: a size past MAXK raises
- * TooLarge, a negative size or too few items ValueError, an item outside
- * its C type OverflowError, and a non-integer TypeError;
+ * k-way merge is heapq.merge and whose grouper is group_sorted, both in
+ * collide.py: scan_records, which cuts and checks the records a buffer
+ * holds, render, which writes a fingerprint as report text, and
+ * family_rows, which writes the report rows of a list of families as one
+ * str. _core.py builds this file on first use against the running
+ * interpreter's headers and loads it as an extension module, of
+ * functions and constants only. A graph is its rows tuple, a tuple of n
+ * ints (see rows_tuple): canonical_form and decode_graph6 return one,
+ * and canonical_children a list of them. Each of the nine entry points
+ * converts its arguments itself: a size past MAXK raises TooLarge, a
+ * negative size or too few items ValueError, an item outside its C type
+ * OverflowError, and a non-integer TypeError;
  * scan_records, render and family_rows raise ValueError for an n, m,
  * offset or count out of range or a fingerprint of the wrong length, and
  * TypeError for a buffer or fingerprint that is not bytes, so malformed
@@ -32,11 +32,10 @@
  * raises InvalidChar, TruncatedBody, TrailingGarbage or TooLarge;
  * encode_graph6 raises TooLarge past MAX_VERTICES vertices; fingerprint
  * compares the leading coefficients as Python objects and raises
- * DegreeMismatch. group_sorted and family_rows take only what the
- * program passes them: records that are 2-tuples of exact bytes and exact
- * str, and families that are 2-tuples of bytes and a tuple of ASCII str.
- * On those they give what their pure-Python twins give, and at any other
- * item they raise TypeError before returning anything.
+ * DegreeMismatch. family_rows takes only what the program passes it:
+ * families that are 2-tuples of bytes and a tuple of ASCII str. On those
+ * it gives what its pure-Python twin gives, and at any other item it
+ * raises TypeError before writing a row.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). */
@@ -466,16 +465,11 @@ static int bounded_arg(PyObject *obj, long long lo, long long hi, const char *na
     return 0;
 }
 
-/* the sign of a - b for the bytes a[0..alen) and b[0..blen); the same
- * bytes are equal at once, as are records of one fingerprint, which share
- * its bytes object */
+/* the sign of a - b for the bytes a[0..alen) and b[0..blen) */
 static int bytes_cmp(const void *a, Py_ssize_t alen, const void *b, Py_ssize_t blen)
 {
-    int c;
+    int c = memcmp(a, b, alen < blen ? alen : blen);
 
-    if (a == b && alen == blen)
-        return 0;
-    c = memcmp(a, b, alen < blen ? alen : blen);
     return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
 }
 
@@ -975,121 +969,6 @@ fail:
     return NULL;
 }
 
-/* ------------------------------------------------- grouping and rows */
-
-static PyObject *duplicate_member, *unsorted_run; /* coperm.errors */
-
-/* the next item of it, a new reference: NULL at its end, and NULL with
- * TypeError for an item that is not one of the records the program
- * makes, a 2-tuple of exact bytes and exact str */
-static PyObject *next_record(PyObject *it)
-{
-    PyObject *rec = PyIter_Next(it);
-
-    if (rec != NULL && !(PyTuple_CheckExact(rec) && PyTuple_GET_SIZE(rec) == 2
-                         && PyBytes_CheckExact(PyTuple_GET_ITEM(rec, 0))
-                         && PyUnicode_CheckExact(PyTuple_GET_ITEM(rec, 1)))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "group_sorted() takes records that are (bytes, str) tuples");
-        Py_CLEAR(rec);
-    }
-    return rec;
-}
-
-/* ------------------------------------------------------- group_sorted */
-
-/* the graph6 words of the open family, each a reference it holds */
-struct members {
-    PyObject **items;
-    Py_ssize_t count, cap;
-};
-
-/* adds g6, a reference it takes, to the open family */
-static int add_member(struct members *open, PyObject *g6)
-{
-    if (open->count == open->cap) {
-        Py_ssize_t cap = open->cap ? 2 * open->cap : 8;
-        PyObject **grown = PyMem_Resize(open->items, PyObject *, cap);
-
-        if (grown == NULL) {
-            Py_DECREF(g6);
-            PyErr_NoMemory();
-            return -1;
-        }
-        open->items = grown;
-        open->cap = cap;
-    }
-    open->items[open->count++] = g6;
-    return 0;
-}
-
-/* appends the family (fp, tuple(members)) to families, and empties the
- * open family */
-static int close_family(PyObject *families, PyObject *fp, struct members *open)
-{
-    PyObject *members = PyTuple_New(open->count), *family;
-    int err;
-
-    if (members == NULL)
-        return -1;
-    for (Py_ssize_t i = 0; i < open->count; i++)
-        PyTuple_SET_ITEM(members, i, open->items[i]);
-    open->count = 0;
-    family = PyTuple_Pack(2, fp, members);
-    Py_DECREF(members);
-    if (family == NULL)
-        return -1;
-    err = PyList_Append(families, family);
-    Py_DECREF(family);
-    return err;
-}
-
-/* group_sorted(records): the families of an iterable of (fingerprint,
- * graph6) records of one shard, each greater than the one before, as a
- * list of (fingerprint, members) tuples in fingerprint order, members a
- * tuple of the fingerprint's graph6 words. A repeated pair raises
- * DuplicateMember and any other step down UnsortedRun. */
-static PyObject *py_group_sorted(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                 Py_ssize_t nargs)
-{
-    PyObject *it, *rec, *fp, *g6, *cur = NULL, *families;
-    struct members open = {NULL, 0, 0};
-    int c;
-
-    if (!nargs_ok("group_sorted", nargs, 1) || (it = PyObject_GetIter(args[0])) == NULL)
-        return NULL;
-    families = PyList_New(0);
-    while (families != NULL && (rec = next_record(it)) != NULL) {
-        fp = PyTuple_GET_ITEM(rec, 0);
-        g6 = PyTuple_GET_ITEM(rec, 1);
-        c = cur == NULL ? 1 : bytes_cmp(PyBytes_AS_STRING(fp), PyBytes_GET_SIZE(fp),
-                                        PyBytes_AS_STRING(cur), PyBytes_GET_SIZE(cur));
-        if (c > 0) { /* the first record of a family */
-            c = cur == NULL ? 0 : close_family(families, cur, &open);
-            Py_XSETREF(cur, Py_NewRef(fp));
-        } else if (c < 0 || (c = PyUnicode_Compare(g6, open.items[open.count - 1])) <= 0) {
-            if (c == 0)
-                PyErr_Format(duplicate_member, "graph %R appears twice within one shard", g6);
-            else
-                PyErr_SetString(unsorted_run, "record stream is not sorted");
-            c = -1;
-        }
-        if (c >= 0)
-            c = add_member(&open, Py_NewRef(g6));
-        Py_DECREF(rec);
-        if (c < 0)
-            Py_CLEAR(families);
-    }
-    if (PyErr_Occurred() || (cur != NULL && close_family(families, cur, &open) < 0))
-        Py_CLEAR(families);
-    while (open.count > 0)
-        Py_DECREF(open.items[--open.count]);
-    PyMem_Free(open.items);
-    Py_XDECREF(cur);
-    Py_DECREF(it);
-    return families;
-}
-
 /* -------------------------------------------------------- family_rows */
 
 /* family_rows(families, n, m): the text of the mates or merge report rows
@@ -1186,9 +1065,6 @@ static PyMethodDef methods[] = {
     ENTRY(decode_graph6, "The adjacency rows of one short-form graph6 word, as a tuple."),
     ENTRY(encode_graph6, "The short-form graph6 word of adjacency rows of n vertices."),
     ENTRY(fingerprint, "Canonical bytes for a monic degree-n graph polynomial."),
-    ENTRY(group_sorted,
-          "The (fingerprint, members) families, as a list, of the (fingerprint, graph6)\n"
-          "records of one shard, each greater than the one before."),
     ENTRY(family_rows, "The mates or merge report rows of families of shard (n, m), as text."),
     {NULL, NULL, 0, NULL},
 };
@@ -1200,16 +1076,13 @@ static int exec_module(PyObject *module)
     if (errors == NULL)
         return -1;
     Py_XSETREF(too_large, PyObject_GetAttrString(errors, "TooLarge"));
-    Py_XSETREF(duplicate_member, PyObject_GetAttrString(errors, "DuplicateMember"));
-    Py_XSETREF(unsorted_run, PyObject_GetAttrString(errors, "UnsortedRun"));
     Py_XSETREF(invalid_char, PyObject_GetAttrString(errors, "InvalidChar"));
     Py_XSETREF(truncated_body, PyObject_GetAttrString(errors, "TruncatedBody"));
     Py_XSETREF(trailing_garbage, PyObject_GetAttrString(errors, "TrailingGarbage"));
     Py_XSETREF(degree_mismatch, PyObject_GetAttrString(errors, "DegreeMismatch"));
     Py_DECREF(errors);
-    if (too_large == NULL || duplicate_member == NULL || unsorted_run == NULL
-        || invalid_char == NULL || truncated_body == NULL || trailing_garbage == NULL
-        || degree_mismatch == NULL)
+    if (too_large == NULL || invalid_char == NULL || truncated_body == NULL
+        || trailing_garbage == NULL || degree_mismatch == NULL)
         return -1;
     Py_XSETREF(zero, PyLong_FromLong(0));
     Py_XSETREF(one, PyLong_FromLong(1));

@@ -6,36 +6,31 @@ with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
 for isomorph rejection, the graph6 decoder and encoder and the
 fingerprint encoder, and the steps of a run-file merge that are
-kernels: the record scanner, the grouper, the fingerprint renderer and
-the report rows (the k-way merge is heapq.merge, in collide, for both
-backends). Besides them, it holds the one implementation of Gray-code
-Ryser permanents and fraction-free Bareiss determinants of integer
-matrices, which _core lends out as its own; Python integers never wrap,
-so they are exact for any input. The codecs agree with the compiled ones on
-any str, on the rows of every graph of at most 32 vertices and on any
-sequence of ints, errors and messages included: a fingerprint coefficient
-is a C long long in both, so fingerprint raises OverflowError for any
-other int, and scan_records stops at a magnitude of more than 8 bytes as
-not canonical. The run-file twins agree with them on every buffer and on
-every fingerprint a run reader accepts; group_sorted on every stream of
-(bytes, str) records, and family_rows on every (bytes, tuple of ASCII
-str) family of such fingerprints; each group_sorted returns a list of
-plain (fingerprint, members) tuples, and canonical_form and
-decode_graph6 a rows tuple.
-Only the compiled ones check their other arguments, and reject other
-records and families with TypeError.
+kernels: the record scanner, the fingerprint renderer and the report
+rows (the k-way merge is heapq.merge and the grouper group_sorted, both
+in collide, for both backends). Besides them, it holds the one
+implementation of Gray-code Ryser permanents and fraction-free Bareiss
+determinants of integer matrices, which _core lends out as its own;
+Python integers never wrap, so they are exact for any input. The codecs
+agree with the compiled ones on any str, on the rows of every graph of
+at most 32 vertices and on any sequence of ints, errors and messages
+included: a fingerprint coefficient is a C long long in both, so
+fingerprint raises OverflowError for any other int, and scan_records
+stops at a magnitude of more than 8 bytes as not canonical. The run-file twins agree with them on every buffer and on
+every fingerprint a run reader accepts, family_rows on every family of
+such a fingerprint and a tuple of ASCII str; canonical_form and
+decode_graph6 return a rows tuple. Only the compiled ones check their
+other arguments, and reject other families with TypeError.
 """
 
 from __future__ import annotations
 
 from .errors import (
     DegreeMismatch,
-    DuplicateMember,
     InvalidChar,
     TooLarge,
     TrailingGarbage,
     TruncatedBody,
-    UnsortedRun,
 )
 
 BACKEND_NAME = "pure-python"
@@ -454,35 +449,7 @@ def render(fp: bytes, n: int) -> str:
     return out
 
 
-# ------------------------------------------------------ grouping and rows
-
-def group_sorted(records):
-    """The families of the records of one (n, m) shard, each greater than
-    the one before as a (fingerprint, graph6) pair: a list of
-    (fingerprint, members) tuples in fingerprint order, members a tuple of
-    graph6 words. An equal pair raises DuplicateMember, a smaller one
-    UnsortedRun."""
-    families = []
-    cur = None
-    members: list[str] = []
-    for fp, g6 in records:
-        if fp == cur:
-            if g6 <= members[-1]:
-                if g6 == members[-1]:
-                    raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
-                raise UnsortedRun("record stream is not sorted")
-            members.append(g6)
-            continue
-        if cur is not None:
-            if fp < cur:
-                raise UnsortedRun("record stream is not sorted")
-            families.append((cur, tuple(members)))
-        cur = fp
-        members = [g6]
-    if cur is not None:
-        families.append((cur, tuple(members)))
-    return families
-
+# ----------------------------------------------------------- report rows
 
 def family_rows(families, n: int, m: int) -> str:
     """The mates or merge report rows of the (fingerprint, members) families

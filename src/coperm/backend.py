@@ -36,7 +36,6 @@ encode_graph6 = _impl.encode_graph6
 fingerprint = _impl.fingerprint
 scan_records = _impl.scan_records
 render = _impl.render
-group_sorted = _impl.group_sorted
 family_rows = _impl.family_rows
 
 

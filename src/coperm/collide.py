@@ -18,10 +18,11 @@ little-endian magnitude bytes, minimal L (0 is sign 0, L = 0). L is at
 most 8: expanded over permutations, a graph polynomial's coefficient is
 at most n! in magnitude, under 2**45 at the kernels' 16 vertices, so
 fingerprint() takes only ints that fit a C long long and a run reader
-refuses a longer magnitude as not canonical. render()
-turns one back into report text without decoding it to integers; it, the
-run reader's record scanner and the grouper are kernels of the backend;
-the k-way merge of run files is the standard library's heapq.merge.
+refuses a longer magnitude as not canonical. render() turns one back
+into report text without decoding it to integers; it and the run
+reader's record scanner are kernels of the backend. The k-way merge of
+run files is the standard library's heapq.merge, and the grouper,
+group_sorted, is one plain function here, for either backend.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from contextlib import ExitStack, contextmanager
 
 from . import backend
 from .backend import MAX_VERTICES
-from .errors import RunFormatError, UnsortedRun
+from .errors import DuplicateMember, RunFormatError, UnsortedRun
 
 RUN_MAGIC = b"CPRM"
 RUN_VERSION = 2
@@ -55,14 +56,33 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
 render = backend.render
 
 
-# group_sorted(records): the families, in fingerprint order, of the
-# (fingerprint bytes, graph6 str) tuples of one (n, m) shard, each greater
-# than the one before, as a list. A family is all graphs sharing one
-# polynomial: a plain (fingerprint bytes, members) tuple, members the
-# tuple of their graph6 words, sorted. An equal pair raises
-# DuplicateMember, a smaller one UnsortedRun, and any other item
-# TypeError on the compiled kernels
-group_sorted = backend.group_sorted
+def group_sorted(records):
+    """The families, in fingerprint order, of the (fingerprint bytes,
+    graph6 str) records of one (n, m) shard, each greater than the one
+    before as a pair, as a list. A family is all graphs sharing one
+    polynomial: a plain (fingerprint, members) tuple, members the tuple
+    of their graph6 words, sorted. An equal pair raises DuplicateMember,
+    a smaller one UnsortedRun."""
+    families = []
+    cur = None
+    members: list[str] = []
+    for fp, g6 in records:
+        if fp == cur:
+            if g6 <= members[-1]:
+                if g6 == members[-1]:
+                    raise DuplicateMember(f"graph {g6!r} appears twice within one shard")
+                raise UnsortedRun("record stream is not sorted")
+            members.append(g6)
+            continue
+        if cur is not None:
+            if fp < cur:
+                raise UnsortedRun("record stream is not sorted")
+            families.append((cur, tuple(members)))
+        cur = fp
+        members = [g6]
+    if cur is not None:
+        families.append((cur, tuple(members)))
+    return families
 
 
 # the counting columns of one shard, or of one n summed over its shards

@@ -6,7 +6,7 @@ against, and the stack walk that fixes the enumeration order), a graph
 builder from edge lists and the check that a graph is an exact rows
 tuple, and the run-reader chunk sizes, raw run-file writer and kernel
 switch the run-file tests use, and the fingerprints and out-of-contract
-items the tests of the compiled grouper and row writer use."""
+families the tests of the compiled row writer use."""
 
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -27,11 +27,11 @@ SYMBOLIC_MAX = 7
 @contextmanager
 def merge_kernels_of(impl):
     """The run reader and the merge verb running on the kernels of impl, a
-    backend module. The k-way merge is heapq.merge on either."""
+    backend module. The k-way merge, heapq.merge, and the grouper,
+    collide.group_sorted, are the same on either."""
     with ExitStack() as stack:
         for name in ("scan_records", "family_rows"):
             stack.enter_context(mock.patch.object(backend, name, getattr(impl, name)))
-        stack.enter_context(mock.patch.object(collide, "group_sorted", impl.group_sorted))
         yield
 
 
@@ -45,9 +45,6 @@ def raw_run(n: int, m: int, records) -> bytes:
 # fingerprints of (n, m) = (4, 2), the last with a two-byte coefficient
 KERNEL_FPS = [collide.fingerprint((c0, c1, 2, 0, 1), 4, 2) for c0, c1 in
               ((0, 0), (1, 0), (-1, 3), (0, 300), (2, -1))]
-# items that are not records, 2-tuples of exact bytes and exact str
-ODD_RECORDS = [5, None, (KERNEL_FPS[0],), (KERNEL_FPS[0], "C?", 1), ("C?", "C?"),
-               (KERNEL_FPS[1], b"C?"), [KERNEL_FPS[1], "CA"], (KERNEL_FPS[0], 7)]
 # items that are not families, tuples of bytes and a tuple of ASCII str:
 # a family of the wrong shape or type, then members of one
 ODD_FAMILIES = [5, (KERNEL_FPS[0],), (KERNEL_FPS[0], ("C?",), 1), [KERNEL_FPS[1], ("CA",)],

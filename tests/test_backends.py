@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +43,6 @@ from coperm.pipeline import shard_records
 from oracles import (
     KERNEL_FPS,
     ODD_FAMILIES,
-    ODD_RECORDS,
     READER_CHUNKS,
     char_matrix,
     fault_at_a_chunk_edge,
@@ -358,30 +358,22 @@ def test_fingerprints_agree_on_random_coefficients():
                     (OverflowError, "fingerprint coefficient outside the signed 64-bit range")}
 
 
-# items that the grouper and the row writer refuse, numbered from 8, the ids
-# these cases had while eight merge_records cases led the list
-OUTSIDE_THE_CONTRACT = ([("group_sorted", r) for r in ODD_RECORDS]
-                        + [("family_rows", f) for f in ODD_FAMILIES])
+# items that the row writer refuses, numbered from 16, the ids these cases
+# had while eight merge_records and eight group_sorted cases led the list
+OUTSIDE_THE_CONTRACT = [("family_rows", f) for f in ODD_FAMILIES]
 
 
 @needs_both
 @pytest.mark.parametrize("name, odd", OUTSIDE_THE_CONTRACT,
                          ids=[f"{name}-{i}" for i, (name, _) in
-                              enumerate(OUTSIDE_THE_CONTRACT, 8)])
+                              enumerate(OUTSIDE_THE_CONTRACT, 16)])
 def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
-    # group_sorted and family_rows raise TypeError, wherever the odd item is
-    core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
-    items = [(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"), (KERNEL_FPS[1], "CA"),
-             (KERNEL_FPS[2], "Cw")]
-    if name == "family_rows":
-        items = twin.group_sorted(items)
-    for at in range(len(items) + 1):
-        spliced = [*items[:at], odd, *items[at:]]
+    # family_rows raises TypeError, wherever the odd item is
+    families = collide.group_sorted([(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"),
+                                     (KERNEL_FPS[1], "CA"), (KERNEL_FPS[2], "Cw")])
+    for at in range(len(families) + 1):
         with pytest.raises(TypeError):
-            if name == "group_sorted":
-                core.group_sorted(iter(spliced))
-            else:
-                core.family_rows(spliced, 4, 2)
+            getattr(BACKENDS["compiled"], name)([*families[:at], odd, *families[at:]], 4, 2)
 
 
 def oracle_merge_report(n, m, records) -> str:
@@ -465,6 +457,26 @@ def test_the_merge_has_one_implementation(tmp_path):
 
 
 @needs_both
+def test_the_grouper_has_one_implementation():
+    # collide.group_sorted, a plain Python function, groups for either
+    # backend: neither a backend module nor the extension has a grouper,
+    # and the extension's nine entry points are the functions of leak_cases()
+    core = BACKENDS["compiled"]
+    for module in (backend, *BACKENDS.values(), core._ext):
+        assert not hasattr(module, "group_sorted"), module
+    assert type(collide.group_sorted) is types.FunctionType
+    assert collide.group_sorted.__module__ == "coperm.collide"
+    exported = [name for name in vars(core._ext) if not name.startswith("__")]
+    assert len(leak_cases()) == 9
+    assert sorted(exported) == sorted([*leak_cases(), "MAXK", "MAX_VERTICES"])
+    # the family_rows contract cases make their families with it
+    with mock.patch.object(collide, "group_sorted", wraps=collide.group_sorted) as grouper:
+        for name, odd in OUTSIDE_THE_CONTRACT:
+            test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd)
+    assert grouper.call_count == len(OUTSIDE_THE_CONTRACT)
+
+
+@needs_both
 @pytest.mark.parametrize("name, args", [
     ("graph_poly", ([0] * 17, 17, "perm")),
     ("canonical_form", ([0] * 17, 17)),
@@ -488,7 +500,8 @@ def test_compiled_entry_points_reject_short_and_out_of_range_input():
 
 # beyond the size-17, short and out-of-range cases above; numbered from 7,
 # the ids these cases had while the scalar kernels' seven cases led the list,
-# and without 33 and 34, the ids of the two merge_records cases
+# and without 33 and 34, the ids of the two merge_records cases, and 35, the
+# id of the group_sorted case
 BAD_INPUT = [
     ("graph_poly", ([0] * 17, 1 << 70, "perm"), TooLarge),
     ("graph_poly", ([0, 0], 3, "perm"), ValueError),
@@ -516,7 +529,6 @@ BAD_INPUT = [
     ("render", (b"", -1), ValueError),
     ("render", (b"", 33), ValueError),
     ("render", ("", 0), TypeError),
-    ("group_sorted", (), TypeError),
     ("family_rows", ([], 33, 0), ValueError),  # n past 32
     ("family_rows", ([], 3, 1 << 16), ValueError),  # m past u16
     ("family_rows", ([(KERNEL_FPS[0], ("C?",))], 3, 2), ValueError),  # a degree-4 fingerprint
@@ -546,7 +558,7 @@ BAD_INPUT = [
 @needs_both
 @pytest.mark.parametrize("name, args, error", BAD_INPUT,
                          ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in
-                              zip((*range(7, 33), *range(35, 58)), BAD_INPUT, strict=True)])
+                              zip((*range(7, 33), *range(36, 58)), BAD_INPUT, strict=True)])
 def test_compiled_entry_points_reject_bad_input(name, args, error):
     with pytest.raises(error):
         getattr(BACKENDS["compiled"], name)(*args)
@@ -567,12 +579,8 @@ def leak_cases():
                    for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
                                    words))
     wide = fingerprint_bytes([-2**63, 2**63 - 1] + [0] * 26 + [300, 0, 1], 30)
-    # sorted (bytes, str) records, two sharing a fingerprint; a grouping that
-    # fails at a record that is a list
+    # a fingerprint whose coefficients below c_(n-2) are all 0
     narrow = fingerprint_bytes([0] * 28 + [300, 0, 1], 30)
-    records = sorted([(narrow, words[0]), (narrow, words[1]), (wide, words[2]),
-                      (wide, words[2] + "\xe9")])
-    listed = [narrow, words[2]]
     # a degree-30 char polynomial with coefficients at both ends of the
     # signed 64-bit range, and one with a coefficient just past it
     poly = [-2**63, 2**63 - 1, big[0], *[0] * 25, -300, 0, 1]
@@ -583,7 +591,6 @@ def leak_cases():
         "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58]),
                          (run, big[1], 1, 30, 300, None)),
         "render": ((wide, 30), (wide[:-1], 30)),
-        "group_sorted": ((records,), ([*records, listed],)),
         # two rows; rows that fail at a member that is not ASCII, after a
         # family that passed its checks
         "family_rows": (([(wide, tuple(words)), (narrow, tuple(words[:2]))], 30, 300),

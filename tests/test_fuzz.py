@@ -2,6 +2,7 @@
 words and graph6 files."""
 
 import heapq
+import itertools
 import random
 import tempfile
 from pathlib import Path
@@ -15,7 +16,7 @@ from coperm.backend import available_backends
 from coperm.cli import main
 from coperm.collide import fingerprint, merge_sorted_runs, persist_fingerprints
 from coperm.enumerate import enumerate_by_edges
-from coperm.errors import CopermError, Graph6Error, TooLarge
+from coperm.errors import CopermError, DuplicateMember, Graph6Error, TooLarge, UnsortedRun
 from coperm.graphs import MAX_VERTICES, parse_graph6, perm_poly, to_graph6
 from oracles import KERNEL_FPS, READER_CHUNKS, edges, graph6_bits, graph_from_edges, raw_run
 
@@ -253,7 +254,7 @@ def test_fingerprint_kernels_agree(case):
     kernels_agree("fingerprint", lambda: case)
 
 
-# ------------------------------------------ the grouping and row kernels
+# ---------------------------------------- the grouper and the row kernel
 
 # members: graph6 words; a record may also hold a str that is not ASCII
 KERNEL_WORDS = ["C?", "C@", "CA", "Cw"]
@@ -305,10 +306,23 @@ def kernels_agree(name, make_args):
 
 @FUZZ
 @given(record_streams())
-def test_merge_and_group_kernels_agree_on_any_records(streams):
-    # the merged streams, sorted or not, grouped
+def test_group_sorted_matches_groupby_on_any_records(streams):
+    # the merged streams, sorted or not: the families of itertools.groupby
+    # when each record is greater than the one before, else the error of
+    # the first record that is not
     records = list(heapq.merge(*streams))
-    kernels_agree("group_sorted", lambda: (iter(records),))
+    fault = next(((a, b) for a, b in zip(records, records[1:]) if a >= b), None)
+    if fault is None:
+        want = [(fp, tuple(g6 for _, g6 in family))
+                for fp, family in itertools.groupby(records, key=lambda r: r[0])]
+        assert collide.group_sorted(iter(records)) == want
+        return
+    a, b = fault
+    error, message = ((DuplicateMember, f"graph {b[1]!r} appears twice within one shard")
+                      if a == b else (UnsortedRun, "record stream is not sorted"))
+    with pytest.raises(CopermError) as info:
+        collide.group_sorted(iter(records))
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 @FUZZ
