@@ -24,16 +24,14 @@ permanent and determinant, which no verb calls, are _purepy's own,
 imported on first use so that a run never loads _purepy; the census calls
 canonical_children, encode_graph6, graph_poly and fingerprint alone, an
 ingested census decode_graph6 and canonical_form besides, merge
-scan_records and family_rows alone (its k-way merge is heapq.merge and
-its grouper group_sorted, both in collide, for either backend), mates
-family_rows besides the census, and poly decode_graph6, encode_graph6,
-graph_poly, fingerprint and render. decode_graph6, encode_graph6 and
-fingerprint raise the package's errors with the twin's messages;
-decode_graph6 and canonical_form return a rows tuple, canonical_children
-a list of them. family_rows returns the rows of a list of families, each
-a tuple of bytes and a tuple of ASCII str, as one str; any other item
-raises TypeError before it returns. The extension holds functions and
-constants only, no type.
+scan_records and render alone (its k-way merge is heapq.merge, and its
+grouper group_sorted and row writer family_rows are in collide, for
+either backend), mates render besides the census, and poly
+decode_graph6, encode_graph6, graph_poly, fingerprint and render.
+decode_graph6, encode_graph6 and fingerprint raise the package's errors
+with the twin's messages; decode_graph6 and canonical_form return a rows
+tuple, canonical_children a list of them. The extension holds functions
+and constants only, no type.
 """
 
 from __future__ import annotations
@@ -140,7 +138,6 @@ encode_graph6 = _ext.encode_graph6
 fingerprint = _ext.fingerprint
 scan_records = _ext.scan_records
 render = _ext.render
-family_rows = _ext.family_rows
 
 
 def __getattr__(name):

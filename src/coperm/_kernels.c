@@ -5,37 +5,32 @@
  * per-graph codecs: decode_graph6 and encode_graph6, the graph6 word of
  * a graph's rows and back, and fingerprint, the canonical bytes of a
  * graph polynomial; and the compiled steps of a run-file merge, whose
- * k-way merge is heapq.merge and whose grouper is group_sorted, both in
- * collide.py: scan_records, which cuts and checks the records a buffer
- * holds, render, which writes a fingerprint as report text, and
- * family_rows, which writes the report rows of a list of families as one
- * str. _core.py builds this file on first use against the running
- * interpreter's headers and loads it as an extension module, of
- * functions and constants only. A graph is its rows tuple, a tuple of n
- * ints (see rows_tuple): canonical_form and decode_graph6 return one,
- * and canonical_children a list of them. Each of the nine entry points
- * converts its arguments itself: a size past MAXK raises TooLarge, a
- * negative size or too few items ValueError, an item outside its C type
- * OverflowError, and a non-integer TypeError;
- * scan_records, render and family_rows raise ValueError for an n, m,
- * offset or count out of range or a fingerprint of the wrong length, and
- * TypeError for a buffer or fingerprint that is not bytes, so malformed
- * bytes are never read past their end. A fingerprint coefficient is a
- * C long long, so its magnitude takes at most 8 bytes: the coefficients
- * of a graph polynomial on n <= MAXK vertices are signed sums over
- * permutations, at most n! < 2**63 in magnitude. fingerprint raises
- * OverflowError for any other int, scan_records stops at a longer
- * magnitude as not canonical, and render and family_rows reject one with
- * ValueError. The codecs check what their pure-Python twins check, in
- * the same order, and raise the same errors with the same messages:
- * decode_graph6 reads any str, of any kind, only up to its length and
- * raises InvalidChar, TruncatedBody, TrailingGarbage or TooLarge;
- * encode_graph6 raises TooLarge past MAX_VERTICES vertices; fingerprint
- * compares the leading coefficients as Python objects and raises
- * DegreeMismatch. family_rows takes only what the program passes it:
- * families that are 2-tuples of bytes and a tuple of ASCII str. On those
- * it gives what its pure-Python twin gives, and at any other item it
- * raises TypeError before writing a row.
+ * k-way merge is heapq.merge and whose grouper and row writer are
+ * group_sorted and family_rows, all in collide.py: scan_records, which
+ * cuts and checks the records a buffer holds, and render, which writes a
+ * fingerprint as report text. _core.py builds this file on first use
+ * against the running interpreter's headers and loads it as an extension
+ * module, of functions and constants only. A graph is its rows tuple, a
+ * tuple of n ints (see rows_tuple): canonical_form and decode_graph6
+ * return one, and canonical_children a list of them. Each of the eight
+ * entry points converts its arguments itself: a size past MAXK raises
+ * TooLarge, a negative size or too few items ValueError, an item outside
+ * its C type OverflowError, and a non-integer TypeError; scan_records
+ * and render raise ValueError for an n, m, offset or count out of range
+ * or a fingerprint of the wrong length, and TypeError for a buffer or
+ * fingerprint that is not bytes, so malformed bytes are never read past
+ * their end. A fingerprint coefficient is a C long long, so its magnitude
+ * takes at most 8 bytes: the coefficients of a graph polynomial on
+ * n <= MAXK vertices are signed sums over permutations, at most
+ * n! < 2**63 in magnitude. fingerprint raises OverflowError for any other
+ * int, scan_records stops at a longer magnitude as not canonical, and
+ * render rejects one with ValueError. The codecs check what their
+ * pure-Python twins check, in the same order, and raise the same errors
+ * with the same messages: decode_graph6 reads any str, of any kind, only
+ * up to its length and raises InvalidChar, TruncatedBody, TrailingGarbage
+ * or TooLarge; encode_graph6 raises TooLarge past MAX_VERTICES vertices;
+ * fingerprint compares the leading coefficients as Python objects and
+ * raises DegreeMismatch.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). */
@@ -675,14 +670,6 @@ static int fingerprint_check(const unsigned char *b, Py_ssize_t size, long long 
     return 0;
 }
 
-/* room for the text of a checked fingerprint of size bytes: "x^n", then
- * per coefficient of L bytes at most " - ", 3L digits (256**L < 1000**L)
- * and "x^j" */
-static Py_ssize_t render_cap(long long n, Py_ssize_t size)
-{
-    return 4 + 7 * (Py_ssize_t)n + 3 * size;
-}
-
 /* the text of the checked fingerprint b, written at text; returns its
  * length */
 static Py_ssize_t render_into(const unsigned char *b, long long n, char *text)
@@ -969,86 +956,6 @@ fail:
     return NULL;
 }
 
-/* -------------------------------------------------------- family_rows */
-
-/* family_rows(families, n, m): the text of the mates or merge report rows
- * of the (fingerprint, members) families of shard (n, m), one
- * "n\tm\tsize\tpolynomial\tmembers\n" each. Every family is checked
- * before any row is written: TypeError unless it is a tuple of bytes
- * and a tuple of ASCII str, ValueError unless its
- * bytes are a fingerprint of degree n. ValueError for an n or m out of
- * range. */
-static PyObject *py_family_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                Py_ssize_t nargs)
-{
-    PyObject *seq, *fp, *members, *g6, *out, **families;
-    Py_ssize_t count, head, cap = 0, len = 0;
-    long long n, m;
-    char prefix[24], *text; /* prefix: "n\tm\t" */
-
-    if (!nargs_ok("family_rows", nargs, 3)
-        || bounded_arg(args[1], 0, MAX_VERTICES, "n", &n) < 0
-        || bounded_arg(args[2], 0, 0xffff, "m", &m) < 0
-        || (seq = PySequence_Fast(args[0], "family_rows() takes a list of families")) == NULL)
-        return NULL;
-    families = PySequence_Fast_ITEMS(seq);
-    count = PySequence_Fast_GET_SIZE(seq);
-    head = PyOS_snprintf(prefix, sizeof prefix, "%lld\t%lld\t", n, m);
-    /* room for each row: prefix, size and a tab, polynomial and a tab, and
-     * each member with a space or the newline, or the newline alone */
-    for (Py_ssize_t f = 0; f < count; f++) {
-        if (!PyTuple_CheckExact(families[f]) || PyTuple_GET_SIZE(families[f]) != 2
-            || !PyBytes_Check(fp = PyTuple_GET_ITEM(families[f], 0))
-            || !PyTuple_CheckExact(members = PyTuple_GET_ITEM(families[f], 1)))
-            goto wrong;
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(members); i++) {
-            g6 = PyTuple_GET_ITEM(members, i);
-            if (!PyUnicode_CheckExact(g6) || !PyUnicode_IS_ASCII(g6))
-                goto wrong;
-            if ((cap += PyUnicode_GET_LENGTH(g6) + 1) > PY_SSIZE_T_MAX / 2) {
-                PyErr_NoMemory();
-                goto fail;
-            }
-        }
-        if (fingerprint_check((const unsigned char *)PyBytes_AS_STRING(fp),
-                              PyBytes_GET_SIZE(fp), n) < 0)
-            goto fail;
-        cap += head + 22 + render_cap(n, PyBytes_GET_SIZE(fp)) + 1;
-    }
-    if ((text = PyMem_Malloc(cap)) == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    for (Py_ssize_t f = 0; f < count; f++) {
-        fp = PyTuple_GET_ITEM(families[f], 0);
-        members = PyTuple_GET_ITEM(families[f], 1);
-        memcpy(text + len, prefix, head);
-        len += head;
-        len += PyOS_snprintf(text + len, 21, "%zd", PyTuple_GET_SIZE(members));
-        text[len++] = '\t';
-        len += render_into((const unsigned char *)PyBytes_AS_STRING(fp), n, text + len);
-        text[len++] = '\t';
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(members); i++) {
-            g6 = PyTuple_GET_ITEM(members, i);
-            if (i)
-                text[len++] = ' ';
-            memcpy(text + len, PyUnicode_DATA(g6), PyUnicode_GET_LENGTH(g6));
-            len += PyUnicode_GET_LENGTH(g6);
-        }
-        text[len++] = '\n';
-    }
-    out = PyUnicode_DecodeASCII(text, len, NULL);
-    PyMem_Free(text);
-    Py_DECREF(seq);
-    return out;
-wrong:
-    PyErr_SetString(PyExc_TypeError,
-                    "family_rows() takes families that are (bytes, tuple of ASCII str) tuples");
-fail:
-    Py_DECREF(seq);
-    return NULL;
-}
-
 #define ENTRY(name, doc) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
@@ -1065,7 +972,6 @@ static PyMethodDef methods[] = {
     ENTRY(decode_graph6, "The adjacency rows of one short-form graph6 word, as a tuple."),
     ENTRY(encode_graph6, "The short-form graph6 word of adjacency rows of n vertices."),
     ENTRY(fingerprint, "Canonical bytes for a monic degree-n graph polynomial."),
-    ENTRY(family_rows, "The mates or merge report rows of families of shard (n, m), as text."),
     {NULL, NULL, 0, NULL},
 };
 

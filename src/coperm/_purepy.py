@@ -6,21 +6,20 @@ with polynomial row sums for per(xI - A), Berkowitz's division-free
 recurrence for det(xI - A)), the minimum-lex canonical-order search used
 for isomorph rejection, the graph6 decoder and encoder and the
 fingerprint encoder, and the steps of a run-file merge that are
-kernels: the record scanner, the fingerprint renderer and the report
-rows (the k-way merge is heapq.merge and the grouper group_sorted, both
-in collide, for both backends). Besides them, it holds the one
-implementation of Gray-code Ryser permanents and fraction-free Bareiss
-determinants of integer matrices, which _core lends out as its own;
-Python integers never wrap, so they are exact for any input. The codecs
-agree with the compiled ones on any str, on the rows of every graph of
-at most 32 vertices and on any sequence of ints, errors and messages
-included: a fingerprint coefficient is a C long long in both, so
+kernels: the record scanner and the fingerprint renderer (the k-way
+merge is heapq.merge, and the grouper group_sorted and the row writer
+family_rows are in collide, for both backends). Besides them, it holds
+the one implementation of Gray-code Ryser permanents and fraction-free
+Bareiss determinants of integer matrices, which _core lends out as its
+own; Python integers never wrap, so they are exact for any input. The
+codecs agree with the compiled ones on any str, on the rows of every
+graph of at most 32 vertices and on any sequence of ints, errors and
+messages included: a fingerprint coefficient is a C long long in both, so
 fingerprint raises OverflowError for any other int, and scan_records
-stops at a magnitude of more than 8 bytes as not canonical. The run-file twins agree with them on every buffer and on
-every fingerprint a run reader accepts, family_rows on every family of
-such a fingerprint and a tuple of ASCII str; canonical_form and
-decode_graph6 return a rows tuple. Only the compiled ones check their
-other arguments, and reject other families with TypeError.
+stops at a magnitude of more than 8 bytes as not canonical. The
+run-file twins agree with them on every buffer and on every fingerprint
+a run reader accepts; canonical_form and decode_graph6 return a rows
+tuple. Only the compiled ones check their other arguments.
 """
 
 from __future__ import annotations
@@ -447,13 +446,3 @@ def render(fp: bytes, n: int) -> str:
             out += _term(fp[pos], int.from_bytes(fp[pos + 2:pos + 2 + blen], "little"), j)
         pos += 2 + blen
     return out
-
-
-# ----------------------------------------------------------- report rows
-
-def family_rows(families, n: int, m: int) -> str:
-    """The mates or merge report rows of the (fingerprint, members) families
-    of shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, as one str."""
-    head = f"{n}\t{m}\t"
-    return "".join([f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members) + "\n"
-                    for fp, members in families])

@@ -154,7 +154,7 @@ def cmd_table(args) -> None:
 
 def cmd_mates(args) -> None:
     censuses = _census_by_n(args, (args.kind,))
-    rows = (backend.family_rows(chunk, n, shard.m) for n in sorted(censuses)
+    rows = (collide.family_rows(chunk, n, shard.m) for n in sorted(censuses)
             for shard in censuses[n] for chunk in _chunks(shard.families[args.kind]))
     _write(chain([MATES_HEADER + "\n"], rows), args.out)
 
@@ -223,12 +223,12 @@ def _merge_text(runs):
         while cut and held[cut - 1][0] == last:
             cut -= 1
         if cut and not failed:
-            yield head + backend.family_rows(collide.group_sorted(held[:cut]), *shard[0])
+            yield head + collide.family_rows(collide.group_sorted(held[:cut]), *shard[0])
             head, held = "", held[cut:]
     families = collide.group_sorted(held)
     if failed:
         raise failed[0]
-    yield head + backend.family_rows(families, *shard[0])
+    yield head + collide.family_rows(families, *shard[0])
 
 
 def cmd_merge(args) -> None:

@@ -22,7 +22,8 @@ refuses a longer magnitude as not canonical. render() turns one back
 into report text without decoding it to integers; it and the run
 reader's record scanner are kernels of the backend. The k-way merge of
 run files is the standard library's heapq.merge, and the grouper,
-group_sorted, is one plain function here, for either backend.
+group_sorted, and the row writer of the mates and merge reports,
+family_rows, are plain functions here, for either backend.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def fingerprint(p, n: int, m: int, kind: str = "perm") -> bytes:
 # or cut by a run reader, as report text, highest power first, e.g.
 # "x^3 + 3x - 2", read off the bytes with no decode to integers
 render = backend.render
+
+
+def family_rows(families, n: int, m: int) -> str:
+    """The mates or merge report rows of the (fingerprint, members) families
+    of shard (n, m), "n\tm\tsize\tpolynomial\tmembers\n" each, as one str."""
+    head = f"{n}\t{m}\t"
+    return "".join([f"{head}{len(members)}\t{render(fp, n)}\t" + " ".join(members) + "\n"
+                    for fp, members in families])
 
 
 def group_sorted(records):

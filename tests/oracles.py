@@ -5,11 +5,11 @@ encoder and graph6 bit loop that both backends' encoders are checked
 against, and the stack walk that fixes the enumeration order), a graph
 builder from edge lists and the check that a graph is an exact rows
 tuple, and the run-reader chunk sizes, raw run-file writer and kernel
-switch the run-file tests use, and the fingerprints and out-of-contract
-families the tests of the compiled row writer use."""
+switch the run-file tests use, and the fingerprints the fuzz tests of
+the grouper and the row writer use."""
 
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from itertools import combinations, permutations
 from math import factorial, gcd, lcm
 from unittest import mock
@@ -26,12 +26,11 @@ SYMBOLIC_MAX = 7
 
 @contextmanager
 def merge_kernels_of(impl):
-    """The run reader and the merge verb running on the kernels of impl, a
-    backend module. The k-way merge, heapq.merge, and the grouper,
-    collide.group_sorted, are the same on either."""
-    with ExitStack() as stack:
-        for name in ("scan_records", "family_rows"):
-            stack.enter_context(mock.patch.object(backend, name, getattr(impl, name)))
+    """The run reader and the merge verb running on the record scanner of
+    impl, a backend module. The k-way merge, heapq.merge, the grouper,
+    collide.group_sorted, and the row writer, collide.family_rows, are the
+    same on either, and the renderer is the backend's in use."""
+    with mock.patch.object(backend, "scan_records", impl.scan_records):
         yield
 
 
@@ -45,13 +44,6 @@ def raw_run(n: int, m: int, records) -> bytes:
 # fingerprints of (n, m) = (4, 2), the last with a two-byte coefficient
 KERNEL_FPS = [collide.fingerprint((c0, c1, 2, 0, 1), 4, 2) for c0, c1 in
               ((0, 0), (1, 0), (-1, 3), (0, 300), (2, -1))]
-# items that are not families, tuples of bytes and a tuple of ASCII str:
-# a family of the wrong shape or type, then members of one
-ODD_FAMILIES = [5, (KERNEL_FPS[0],), (KERNEL_FPS[0], ("C?",), 1), [KERNEL_FPS[1], ("CA",)],
-                ("C?", ("C?",)), *((KERNEL_FPS[0], members) for members in
-                                   (5, "CA", ["C?"], ("C?", 7), (b"C?",), ("C?", "C\xe9"))),
-                # a tuple subclass
-                type("Family", (tuple,), {})((KERNEL_FPS[0], ("C?",)))]
 
 
 def members_out_of_order(records) -> list:

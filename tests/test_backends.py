@@ -41,8 +41,6 @@ from coperm.graphs import to_graph6
 from coperm.pipeline import shard_records
 
 from oracles import (
-    KERNEL_FPS,
-    ODD_FAMILIES,
     READER_CHUNKS,
     char_matrix,
     fault_at_a_chunk_edge,
@@ -358,24 +356,6 @@ def test_fingerprints_agree_on_random_coefficients():
                     (OverflowError, "fingerprint coefficient outside the signed 64-bit range")}
 
 
-# items that the row writer refuses, numbered from 16, the ids these cases
-# had while eight merge_records and eight group_sorted cases led the list
-OUTSIDE_THE_CONTRACT = [("family_rows", f) for f in ODD_FAMILIES]
-
-
-@needs_both
-@pytest.mark.parametrize("name, odd", OUTSIDE_THE_CONTRACT,
-                         ids=[f"{name}-{i}" for i, (name, _) in
-                              enumerate(OUTSIDE_THE_CONTRACT, 16)])
-def test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd):
-    # family_rows raises TypeError, wherever the odd item is
-    families = collide.group_sorted([(KERNEL_FPS[0], "C?"), (KERNEL_FPS[0], "C@"),
-                                     (KERNEL_FPS[1], "CA"), (KERNEL_FPS[2], "Cw")])
-    for at in range(len(families) + 1):
-        with pytest.raises(TypeError):
-            getattr(BACKENDS["compiled"], name)([*families[:at], odd, *families[at:]], 4, 2)
-
-
 def oracle_merge_report(n, m, records) -> str:
     """The merge report of records, from the oracle renderer."""
     lines = ["n\tm\tsize\tpolynomial\tmembers (all family sizes)"]
@@ -458,22 +438,20 @@ def test_the_merge_has_one_implementation(tmp_path):
 
 @needs_both
 def test_the_grouper_has_one_implementation():
-    # collide.group_sorted, a plain Python function, groups for either
-    # backend: neither a backend module nor the extension has a grouper,
-    # and the extension's nine entry points are the functions of leak_cases()
+    # collide.group_sorted and collide.family_rows, plain Python functions,
+    # group and write the report rows for either backend: neither a backend
+    # module nor the extension has a grouper or a row writer, and the
+    # extension's eight entry points are the functions of leak_cases()
     core = BACKENDS["compiled"]
     for module in (backend, *BACKENDS.values(), core._ext):
-        assert not hasattr(module, "group_sorted"), module
-    assert type(collide.group_sorted) is types.FunctionType
-    assert collide.group_sorted.__module__ == "coperm.collide"
+        for name in ("group_sorted", "family_rows"):
+            assert not hasattr(module, name), (module, name)
+    for fn in (collide.group_sorted, collide.family_rows):
+        assert type(fn) is types.FunctionType
+        assert fn.__module__ == "coperm.collide"
     exported = [name for name in vars(core._ext) if not name.startswith("__")]
-    assert len(leak_cases()) == 9
+    assert len(leak_cases()) == 8
     assert sorted(exported) == sorted([*leak_cases(), "MAXK", "MAX_VERTICES"])
-    # the family_rows contract cases make their families with it
-    with mock.patch.object(collide, "group_sorted", wraps=collide.group_sorted) as grouper:
-        for name, odd in OUTSIDE_THE_CONTRACT:
-            test_compiled_iterators_stop_at_an_item_outside_their_contract(name, odd)
-    assert grouper.call_count == len(OUTSIDE_THE_CONTRACT)
 
 
 @needs_both
@@ -500,8 +478,9 @@ def test_compiled_entry_points_reject_short_and_out_of_range_input():
 
 # beyond the size-17, short and out-of-range cases above; numbered from 7,
 # the ids these cases had while the scalar kernels' seven cases led the list,
-# and without 33 and 34, the ids of the two merge_records cases, and 35, the
-# id of the group_sorted case
+# and without 33 and 34, the ids of the two merge_records cases, 35, the id
+# of the group_sorted case, and 36-40, 42 and 57, the ids of the family_rows
+# cases
 BAD_INPUT = [
     ("graph_poly", ([0] * 17, 1 << 70, "perm"), TooLarge),
     ("graph_poly", ([0, 0], 3, "perm"), ValueError),
@@ -529,13 +508,7 @@ BAD_INPUT = [
     ("render", (b"", -1), ValueError),
     ("render", (b"", 33), ValueError),
     ("render", ("", 0), TypeError),
-    ("family_rows", ([], 33, 0), ValueError),  # n past 32
-    ("family_rows", ([], 3, 1 << 16), ValueError),  # m past u16
-    ("family_rows", ([(KERNEL_FPS[0], ("C?",))], 3, 2), ValueError),  # a degree-4 fingerprint
-    ("family_rows", ([], 3, 2.0), TypeError),
-    ("family_rows", ([], 3, 2, 1), TypeError),
     ("scan_records", (b"", 0, 1 << 63, 3, 2, None), ValueError),  # count past a long long
-    ("family_rows", (5, 3, 2), TypeError),  # families not iterable
     ("decode_graph6", (b"A_",), TypeError),  # bytes, not str
     ("decode_graph6", (), TypeError),
     ("encode_graph6", ([0] * 33, 33), TooLarge),
@@ -551,14 +524,13 @@ BAD_INPUT = [
     ("fingerprint", ((-2**63 - 1, 0, 0, 1), 3, 0, "perm"), OverflowError),
     # a magnitude of 9 bytes, past the 8 of a C long long
     ("render", (fingerprint_bytes((2**64, 0, 0, 1), 3), 3), ValueError),
-    ("family_rows", ([(fingerprint_bytes((2**64, 0, 2, 0, 1), 4), ("C?",))], 4, 2), ValueError),
 ]
 
 
 @needs_both
 @pytest.mark.parametrize("name, args, error", BAD_INPUT,
                          ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in
-                              zip((*range(7, 33), *range(36, 58)), BAD_INPUT, strict=True)])
+                              zip((*range(7, 33), 41, *range(43, 57)), BAD_INPUT, strict=True)])
 def test_compiled_entry_points_reject_bad_input(name, args, error):
     with pytest.raises(error):
         getattr(BACKENDS["compiled"], name)(*args)
@@ -579,8 +551,6 @@ def leak_cases():
                    for p, w in zip(([0] * 28 + [300, 0, 1],) * 2 + ([5] + [0] * 27 + [300, 0, 1],),
                                    words))
     wide = fingerprint_bytes([-2**63, 2**63 - 1] + [0] * 26 + [300, 0, 1], 30)
-    # a fingerprint whose coefficients below c_(n-2) are all 0
-    narrow = fingerprint_bytes([0] * 28 + [300, 0, 1], 30)
     # a degree-30 char polynomial with coefficients at both ends of the
     # signed 64-bit range, and one with a coefficient just past it
     poly = [-2**63, 2**63 - 1, big[0], *[0] * 25, -300, 0, 1]
@@ -591,10 +561,6 @@ def leak_cases():
         "scan_records": ((run + run[:40], 0, big[0], 30, 300, run[:58]),
                          (run, big[1], 1, 30, 300, None)),
         "render": ((wide, 30), (wide[:-1], 30)),
-        # two rows; rows that fail at a member that is not ASCII, after a
-        # family that passed its checks
-        "family_rows": (([(wide, tuple(words)), (narrow, tuple(words[:2]))], 30, 300),
-                        ([(wide, tuple(words)), (narrow, (words[0], "C\xe9"))], 30, 300)),
         # a word that is not ASCII fails at its first such character
         "decode_graph6": ((words[0],), (words[2] + "\xe9",)),
         "encode_graph6": (((*big,), 3), ([*big[:2], -big[2]], 3)),
