@@ -193,42 +193,21 @@ def cmd_fingerprint(args) -> None:
     print(f"wrote {count} records to {args.out}", file=sys.stderr)
 
 
-def _until_error(records, failed):
-    """records, ended by the first package error or OSError, which is put
-    in failed."""
-    try:
-        yield from records
-    except (CopermError, OSError) as exc:
-        failed.append(exc)
-
-
 def _merge_text(runs):
     """The merge report, its header in the first write with the first rows,
-    so that a merge failing before they are made writes nothing.
+    so that a merge failing before they are made writes nothing; alone,
+    for a merge of no records.
 
-    The merged records are grouped _EMIT_LINES at a time. The records of a
-    chunk's last fingerprint are carried into the next chunk, since their
-    family may go on there; the merge keeps fingerprints ascending, so they
-    need no check against the family before them. A read error is raised
-    only once the records read before it are grouped, so that a fault among
-    those, which the merge met first, is the one reported."""
+    The merged records are grouped as they come, and their families are
+    written _EMIT_LINES at a time. The grouper checks each record before
+    the merge reads the next, so the first fault in record order is the
+    one raised."""
     shard = []  # (n, m), which the merge reads from the run headers before any record
-    failed = []
-    records = _until_error(collide.merge_sorted_runs(runs, shard.append), failed)
     head = MATES_HEADER.replace("members", "members (all family sizes)") + "\n"
-    held = []
-    while chunk := list(islice(records, _EMIT_LINES)):
-        held += chunk
-        last, cut = held[-1][0], len(held) - 1
-        while cut and held[cut - 1][0] == last:
-            cut -= 1
-        if cut and not failed:
-            yield head + collide.family_rows(collide.group_sorted(held[:cut]), *shard[0])
-            head, held = "", held[cut:]
-    families = collide.group_sorted(held)
-    if failed:
-        raise failed[0]
-    yield head + collide.family_rows(families, *shard[0])
+    families = collide.group_sorted(collide.merge_sorted_runs(runs, shard.append))
+    rows = (collide.family_rows(chunk, *shard[0]) for chunk in _chunks(families))
+    yield head + next(rows, "")
+    yield from rows
 
 
 def cmd_merge(args) -> None:

@@ -22,8 +22,8 @@ refuses a longer magnitude as not canonical. render() turns one back
 into report text without decoding it to integers; it and the run
 reader's record scanner are kernels of the backend. The k-way merge of
 run files is the standard library's heapq.merge, and the grouper,
-group_sorted, and the row writer of the mates and merge reports,
-family_rows, are plain functions here, for either backend.
+group_sorted, a generator, and the row writer of the mates and merge
+reports, family_rows, are plain functions here, for either backend.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def family_rows(families, n: int, m: int) -> str:
 def group_sorted(records):
     """The families, in fingerprint order, of the (fingerprint bytes,
     graph6 str) records of one (n, m) shard, each greater than the one
-    before as a pair, as a list. A family is all graphs sharing one
-    polynomial: a plain (fingerprint, members) tuple, members the tuple
-    of their graph6 words, sorted. An equal pair raises DuplicateMember,
-    a smaller one UnsortedRun."""
-    families = []
+    before as a pair, yielded one at a time as the next fingerprint
+    closes it. A family is all graphs sharing one polynomial: a plain
+    (fingerprint, members) tuple, members the tuple of their graph6
+    words, sorted. An equal pair raises DuplicateMember, a smaller one
+    UnsortedRun, at that record."""
     cur = None
     members: list[str] = []
     for fp, g6 in records:
@@ -86,12 +86,11 @@ def group_sorted(records):
         if cur is not None:
             if fp < cur:
                 raise UnsortedRun("record stream is not sorted")
-            families.append((cur, tuple(members)))
+            yield cur, tuple(members)
         cur = fp
         members = [g6]
     if cur is not None:
-        families.append((cur, tuple(members)))
-    return families
+        yield cur, tuple(members)
 
 
 # the counting columns of one shard, or of one n summed over its shards
@@ -104,7 +103,7 @@ def group_families(records) -> list[tuple[bytes, tuple[str, ...]]]:
     Order-insensitive: the same input multiset yields the same output,
     sorted by fingerprint bytes.
     """
-    # list(): perfbench's tracer hands group_sorted's families back one at a time
+    # list(): a census shard walks its families twice, and the tracer takes len()
     return list(group_sorted(sorted(records)))
 
 
@@ -143,9 +142,10 @@ def persist_fingerprints(records, path, n: int, m: int) -> int:
     removes it (see output_file).
     """
     recs = sorted(records)
-    group_sorted(recs)  # checked before the file is opened
+    # packed from the checked families, all before the file is opened
     data = b"".join([_HEADER.pack(RUN_MAGIC, RUN_VERSION, n, m, len(recs)),
-                     *(fp + bytes([len(g6)]) + g6.encode("ascii") for fp, g6 in recs)])
+                     *(fp + bytes([len(g6)]) + g6.encode("ascii")
+                       for fp, members in group_sorted(recs) for g6 in members)])
     with output_file(path, "wb") as fh:
         fh.write(data)
     return len(recs)

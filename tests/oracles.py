@@ -56,12 +56,15 @@ def members_out_of_order(records) -> list:
 
 
 def fault_at_a_chunk_edge(records, fault: str, lines: int) -> list:
-    """records sorted, with a fault between records i and i + 1 of one
-    family, where a merge that groups lines records at a time ends a chunk
-    after its first: "repeat" repeats record i, and "swap" swaps the two."""
+    """records sorted, with a fault between the first two records of the
+    first family of two or more after lines whole families, so that a
+    merge writing lines families at a time has written a chunk before
+    it: "repeat" repeats the family's first record, and "swap" swaps its
+    first two."""
     records = sorted(records)
-    i = next(i for i in range(2 * lines - 1, len(records) - 1, lines)
-             if records[i][0] == records[i + 1][0])
+    starts = [i for i, (fp, _) in enumerate(records) if i == 0 or fp != records[i - 1][0]]
+    i = next(i for i in starts[lines:]
+             if i + 1 < len(records) and records[i + 1][0] == records[i][0])
     if fault == "repeat":
         records.insert(i + 1, records[i])
     else:

@@ -3,6 +3,7 @@ the compiled ones must guard their fixed-size arrays, and backend
 selection must say why it chose what it did."""
 
 import heapq
+import inspect
 import itertools
 import json
 import math
@@ -397,8 +398,10 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
         with merge_kernels_of(impl):
             assert main(["merge", *runs, "--out", str(report)]) == 0
         assert report.read_text() == want, impl.BACKEND_NAME
-    # a repeated pair, and two members out of order, across a chunk edge
+    # a repeated pair, and two members out of order, after a chunk: to
+    # stdout, the whole chunks of the families before the fault are written
     records = shard_records(6, 6, ("char",))["char"]
+    rows = oracle_merge_report(6, 6, records).splitlines(keepends=True)
     run = tmp_path / "faulty.run"
     for fault, lines in itertools.product(("repeat", "swap"), (1, 2, 3)):
         faulty = fault_at_a_chunk_edge(records, fault, lines)
@@ -406,11 +409,15 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
         i = next(i for i, (a, b) in enumerate(zip(faulty, faulty[1:])) if a >= b)
         want = (f"graph {faulty[i][1]!r} appears twice within one shard" if fault == "repeat"
                 else "record stream is not sorted")
+        before = len({fp for fp, _ in faulty[:i]})
+        written = "".join(rows[:1 + before - before % lines])
         for impl in BACKENDS.values():
             with merge_kernels_of(impl), mock.patch.object(cli, "_EMIT_LINES", lines):
                 assert main(["merge", str(run), "--out", str(report)]) == 3
-            assert capsys.readouterr().err == f"coperm: {want}\n", (fault, lines)
+                assert capsys.readouterr().err == f"coperm: {want}\n", (fault, lines)
+                assert main(["merge", str(run)]) == 3
             assert not report.exists()
+            assert capsys.readouterr() == (written, f"coperm: {want}\n"), (fault, lines)
 
 
 @needs_both
@@ -438,10 +445,11 @@ def test_the_merge_has_one_implementation(tmp_path):
 
 @needs_both
 def test_the_grouper_has_one_implementation():
-    # collide.group_sorted and collide.family_rows, plain Python functions,
-    # group and write the report rows for either backend: neither a backend
-    # module nor the extension has a grouper or a row writer, and the
-    # extension's eight entry points are the functions of leak_cases()
+    # collide.group_sorted, a Python generator function, and
+    # collide.family_rows, a plain one, group and write the report rows
+    # for either backend: neither a backend module nor the extension has a
+    # grouper or a row writer, and the extension's eight entry points are
+    # the functions of leak_cases()
     core = BACKENDS["compiled"]
     for module in (backend, *BACKENDS.values(), core._ext):
         for name in ("group_sorted", "family_rows"):
@@ -449,6 +457,7 @@ def test_the_grouper_has_one_implementation():
     for fn in (collide.group_sorted, collide.family_rows):
         assert type(fn) is types.FunctionType
         assert fn.__module__ == "coperm.collide"
+    assert inspect.isgeneratorfunction(collide.group_sorted)
     exported = [name for name in vars(core._ext) if not name.startswith("__")]
     assert len(leak_cases()) == 8
     assert sorted(exported) == sorted([*leak_cases(), "MAXK", "MAX_VERTICES"])

@@ -283,8 +283,8 @@ def test_merge_failing_after_rows_leaves_no_out_file(tmp_path, capsys, monkeypat
     assert code == 3 and "appears twice" in err
     assert sizes and sizes[0] > 0
     assert not out.exists()
-    # a repeated pair, or two members out of order, across the edge of a
-    # chunk after the first, whose rows were written
+    # a repeated pair, or two members out of order, in a family after a
+    # whole chunk, whose rows were written
     records = pipeline.shard_records(6, 6, ("char",))["char"]
     faulty = tmp_path / "faulty.run"
     for impl in available_backends().values():
@@ -312,22 +312,35 @@ def test_failing_merge_keeps_a_symlink_out(tmp_path, capsys):
     assert link.is_symlink()  # a partial output is removed only as a regular file
 
 
-@pytest.mark.parametrize("n, edges", [(7, 10), (8, 9)], ids=["at-close", "mid-write"])
-def test_fingerprint_past_the_file_size_limit_leaves_no_out(tmp_path, n, edges):
+@pytest.mark.parametrize("verb, n, edges", [("fingerprint", 7, 10), ("fingerprint", 8, 9),
+                                             ("merge", 8, 14)],
+                         ids=["at-close", "mid-write", "merge"])
+def test_write_past_the_file_size_limit_leaves_no_out(tmp_path, verb, n, edges):
     # the 3,942-byte run file fails when its buffer is flushed at close, the
-    # 11,903-byte one while records are still being written
+    # 11,903-byte one while records are still being written, and the
+    # 97,732-byte merge report, written two rows at a time, after rows while
+    # its two runs are open: the merge must close them, as -X dev reports a
+    # file that is left to the garbage collector
     import resource
 
     available_backends()  # the child must not build the compiled kernels
-    out = tmp_path / "big.run"
+    out = tmp_path / "big.out"
+    argv = [verb, "--n", str(n), "--edges", str(edges), "--out", str(out)]
+    if verb == "merge":
+        records = pipeline.shard_records(n, edges, ("char",))["char"]
+        runs = [str(tmp_path / f"{i}.run") for i in range(2)]
+        for i, path in enumerate(runs):
+            persist_fingerprints(records[i::2], path, n, edges)
+        argv = ["merge", *runs, "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    child = f"import sys; from coperm import cli; cli._EMIT_LINES = 2; sys.exit(cli.main({argv!r}))"
     # CPython ignores SIGXFSZ, so a write past the limit fails with EFBIG
     proc = subprocess.run(
-        [sys.executable, "-m", "coperm.cli", "fingerprint", "--n", str(n), "--edges", str(edges),
-         "--out", str(out)],
+        [sys.executable, "-X", "dev", "-c", child],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024)))
     assert proc.returncode == 3 and "File too large" in proc.stderr
+    assert "ResourceWarning" not in proc.stderr
     assert not out.exists()
 
 

@@ -317,20 +317,23 @@ def kernels_agree(name, make_args):
 @given(record_streams())
 def test_group_sorted_matches_groupby_on_any_records(streams):
     # the merged streams, sorted or not: the families of itertools.groupby
-    # when each record is greater than the one before, else the error of
-    # the first record that is not
+    # when each record is greater than the one before; else those closed
+    # before the first record that is not, one per next(), and then that
+    # record's error
     records = list(heapq.merge(*streams))
-    fault = next(((a, b) for a, b in zip(records, records[1:]) if a >= b), None)
-    if fault is None:
-        want = [(fp, tuple(g6 for _, g6 in family))
-                for fp, family in itertools.groupby(records, key=lambda r: r[0])]
-        assert collide.group_sorted(iter(records)) == want
+    i = next((i for i in range(1, len(records)) if records[i - 1] >= records[i]), len(records))
+    want = [(fp, tuple(g6 for _, g6 in family))
+            for fp, family in itertools.groupby(records[:i], key=lambda r: r[0])]
+    if i == len(records):
+        assert list(collide.group_sorted(iter(records))) == want
         return
-    a, b = fault
+    a, b = records[i - 1:i + 1]
     error, message = ((DuplicateMember, f"graph {b[1]!r} appears twice within one shard")
                       if a == b else (UnsortedRun, "record stream is not sorted"))
+    families = collide.group_sorted(iter(records))
+    assert [next(families) for _ in want[:-1]] == want[:-1]
     with pytest.raises(CopermError) as info:
-        collide.group_sorted(iter(records))
+        next(families)
     assert (type(info.value), str(info.value)) == (error, message)
 
 
