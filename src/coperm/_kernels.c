@@ -1,7 +1,8 @@
 /* Compiled kernels of coperm, as the CPython extension module behind
  * coperm._core: graph-polynomial coefficients computed directly (Ryser
- * for per(xI - A), Berkowitz for det(xI - A)), the minimum-lex
- * canonical-order search and the canonical children it yields, the
+ * for per(xI - A), Berkowitz for det(xI - A)), the one minimum-lex
+ * search, smaller_exists, which decides the canonical children and which
+ * canonical_form descends by to the minimum-lex relabeling, the
  * per-graph codecs: decode_graph6 and encode_graph6, the graph6 word of
  * a graph's rows and back, and fingerprint, the canonical bytes of a
  * graph polynomial; and the compiled steps of a run-file merge, whose
@@ -157,10 +158,14 @@ static void targets_of(const unsigned int *rows, int n, unsigned int *targets)
     }
 }
 
+/* 0 when no relabeling has a column sequence smaller than targets, the
+ * identity's: the labeling of rows is then minimum-lex. Otherwise d > 0,
+ * with perm[0..d) a prefix whose columns 0..d-2 equal targets' and whose
+ * column d-1 is smaller. */
 static int smaller_exists(const unsigned int *rows, int n, const unsigned int *targets,
                           int *perm, unsigned int used, int depth)
 {
-    int eq[MAXK], neq = 0;
+    int eq[MAXK], neq = 0, d;
     unsigned int t, c;
 
     if (depth == n)
@@ -170,57 +175,19 @@ static int smaller_exists(const unsigned int *rows, int n, const unsigned int *t
         if (used & (1u << u))
             continue;
         c = colval(rows[u], perm, depth);
-        if (c < t)
-            return 1;
+        if (c < t) {
+            perm[depth] = u;
+            return depth + 1;
+        }
         if (c == t)
             eq[neq++] = u;
     }
     for (int i = 0; i < neq; i++) {
         perm[depth] = eq[i];
-        if (smaller_exists(rows, n, targets, perm, used | (1u << eq[i]), depth + 1))
-            return 1;
+        if ((d = smaller_exists(rows, n, targets, perm, used | (1u << eq[i]), depth + 1)))
+            return d;
     }
     return 0;
-}
-
-/* Depth-first search for the smallest column sequence; returns whether
- * best was replaced below this prefix. eq: the prefix equals best's. */
-static int canon_dfs(const unsigned int *rows, int n, unsigned int *best, unsigned int *cur,
-                     int *perm, unsigned int used, int depth, int eq)
-{
-    unsigned int cols[MAXK], c;
-    int cand[MAXK], ncand = 0, updated = 0;
-
-    if (depth == n) {
-        if (!eq)
-            memcpy(best, cur, n * sizeof *best);
-        return !eq;
-    }
-    for (int u = 0; u < n; u++) {
-        if (used & (1u << u))
-            continue;
-        c = colval(rows[u], perm, depth);
-        int i = ncand++;
-        for (; i > 0 && cols[i - 1] > c; i--) {
-            cols[i] = cols[i - 1];
-            cand[i] = cand[i - 1];
-        }
-        cols[i] = c;
-        cand[i] = u;
-    }
-    for (int i = 0; i < ncand; i++) {
-        c = cols[i];
-        if (eq && c > best[depth])
-            break;
-        perm[depth] = cand[i];
-        cur[depth] = c;
-        if (canon_dfs(rows, n, best, cur, perm, used | (1u << cand[i]), depth + 1,
-                      eq && c == best[depth])) {
-            updated = 1;
-            eq = 1; /* the new best runs through this prefix */
-        }
-    }
-    return updated;
 }
 
 /* ------------------------------------------------------- Python entry points */
@@ -373,21 +340,47 @@ static PyObject *py_graph_poly(PyObject *Py_UNUSED(module), PyObject *const *arg
     return int_list(acc, n + 1);
 }
 
-/* canonical_form(rows, n): the rows tuple of the minimum-lex relabeling */
+/* canonical_form(rows, n): the rows tuple of the minimum-lex relabeling.
+ * A descent: relabel by perm, which starts with the vertices in
+ * increasing order of degree (the bits set in a row), and while a
+ * smaller labeling exists, take its prefix and the unused vertices in
+ * index order as the next perm. Each step makes the column sequence
+ * strictly smaller, so the descent ends at the minimum. */
 static PyObject *py_canonical_form(PyObject *Py_UNUSED(module), PyObject *const *args,
                                    Py_ssize_t nargs)
 {
-    unsigned int rows[MAXK], best[MAXK], cur[MAXK], out[MAXK] = {0};
-    int perm[MAXK], n;
+    unsigned int rows[MAXK], next[MAXK], cols[MAXK], out[MAXK] = {0}, used;
+    int perm[MAXK], n, d;
 
     if (!nargs_ok("canonical_form", nargs, 2) || size_arg(args[1], 0, &n) < 0
         || items_arg(args[0], n, rows) < 0)
         return NULL;
-    targets_of(rows, n, best);
-    canon_dfs(rows, n, best, cur, perm, 0, 0, 1);
+    for (int u = 0; u < n; u++) {
+        int i = u;
+        for (; i > 0 && __builtin_popcount(rows[perm[i - 1]]) > __builtin_popcount(rows[u]); i--)
+            perm[i] = perm[i - 1];
+        perm[i] = u;
+    }
+    for (;;) {
+        for (int j = 0; j < n; j++) {
+            next[j] = 0;
+            for (int i = 0; i < n; i++)
+                next[j] |= ((rows[perm[j]] >> perm[i]) & 1u) << i;
+        }
+        memcpy(rows, next, n * sizeof *rows);
+        targets_of(rows, n, cols);
+        if ((d = smaller_exists(rows, n, cols, perm, 0, 0)) == 0)
+            break;
+        used = 0;
+        for (int i = 0; i < d; i++)
+            used |= 1u << perm[i];
+        for (int u = 0; d < n; u++)
+            if (!(used & (1u << u)))
+                perm[d++] = u;
+    }
     for (int j = 0; j < n; j++)
         for (int i = 0; i < j; i++)
-            if ((best[j] >> (j - 1 - i)) & 1) {
+            if ((cols[j] >> (j - 1 - i)) & 1) {
                 out[i] |= 1u << j;
                 out[j] |= 1u << i;
             }

@@ -3,8 +3,9 @@
 Twin of the compiled kernels (_kernels.c) with identical signatures and
 semantics: graph-polynomial coefficients computed directly (Ryser's sum
 with polynomial row sums for per(xI - A), Berkowitz's division-free
-recurrence for det(xI - A)), the minimum-lex canonical-order search used
-for isomorph rejection, the graph6 decoder and encoder and the
+recurrence for det(xI - A)), the one minimum-lex search, _smaller, which
+decides the canonical children and which canonical_form descends by to the
+minimum-lex relabeling, the graph6 decoder and encoder and the
 fingerprint encoder, and the steps of a run-file merge that are
 kernels: the record scanner and the fingerprint renderer (the k-way
 merge is heapq.merge, and the grouper group_sorted and the row writer
@@ -160,67 +161,52 @@ def _colval(row, perm, depth):
     return c
 
 
-def _is_canonical(rows, n: int) -> bool:
-    # True when no relabeling yields a smaller column-major bitstring
-    targets = _targets(rows, n)
-    perm = [0] * n
-
-    def smaller(depth, used):
-        if depth == n:
-            return False
-        t = targets[depth]
-        eq = []
-        for u in range(n):
-            if used & (1 << u):
-                continue
-            c = _colval(rows[u], perm, depth)
-            if c < t:
-                return True
-            if c == t:
-                eq.append(u)
-        for u in eq:
+def _smaller(rows, n: int, targets, perm, used: int = 0, depth: int = 0) -> int:
+    # 0 when no relabeling has a column sequence smaller than targets, the
+    # identity's: the labeling of rows is then minimum-lex. Otherwise d > 0,
+    # with perm[0..d) a prefix whose columns 0..d-2 equal targets' and whose
+    # column d-1 is smaller
+    if depth == n:
+        return 0
+    t = targets[depth]
+    eq = []
+    for u in range(n):
+        if used & (1 << u):
+            continue
+        c = _colval(rows[u], perm, depth)
+        if c < t:
             perm[depth] = u
-            if smaller(depth + 1, used | (1 << u)):
-                return True
-        return False
-
-    return not smaller(0, 0)
+            return depth + 1
+        if c == t:
+            eq.append(u)
+    for u in eq:
+        perm[depth] = u
+        d = _smaller(rows, n, targets, perm, used | (1 << u), depth + 1)
+        if d:
+            return d
+    return 0
 
 
 def canonical_form(rows, n: int) -> tuple[int, ...]:
     """The rows tuple of the minimum-lex relabeling of the graph."""
-    best = _targets(rows, n)
-    perm = [0] * n
-    cur = [0] * n
-
-    def dfs(depth, used, eq):
-        if depth == n:
-            if not eq:
-                best[:] = cur
-                return True
-            return False
-        cand = []
-        for u in range(n):
-            if used & (1 << u):
-                continue
-            cand.append((_colval(rows[u], perm, depth), u))
-        cand.sort()
-        updated = False
-        for c, u in cand:
-            if eq and c > best[depth]:
-                break
-            perm[depth] = u
-            cur[depth] = c
-            if dfs(depth + 1, used | (1 << u), eq and c == best[depth]):
-                updated = True
-                eq = True  # the new best runs through this prefix
-        return updated
-
-    dfs(0, 0, True)
+    # a descent: relabel by perm, which starts with the vertices in
+    # increasing order of degree (the bits set in a row), and while a
+    # smaller labeling exists, take its prefix and the unused vertices in
+    # index order as the next perm. Each step makes the column sequence
+    # strictly smaller, so the descent ends at the minimum
+    perm = sorted(range(n), key=lambda u: rows[u].bit_count())
+    while True:
+        rows = [sum(((rows[p] >> q) & 1) << i for i, q in enumerate(perm)) for p in perm]
+        targets = _targets(rows, n)
+        d = _smaller(rows, n, targets, perm)
+        if not d:
+            break
+        used = set(perm[:d])
+        perm[d:] = [u for u in range(n) if u not in used]
 
     out = [0] * n
     for j in range(n):
-        c = best[j]
+        c = targets[j]
         for i in range(j):
             if (c >> (j - 1 - i)) & 1:
                 out[i] |= 1 << j
@@ -234,6 +220,7 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     order of S."""
     out = []
     child = list(rows[:k]) + [0]
+    perm = [0] * (k + 1)
     for s in range((1 << k) - 1, -1, -1):
         pc = s.bit_count()
         if pc < lo or pc > hi:
@@ -241,7 +228,7 @@ def canonical_children(rows, k: int, lo: int, hi: int) -> list[tuple[int, ...]]:
         for i in range(k):
             child[i] = rows[i] | (((s >> i) & 1) << k)
         child[k] = s
-        if _is_canonical(child, k + 1):
+        if not _smaller(child, k + 1, _targets(child, k + 1), perm):
             out.append(tuple(child))
     return out
 

@@ -2,8 +2,9 @@
 internals they check (among them the polynomial text and fingerprint
 decoder that the report renderer is checked against, the fingerprint
 encoder and graph6 bit loop that both backends' encoders are checked
-against, and the stack walk that fixes the enumeration order), a graph
-builder from edge lists and the check that a graph is an exact rows
+against, the stack walk that fixes the enumeration order, and the
+brute-force minimum-lex form that canonical_form is checked against), a
+graph builder from edge lists and the check that a graph is an exact rows
 tuple, and the run-reader chunk sizes, raw run-file writer and kernel
 switch the run-file tests use, and the fingerprints the fuzz tests of
 the grouper and the row writer use."""
@@ -57,13 +58,13 @@ def members_out_of_order(records) -> list:
 
 def fault_at_a_chunk_edge(records, fault: str, lines: int) -> list:
     """records sorted, with a fault between the first two records of the
-    first family of two or more after lines whole families, so that a
-    merge writing lines families at a time has written a chunk before
-    it: "repeat" repeats the family's first record, and "swap" swaps its
-    first two."""
+    first family of two or more whose index is a positive multiple of
+    lines, so that a merge writing lines families at a time has written
+    whole chunks, and nothing else, before it: "repeat" repeats the
+    family's first record, and "swap" swaps its first two."""
     records = sorted(records)
     starts = [i for i, (fp, _) in enumerate(records) if i == 0 or fp != records[i - 1][0]]
-    i = next(i for i in starts[lines:]
+    i = next(i for i in starts[lines::lines]
              if i + 1 < len(records) and records[i + 1][0] == records[i][0])
     if fault == "repeat":
         records.insert(i + 1, records[i])
@@ -232,6 +233,24 @@ def graph6_bits(g) -> str:
     if nbits:
         out.append(chr((acc << (6 - nbits)) + 63))
     return "".join(out)
+
+
+def min_lex_form(rows, n: int) -> tuple[int, ...]:
+    """The minimum-lex form of rows[0..n), by brute force over all n!
+    labelings. Under a labeling, label j names vertex p[j], and column j
+    is row p[j]'s bits at the vertices of the lower labels, p[0]'s bit
+    first: the kernels read no other bit, so bits past n, self-loop bits
+    and a bit whose mirror is clear count only as such a column reads
+    them. The form is the symmetric rows tuple whose upper triangle is
+    the least sequence of columns."""
+    least = min(tuple(tuple(rows[p[j]] >> p[i] & 1 for i in range(j)) for j in range(n))
+                for p in permutations(range(n)))
+    out = [0] * n
+    for j, column in enumerate(least):
+        for i, bit in enumerate(column):
+            out[i] |= bit << j
+            out[j] |= bit << i
+    return tuple(out)
 
 
 def orderly_reference(n: int, m, canonical_form) -> list[tuple[int, ...]]:

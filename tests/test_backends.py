@@ -51,8 +51,10 @@ from oracles import (
     graph_from_edges,
     is_rows,
     merge_kernels_of,
+    min_lex_form,
     mul,
     perm_poly_symbolic,
+    permute,
     poly_from_fingerprint,
     random_graph,
     raw_run,
@@ -145,6 +147,48 @@ def test_canonical_machinery_agrees():
             for bounds in ((0, k), (lo, hi)):
                 assert a.canonical_children(rows[:k], k, *bounds) == \
                     b.canonical_children(rows[:k], k, *bounds)
+
+
+def test_canonical_form_is_the_least_labeling_of_any_rows():
+    # on every backend, canonical_form reads each row only at the vertices
+    # of the lower labels, as the brute-force oracle does, so rows with
+    # bits past n, self-loop bits or bits set on one side only get the
+    # oracle's form too, not just the symmetric rows of a graph
+    rng = random.Random(34)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        graph = random_rows(rng, n)
+        for rows in (graph,
+                     [r | rng.getrandbits(8) << n for r in graph],
+                     [r | rng.getrandbits(1) << i for i, r in enumerate(graph)],
+                     [rng.getrandbits(n) for _ in range(n)],
+                     [rng.getrandbits(n + 4) for _ in range(n)]):
+            want = min_lex_form(rows, n)
+            for impl in BACKENDS.values():
+                assert impl.canonical_form(rows, n) == want, (impl.BACKEND_NAME, rows, n)
+
+
+@needs_both
+def test_canonical_form_is_invariant_under_relabeling_up_to_10():
+    # the descent is longest on the largest graphs: C10, the Petersen graph
+    # and random graphs on 9 and 10 vertices keep their compiled form under
+    # seeded relabelings, and the form is its own form, with the graph's
+    # degrees
+    core = BACKENDS["compiled"]
+    rng = random.Random(35)
+    cycle = graph_from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+    petersen = graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    for g in [cycle, petersen] + [random_graph(rng, n) for n in (9, 10) for _ in range(50)]:
+        n = len(g)
+        form = core.canonical_form(g, n)
+        assert is_rows(form, n) and core.canonical_form(form, n) == form
+        assert sorted(r.bit_count() for r in form) == sorted(r.bit_count() for r in g)
+        for _ in range(20):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            assert core.canonical_form(permute(g, sigma), n) == form, (g, sigma)
 
 
 def test_canonical_form_fixed_point_means_canonical():
@@ -398,19 +442,22 @@ def test_merge_kernels_agree_on_every_run_up_to_8(tmp_path, capsys):
         with merge_kernels_of(impl):
             assert main(["merge", *runs, "--out", str(report)]) == 0
         assert report.read_text() == want, impl.BACKEND_NAME
-    # a repeated pair, and two members out of order, after a chunk: to
-    # stdout, the whole chunks of the families before the fault are written
-    records = shard_records(6, 6, ("char",))["char"]
-    rows = oracle_merge_report(6, 6, records).splitlines(keepends=True)
+    # a repeated pair, and two members out of order, after whole chunks: to
+    # stdout, the chunks of the families before the fault are written. The
+    # families of two or more of shard (7, 6) char put the fault after one,
+    # two and three chunks of one, two and three families
+    records = shard_records(7, 6, ("char",))["char"]
+    rows = oracle_merge_report(7, 6, records).splitlines(keepends=True)
     run = tmp_path / "faulty.run"
     for fault, lines in itertools.product(("repeat", "swap"), (1, 2, 3)):
         faulty = fault_at_a_chunk_edge(records, fault, lines)
-        run.write_bytes(raw_run(6, 6, faulty))
+        run.write_bytes(raw_run(7, 6, faulty))
         i = next(i for i, (a, b) in enumerate(zip(faulty, faulty[1:])) if a >= b)
         want = (f"graph {faulty[i][1]!r} appears twice within one shard" if fault == "repeat"
                 else "record stream is not sorted")
         before = len({fp for fp, _ in faulty[:i]})
-        written = "".join(rows[:1 + before - before % lines])
+        assert before == {1: 1, 2: 4, 3: 6}[lines], (fault, lines)
+        written = "".join(rows[:1 + before])
         for impl in BACKENDS.values():
             with merge_kernels_of(impl), mock.patch.object(cli, "_EMIT_LINES", lines):
                 assert main(["merge", str(run), "--out", str(report)]) == 3
@@ -847,10 +894,17 @@ def copy_package(tmp_path, kernels_c: bytes) -> Path:
 def test_compiles_once_then_loads_quietly(tmp_path):
     env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
     cache = tmp_path / "cache" / "coperm"
+
+    def libraries(place):
+        # the libraries only: an instrumented build leaves its .gcno file
+        # beside them, but no build leaves its temporary file
+        assert not list(place.glob("*.tmp"))
+        return list(place.glob("*.so"))
+
     first = select_backend(env)
     [place] = cache.iterdir()  # one directory per package location
-    libs = list(place.iterdir())
-    assert len(libs) == 1  # the library, and no temporary file left
+    libs = libraries(place)
+    assert len(libs) == 1
     assert first == ("compiled", f"compiled {libs[0]}", [])
     assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
     # a copy with another source shares the cache: after the first build of
@@ -859,7 +913,7 @@ def test_compiles_once_then_loads_quietly(tmp_path):
     copy = copy_package(tmp_path, source + b"/* edited */\n")
     edited = select_backend(env, copy)
     [copy_place] = set(cache.iterdir()) - {place}
-    copy_libs = list(copy_place.iterdir())
+    copy_libs = libraries(copy_place)
     assert edited == ("compiled", f"compiled {copy_libs[0]}", [])
     assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
     assert select_backend(env, copy) == ("compiled", f"loaded {copy_libs[0]}", [])
@@ -867,14 +921,14 @@ def test_compiles_once_then_loads_quietly(tmp_path):
     # library of that place only
     (copy / "coperm" / "_kernels.c").write_bytes(source + b"/* edited again */\n")
     again = select_backend(env, copy)
-    new_libs = list(copy_place.iterdir())
+    new_libs = libraries(copy_place)
     assert len(new_libs) == 1 and new_libs != copy_libs
     assert again == ("compiled", f"compiled {new_libs[0]}", [])
     assert select_backend(env) == ("compiled", f"loaded {libs[0]}", [])
     # an interpreter of another ABI tag builds its own library beside this
     # one, and leaves this one in place
     other = select_backend(env, prelude="import sys; sys.implementation.cache_tag = 'other-0'")
-    [other_lib] = set(place.iterdir()) - set(libs)
+    [other_lib] = set(libraries(place)) - set(libs)
     assert other == ("compiled", f"compiled {other_lib}", [])
     assert libs[0].name.endswith(f".{sys.implementation.cache_tag}.so")
     assert other_lib.name.endswith(".other-0.so")

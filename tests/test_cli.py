@@ -285,12 +285,12 @@ def test_merge_failing_after_rows_leaves_no_out_file(tmp_path, capsys, monkeypat
     assert not out.exists()
     # a repeated pair, or two members out of order, in a family after a
     # whole chunk, whose rows were written
-    records = pipeline.shard_records(6, 6, ("char",))["char"]
+    records = pipeline.shard_records(7, 6, ("char",))["char"]
     faulty = tmp_path / "faulty.run"
     for impl in available_backends().values():
         with merge_kernels_of(impl):
             for fault, lines in itertools.product(("repeat", "swap"), (1, 2, 3)):
-                faulty.write_bytes(raw_run(6, 6, fault_at_a_chunk_edge(records, fault, lines)))
+                faulty.write_bytes(raw_run(7, 6, fault_at_a_chunk_edge(records, fault, lines)))
                 monkeypatch.setattr(cli, "_EMIT_LINES", lines)
                 sizes.clear()
                 code, _, err = run(capsys, "merge", str(faulty), "--out", str(out))
