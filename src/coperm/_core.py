@@ -21,15 +21,18 @@ neither loaded nor built (no C compiler, no Python.h, a failed build);
 backend.py then falls back to _purepy.
 
 permanent and determinant, which no verb calls, are _purepy's own,
-imported on first use so that a run never loads _purepy; the census calls
+imported on first use so that a run of well-formed input never loads
+_purepy; the census calls
 canonical_children, encode_graph6, graph_poly and fingerprint alone, an
 ingested census decode_graph6 and canonical_form besides, merge
 scan_records and render alone (its k-way merge is heapq.merge, and its
 grouper group_sorted and row writer family_rows are in collide, for
 either backend), mates render besides the census, and poly
 decode_graph6, encode_graph6, graph_poly, fingerprint and render.
-decode_graph6, encode_graph6 and fingerprint raise the package's errors
-with the twin's messages; decode_graph6 and canonical_form return a rows
+decode_graph6, encode_graph6 and fingerprint hand every input they
+cannot decode or encode as it stands to the twin's function of the same
+name, which returns the result or raises the codec's error, so the twin
+alone defines those errors; decode_graph6 and canonical_form return a rows
 tuple, canonical_children a list of them. The extension holds functions
 and constants only, no type.
 """

@@ -23,15 +23,20 @@
  * their end. A fingerprint coefficient is a C long long, so its magnitude
  * takes at most 8 bytes: the coefficients of a graph polynomial on
  * n <= MAXK vertices are signed sums over permutations, at most
- * n! < 2**63 in magnitude. fingerprint raises OverflowError for any other
- * int, scan_records stops at a longer magnitude as not canonical, and
- * render rejects one with ValueError. The codecs check what their
- * pure-Python twins check, in the same order, and raise the same errors
- * with the same messages: decode_graph6 reads any str, of any kind, only
- * up to its length and raises InvalidChar, TruncatedBody, TrailingGarbage
- * or TooLarge; encode_graph6 raises TooLarge past MAX_VERTICES vertices;
- * fingerprint compares the leading coefficients as Python objects and
- * raises DegreeMismatch.
+ * n! < 2**63 in magnitude. fingerprint, by its twin, raises OverflowError
+ * for any other int, scan_records stops at a longer magnitude as not
+ * canonical, and render rejects one with ValueError.
+ *
+ * The codecs decode_graph6, encode_graph6 and fingerprint take on their
+ * fast path only input they can decode or encode as it stands: an ASCII
+ * graph6 word of at most MAX_VERTICES vertices, rows of at most
+ * MAX_VERTICES vertices, and a list or tuple of ints in the C long long
+ * range whose leading coefficients pass their checks. Every other input
+ * goes to the pure-Python twin (see twin), which returns the result or
+ * raises the codec's error, so the twin alone defines their checks, their
+ * order and their messages. The errors raised here are only those of a
+ * wrong argument count, a text that is not a str, an n that is not an
+ * integer or is negative, and rows that items_arg refuses.
  *
  * The polynomial kernels need no bound check: they work modulo 2**64,
  * and every coefficient they return fits (see py_graph_poly). */
@@ -461,6 +466,24 @@ static int bytes_cmp(const void *a, Py_ssize_t alen, const void *b, Py_ssize_t b
     return c ? (c > 0) - (c < 0) : (alen > blen) - (alen < blen);
 }
 
+/* whether w[0..len) is the graph6 word of a graph on n <= MAX_VERTICES
+ * vertices: its length, its first byte n + 63, every byte in 63..126 and
+ * zero padding bits */
+static int graph6_word(const unsigned char *w, Py_ssize_t len, long long n)
+{
+    long long nbits = n * (n - 1) / 2;
+    unsigned int bad;
+
+    if (len != 1 + (nbits + 5) / 6 || w[0] != n + 63)
+        return 0;
+    /* one branch for the whole word: a byte below 63 sets bad whatever the
+     * padding test reads */
+    bad = (w[len - 1] - 63u) & ((1u << (6 - nbits % 6) % 6) - 1);
+    for (Py_ssize_t i = 0; i < len; i++)
+        bad |= w[i] - 63u > 63u;
+    return !bad;
+}
+
 /* scan_records(buf, pos, count, n, m, prev): the records of a run
  * of shard (n, m) that start at buf[pos], checked and cut as far as the
  * buffer holds whole ones, at most count of them. Each record is the
@@ -482,8 +505,8 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
     const unsigned char *b, *member;
     unsigned char lead[4];
     long long pos, count, n, m, read = 0;
-    Py_ssize_t size, start, end, stop = 0, nbits, width, lead_len = 0;
-    int padding, bad, c;
+    Py_ssize_t size, start, end, stop = 0, width, lead_len = 0;
+    int c;
     const char *why = NULL;
 
     if (!nargs_ok("scan_records", nargs, 6))
@@ -510,11 +533,7 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
         lead[3] = (unsigned char)(m >> 8);
         lead_len = 2 + lead[1];
     }
-    /* a graph6 word for n vertices: its length, first byte, range and
-     * zero padding bits */
-    nbits = n * (n - 1) / 2;
-    width = 1 + (nbits + 5) / 6;
-    padding = (1 << (6 - nbits % 6) % 6) - 1;
+    width = 1 + (n * (n - 1) / 2 + 5) / 6; /* of a graph6 word for n vertices */
     last = prev == Py_None ? NULL : prev;
     if ((records = PyList_New(0)) == NULL)
         return NULL;
@@ -551,10 +570,7 @@ static PyObject *py_scan_records(PyObject *Py_UNUSED(module), PyObject *const *a
         if (stop > size)
             goto cut;
         member = b + end + 1;
-        bad = b[end] != width || member[0] != n + 63 || ((member[width - 1] - 63) & padding);
-        for (Py_ssize_t i = 0; i < width && !bad; i++)
-            bad = member[i] < 63 || member[i] > 126;
-        if (bad) {
+        if (b[end] != width || !graph6_word(member, width, n)) {
             why = "graph6";
             start = end + 1;
             break;
@@ -717,27 +733,35 @@ static PyObject *py_render(PyObject *Py_UNUSED(module), PyObject *const *args, P
 
 /* ---------------------------------------------- graph6 and fingerprints */
 
-/* coperm.errors */
-static PyObject *invalid_char, *truncated_body, *trailing_garbage, *degree_mismatch;
-static PyObject *zero, *one; /* the ints the leading coefficients must equal */
+/* The pure-Python twin's codec name called with args: what it returns, or
+ * NULL with its error set. coperm._purepy is imported on first use, so a
+ * run of well-formed input never loads it. */
+static PyObject *twin(const char *name, PyObject *const *args, Py_ssize_t nargs)
+{
+    static PyObject *purepy;
+    PyObject *fn, *out;
+
+    if (purepy == NULL && (purepy = PyImport_ImportModule("coperm._purepy")) == NULL)
+        return NULL;
+    if ((fn = PyObject_GetAttrString(purepy, name)) == NULL)
+        return NULL;
+    out = PyObject_Vectorcall(fn, args, nargs, NULL);
+    Py_DECREF(fn);
+    return out;
+}
 
 /* decode_graph6(text): the adjacency rows, one int per vertex, of one
- * short-form graph6 word (n <= MAX_VERTICES, no header), trailing
- * newlines dropped. The checks and messages of the twin, in its order:
- * a ">>graph6<<" header or nonzero padding bits raise TrailingGarbage, as
- * does a body past the n(n-1)/2 bits; an empty word or a short body
- * TruncatedBody; a character outside 63..126 InvalidChar, naming the
- * first; n = 63 or n > MAX_VERTICES TooLarge. TypeError unless text is
- * a str. */
+ * short-form graph6 word (n <= MAX_VERTICES, no header). An ASCII word
+ * that graph6_word accepts is decoded here; any other str, a trailing
+ * newline included, goes to the twin. TypeError unless text is a str. */
 static PyObject *py_decode_graph6(PyObject *Py_UNUSED(module), PyObject *const *args,
                                   Py_ssize_t nargs)
 {
-    static const char header[] = ">>graph6<<";
     unsigned int rows[MAX_VERTICES] = {0};
+    const unsigned char *w;
     PyObject *text;
-    Py_ssize_t len, i, nbits, need;
-    const void *data;
-    int kind, n, j, u;
+    Py_ssize_t len;
+    int n, u = 0, j = 1;
 
     if (!nargs_ok("decode_graph6", nargs, 1))
         return NULL;
@@ -746,76 +770,37 @@ static PyObject *py_decode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
         PyErr_SetString(PyExc_TypeError, "decode_graph6() takes a str");
         return NULL;
     }
-    kind = PyUnicode_KIND(text);
-    data = PyUnicode_DATA(text);
+#if PY_VERSION_HEX < 0x030C0000
+    if (PyUnicode_READY(text) < 0)
+        return NULL;
+#endif
+    w = PyUnicode_1BYTE_DATA(text);
     len = PyUnicode_GET_LENGTH(text);
-    for (i = 0; i < len && header[i] && PyUnicode_READ(kind, data, i) == (Py_UCS4)header[i];)
-        i++;
-    if (!header[i]) {
-        PyErr_SetString(trailing_garbage, "graph6 format headers are not supported");
-        return NULL;
-    }
-    while (len && PyUnicode_READ(kind, data, len - 1) == '\n')
-        len--;
-    if (!len) {
-        PyErr_SetString(truncated_body, "empty graph6 word");
-        return NULL;
-    }
-    for (i = 0; i < len; i++) {
-        Py_UCS4 o = PyUnicode_READ(kind, data, i);
-
-        if (o < 63 || o > 126) {
-            PyErr_Format(invalid_char, "byte %u outside the graph6 range 63..126", (unsigned)o);
-            return NULL;
-        }
-    }
-    n = (int)PyUnicode_READ(kind, data, 0) - 63;
-    if (n == 63) {
-        PyErr_SetString(too_large, "multi-byte vertex counts (n > 62) are not supported");
-        return NULL;
-    }
-    if (n > MAX_VERTICES) {
-        PyErr_Format(too_large, "n=%d exceeds the %d-vertex cap", n, MAX_VERTICES);
-        return NULL;
-    }
-    nbits = n * (n - 1) / 2;
-    need = (nbits + 5) / 6;
-    if (len - 1 < need) {
-        PyErr_Format(truncated_body, "need %zd bit characters for n=%d, got %zd", need, n,
-                     len - 1);
-        return NULL;
-    }
-    if (len - 1 > need) {
-        PyErr_Format(trailing_garbage, "%zd extra characters after the adjacency bits",
-                     len - 1 - need);
-        return NULL;
-    }
-    if (need && (PyUnicode_READ(kind, data, need) - 63) & ((1u << (6 * need - nbits)) - 1)) {
-        PyErr_SetString(trailing_garbage, "nonzero padding bits");
-        return NULL;
-    }
+    n = PyUnicode_IS_ASCII(text) && len ? w[0] - 63 : -1;
+    if (n < 0 || n > MAX_VERTICES || !graph6_word(w, len, n))
+        return twin("decode_graph6", args, nargs);
     /* bit k of the body, most significant first in each character, is the
-     * pair (u, j), u < j, of column-order index k = j(j-1)/2 + u */
-    u = 0;
-    j = 1;
-    for (i = 0; i < nbits; i++) {
-        if ((PyUnicode_READ(kind, data, 1 + i / 6) - 63) >> (5 - i % 6) & 1) {
-            rows[u] |= 1u << j;
-            rows[j] |= 1u << u;
+     * pair (u, j), u < j, of column-order index k = j(j-1)/2 + u; the
+     * padding bits past the last pair are zero, so they set nothing */
+    for (Py_ssize_t i = 1; i < len; i++)
+        for (int bit = 5; bit >= 0; bit--) {
+            if ((w[i] - 63) >> bit & 1) {
+                rows[u] |= 1u << j;
+                rows[j] |= 1u << u;
+            }
+            if (++u == j) {
+                u = 0;
+                j++;
+            }
         }
-        if (++u == j) {
-            u = 0;
-            j++;
-        }
-    }
     return rows_tuple(rows, n);
 }
 
 /* encode_graph6(rows, n): the short-form graph6 word of the graph with
  * adjacency rows rows[0..n), canonical zero padding bits included; bit i
- * of rows[j], i < j, is the pair (i, j). TooLarge for n > MAX_VERTICES,
- * as the twin raises it; ValueError for a negative n or fewer than n
- * rows, OverflowError for a row outside a C unsigned int. */
+ * of rows[j], i < j, is the pair (i, j). An n past MAX_VERTICES goes to
+ * the twin; ValueError for a negative n or fewer than n rows,
+ * OverflowError for a row outside a C unsigned int. */
 static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *args,
                                   Py_ssize_t nargs)
 {
@@ -829,10 +814,8 @@ static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
         return NULL;
     v = PyLong_AsLongLongAndOverflow(index, &overflow);
     Py_DECREF(index);
-    if (overflow > 0 || v > MAX_VERTICES) {
-        PyErr_Format(too_large, "n=%S exceeds the %d-vertex cap", args[1], MAX_VERTICES);
-        return NULL;
-    }
+    if (overflow > 0 || v > MAX_VERTICES)
+        return twin("encode_graph6", args, nargs);
     if (overflow < 0 || v < 0) {
         PyErr_Format(PyExc_ValueError, "negative size %S", args[1]);
         return NULL;
@@ -854,99 +837,57 @@ static PyObject *py_encode_graph6(PyObject *Py_UNUSED(module), PyObject *const *
     return PyUnicode_DecodeASCII(word, k, NULL);
 }
 
-/* the sign and length bytes, then the least little-endian bytes, of the
- * magnitude of v, at out; returns how many */
-static Py_ssize_t put_coefficient(long long v, unsigned char *out)
-{
-    u64 mag = v < 0 ? 0 - (u64)v : (u64)v;
-    int blen = 0;
-
-    for (u64 rest = mag; rest; rest >>= 8)
-        out[2 + blen++] = (unsigned char)rest;
-    out[0] = v < 0;
-    out[1] = (unsigned char)blen;
-    return 2 + blen;
-}
-
 /* fingerprint(p, n, m, kind): the canonical bytes of the monic degree-n
  * graph polynomial p (coefficients constant first), as the twin makes
  * them: per coefficient c_(n-2) down to c_0, a sign byte, a length L and
- * L little-endian magnitude bytes, the least L, which is at most 8. Its
- * checks and messages, in its order: DegreeMismatch unless p has n + 1
- * coefficients and p[n] == 1, unless p[n-1] == 0, and unless p[n-2] is m
- * for kind "perm" and -m otherwise. ValueError for a negative n;
- * TypeError for p not a sequence, or a coefficient c_(n-2)..c_0 that is
- * not an int, and OverflowError for one outside a C long long, which no
- * graph polynomial of at most MAXK vertices needs: its coefficients are
- * at most n! < 2**63 in magnitude. */
+ * L little-endian magnitude bytes, the least L, which is at most 8.
+ * Encoded here when p is a list or tuple of n + 1 <= MAX_VERTICES + 1
+ * ints in the C long long range, m an int and kind a str, each of exactly
+ * that type, and c_n is 1, c_(n-1) is 0 and c_(n-2) is m for kind "perm"
+ * and -m otherwise. Any other input goes to the twin, which raises
+ * DegreeMismatch, or OverflowError for a coefficient outside a C long
+ * long. ValueError for a negative n. */
 static PyObject *py_fingerprint(PyObject *Py_UNUSED(module), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
-    PyObject *seq, **p, *want, *out = NULL;
-    Py_ssize_t len, size = 0;
-    long long n, v;
-    unsigned char *b;
-    int overflow, differs = 1;
+    long long c[MAX_VERTICES + 1], n, m;
+    unsigned char b[10 * MAX_VERTICES]; /* n - 1 coefficients at their longest */
+    Py_ssize_t size = 0;
+    PyObject *p, *kind, **items;
+    int overflow = 0, perm;
 
-    if (!nargs_ok("fingerprint", nargs, 4)
-        || bounded_arg(args[1], 0, LLONG_MAX, "n", &n) < 0
-        || (seq = PySequence_Tuple(args[0])) == NULL) /* no comparison can resize it */
+    if (!nargs_ok("fingerprint", nargs, 4) || bounded_arg(args[1], 0, LLONG_MAX, "n", &n) < 0)
         return NULL;
-    p = &PyTuple_GET_ITEM(seq, 0);
-    len = PyTuple_GET_SIZE(seq);
-    if (len - 1 == n && (differs = PyObject_RichCompareBool(p[n], one, Py_NE)) < 0)
-        goto fail;
-    if (differs) {
-        PyErr_Format(degree_mismatch, "expected a monic polynomial of degree %lld", n);
-        goto fail;
+    p = args[0];
+    kind = args[3];
+    if (!(PyList_CheckExact(p) || PyTuple_CheckExact(p)) || n > MAX_VERTICES
+        || PySequence_Fast_GET_SIZE(p) != n + 1 || !PyLong_CheckExact(args[2])
+        || !PyUnicode_CheckExact(kind))
+        return twin("fingerprint", args, nargs);
+    /* on an exact int, these report a value out of range through overflow
+     * only, and run no Python code that could resize p */
+    m = PyLong_AsLongLongAndOverflow(args[2], &overflow);
+    items = PySequence_Fast_ITEMS(p);
+    for (long long j = 0; j <= n && !overflow; j++) {
+        if (!PyLong_CheckExact(items[j]))
+            return twin("fingerprint", args, nargs);
+        c[j] = PyLong_AsLongLongAndOverflow(items[j], &overflow);
     }
-    if (n >= 1 && (differs = PyObject_RichCompareBool(p[n - 1], zero, Py_NE))) {
-        if (differs > 0)
-            PyErr_SetString(degree_mismatch,
-                            "x^(n-1) coefficient must vanish for a graph polynomial");
-        goto fail;
-    }
-    if (n >= 2) {
-        if (PyUnicode_Check(args[3]) && PyUnicode_CompareWithASCIIString(args[3], "perm") == 0)
-            want = Py_NewRef(args[2]);
-        else if ((want = PyNumber_Negative(args[2])) == NULL)
-            goto fail;
-        differs = PyObject_RichCompareBool(p[n - 2], want, Py_NE);
-        Py_DECREF(want);
-        if (differs) {
-            if (differs > 0)
-                PyErr_Format(degree_mismatch, "x^(n-2) coefficient %S disagrees with m=%S (%S)",
-                             p[n - 2], args[2], args[3]);
-            goto fail;
-        }
-    }
-    /* room for the n - 1 coefficients at their longest, cut to what they
-     * take once written */
-    if ((out = PyBytes_FromStringAndSize(NULL, n >= 2 ? 10 * (n - 1) : 0)) == NULL)
-        goto fail;
-    b = (unsigned char *)PyBytes_AS_STRING(out);
+    perm = PyUnicode_CompareWithASCIIString(kind, "perm") == 0;
+    if (overflow || c[n] != 1 || (n >= 1 && c[n - 1] != 0)
+        || (n >= 2 && (perm ? c[n - 2] != m : m == LLONG_MIN || c[n - 2] != -m)))
+        return twin("fingerprint", args, nargs);
     for (long long j = n - 2; j >= 0; j--) {
-        if (!PyLong_Check(p[j])) {
-            PyErr_SetString(PyExc_TypeError, "fingerprint() takes a sequence of ints");
-            goto fail;
-        }
-        /* on an int, it reports a value out of range through overflow only */
-        v = PyLong_AsLongLongAndOverflow(p[j], &overflow);
-        if (overflow) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "fingerprint coefficient outside the signed 64-bit range");
-            goto fail;
-        }
-        size += put_coefficient(v, b + size);
+        u64 mag = c[j] < 0 ? 0 - (u64)c[j] : (u64)c[j];
+        int blen = 0;
+
+        for (; mag; mag >>= 8)
+            b[size + 2 + blen++] = (unsigned char)mag;
+        b[size] = c[j] < 0;
+        b[size + 1] = (unsigned char)blen;
+        size += 2 + blen;
     }
-    Py_DECREF(seq);
-    if (_PyBytes_Resize(&out, size) < 0)
-        return NULL;
-    return out;
-fail:
-    Py_XDECREF(out);
-    Py_DECREF(seq);
-    return NULL;
+    return PyBytes_FromStringAndSize((const char *)b, size);
 }
 
 #define ENTRY(name, doc) \
@@ -975,19 +916,8 @@ static int exec_module(PyObject *module)
     if (errors == NULL)
         return -1;
     Py_XSETREF(too_large, PyObject_GetAttrString(errors, "TooLarge"));
-    Py_XSETREF(invalid_char, PyObject_GetAttrString(errors, "InvalidChar"));
-    Py_XSETREF(truncated_body, PyObject_GetAttrString(errors, "TruncatedBody"));
-    Py_XSETREF(trailing_garbage, PyObject_GetAttrString(errors, "TrailingGarbage"));
-    Py_XSETREF(degree_mismatch, PyObject_GetAttrString(errors, "DegreeMismatch"));
     Py_DECREF(errors);
-    if (too_large == NULL || invalid_char == NULL || truncated_body == NULL
-        || trailing_garbage == NULL || degree_mismatch == NULL)
-        return -1;
-    Py_XSETREF(zero, PyLong_FromLong(0));
-    Py_XSETREF(one, PyLong_FromLong(1));
-    if (zero == NULL || one == NULL)
-        return -1;
-    if (PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)
+    if (too_large == NULL || PyModule_AddIntConstant(module, "MAXK", MAXK) < 0)
         return -1;
     return PyModule_AddIntConstant(module, "MAX_VERTICES", MAX_VERTICES);
 }
@@ -997,7 +927,8 @@ static PyModuleDef_Slot slots[] = {
      * allows no direct cast from a function pointer */
     {Py_mod_exec, (void *)(uintptr_t)exec_module},
 #if PY_VERSION_HEX >= 0x030C0000
-    /* the exceptions and ints it holds are statics of the whole process */
+    /* the exception and the twin's module it holds are statics of the
+     * whole process */
     {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
 #endif
     {0, NULL},

@@ -13,13 +13,15 @@ family_rows are in collide, for both backends). Besides them, it holds
 the one implementation of Gray-code Ryser permanents and fraction-free
 Bareiss determinants of integer matrices, which _core lends out as its
 own; Python integers never wrap, so they are exact for any input. The
-codecs agree with the compiled ones on any str, on the rows of every
-graph of at most 32 vertices and on any sequence of ints, errors and
-messages included: a fingerprint coefficient is a C long long in both, so
-fingerprint raises OverflowError for any other int, and scan_records
-stops at a magnitude of more than 8 bytes as not canonical. The
-run-file twins agree with them on every buffer and on every fingerprint
-a run reader accepts; canonical_form and decode_graph6 return a rows
+codecs decode_graph6, encode_graph6 and fingerprint are the one
+definition of their checks, their order and their messages: the
+compiled ones call them for every input they cannot decode or encode as
+it stands, so with the compiled kernels in use, a run of well-formed
+input never loads this module. A fingerprint coefficient is a C long
+long, so fingerprint raises OverflowError for any other int, and
+scan_records stops at a magnitude of more than 8 bytes as not canonical.
+The run-file twins agree with the compiled ones on every buffer and on
+every fingerprint a run reader accepts; canonical_form and decode_graph6 return a rows
 tuple. Only the compiled ones check their other arguments.
 """
 

@@ -11,7 +11,8 @@ import os
 import sys
 
 # each module is imported only when selected: with the compiled kernels in
-# use, a run never loads _purepy
+# use, a run of well-formed input never loads _purepy, which their codecs
+# call only for input they refuse
 if os.environ.get("COPERM_PURE_PYTHON"):
     from . import _purepy as _impl
     REASON = "COPERM_PURE_PYTHON set"

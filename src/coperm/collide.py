@@ -169,13 +169,17 @@ _CHUNK = 1 << 16  # bytes a run reader asks for per read
 _SCAN = 256  # records a run reader cuts per scan, and so holds at once
 
 
-def _iter_run(fh, path, n: int, m: int, count: int):
+def _iter_run(fh, path, n: int, m: int, count: int, leads: set):
     """Check and yield the records of a run file whose header has been read.
 
     The backend's scan_records cuts and checks as many whole records as
     the buffer holds, at most _SCAN, and says why it stopped; a record
     that runs past the buffer is scanned again once a read has added to
-    it, or found truncated when the read finds the file's end.
+    it, or found truncated when the read finds the file's end. leads,
+    shared by the runs of one merge, collects the sign byte of c_(n-2),
+    + for perm and - for char, of the first and last record of each scan:
+    the records of a scan are sorted, so a second sign among them all is
+    a merge of both polynomial kinds, which raises RunFormatError.
     """
     read = fh.read
     buf, pos, prev = b"", 0, None
@@ -183,6 +187,10 @@ def _iter_run(fh, path, n: int, m: int, count: int):
     while left:
         records, pos, stop = backend.scan_records(buf, pos, min(left, _SCAN), n, m, prev)
         if records:
+            leads.update((records[0][0][:1], records[-1][0][:1]))
+            if len(leads) > 1:
+                raise RunFormatError(f"{path}: the runs hold both polynomial kinds, with "
+                                     f"x^(n-2) coefficients {m} and -{m} (n={n}, m={m})")
             left -= len(records)
             prev = records[-1][0]
             yield from records
@@ -208,11 +216,13 @@ def _iter_run(fh, path, n: int, m: int, count: int):
 def merge_sorted_runs(paths, on_shard=None):
     """K-way merge of sorted run files into one globally sorted record stream.
 
-    All runs must belong to the same (n, m) shard; each is opened once,
+    All runs must belong to the same (n, m) shard and hold one
+    polynomial kind (for m = 0 the two kinds coincide); each is opened once,
     and on_shard, when given, is called with that (n, m) once every
     header is read, before the first record. The merge is heapq.merge:
     ties go in run order, and each run holds at most _SCAN records as
-    objects.
+    objects. heapq.merge reads the first record of every run before it
+    yields one, so runs of both kinds fail before the first record.
     """
     # imported here: a poly or census run, which merges nothing, never loads it
     import heapq
@@ -223,6 +233,7 @@ def merge_sorted_runs(paths, on_shard=None):
     with ExitStack() as stack:
         streams = []
         shard = None
+        leads: set[bytes] = set()
         for p in paths:
             fh = stack.enter_context(open(p, "rb"))
             n, m, count = _check_header(fh.read(_HEADER.size), p)
@@ -230,7 +241,7 @@ def merge_sorted_runs(paths, on_shard=None):
                 shard = (n, m)
             elif shard != (n, m):
                 raise RunFormatError(f"run {p} is shard {(n, m)}, expected {shard}")
-            streams.append(_iter_run(fh, p, n, m, count))
+            streams.append(_iter_run(fh, p, n, m, count, leads))
         if on_shard is not None:
             on_shard(shard)
         yield from heapq.merge(*streams)

@@ -861,6 +861,112 @@ def test_cli_cold_start_loads_neither_the_twin_nor_the_census():
     assert not {"coperm._purepy", "coperm.pipeline", "coperm.enumerate", "heapq"} & set(loaded)
 
 
+@needs_both
+def test_program_input_never_loads_the_twin(tmp_path):
+    """Every input the program makes or reads in a well-formed run takes
+    the compiled codecs' fast path: a census, an ingest with --dedup of
+    every class of n <= 7 and relabeled repeats, poly, fingerprint and
+    merge, in one process, leave the pure-Python twin unloaded."""
+    rng = random.Random(31)
+    words = []
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            words.append(to_graph6(g))
+            if rng.random() < 0.25:
+                words.append(to_graph6(permute(g, rng.sample(range(n), n))))
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text("".join(w + "\n" for w in words))
+    run_file = tmp_path / "shard.run"
+    commands = [
+        ["compare", "--n", "6"],
+        ["table", "--in", str(graphs), "--dedup", "--kind", "char"],
+        ["poly", "FJ_W_"],
+        ["fingerprint", "--n", "6", "--edges", "7", "--kind", "char", "--out", str(run_file)],
+        ["merge", str(run_file)],
+    ]
+    for i, argv in enumerate(commands):
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / f"report{i}.txt")]
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    env.pop("COPERM_PURE_PYTHON", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, coperm; from coperm.cli import main; "
+         "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+         "print(json.dumps([coperm.BACKEND, codes, 'coperm._purepy' in sys.modules]))",
+         json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == ["compiled", [0] * len(commands), False], proc.stderr
+    assert (tmp_path / "report4.txt").read_text().count("\n") > 1
+
+
+@needs_both
+def test_compiled_codecs_hand_refused_input_to_the_twin(monkeypatch):
+    """The compiled codecs define no codec error of their own: a truncated
+    word, n = 33 and a wrong x^(n-2) coefficient each reach the twin's
+    function, which raises the error; well-formed input never does."""
+    core, twin = BACKENDS["compiled"], BACKENDS["pure-python"]
+    calls = []
+    for name in ("decode_graph6", "encode_graph6", "fingerprint"):
+        def recorder(*args, name=name, real=getattr(twin, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(twin, name, recorder)
+    refused = [
+        ("decode_graph6", ("C",), (TruncatedBody, "need 1 bit characters for n=4, got 0")),
+        ("encode_graph6", ([0] * 33, 33), (TooLarge, "n=33 exceeds the 32-vertex cap")),
+        ("fingerprint", ((0, 2, 0, 1), 3, 3, "perm"),
+         (DegreeMismatch, "x^(n-2) coefficient 2 disagrees with m=3 (perm)")),
+    ]
+    for name, args, error in refused:
+        calls.clear()
+        assert outcome(getattr(core, name), *args) == error
+        assert calls == [name]
+    # a coefficient that is not an exact int: the twin's result
+    calls.clear()
+    assert core.fingerprint([2, 3, 0, True], 3, 3, "perm") == bytes([0, 1, 3, 0, 1, 2])
+    assert calls == ["fingerprint"]
+    calls.clear()
+    assert core.decode_graph6("Bw") == (6, 5, 3)
+    assert core.encode_graph6((6, 5, 3), 3) == "Bw"
+    assert core.fingerprint((2, 3, 0, 1), 3, 3, "perm") == bytes([0, 1, 3, 0, 1, 2])
+    assert calls == []
+    # a twin that cannot be found or imported raises, for refused input only
+    monkeypatch.delattr(twin, "decode_graph6")
+    with pytest.raises(AttributeError):
+        core.decode_graph6("C")
+    env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
+    env.pop("COPERM_PURE_PYTHON", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['coperm._purepy'] = None; from coperm import _core; "
+         "print(_core.decode_graph6('Bw')); _core.decode_graph6('C')"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == "(6, 5, 3)\n"
+    assert proc.stderr.splitlines()[-1] == \
+        "ModuleNotFoundError: import of coperm._purepy halted; None in sys.modules"
+
+
+@needs_both
+@pytest.mark.skipif(not hasattr(_testcapi, "unicode_legacy_string")
+                    or not hasattr(_testcapi, "set_nomemory"),
+                    reason="only Python 3.10 and 3.11 make a str that is not ready")
+def test_decode_graph6_readies_a_legacy_string():
+    """A str of the deprecated legacy form is made ready before the ASCII
+    test: decoded, or MemoryError when that allocation fails."""
+    core = BACKENDS["compiled"]
+    with pytest.warns(DeprecationWarning):
+        words = [_testcapi.unicode_legacy_string("Bw") for _ in range(2)]
+    assert core.decode_graph6(words[0]) == (6, 5, 3)
+    _testcapi.set_nomemory(0, 1)
+    try:
+        got = outcome(core.decode_graph6, words[1])
+    finally:
+        _testcapi.remove_mem_hooks()
+    assert got[0] is MemoryError
+    assert core.decode_graph6(words[1]) == (6, 5, 3)
+
+
 def test_import_coperm_does_not_load_ctypes():
     env = dict(os.environ, PYTHONPATH=str(Path(coperm.__file__).parents[1]))
     env.pop("COPERM_PURE_PYTHON", None)

@@ -171,6 +171,29 @@ def test_fingerprint_and_merge(tmp_path, capsys):
     assert len(out.splitlines()) == 8  # header + 7 families
 
 
+def test_merge_refuses_runs_of_both_kinds(tmp_path, capsys):
+    # a run header holds no kind: the reader tells perm (c_(n-2) = +m) from
+    # char (-m) by the sign byte, and fails before any row is written
+    runs = {kind: tmp_path / f"{kind}.run" for kind in ("perm", "char")}
+    for kind, path in runs.items():
+        fingerprint_run(capsys, path, 5, 4, kind)
+    out = tmp_path / "report.txt"
+    for impl in available_backends().values():
+        with merge_kernels_of(impl):
+            for first, second in (runs["perm"], runs["char"]), (runs["char"], runs["perm"]):
+                for extra in ((), ("--out", str(out))):
+                    code, stdout, err = run(capsys, "merge", str(first), str(second), *extra)
+                    assert (code, stdout) == (3, ""), err
+                    assert err == (f"coperm: {second}: the runs hold both polynomial kinds, "
+                                   "with x^(n-2) coefficients 4 and -4 (n=5, m=4)\n")
+                    assert not out.exists()
+    # for m = 0 the two kinds coincide, so each graph is one record twice
+    for kind, path in runs.items():
+        fingerprint_run(capsys, path, 5, 0, kind)
+    code, _, err = run(capsys, "merge", str(runs["perm"]), str(runs["char"]))
+    assert code == 3 and "appears twice" in err
+
+
 @pytest.mark.parametrize("kind", ["perm", "char"])
 def test_merge_renders_each_family_as_the_oracle(tmp_path, capsys, kind):
     # every shard with n <= 7: each row's polynomial is the oracle text of

@@ -379,6 +379,19 @@ def test_merge_rejects_mixed_shards(tmp_path, reader_chunks):
             list(merge_sorted_runs([a, b]))
 
 
+@pytest.mark.parametrize("scan", [collide._SCAN, 1, 2])
+def test_run_of_both_kinds_rejected_at_any_scan_size(tmp_path, reader_chunks, monkeypatch, scan):
+    # one run of shard (5, 4) holding its perm (+4) and char (-4) records,
+    # sorted: the sign byte of c_(n-2) changes within a scan, or between two
+    monkeypatch.setattr(collide, "_SCAN", scan)
+    records = shard_records(5, 4, ("perm", "char"))
+    path = tmp_path / "both.run"
+    path.write_bytes(raw_run(5, 4, sorted(records["perm"] + records["char"])))
+    for _ in reader_chunks():
+        with pytest.raises(RunFormatError, match="both polynomial kinds"):
+            list(merge_sorted_runs([path]))
+
+
 def test_persist_rejects_duplicate_records(tmp_path):
     records = _records_n6_m4()
     with pytest.raises(DuplicateMember, match="appears twice"):
